@@ -2,7 +2,7 @@
 
 Multiple distributed training jobs time-share one GPU so that one job's
 gradient synchronization overlaps another job's compute.  The package models
-the schedule with an integer-nanosecond discrete-event engine, prices
+the schedule with an integer-nanosecond dispatch recurrence, prices
 synchronization with ring-allreduce and parameter-server cost models, and
 ships a numerical SGD oracle showing the interleaving leaves every job's
 parameter trajectory bit-for-bit unchanged.
@@ -11,7 +11,6 @@ parameter trajectory bit-for-bit unchanged.
 from .comm import (
     Architecture,
     ClusterSpec,
-    SyncRequest,
     comm_comp_ratio,
     comm_time,
     comm_time_allreduce,
@@ -19,28 +18,20 @@ from .comm import (
     comm_time_unfused,
 )
 from .engine import (
-    Event,
-    EventKind,
-    Lane,
-    LaneKind,
     Phase,
-    Simulation,
     Span,
     Trace,
     trace_to_chrome_json,
     trace_to_json,
     validate_trace,
 )
-from .errors import ComparisonError, ConfigError, DeadlockError, InvalidTraceError
+from .errors import ComparisonError, ConfigError, InvalidTraceError
 from .metrics import Metrics, compare, measure, metrics_from_json, report
 from .scenario import Scenario, load_config
 from .scheduler import (
-    JobRuntimeState,
     Policy,
     SchedulePlan,
     predicted_speedup,
-    schedule_crossover,
-    schedule_sequential,
     simulate,
     steady_state_period,
 )

@@ -24,16 +24,10 @@ from typing import Sequence
 from .comm import Architecture
 from .equivalence import LossKind, SgdConfig, check_neutrality
 from .engine import trace_to_chrome_json, trace_to_json
-from .errors import ConfigError, DeadlockError, InvalidTraceError
+from .errors import ConfigError, InvalidTraceError
 from .metrics import measure, report
 from .scenario import load_config
-from .scheduler import (
-    Policy,
-    SchedulePlan,
-    schedule_crossover,
-    schedule_sequential,
-    simulate,
-)
+from .scheduler import Policy, SchedulePlan, simulate
 from .workload import TensorSpec, comp_time
 
 EXIT_OK = 0
@@ -119,10 +113,8 @@ def _cmd_sweep(args) -> int:
     for rho in _ratio_points(lo, hi, args.steps):
         payload = _payload_for_ratio(plan, rho)
         jobs = tuple(_with_payload(job, payload) for job in plan.jobs)
-        cross_span = schedule_crossover(
-            SchedulePlan(Policy.CROSSOVER, jobs, plan.cluster)).makespan
-        seq_span = schedule_sequential(
-            SchedulePlan(Policy.SEQUENTIAL, jobs, plan.cluster)).makespan
+        cross_span = simulate(SchedulePlan(Policy.CROSSOVER, jobs, plan.cluster)).makespan
+        seq_span = simulate(SchedulePlan(Policy.SEQUENTIAL, jobs, plan.cluster)).makespan
         speedup = Fraction(seq_span, cross_span)
         rows.append(f"{float(rho)!r},{float(speedup)!r}")
 
@@ -241,7 +233,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DeadlockError, InvalidTraceError, OSError) as exc:
+    except (InvalidTraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

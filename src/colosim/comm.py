@@ -25,7 +25,6 @@ from .workload import FusedGradient, JobProfile, comp_time, fuse_gradients
 __all__ = [
     "Architecture",
     "ClusterSpec",
-    "SyncRequest",
     "comm_time_allreduce",
     "comm_time_ps",
     "comm_time",
@@ -71,15 +70,6 @@ class ClusterSpec:
             raise ConfigError("cluster.ps_servers must be >= 1 for parameter_server")
 
 
-@dataclass(frozen=True)
-class SyncRequest:
-    """One outstanding synchronization: a job's fused gradient for iteration t."""
-
-    job_id: str
-    iteration: int
-    payload: FusedGradient
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -116,9 +106,9 @@ def _comm_time_bytes(size_bytes: int, cluster: ClusterSpec) -> int:
     return comm_time_ps(size_bytes, cluster)
 
 
-def comm_time(request: SyncRequest, cluster: ClusterSpec) -> int:
-    """Duration of one synchronization request under the cluster's architecture."""
-    return _comm_time_bytes(request.payload.size_bytes, cluster)
+def comm_time(payload: FusedGradient, cluster: ClusterSpec) -> int:
+    """Duration of one fused-gradient sync under the cluster's architecture."""
+    return _comm_time_bytes(payload.size_bytes, cluster)
 
 
 def comm_time_unfused(messages: Iterable[FusedGradient], cluster: ClusterSpec) -> int:
@@ -131,5 +121,5 @@ def comm_comp_ratio(job: JobProfile, cluster: ClusterSpec) -> Fraction:
     comp = comp_time(job)
     if comp <= 0:
         raise ValueError(f"job {job.job_id!r}: compute time must be > 0")
-    sync = comm_time(SyncRequest(job.job_id, 1, fuse_gradients(job, 1)), cluster)
+    sync = comm_time(fuse_gradients(job, 1), cluster)
     return Fraction(sync, comp)

@@ -1,79 +1,31 @@
-"""Deterministic discrete-event core: lanes, event queue, span traces.
+"""Span traces: the record of a schedule, its legality check and exporters.
 
-A simulation owns exclusive resource lanes (one GPU compute lane, one worker
-NIC lane for the representative worker) and a single event queue.  Tasks are
-enqueued on a lane when their dependencies are already satisfied; a lane runs
-one task at a time, FIFO.  Queueing is encoded by the lane's ``busy_until``
-reservation: a task enqueued at time ``t`` starts at ``max(busy_until, t)``,
-and ties between jobs enqueuing at the same instant resolve by job index
-because the event loop processes same-time events in (kind, job index) order.
-
+A trace is the list of spans a schedule produced, one per forward, backward
+or sync phase of a job iteration, each on the lane (GPU or NIC) that ran it.
 Everything is integer nanoseconds; a run is a pure function of its input, so
 repeated runs produce byte-identical traces.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, Sequence
-
-from .errors import DeadlockError
 
 __all__ = [
-    "LaneKind",
     "Phase",
-    "EventKind",
-    "Lane",
-    "Event",
     "Span",
     "Trace",
-    "Simulation",
-    "Driver",
     "validate_trace",
     "trace_to_json",
     "trace_to_chrome_json",
 ]
 
 
-class LaneKind(Enum):
-    COMPUTE = "compute"
-    NETWORK = "network"
-
-
 class Phase(Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
     SYNC = "sync"
-
-
-class EventKind(Enum):
-    # Enum values are the tie-break order for same-time events.
-    COMPUTE_DONE = 0
-    COMM_DONE = 1
-
-
-_KIND_FOR_LANE = {LaneKind.COMPUTE: EventKind.COMPUTE_DONE,
-                  LaneKind.NETWORK: EventKind.COMM_DONE}
-
-
-@dataclass
-class Lane:
-    """An exclusive resource that executes at most one span at a time."""
-
-    lane_id: str
-    kind: LaneKind
-    busy_until: int = 0
-
-
-@dataclass(frozen=True)
-class Event:
-    time: int
-    kind: EventKind
-    job_id: str
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -92,95 +44,12 @@ class Trace:
     makespan: int
 
 
-class Driver(Protocol):
-    """Policy hook driving a simulation: reacts to events, reports open work."""
-
-    def on_event(self, sim: "Simulation", event: Event) -> None: ...
-
-    def pending(self) -> list[tuple[str, int]]: ...
-
-
-class Simulation:
-    """One deterministic single-threaded simulation run."""
-
-    def __init__(self, job_order: Sequence[str]):
-        self._job_index = {job_id: i for i, job_id in enumerate(job_order)}
-        if len(self._job_index) != len(job_order):
-            raise ValueError("job ids must be unique")
-        self._queue: list[tuple[int, int, int, int, Event]] = []
-        self._seq = 0
-        self._spans: list[Span] = []
-        self._lanes: dict[str, Lane] = {}
-        self._now = 0
-
-    @property
-    def now(self) -> int:
-        return self._now
-
-    def add_lane(self, lane_id: str, kind: LaneKind) -> Lane:
-        if lane_id in self._lanes:
-            raise ValueError(f"duplicate lane {lane_id!r}")
-        lane = Lane(lane_id, kind)
-        self._lanes[lane_id] = lane
-        return lane
-
-    def enqueue(self, lane: Lane, job_id: str, iteration: int,
-                duration: int, phase: Phase) -> Event:
-        """Enqueue a single-span task; returns its scheduled completion event."""
-        return self.enqueue_task(lane, job_id, iteration, ((phase, duration),))
-
-    def enqueue_task(self, lane: Lane, job_id: str, iteration: int,
-                     segments: Sequence[tuple[Phase, int]]) -> Event:
-        """Enqueue one task rendered as back-to-back spans (e.g. forward+backward).
-
-        The task starts at max(lane.busy_until, now) and emits one completion
-        event at its end, typed by the lane kind.
-        """
-        if not segments:
-            raise ValueError("task must have at least one segment")
-        start = max(lane.busy_until, self._now)
-        cursor = start
-        for phase, duration in segments:
-            if duration < 0:
-                raise ValueError("segment duration must be >= 0")
-            self._spans.append(Span(lane.lane_id, job_id, phase, iteration,
-                                    cursor, cursor + duration))
-            cursor += duration
-        lane.busy_until = cursor
-        event = Event(cursor, _KIND_FOR_LANE[lane.kind], job_id, iteration)
-        heapq.heappush(self._queue, (event.time, event.kind.value,
-                                     self._job_index[job_id], self._seq, event))
-        self._seq += 1
-        return event
-
-    def run(self, driver: Driver | None = None) -> Trace:
-        """Drain the event queue in (time, kind, job index) order.
-
-        Raises DeadlockError if the queue empties while the driver still
-        reports pending work (a task waiting on an event that can never fire).
-        """
-        while self._queue:
-            time, _, _, _, event = heapq.heappop(self._queue)
-            assert time >= self._now, "event times must be non-decreasing"
-            self._now = time
-            if driver is not None:
-                driver.on_event(self, event)
-        if driver is not None:
-            stuck = driver.pending()
-            if stuck:
-                job_id, iteration = stuck[0]
-                raise DeadlockError(job_id, iteration,
-                                    f"{len(stuck)} job(s) unfinished at quiescence")
-        makespan = max((s.end for s in self._spans), default=0)
-        return Trace(tuple(self._spans), makespan)
-
-
 def validate_trace(trace: Trace) -> list[str]:
     """Check trace legality; returns violation messages (empty means legal).
 
     Checked: span sanity, per-lane non-overlap, per-job phase ordering
     forward_t < backward_t < sync_t < forward_{t+1}, a sync present for every
-    non-final iteration, and makespan consistency.
+    iteration (the final one included), and makespan consistency.
     """
     violations: list[str] = []
 
@@ -212,7 +81,6 @@ def validate_trace(trace: Trace) -> list[str]:
             phases[s.phase] = s
 
     for job_id, iters in by_job.items():
-        last_iter = max(iters)
         prev_sync: Span | None = None
         for t in sorted(iters):
             phases = iters[t]
@@ -223,7 +91,7 @@ def validate_trace(trace: Trace) -> list[str]:
                 violations.append(f"job {job_id}: missing forward span for iteration {t}")
             if bwd is None:
                 violations.append(f"job {job_id}: missing backward span for iteration {t}")
-            if syn is None and t < last_iter:
+            if syn is None:
                 violations.append(f"job {job_id}: missing sync span for iteration {t}")
             if fwd and bwd and bwd.start < fwd.end:
                 violations.append(f"job {job_id}: backward precedes forward at iteration {t}")

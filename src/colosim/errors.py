@@ -7,18 +7,6 @@ class ConfigError(ValueError):
     """A scenario file or cluster/job specification violates an invariant."""
 
 
-class DeadlockError(RuntimeError):
-    """The event queue drained while at least one job still had work pending."""
-
-    def __init__(self, job_id: str, iteration: int, detail: str = ""):
-        self.job_id = job_id
-        self.iteration = iteration
-        msg = f"deadlock: job {job_id!r} stuck at iteration {iteration}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
-
 class InvalidTraceError(ValueError):
     """A trace failed legality validation; carries the violation list."""
 

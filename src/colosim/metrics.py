@@ -60,7 +60,11 @@ def _steady_period(starts: list[int]) -> int | None:
 
 
 def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
-    """Compute metrics for a legal trace; rejects traces with violations."""
+    """Compute metrics for a legal trace of the plan.
+
+    Rejects traces with violations, and traces whose job set or per-job sync
+    counts differ from the plan's jobs and iteration budgets.
+    """
     violations = validate_trace(trace)
     if violations:
         raise InvalidTraceError(violations)
@@ -69,15 +73,24 @@ def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
     network_busy = 0
     starts: dict[str, list[tuple[int, int]]] = {j.job_id: [] for j in plan.jobs}
     completed: dict[str, int] = {j.job_id: 0 for j in plan.jobs}
+    unknown: set[str] = set()
     for s in trace.spans:
-        if s.phase is Phase.SYNC:
+        if s.job_id not in completed:
+            unknown.add(s.job_id)
+        elif s.phase is Phase.SYNC:
             network_busy += s.end - s.start
-            if s.job_id in completed:
-                completed[s.job_id] += 1
+            completed[s.job_id] += 1
         else:
             compute_busy += s.end - s.start
-            if s.phase is Phase.FORWARD and s.job_id in starts:
+            if s.phase is Phase.FORWARD:
                 starts[s.job_id].append((s.iteration, s.start))
+    mismatches = [f"job {job_id}: in the trace but not in the plan"
+                  for job_id in sorted(unknown)]
+    mismatches += [f"job {j.job_id}: {completed[j.job_id]} sync span(s) for a "
+                   f"budget of {j.iterations} iteration(s)"
+                   for j in plan.jobs if completed[j.job_id] != j.iterations]
+    if mismatches:
+        raise InvalidTraceError(mismatches)
 
     makespan = trace.makespan
     gpu_util = Fraction(compute_busy, makespan) if makespan else Fraction(0)

@@ -1,19 +1,18 @@
 """Scheduling policies for co-located training jobs on one GPU.
 
-Two policies are implemented as event drivers for the engine:
+Both policies are one dispatch recurrence over two FIFO lanes, a GPU and the
+worker NIC.  Jobs take turns on the GPU in plan order, round by round; a job
+whose iteration budget is spent is skipped.  Job ``i`` starts iteration ``t``
+at ``max(gpu_free, sync_end[i])`` (the end of its iteration ``t-1`` sync,
+zero at ``t = 1``), runs forward then backward, and its fused gradient syncs
+from ``max(nic_free, backward_end)``.  After a job's last compute its final
+sync still drains, so a ``T``-iteration job always has exactly ``T`` syncs.
 
-* ``crossover`` -- jobs take turns on the GPU in a fixed rotation; when a
-  job's backward pass finishes, its fused gradient is queued on the NIC and
-  the GPU immediately moves to the next job, so one job's synchronization
-  overlaps another job's compute.  A job's iteration ``t`` compute may start
-  only after its iteration ``t-1`` sync completed (bypassed at ``t = 1``);
-  after the last compute, the final sync drains before the job terminates.
+* ``crossover`` -- the GPU moves to the next job the moment a backward pass
+  ends, so one job's sync overlaps another job's compute.
 
-* ``sequential`` -- the non-overlapped baseline: compute, then sync to
-  completion while the GPU idles, then the next job's compute.
-
-Both share the same rotation discipline: job order is the plan order, and a
-job that has exhausted its iterations is skipped.
+* ``sequential`` -- the non-overlapped baseline: the same rotation with the
+  GPU held until each sync ends.
 """
 
 from __future__ import annotations
@@ -22,28 +21,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .comm import ClusterSpec, SyncRequest, comm_time
-from .engine import (
-    Event,
-    EventKind,
-    Lane,
-    LaneKind,
-    Phase,
-    Simulation,
-    Trace,
-)
-from .errors import DeadlockError
+from .comm import ClusterSpec, comm_time
+from .engine import Phase, Span, Trace
 from .workload import JobProfile, comp_time, fuse_gradients
 
 __all__ = [
     "Policy",
     "SchedulePlan",
-    "JobRuntimeState",
     "GPU_LANE_ID",
     "NIC_LANE_ID",
     "simulate",
-    "schedule_crossover",
-    "schedule_sequential",
     "steady_state_period",
     "predicted_speedup",
 ]
@@ -77,152 +64,35 @@ class SchedulePlan:
             raise ValueError("job ids must be unique within a plan")
 
 
-@dataclass
-class JobRuntimeState:
-    """Mutable per-job bookkeeping used while a policy drives the engine."""
-
-    job_id: str
-    next_iteration: int = 1
-    awaiting_sync: bool = False
-    sync_of_iteration: int = 0
-
-
 def _sync_duration(job: JobProfile, cluster: ClusterSpec) -> int:
-    payload = fuse_gradients(job, 1)
-    return comm_time(SyncRequest(job.job_id, 1, payload), cluster)
-
-
-class _RotationDriver:
-    """State shared by both policies: rotation cursor and per-job runtime state."""
-
-    def __init__(self, plan: SchedulePlan, gpu: Lane, nic: Lane):
-        self.jobs = plan.jobs
-        self.gpu = gpu
-        self.nic = nic
-        self.comm_ns = {j.job_id: _sync_duration(j, plan.cluster) for j in self.jobs}
-        self.state = {j.job_id: JobRuntimeState(j.job_id) for j in self.jobs}
-        self.cursor = 0
-
-    def _next_with_work(self) -> JobProfile | None:
-        """Next job in rotation (from the cursor) that still has computes left."""
-        n = len(self.jobs)
-        for k in range(n):
-            probe = (self.cursor + k) % n
-            job = self.jobs[probe]
-            if self.state[job.job_id].next_iteration <= job.iterations:
-                self.cursor = probe
-                return job
-        return None
-
-    def _enqueue_compute(self, sim: Simulation, job: JobProfile, iteration: int) -> None:
-        sim.enqueue_task(self.gpu, job.job_id, iteration,
-                         ((Phase.FORWARD, job.forward_time),
-                          (Phase.BACKWARD, job.backward_time)))
-        self.state[job.job_id].next_iteration = iteration + 1
-        self.cursor = (self.cursor + 1) % len(self.jobs)
-
-    def _enqueue_sync(self, sim: Simulation, job_id: str, iteration: int) -> None:
-        st = self.state[job_id]
-        st.awaiting_sync = True
-        st.sync_of_iteration = iteration
-        sim.enqueue(self.nic, job_id, iteration, self.comm_ns[job_id], Phase.SYNC)
-
-    def pending(self) -> list[tuple[str, int]]:
-        out = []
-        for job in self.jobs:
-            st = self.state[job.job_id]
-            if st.next_iteration <= job.iterations:
-                out.append((job.job_id, st.next_iteration))
-            elif st.awaiting_sync:
-                out.append((job.job_id, st.sync_of_iteration))
-        return out
-
-
-class _CrossoverDriver(_RotationDriver):
-    """GPU hands off to the next job at backward end; syncs run concurrently."""
-
-    def __init__(self, plan: SchedulePlan, gpu: Lane, nic: Lane):
-        super().__init__(plan, gpu, nic)
-        self._stalled_on: tuple[str, int] | None = None
-
-    def seed(self, sim: Simulation) -> None:
-        self._dispatch(sim)
-
-    def _dispatch(self, sim: Simulation) -> None:
-        """Start the next rotation compute if its previous sync has completed."""
-        job = self._next_with_work()
-        if job is None:
-            return
-        st = self.state[job.job_id]
-        t = st.next_iteration
-        ready = t == 1 or (not st.awaiting_sync and st.sync_of_iteration == t - 1)
-        if ready:
-            self._stalled_on = None
-            self._enqueue_compute(sim, job, t)
-        else:
-            # GPU idles until the blocking sync's completion event arrives.
-            self._stalled_on = (job.job_id, t - 1)
-
-    def on_event(self, sim: Simulation, event: Event) -> None:
-        st = self.state[event.job_id]
-        if event.kind is EventKind.COMPUTE_DONE:
-            self._enqueue_sync(sim, event.job_id, event.iteration)
-            self._dispatch(sim)
-        else:
-            st.awaiting_sync = False
-            if self._stalled_on == (event.job_id, event.iteration):
-                self._dispatch(sim)
-
-
-class _SequentialDriver(_RotationDriver):
-    """Strict round-robin baseline: compute and sync never overlap anything."""
-
-    def seed(self, sim: Simulation) -> None:
-        self._dispatch(sim)
-
-    def _dispatch(self, sim: Simulation) -> None:
-        job = self._next_with_work()
-        if job is not None:
-            self._enqueue_compute(sim, job, self.state[job.job_id].next_iteration)
-
-    def on_event(self, sim: Simulation, event: Event) -> None:
-        if event.kind is EventKind.COMPUTE_DONE:
-            self._enqueue_sync(sim, event.job_id, event.iteration)
-        else:
-            self.state[event.job_id].awaiting_sync = False
-            self._dispatch(sim)
-
-
-def _run(plan: SchedulePlan, driver_cls) -> Trace:
-    sim = Simulation([j.job_id for j in plan.jobs])
-    gpu = sim.add_lane(GPU_LANE_ID, LaneKind.COMPUTE)
-    nic = sim.add_lane(NIC_LANE_ID, LaneKind.NETWORK)
-    driver = driver_cls(plan, gpu, nic)
-    driver.seed(sim)
-    try:
-        return sim.run(driver)
-    except DeadlockError as exc:
-        raise DeadlockError(exc.job_id, exc.iteration,
-                            f"policy={plan.policy.value}") from exc
-
-
-def schedule_crossover(plan: SchedulePlan) -> Trace:
-    if plan.policy is not Policy.CROSSOVER:
-        raise ValueError("plan.policy must be crossover")
-    return _run(plan, _CrossoverDriver)
-
-
-def schedule_sequential(plan: SchedulePlan) -> Trace:
-    if plan.policy is not Policy.SEQUENTIAL:
-        raise ValueError("plan.policy must be sequential")
-    return _run(plan, _SequentialDriver)
+    return comm_time(fuse_gradients(job, 1), cluster)
 
 
 def simulate(plan: SchedulePlan) -> Trace:
-    """Run the plan under its configured policy."""
-    if plan.policy is Policy.CROSSOVER:
-        return schedule_crossover(plan)
-    return schedule_sequential(plan)
+    """Run the plan under its policy; spans come in dispatch order."""
+    hold_gpu = plan.policy is Policy.SEQUENTIAL
+    comm = {j.job_id: _sync_duration(j, plan.cluster) for j in plan.jobs}
+    sync_end = dict.fromkeys(comm, 0)
+    spans: list[Span] = []
+    gpu_free = nic_free = 0
+    active = plan.jobs
+    for t in range(1, max(j.iterations for j in plan.jobs) + 1):
+        active = [j for j in active if j.iterations >= t]
+        for job in active:
+            job_id = job.job_id
+            start = max(gpu_free, sync_end[job_id])
+            backward_start = start + job.forward_time
+            compute_end = backward_start + job.backward_time
+            sync_start = max(nic_free, compute_end)
+            nic_free = sync_end[job_id] = sync_start + comm[job_id]
+            gpu_free = nic_free if hold_gpu else compute_end
+            spans += (
+                Span(GPU_LANE_ID, job_id, Phase.FORWARD, t, start, backward_start),
+                Span(GPU_LANE_ID, job_id, Phase.BACKWARD, t, backward_start, compute_end),
+                Span(NIC_LANE_ID, job_id, Phase.SYNC, t, sync_start, nic_free),
+            )
+    # Every compute is followed by a sync, and the NIC clock never runs back.
+    return Trace(tuple(spans), nic_free)
 
 
 def _homogeneous_comp_comm(plan: SchedulePlan) -> tuple[int, int]:

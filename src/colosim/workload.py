@@ -76,12 +76,11 @@ class JobProfile:
 
 @dataclass(frozen=True)
 class FusedGradient:
-    """A gradient payload ready for synchronization (one or more messages)."""
+    """A gradient payload ready for synchronization as one message."""
 
     job_id: str
     iteration: int
     size_bytes: int
-    message_count: int = 1
 
 
 def _check_iteration(job: JobProfile, iteration: int) -> None:
@@ -98,16 +97,13 @@ def fuse_gradients(job: JobProfile, iteration: int) -> FusedGradient:
     latency is paid exactly once per iteration.
     """
     _check_iteration(job, iteration)
-    return FusedGradient(job.job_id, iteration, job.grad_bytes, message_count=1)
+    return FusedGradient(job.job_id, iteration, job.grad_bytes)
 
 
 def unfused_messages(job: JobProfile, iteration: int) -> list[FusedGradient]:
     """One message per tensor: the counterfactual used by fusion-benefit tests."""
     _check_iteration(job, iteration)
-    return [
-        FusedGradient(job.job_id, iteration, t.size_bytes, message_count=1)
-        for t in job.tensors
-    ]
+    return [FusedGradient(job.job_id, iteration, t.size_bytes) for t in job.tensors]
 
 
 def comp_time(job: JobProfile) -> int:

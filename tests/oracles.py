@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the real code paths.
 
 These stay deliberately separate from the package: the schedule enumerators
-are direct recurrences over the dispatch order (no event queue, no lanes),
+walk a rotation cursor one dispatch at a time (the package iterates rounds),
 and the gradient check is central finite differences.  Span tuples are
 (lane_id, job_id, phase, iteration, start, end).
 """

@@ -15,7 +15,6 @@ from colosim.cli import main as cli_main
 from colosim.comm import (
     Architecture,
     ClusterSpec,
-    SyncRequest,
     comm_time,
     comm_time_unfused,
 )
@@ -23,12 +22,7 @@ from colosim.engine import Phase, trace_to_json, validate_trace
 from colosim.equivalence import LossKind, SgdConfig, check_neutrality, loss_gradient, loss_value
 from colosim.metrics import compare, measure
 from colosim.scenario import load_config
-from colosim.scheduler import (
-    Policy,
-    SchedulePlan,
-    schedule_crossover,
-    schedule_sequential,
-)
+from colosim.scheduler import Policy, SchedulePlan, simulate
 from colosim.workload import JobProfile, TensorSpec, fixture_profile, fuse_gradients, unfused_messages
 
 from oracles import brute_crossover, brute_sequential, crossover_cycle, finite_difference_gradient, spans_from_trace
@@ -76,7 +70,7 @@ def test_criterion_1_hiding_condition():
         comm = tenths * comp // 10
         plan = homogeneous(Policy.CROSSOVER, comp, comm, iterations)
         began = time.monotonic()
-        trace = schedule_crossover(plan)
+        trace = simulate(plan)
         slowest = max(slowest, time.monotonic() - began)
 
         metrics = measure(trace, plan)
@@ -98,8 +92,8 @@ def test_criterion_2_speedup_band():
     comp, iterations = 1_000_000, 1000
     for rho in (Fraction(1, 10), Fraction(3, 20), Fraction(1, 5)):
         comm = int(rho * comp)
-        cross = schedule_crossover(homogeneous(Policy.CROSSOVER, comp, comm, iterations))
-        seq = schedule_sequential(homogeneous(Policy.SEQUENTIAL, comp, comm, iterations))
+        cross = simulate(homogeneous(Policy.CROSSOVER, comp, comm, iterations))
+        seq = simulate(homogeneous(Policy.SEQUENTIAL, comp, comm, iterations))
         speedup = Fraction(seq.makespan, cross.makespan)
         assert Fraction(109, 100) <= speedup <= Fraction(121, 100), \
             f"rho={rho}: speedup {float(speedup):.4f} outside [1.09, 1.21]"
@@ -111,8 +105,8 @@ def test_criterion_2_speedup_band():
     scenario = load_config(SCENARIO_DIR / "speedup_band.json")
     plan_x = scenario.plan()
     plan_s = SchedulePlan(Policy.SEQUENTIAL, plan_x.jobs, plan_x.cluster)
-    speedup = Fraction(schedule_sequential(plan_s).makespan,
-                       schedule_crossover(plan_x).makespan)
+    speedup = Fraction(simulate(plan_s).makespan,
+                       simulate(plan_x).makespan)
     assert Fraction(109, 100) <= speedup <= Fraction(121, 100)
     assert abs(speedup / Fraction(23, 20) - 1) <= Fraction(1, 100)
 
@@ -139,8 +133,8 @@ def test_criterion_3_golden_trace():
     plan_x = scenario.plan()
     plan_s = SchedulePlan(Policy.SEQUENTIAL, plan_x.jobs, plan_x.cluster)
 
-    trace_x = schedule_crossover(plan_x)
-    trace_s = schedule_sequential(plan_s)
+    trace_x = simulate(plan_x)
+    trace_s = simulate(plan_s)
     assert spans_from_trace(trace_x) == GOLDEN_SPANS
     assert (trace_x.makespan, trace_s.makespan) == (13, 18)
 
@@ -148,7 +142,7 @@ def test_criterion_3_golden_trace():
                       measure(trace_s, plan_s, scenario.name)).speedup_vs_baseline
     assert speedup == Fraction(18, 13)
 
-    again = schedule_crossover(scenario.plan())
+    again = simulate(scenario.plan())
     assert trace_to_json(again) == trace_to_json(trace_x)
 
 
@@ -160,7 +154,7 @@ def test_criterion_4_boundary_semantics():
         [("solo", 5, 5, 9, 5)],
     ]
     for specs in cases:
-        trace = schedule_crossover(ns_plan(Policy.CROSSOVER, specs))
+        trace = simulate(ns_plan(Policy.CROSSOVER, specs))
         assert validate_trace(trace) == []
         fill = 0
         for job_id, fwd, bwd, _, iterations in specs:
@@ -242,7 +236,7 @@ def test_criterion_6_fusion_benefit():
     for cluster, term in latency_term.items():
         for job in profiles:
             assert len(job.tensors) >= 2
-            fused = comm_time(SyncRequest(job.job_id, 1, fuse_gradients(job, 1)), cluster)
+            fused = comm_time(fuse_gradients(job, 1), cluster)
             unfused = comm_time_unfused(unfused_messages(job, 1), cluster)
             assert fused < unfused
             assert unfused - fused == term * (len(job.tensors) - 1)
@@ -252,7 +246,7 @@ def test_criterion_6_fusion_benefit():
                        latency_per_message=5_000,
                        architecture=Architecture.RING_ALLREDUCE)
     for job in profiles:
-        fused = comm_time(SyncRequest(job.job_id, 1, fuse_gradients(job, 1)), wide)
+        fused = comm_time(fuse_gradients(job, 1), wide)
         assert fused < comm_time_unfused(unfused_messages(job, 1), wide)
 
 
@@ -268,8 +262,8 @@ def test_criterion_7_legality_property_suite():
             bwd = rng.randint(1, 12) if fwd == 0 else rng.randint(0, 12)
             specs.append((f"j{i}", fwd, bwd, rng.randint(0, 15), rng.randint(2, 7)))
 
-        cross = schedule_crossover(ns_plan(Policy.CROSSOVER, specs))
-        seq = schedule_sequential(ns_plan(Policy.SEQUENTIAL, specs))
+        cross = simulate(ns_plan(Policy.CROSSOVER, specs))
+        seq = simulate(ns_plan(Policy.SEQUENTIAL, specs))
         assert validate_trace(cross) == []
         assert validate_trace(seq) == []
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from colosim.comm import (
     Architecture,
     ClusterSpec,
-    SyncRequest,
     comm_comp_ratio,
     comm_time,
     comm_time_allreduce,
@@ -81,20 +80,19 @@ class TestCommTimeDispatch:
     def test_ps_fused(self):
         job = _job([400 * MB])
         cluster = ps(GBPS_100, latency=5_000)
-        req = SyncRequest(job.job_id, 1, fuse_gradients(job, 1))
-        assert comm_time(req, cluster) == 64_010_000  # 2a + 2S/B, independent calc
+        assert comm_time(fuse_gradients(job, 1), cluster) == 64_010_000  # 2a + 2S/B, independent calc
 
     def test_unfused_pays_latency_per_message(self):
         job = _job([100 * MB, 300 * MB])
         cluster = ring(4, latency=5_000)
-        fused = comm_time(SyncRequest(job.job_id, 1, fuse_gradients(job, 1)), cluster)
+        fused = comm_time(fuse_gradients(job, 1), cluster)
         unfused = comm_time_unfused(unfused_messages(job, 1), cluster)
         assert unfused - fused == 2 * 3 * 5_000  # one extra latency term set
 
     def test_zero_latency_makes_fusion_free(self):
         job = _job([100 * MB, 300 * MB])
         cluster = ring(4, latency=0)
-        fused = comm_time(SyncRequest(job.job_id, 1, fuse_gradients(job, 1)), cluster)
+        fused = comm_time(fuse_gradients(job, 1), cluster)
         assert comm_time_unfused(unfused_messages(job, 1), cluster) == fused
 
 
@@ -153,7 +151,7 @@ def test_monotone_in_bandwidth(size, b1, b2):
 def test_fusion_dominance(sizes, latency, workers):
     job = _job(sizes)
     for cluster in (ring(workers, latency=latency), ps(latency=latency)):
-        fused = comm_time(SyncRequest("j", 1, fuse_gradients(job, 1)), cluster)
+        fused = comm_time(fuse_gradients(job, 1), cluster)
         unfused = comm_time_unfused(unfused_messages(job, 1), cluster)
         assert fused <= unfused
         if latency > 0 and len(sizes) >= 2:

@@ -12,7 +12,7 @@ from colosim.metrics import (
     metrics_from_json,
     report,
 )
-from colosim.scheduler import Policy, SchedulePlan, schedule_crossover, schedule_sequential
+from colosim.scheduler import Policy, SchedulePlan, simulate
 from colosim.workload import JobProfile, TensorSpec
 
 CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
@@ -31,8 +31,8 @@ def plan(policy=Policy.CROSSOVER, comp=2, comm=1, iterations=3, n_jobs=2):
 def golden_pair():
     p_x = plan(Policy.CROSSOVER)
     p_s = plan(Policy.SEQUENTIAL)
-    return (measure(schedule_crossover(p_x), p_x, "golden"),
-            measure(schedule_sequential(p_s), p_s, "golden"))
+    return (measure(simulate(p_x), p_x, "golden"),
+            measure(simulate(p_s), p_s, "golden"))
 
 
 class TestMeasure:
@@ -50,23 +50,23 @@ class TestMeasure:
 
     def test_zero_comm_means_idle_nic(self):
         p = plan(comm=0)
-        m = measure(schedule_crossover(p), p)
+        m = measure(simulate(p), p)
         assert m.nic_utilization == 0
 
     def test_hidden_sync_period_is_rotation_compute(self):
         # ratio 0.5 at a long horizon: period == N * comp exactly
         p = plan(comp=1_000, comm=500, iterations=1000)
-        m = measure(schedule_crossover(p), p)
+        m = measure(simulate(p), p)
         assert m.per_job_iteration_period == {"j1": 2_000, "j2": 2_000}
 
     def test_gpu_utilization_approaches_one(self):
         p = plan(comp=1_000, comm=900, iterations=1000)
-        m = measure(schedule_crossover(p), p)
+        m = measure(simulate(p), p)
         assert m.gpu_utilization >= Fraction(99, 100)
 
     def test_single_iteration_has_no_period(self):
         p = plan(iterations=1)
-        m = measure(schedule_crossover(p), p)
+        m = measure(simulate(p), p)
         assert m.per_job_iteration_period == {"j1": None, "j2": None}
 
     def test_invalid_trace_rejected(self):
@@ -76,9 +76,25 @@ class TestMeasure:
             measure(bad, plan())
         assert err.value.violations
 
+    def test_job_set_differing_from_plan_rejected(self):
+        with pytest.raises(InvalidTraceError) as err:
+            measure(simulate(plan(n_jobs=3)), plan(n_jobs=2))
+        assert err.value.violations == ["job j3: in the trace but not in the plan"]
+        with pytest.raises(InvalidTraceError) as err:
+            measure(simulate(plan(n_jobs=2)), plan(n_jobs=3))
+        assert err.value.violations == [
+            "job j3: 0 sync span(s) for a budget of 3 iteration(s)"]
+
+    def test_sync_count_differing_from_budget_rejected(self):
+        with pytest.raises(InvalidTraceError) as err:
+            measure(simulate(plan(iterations=3)), plan(iterations=4))
+        assert err.value.violations == [
+            "job j1: 3 sync span(s) for a budget of 4 iteration(s)",
+            "job j2: 3 sync span(s) for a budget of 4 iteration(s)"]
+
     def test_pure_function_of_inputs(self):
         p = plan()
-        trace = schedule_crossover(p)
+        trace = simulate(p)
         assert measure(trace, p, "x") == measure(trace, p, "x")
 
 
@@ -94,7 +110,7 @@ class TestCompare:
     def test_mismatched_job_sets(self):
         mx, _ = golden_pair()
         p3 = plan(n_jobs=3)
-        m3 = measure(schedule_crossover(p3), p3, "golden")
+        m3 = measure(simulate(p3), p3, "golden")
         with pytest.raises(ComparisonError):
             compare(mx, m3)
 
@@ -102,8 +118,8 @@ class TestCompare:
         # ratio 0.15 at T=1000 lands within the 10--20% window
         p_x = plan(comp=1_000_000, comm=150_000, iterations=1000)
         p_s = plan(Policy.SEQUENTIAL, comp=1_000_000, comm=150_000, iterations=1000)
-        mx = measure(schedule_crossover(p_x), p_x)
-        ms = measure(schedule_sequential(p_s), p_s)
+        mx = measure(simulate(p_x), p_x)
+        ms = measure(simulate(p_s), p_s)
         speedup = compare(mx, ms).speedup_vs_baseline
         assert Fraction(113, 100) <= speedup <= Fraction(116, 100)
 
@@ -126,7 +142,7 @@ class TestReport:
 
     def test_table_width_budget(self):
         p = plan(n_jobs=8)
-        m = measure(schedule_crossover(p), p, "wide")
+        m = measure(simulate(p), p, "wide")
         text = report(m, "table")
         assert text.endswith("\n")
         assert all(len(line) <= 120 for line in text.split("\n"))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from colosim.comm import Architecture, comm_time, SyncRequest
+from colosim.comm import Architecture, comm_time
 from colosim.errors import ConfigError
 from colosim.scenario import load_config, parse_scenario, scaled_int
 from colosim.scheduler import Policy
@@ -54,8 +54,7 @@ class TestBundledScenarios:
         job = scenario.jobs[0]
         assert (job.forward_time, job.backward_time) == (1, 1)
         assert job.grad_bytes == 1
-        sync = comm_time(SyncRequest(job.job_id, 1, fuse_gradients(job, 1)),
-                         scenario.cluster)
+        sync = comm_time(fuse_gradients(job, 1), scenario.cluster)
         assert sync == 1  # comp 2ns, comm 1ns: the hand-enumerated setup
 
     def test_speedup_band_ratio_is_calibrated(self):

@@ -9,8 +9,6 @@ from colosim.scheduler import (
     Policy,
     SchedulePlan,
     predicted_speedup,
-    schedule_crossover,
-    schedule_sequential,
     simulate,
     steady_state_period,
 )
@@ -57,14 +55,14 @@ GOLDEN_CROSSOVER = [
 
 class TestCrossover:
     def test_golden_trace(self):
-        trace = schedule_crossover(two_identical())
+        trace = simulate(two_identical())
         assert spans_from_trace(trace) == GOLDEN_CROSSOVER
         assert trace.makespan == 13
         assert validate_trace(trace) == []
 
     def test_single_job_still_respects_dependency(self):
         # without an overlap partner: T * (comp + comm) exactly
-        trace = schedule_crossover(plan(Policy.CROSSOVER, [("solo", 1, 1, 1, 2)]))
+        trace = simulate(plan(Policy.CROSSOVER, [("solo", 1, 1, 1, 2)]))
         assert trace.makespan == 2 * (2 + 1)
         assert spans_from_trace(trace) == [
             ("gpu0", "solo", "forward", 1, 0, 1), ("gpu0", "solo", "backward", 1, 1, 2),
@@ -74,17 +72,13 @@ class TestCrossover:
         ]
 
     def test_zero_comm_packs_computes_back_to_back(self):
-        trace = schedule_crossover(two_identical(comp=2, comm=0))
+        trace = simulate(two_identical(comp=2, comm=0))
         assert trace.makespan == 3 * 2 * 2  # T * N * comp
 
     def test_zero_comm_matches_sequential_trace(self):
-        cross = schedule_crossover(two_identical(comm=0))
-        seq = schedule_sequential(two_identical(comm=0, policy=Policy.SEQUENTIAL))
+        cross = simulate(two_identical(comm=0))
+        seq = simulate(two_identical(comm=0, policy=Policy.SEQUENTIAL))
         assert spans_from_trace(cross) == spans_from_trace(seq)
-
-    def test_policy_mismatch(self):
-        with pytest.raises(ValueError):
-            schedule_crossover(two_identical(policy=Policy.SEQUENTIAL))
 
     def test_simulate_dispatches_on_policy(self):
         assert simulate(two_identical()).makespan == 13
@@ -93,16 +87,16 @@ class TestCrossover:
 
 class TestSequential:
     def test_golden_makespan(self):
-        trace = schedule_sequential(two_identical(policy=Policy.SEQUENTIAL))
+        trace = simulate(two_identical(policy=Policy.SEQUENTIAL))
         assert trace.makespan == 18  # T * N * (comp + comm)
         assert validate_trace(trace) == []
 
     def test_single_job_single_iteration(self):
-        trace = schedule_sequential(plan(Policy.SEQUENTIAL, [("solo", 2, 3, 4, 1)]))
+        trace = simulate(plan(Policy.SEQUENTIAL, [("solo", 2, 3, 4, 1)]))
         assert trace.makespan == 2 + 3 + 4
 
     def test_gpu_idles_during_sync(self):
-        trace = schedule_sequential(two_identical(policy=Policy.SEQUENTIAL))
+        trace = simulate(two_identical(policy=Policy.SEQUENTIAL))
         computes = sorted((s.start, s.end) for s in trace.spans if s.phase is not Phase.SYNC)
         syncs = sorted((s.start, s.end) for s in trace.spans if s.phase is Phase.SYNC)
         for start, end in syncs:
@@ -126,7 +120,7 @@ class TestSteadyStatePeriod:
             steady_state_period(hetero)
 
     def test_matches_golden_compute_starts(self):
-        trace = schedule_crossover(two_identical())
+        trace = simulate(two_identical())
         starts = [s.start for s in trace.spans
                   if s.job_id == "j1" and s.phase is Phase.FORWARD]
         assert starts == [0, 4, 8]
@@ -152,7 +146,7 @@ class TestBoundarySemantics:
         [("a", 1, 1, 5, 3), ("b", 1, 2, 0, 5), ("c", 0, 3, 2, 2)],
     ])
     def test_exactly_t_syncs_and_final_drain(self, specs):
-        trace = schedule_crossover(plan(Policy.CROSSOVER, specs))
+        trace = simulate(plan(Policy.CROSSOVER, specs))
         for job_id, _, _, _, iterations in specs:
             syncs = [s for s in trace.spans
                      if s.job_id == job_id and s.phase is Phase.SYNC]
@@ -167,7 +161,7 @@ class TestBoundarySemantics:
         # rotation fill only: each first compute starts at the sum of the
         # previous jobs' compute times, never waiting on the NIC
         specs = [("a", 2, 3, 50, 2), ("b", 1, 4, 50, 2), ("c", 3, 3, 50, 2)]
-        trace = schedule_crossover(plan(Policy.CROSSOVER, specs))
+        trace = simulate(plan(Policy.CROSSOVER, specs))
         expected_start = 0
         for job_id, fwd, bwd, _, _ in specs:
             first = min((s for s in trace.spans
@@ -185,7 +179,7 @@ class TestHidingCondition:
         comm = ratio_tenths * comp // 10
         specs = [(f"j{i}", comp // 2, comp - comp // 2, comm, iterations)
                  for i in range(n_jobs)]
-        trace = schedule_crossover(plan(Policy.CROSSOVER, specs))
+        trace = simulate(plan(Policy.CROSSOVER, specs))
         for idx in range(n_jobs):
             starts = sorted(s.start for s in trace.spans
                             if s.job_id == f"j{idx}" and s.phase is Phase.FORWARD)
@@ -194,7 +188,7 @@ class TestHidingCondition:
 
     def test_asymptotic_agreement_at_large_t(self):
         p = two_identical(comp=1_000, comm=700, iterations=1000)
-        makespan = schedule_crossover(p).makespan
+        makespan = simulate(p).makespan
         period = steady_state_period(p)
         assert abs(makespan / (1000 * period) - 1) < 0.01
 
@@ -202,7 +196,7 @@ class TestHidingCondition:
 class TestWorkConservation:
     def test_compute_budget_fully_spent(self):
         specs = [("a", 3, 4, 5, 6), ("b", 2, 2, 9, 4)]
-        trace = schedule_crossover(plan(Policy.CROSSOVER, specs))
+        trace = simulate(plan(Policy.CROSSOVER, specs))
         for job_id, fwd, bwd, _, iterations in specs:
             busy = sum(s.end - s.start for s in trace.spans
                        if s.job_id == job_id and s.phase is not Phase.SYNC)
@@ -228,12 +222,12 @@ def build_specs(raw):
 @given(plan_st)
 def test_engine_matches_brute_force_enumeration(raw):
     specs = build_specs(raw)
-    cross = schedule_crossover(plan(Policy.CROSSOVER, specs))
-    seq = schedule_sequential(plan(Policy.SEQUENTIAL, specs))
+    cross = simulate(plan(Policy.CROSSOVER, specs))
+    seq = simulate(plan(Policy.SEQUENTIAL, specs))
     brute_x_spans, brute_x_makespan = brute_crossover(specs)
     brute_s_spans, brute_s_makespan = brute_sequential(specs)
-    assert sorted(spans_from_trace(cross)) == sorted(brute_x_spans)
-    assert sorted(spans_from_trace(seq)) == sorted(brute_s_spans)
+    assert spans_from_trace(cross) == brute_x_spans
+    assert spans_from_trace(seq) == brute_s_spans
     assert cross.makespan == brute_x_makespan
     assert seq.makespan == brute_s_makespan
 
@@ -242,8 +236,8 @@ def test_engine_matches_brute_force_enumeration(raw):
 @given(plan_st)
 def test_baseline_dominance(raw):
     specs = build_specs(raw)
-    cross = schedule_crossover(plan(Policy.CROSSOVER, specs)).makespan
-    seq = schedule_sequential(plan(Policy.SEQUENTIAL, specs)).makespan
+    cross = simulate(plan(Policy.CROSSOVER, specs)).makespan
+    seq = simulate(plan(Policy.SEQUENTIAL, specs)).makespan
     assert cross <= seq
     if len(specs) >= 2 and all(s[3] > 0 for s in specs):
         assert cross < seq
@@ -253,8 +247,52 @@ def test_baseline_dominance(raw):
 @given(plan_st)
 def test_traces_are_always_legal(raw):
     specs = build_specs(raw)
-    assert validate_trace(schedule_crossover(plan(Policy.CROSSOVER, specs))) == []
-    assert validate_trace(schedule_sequential(plan(Policy.SEQUENTIAL, specs))) == []
+    assert validate_trace(simulate(plan(Policy.CROSSOVER, specs))) == []
+    assert validate_trace(simulate(plan(Policy.SEQUENTIAL, specs))) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_st, st.sampled_from(Policy))
+def test_trace_conforms_to_documented_semantics(raw, policy):
+    """Checks a trace span by span against README "Scheduling semantics"."""
+    specs = build_specs(raw)
+    trace = simulate(plan(policy, specs))
+    by_key = {(s.job_id, s.phase, s.iteration): s for s in trace.spans}
+    assert len(by_key) == len(trace.spans)
+
+    # a T-iteration job has exactly T syncs, one per iteration
+    for job_id, _, _, _, iterations in specs:
+        syncs = sorted(s.iteration for s in trace.spans
+                       if s.job_id == job_id and s.phase is Phase.SYNC)
+        assert syncs == list(range(1, iterations + 1))
+
+    # the GPU serves jobs in plan order, round by round, skipping finished jobs
+    computes = sorted((s for s in trace.spans if s.phase is Phase.FORWARD),
+                      key=lambda s: s.start)
+    rotation = [(job_id, t) for t in range(1, max(s[4] for s in specs) + 1)
+                for job_id, _, _, _, iterations in specs if t <= iterations]
+    assert [(s.job_id, s.iteration) for s in computes] == rotation
+
+    # every span starts the moment whatever it waited on has ended:
+    # a compute waits for the GPU (held through the sync under the
+    # sequential baseline) and for its own previous sync; backward follows
+    # forward; a sync waits for its backward and, FIFO in compute-completion
+    # order, for the sync before it on the NIC
+    backwards = [by_key[(s.job_id, Phase.BACKWARD, s.iteration)] for s in computes]
+    syncs = [by_key[(s.job_id, Phase.SYNC, s.iteration)] for s in computes]
+    for k, (fwd, bwd, sync) in enumerate(zip(computes, backwards, syncs)):
+        waits_on = [0]
+        own_prev_sync = by_key.get((fwd.job_id, Phase.SYNC, fwd.iteration - 1))
+        if own_prev_sync:
+            waits_on.append(own_prev_sync.end)
+        if k:
+            gpu_holder = syncs[k - 1] if policy is Policy.SEQUENTIAL else backwards[k - 1]
+            waits_on.append(gpu_holder.end)
+        assert fwd.start == max(waits_on)
+        assert bwd.start == fwd.end
+        assert sync.start == max(bwd.end, syncs[k - 1].end if k else 0)
+
+    assert trace.makespan == max(s.end for s in trace.spans)
 
 
 @settings(max_examples=150, deadline=None)
@@ -272,7 +310,7 @@ def test_steady_cycle_lower_bound(raw):
 class TestUnequalBudgets:
     def test_rotation_skips_finished_jobs(self):
         specs = [("short", 1, 1, 1, 2), ("long", 1, 1, 1, 5)]
-        trace = schedule_crossover(plan(Policy.CROSSOVER, specs))
+        trace = simulate(plan(Policy.CROSSOVER, specs))
         assert validate_trace(trace) == []
         for job_id, _, _, _, iterations in specs:
             syncs = [s for s in trace.spans

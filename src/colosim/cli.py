@@ -15,6 +15,7 @@ config and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -64,8 +65,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _ratio_points(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
-    if steps == 1:
-        return [lo]
     step = (hi - lo) / (steps - 1)
     return [lo + k * step for k in range(steps)]
 
@@ -100,6 +99,9 @@ def _with_payload(job, payload_bytes: int):
 def _cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ConfigError("--steps must be >= 2")
+    for flag, value in (("--ratio-min", args.ratio_min), ("--ratio-max", args.ratio_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value}")
     lo, hi = Fraction(str(args.ratio_min)), Fraction(str(args.ratio_max))
     if not 0 < lo <= hi <= 4:
         raise ConfigError("--ratio-min/--ratio-max must satisfy 0 < min <= max <= 4")

@@ -71,22 +71,25 @@ def validate_trace(trace: Trace) -> list[str]:
                     f"[{prev.start},{prev.end}] overlaps {cur.job_id}/t{cur.iteration} "
                     f"[{cur.start},{cur.end}]")
 
-    by_job: dict[str, dict[int, dict[Phase, Span]]] = {}
+    # Keyed by Phase._value_, the plain attribute behind Enum.value: hashing the
+    # enum or reading .value runs Python-level code, once per span.
+    by_job: dict[str, dict[int, dict[str, Span]]] = {}
     for s in trace.spans:
         phases = by_job.setdefault(s.job_id, {}).setdefault(s.iteration, {})
-        if s.phase in phases:
+        phase = s.phase._value_
+        if phase in phases:
             violations.append(
-                f"job {s.job_id}: duplicate {s.phase.value} span for iteration {s.iteration}")
+                f"job {s.job_id}: duplicate {phase} span for iteration {s.iteration}")
         else:
-            phases[s.phase] = s
+            phases[phase] = s
 
     for job_id, iters in by_job.items():
         prev_sync: Span | None = None
         for t in sorted(iters):
             phases = iters[t]
-            fwd = phases.get(Phase.FORWARD)
-            bwd = phases.get(Phase.BACKWARD)
-            syn = phases.get(Phase.SYNC)
+            fwd = phases.get("forward")
+            bwd = phases.get("backward")
+            syn = phases.get("sync")
             if fwd is None:
                 violations.append(f"job {job_id}: missing forward span for iteration {t}")
             if bwd is None:
@@ -110,20 +113,65 @@ def validate_trace(trace: Trace) -> list[str]:
     return violations
 
 
+# Record templates holding the exact bytes ``json.dumps(..., indent=2)`` wrote
+# for the dict-per-record documents these formats were defined by.  With an
+# indent, ``json`` falls back to its pure-Python encoder, so formatting each
+# record directly is several times faster and builds no per-span dict.
+_SPAN_RECORD = """\
+  {
+    "lane_id": "%s",
+    "job_id": "%s",
+    "phase": "%s",
+    "iteration": %d,
+    "start_ns": %d,
+    "end_ns": %d
+  }"""
+
+_CHROME_LANE = """\
+    {
+      "name": "thread_name",
+      "ph": "M",
+      "pid": 0,
+      "tid": %d,
+      "args": {
+        "name": "%s"
+      }
+    }"""
+
+_CHROME_SPAN = """\
+    {
+      "name": "%s %s t%d",
+      "ph": "X",
+      "ts": %r,
+      "dur": %r,
+      "pid": 0,
+      "tid": %d,
+      "args": {
+        "job": "%s",
+        "iteration": %d
+      }
+    }"""
+
+
+class _Escaped(dict):
+    """id -> its JSON string body without the quotes, escaped once per id."""
+
+    def __missing__(self, key: str) -> str:
+        body = self[key] = json.dumps(key)[1:-1]
+        return body
+
+
 def trace_to_json(trace: Trace) -> str:
     """Serialize the trace as a JSON array of span records."""
+    if not trace.spans:
+        return "[]\n"
+    esc = _Escaped()
     records = [
-        {
-            "lane_id": s.lane_id,
-            "job_id": s.job_id,
-            "phase": s.phase.value,
-            "iteration": s.iteration,
-            "start_ns": s.start,
-            "end_ns": s.end,
-        }
+        _SPAN_RECORD % (esc[s.lane_id], esc[s.job_id], s.phase._value_,
+                        s.iteration, s.start, s.end)
         for s in trace.spans
     ]
-    return json.dumps(records, indent=2) + "\n"
+    return "[\n" + ",\n".join(records) + "\n]\n"
 
 
 def trace_to_chrome_json(trace: Trace) -> str:
@@ -132,26 +180,18 @@ def trace_to_chrome_json(trace: Trace) -> str:
     Complete ("X") events with microsecond timestamps, one viewer row (tid)
     per lane, loadable in chrome://tracing or Perfetto.
     """
+    if not trace.spans:
+        return '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}\n'
+    esc = _Escaped()
     lane_ids = sorted({s.lane_id for s in trace.spans})
     tid = {lane_id: i for i, lane_id in enumerate(lane_ids)}
-    events: list[dict] = [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": tid[lane_id],
-            "args": {"name": lane_id},
-        }
-        for lane_id in lane_ids
+    events = [_CHROME_LANE % (i, esc[lane_id]) for i, lane_id in enumerate(lane_ids)]
+    # %r of a float is float.__repr__, which is what json writes for it
+    events += [
+        _CHROME_SPAN % (esc[s.job_id], s.phase._value_, s.iteration,
+                        s.start / 1000.0, (s.end - s.start) / 1000.0,
+                        tid[s.lane_id], esc[s.job_id], s.iteration)
+        for s in trace.spans
     ]
-    for s in trace.spans:
-        events.append({
-            "name": f"{s.job_id} {s.phase.value} t{s.iteration}",
-            "ph": "X",
-            "ts": s.start / 1000.0,
-            "dur": (s.end - s.start) / 1000.0,
-            "pid": 0,
-            "tid": tid[s.lane_id],
-            "args": {"job": s.job_id, "iteration": s.iteration},
-        })
-    return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}, indent=2) + "\n"
+    return ('{\n  "traceEvents": [\n' + ",\n".join(events)
+            + '\n  ],\n  "displayTimeUnit": "ms"\n}\n')

@@ -2,12 +2,14 @@
 
 These stay deliberately separate from the package: the schedule enumerators
 walk a rotation cursor one dispatch at a time (the package iterates rounds),
-and the gradient check is central finite differences.  Span tuples are
-(lane_id, job_id, phase, iteration, start, end).
+the gradient check is central finite differences, and the trace serializers
+are the dict-per-record ``json.dumps(indent=2)`` documents that define the
+byte formats.  Span tuples are (lane_id, job_id, phase, iteration, start, end).
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -116,3 +118,46 @@ def spans_from_trace(trace):
     """Engine trace -> the tuple form used by the brute enumerators."""
     return [(s.lane_id, s.job_id, s.phase.value, s.iteration, s.start, s.end)
             for s in trace.spans]
+
+
+def trace_to_json_reference(trace) -> str:
+    """The trace.json document as json.dumps writes it, one dict per span."""
+    records = [
+        {
+            "lane_id": s.lane_id,
+            "job_id": s.job_id,
+            "phase": s.phase.value,
+            "iteration": s.iteration,
+            "start_ns": s.start,
+            "end_ns": s.end,
+        }
+        for s in trace.spans
+    ]
+    return json.dumps(records, indent=2) + "\n"
+
+
+def trace_to_chrome_json_reference(trace) -> str:
+    """The Chrome trace-event document as json.dumps writes it."""
+    lane_ids = sorted({s.lane_id for s in trace.spans})
+    tid = {lane_id: i for i, lane_id in enumerate(lane_ids)}
+    events: list[dict] = [
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": 0,
+            "tid": tid[lane_id],
+            "args": {"name": lane_id},
+        }
+        for lane_id in lane_ids
+    ]
+    for s in trace.spans:
+        events.append({
+            "name": f"{s.job_id} {s.phase.value} t{s.iteration}",
+            "ph": "X",
+            "ts": s.start / 1000.0,
+            "dur": (s.end - s.start) / 1000.0,
+            "pid": 0,
+            "tid": tid[s.lane_id],
+            "args": {"job": s.job_id, "iteration": s.iteration},
+        })
+    return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}, indent=2) + "\n"

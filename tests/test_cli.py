@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from colosim.cli import main
 from colosim.metrics import metrics_from_json
 
@@ -97,6 +99,16 @@ class TestSweep:
         assert run("sweep", "--config", str(SCENARIO_DIR / "sweep_base.json"),
                    "--out", str(tmp_path), "--ratio-min", "0.5",
                    "--ratio-max", "5") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--ratio-min", "--ratio-max"])
+    def test_non_finite_ratio_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = run("sweep", "--config", str(SCENARIO_DIR / "sweep_base.json"),
+                   "--out", str(tmp_path), f"{flag}={value}")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
 
     def test_heterogeneous_base_rejected(self, tmp_path, capsys):
         doc = json.loads((SCENARIO_DIR / "sweep_base.json").read_text())

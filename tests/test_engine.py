@@ -1,5 +1,7 @@
 import dataclasses
 
+from hypothesis import example, given, settings, strategies as st
+
 from colosim.engine import (
     Phase,
     Span,
@@ -8,6 +10,7 @@ from colosim.engine import (
     trace_to_json,
     validate_trace,
 )
+from oracles import trace_to_chrome_json_reference, trace_to_json_reference
 
 
 def span(lane, job, phase, it, start, end):
@@ -100,3 +103,36 @@ class TestExports:
             assert {"name", "ph", "ts", "dur", "pid", "tid"} <= set(e)
         # one viewer row per lane
         assert {e["tid"] for e in complete} == {0, 1}
+
+
+# ids that exercise json's ensure_ascii escaping: quotes, backslashes, control
+# characters, non-ASCII, astral-plane and lone-surrogate code points
+_ID = st.one_of(
+    st.sampled_from(["gpu0", "nic0", "j1", '"', "\\", "a\"b\\c", "\x00\n\t\x1f\x7f",
+                     "é", "ジョブ", "\U0001f680", "\ud800", "\u2028", "</script>", ""]),
+    st.text(st.characters(exclude_categories=()), max_size=6),
+)
+# up to ~10^16 ns: well past where start / 1000.0 stops being exact
+_NS = st.integers(min_value=0, max_value=10**16)
+
+
+@st.composite
+def _traces(draw):
+    lanes = draw(st.lists(_ID, min_size=1, max_size=3))
+    jobs = draw(st.lists(_ID, min_size=1, max_size=3))
+    spans = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        start = draw(_NS)
+        end = start + draw(st.one_of(st.just(0), _NS))  # zero-length spans included
+        spans.append(Span(draw(st.sampled_from(lanes)), draw(st.sampled_from(jobs)),
+                          draw(st.sampled_from(Phase)), draw(st.integers(0, 10**6)),
+                          start, end))
+    return Trace(tuple(spans), max((s.end for s in spans), default=0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_traces())
+@example(Trace((), 0))
+def test_serializers_byte_identical_to_json_dumps(trace):
+    assert trace_to_json(trace) == trace_to_json_reference(trace)
+    assert trace_to_chrome_json(trace) == trace_to_chrome_json_reference(trace)

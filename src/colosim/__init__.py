@@ -13,9 +13,6 @@ from .comm import (
     ClusterSpec,
     comm_comp_ratio,
     comm_time,
-    comm_time_allreduce,
-    comm_time_ps,
-    comm_time_unfused,
 )
 from .engine import (
     Phase,
@@ -36,14 +33,11 @@ from .scheduler import (
     steady_state_period,
 )
 from .workload import (
-    FusedGradient,
     JobProfile,
     TensorSpec,
     comp_time,
     fixture_names,
     fixture_profile,
-    fuse_gradients,
-    unfused_messages,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .comm import Architecture
+from .comm import cost_terms
 from .equivalence import LossKind, SgdConfig, check_neutrality
 from .engine import trace_to_chrome_json, trace_to_json
 from .errors import ConfigError, InvalidTraceError
@@ -37,8 +37,6 @@ EXIT_RUNTIME = 2
 EXIT_EQUIVALENCE = 3
 
 REPORT_FILES = {"json": "metrics.json", "csv": "metrics.csv", "table": "metrics.txt"}
-
-NS_PER_S = 10**9
 
 
 def _write(path: Path, text: str) -> None:
@@ -71,24 +69,16 @@ def _ratio_points(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
 
 def _payload_for_ratio(plan: SchedulePlan, rho: Fraction) -> int:
     """Gradient bytes that make the fused sync last rho * comp, exactly as possible."""
-    cluster = plan.cluster
-    comp = comp_time(plan.jobs[0])
-    target = rho * comp
-    w = cluster.workers
-    if cluster.architecture is Architecture.RING_ALLREDUCE:
-        if w < 2:
-            raise ConfigError("sweep: ring_allreduce needs workers >= 2 to have "
-                              "any communication to scale")
-        latency = 2 * (w - 1) * cluster.latency_per_message
-        per_byte = Fraction(2 * (w - 1) * NS_PER_S, w * cluster.bandwidth_bytes_per_sec)
-    else:
-        latency = 2 * cluster.latency_per_message
-        per_byte = Fraction(2 * NS_PER_S, cluster.bandwidth_bytes_per_sec)
+    latency, num, den = cost_terms(plan.cluster)
+    if num == 0:
+        raise ConfigError("sweep: ring_allreduce needs workers >= 2 to have "
+                          "any communication to scale")
+    target = rho * comp_time(plan.jobs[0])
     if target < latency:
         raise ConfigError(
             f"sweep: ratio {float(rho):g} unreachable, per-message latency alone "
             f"is {latency} ns but the target sync time is {float(target):g} ns")
-    return round((target - latency) / per_byte)
+    return round((target - latency) * den / num)
 
 
 def _with_payload(job, payload_bytes: int):
@@ -154,6 +144,11 @@ def _cmd_equivalence(args) -> int:
             perturb = (int(job_s), int(iter_s))
         except ValueError:
             raise ConfigError("--perturb expects JOB_INDEX:ITERATION") from None
+        jobs = max(_EQUIV_JOB_COUNTS)
+        if not (0 <= perturb[0] < jobs and 1 <= perturb[1] <= args.iters):
+            raise ConfigError(
+                f"--perturb {args.perturb} is outside the run: JOB_INDEX must be in "
+                f"[0, {jobs - 1}] and ITERATION in [1, {args.iters}]")
 
     worst = 0.0
     failure = None
@@ -218,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--seed", type=int, default=0)
     eq.add_argument("--iters", type=int, default=100)
     eq.add_argument("--perturb", default=None, metavar="JOB:ITER",
-                    help="test hook: nudge one update by 1 ulp to force a failure")
+                    help="test hook: nudge one update by 1 ulp to force a failure; "
+                         f"JOB in [0, {max(_EQUIV_JOB_COUNTS) - 1}], ITER in [1, --iters]")
     eq.set_defaults(func=_cmd_equivalence)
 
     val = sub.add_parser("validate-config", help="check a scenario file")

@@ -17,18 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import ConfigError
-from .workload import FusedGradient, JobProfile, comp_time, fuse_gradients
+from .workload import JobProfile, comp_time
 
 __all__ = [
     "Architecture",
     "ClusterSpec",
-    "comm_time_allreduce",
-    "comm_time_ps",
+    "cost_terms",
     "comm_time",
-    "comm_time_unfused",
     "comm_comp_ratio",
 ]
 
@@ -70,50 +67,26 @@ class ClusterSpec:
             raise ConfigError("cluster.ps_servers must be >= 1 for parameter_server")
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def cost_terms(cluster: ClusterSpec) -> tuple[int, int, int]:
+    """The cluster's sync cost as ``(latency_ns, num, den)``.
 
-
-def comm_time_allreduce(size_bytes: int, cluster: ClusterSpec) -> int:
-    """Ring-allreduce duration in whole nanoseconds (ceiling); 0 when W == 1."""
-    if cluster.architecture is not Architecture.RING_ALLREDUCE:
-        raise ConfigError("comm_time_allreduce requires architecture=ring_allreduce")
-    if size_bytes < 0:
-        raise ValueError("size_bytes must be >= 0")
-    w = cluster.workers
-    if w == 1:
-        return 0
-    latency = 2 * (w - 1) * cluster.latency_per_message
-    transfer = _ceil_div(2 * (w - 1) * size_bytes * NS_PER_S,
-                         w * cluster.bandwidth_bytes_per_sec)
-    return latency + transfer
-
-
-def comm_time_ps(size_bytes: int, cluster: ClusterSpec) -> int:
-    """Parameter-server duration (gradient push + update pull) in nanoseconds."""
-    if cluster.architecture is not Architecture.PARAMETER_SERVER:
-        raise ConfigError("comm_time_ps requires architecture=parameter_server")
-    if size_bytes < 0:
-        raise ValueError("size_bytes must be >= 0")
-    latency = 2 * cluster.latency_per_message
-    transfer = _ceil_div(2 * size_bytes * NS_PER_S, cluster.bandwidth_bytes_per_sec)
-    return latency + transfer
-
-
-def _comm_time_bytes(size_bytes: int, cluster: ClusterSpec) -> int:
+    One message of S bytes takes ``latency_ns + ceil(S * num / den)``
+    nanoseconds, so ``num / den`` is the per-byte cost in ns.  A one-worker
+    ring exchanges nothing: all three terms but ``den`` are 0.
+    """
+    alpha, bandwidth = cluster.latency_per_message, cluster.bandwidth_bytes_per_sec
     if cluster.architecture is Architecture.RING_ALLREDUCE:
-        return comm_time_allreduce(size_bytes, cluster)
-    return comm_time_ps(size_bytes, cluster)
+        w = cluster.workers
+        return 2 * (w - 1) * alpha, 2 * (w - 1) * NS_PER_S, w * bandwidth
+    return 2 * alpha, 2 * NS_PER_S, bandwidth
 
 
-def comm_time(payload: FusedGradient, cluster: ClusterSpec) -> int:
-    """Duration of one fused-gradient sync under the cluster's architecture."""
-    return _comm_time_bytes(payload.size_bytes, cluster)
-
-
-def comm_time_unfused(messages: Iterable[FusedGradient], cluster: ClusterSpec) -> int:
-    """Total time to synchronize a multi-message payload; each message pays latency."""
-    return sum(_comm_time_bytes(m.size_bytes, cluster) for m in messages)
+def comm_time(size_bytes: int, cluster: ClusterSpec) -> int:
+    """Duration of one ``size_bytes`` sync in whole nanoseconds (ceiling)."""
+    if size_bytes < 0:
+        raise ValueError("size_bytes must be >= 0")
+    latency, num, den = cost_terms(cluster)
+    return latency + -(-size_bytes * num // den)
 
 
 def comm_comp_ratio(job: JobProfile, cluster: ClusterSpec) -> Fraction:
@@ -121,5 +94,4 @@ def comm_comp_ratio(job: JobProfile, cluster: ClusterSpec) -> Fraction:
     comp = comp_time(job)
     if comp <= 0:
         raise ValueError(f"job {job.job_id!r}: compute time must be > 0")
-    sync = comm_time(fuse_gradients(job, 1), cluster)
-    return Fraction(sync, comp)
+    return Fraction(comm_time(job.grad_bytes, cluster), comp)

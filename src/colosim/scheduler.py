@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .comm import ClusterSpec, comm_time
 from .engine import Phase, Span, Trace
-from .workload import JobProfile, comp_time, fuse_gradients
+from .workload import JobProfile, comp_time
 
 __all__ = [
     "Policy",
@@ -65,7 +65,7 @@ class SchedulePlan:
 
 
 def _sync_duration(job: JobProfile, cluster: ClusterSpec) -> int:
-    return comm_time(fuse_gradients(job, 1), cluster)
+    return comm_time(job.grad_bytes, cluster)
 
 
 def simulate(plan: SchedulePlan) -> Trace:

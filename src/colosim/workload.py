@@ -1,9 +1,11 @@
-"""Training-job profiles and the gradient-fusion transformation.
+"""Training-job profiles.
 
 A job profile describes one data-parallel training application from the
 simulator's point of view: how long one iteration computes on the GPU
-(forward + backward) and how many gradient bytes it must synchronize
-afterwards.  All durations are integer nanoseconds; payloads are bytes.
+(forward + backward) and which gradient tensors it must synchronize
+afterwards.  The tensors are fused into one message of ``grad_bytes``
+bytes, so per-message latency is paid once per iteration.  All durations
+are integer nanoseconds; payloads are bytes.
 
 Two calibration profiles ("resnet50", "vgg16") ship with the package as
 versioned fixture data under ``colosim/data/profiles.json``.
@@ -19,9 +21,6 @@ from importlib import resources
 __all__ = [
     "TensorSpec",
     "JobProfile",
-    "FusedGradient",
-    "fuse_gradients",
-    "unfused_messages",
     "comp_time",
     "fixture_profile",
     "fixture_names",
@@ -72,38 +71,6 @@ class JobProfile:
     @property
     def grad_bytes(self) -> int:
         return sum(t.size_bytes for t in self.tensors)
-
-
-@dataclass(frozen=True)
-class FusedGradient:
-    """A gradient payload ready for synchronization as one message."""
-
-    job_id: str
-    iteration: int
-    size_bytes: int
-
-
-def _check_iteration(job: JobProfile, iteration: int) -> None:
-    if not 1 <= iteration <= job.iterations:
-        raise ValueError(
-            f"job {job.job_id!r}: iteration {iteration} out of range [1, {job.iterations}]"
-        )
-
-
-def fuse_gradients(job: JobProfile, iteration: int) -> FusedGradient:
-    """Bundle all of the job's gradient tensors into a single message.
-
-    The fused payload is the byte sum of the tensor list, so per-message
-    latency is paid exactly once per iteration.
-    """
-    _check_iteration(job, iteration)
-    return FusedGradient(job.job_id, iteration, job.grad_bytes)
-
-
-def unfused_messages(job: JobProfile, iteration: int) -> list[FusedGradient]:
-    """One message per tensor: the counterfactual used by fusion-benefit tests."""
-    _check_iteration(job, iteration)
-    return [FusedGradient(job.job_id, iteration, t.size_bytes) for t in job.tensors]
 
 
 def comp_time(job: JobProfile) -> int:

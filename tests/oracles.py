@@ -2,9 +2,11 @@
 
 These stay deliberately separate from the package: the schedule enumerators
 walk a rotation cursor one dispatch at a time (the package iterates rounds),
-the gradient check is central finite differences, and the trace serializers
+the gradient check is central finite differences, the trace serializers
 are the dict-per-record ``json.dumps(indent=2)`` documents that define the
-byte formats.  Span tuples are (lane_id, job_id, phase, iteration, start, end).
+byte formats, and the sync costs are the two alpha-beta formulas written
+out per architecture with a divmod ceiling.  Span tuples are
+(lane_id, job_id, phase, iteration, start, end).
 """
 
 from __future__ import annotations
@@ -112,6 +114,22 @@ def finite_difference_gradient(f, params: np.ndarray, step: float = 1e-5) -> np.
         bump[k] = step
         grad[k] = (f(params + bump) - f(params - bump)) / (2.0 * step)
     return grad
+
+
+def _ceil(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    return q + (r > 0)
+
+
+def ring_allreduce_ns(size: int, workers: int, bandwidth: int, latency: int) -> int:
+    """2(W-1)a + ceil(2(W-1) S 1e9 / (W B)): 0 for a single worker."""
+    return 2 * (workers - 1) * latency + _ceil(2 * (workers - 1) * size * 10**9,
+                                               workers * bandwidth)
+
+
+def parameter_server_ns(size: int, bandwidth: int, latency: int) -> int:
+    """2a + ceil(2 S 1e9 / B): push then pull through the worker NIC."""
+    return 2 * latency + _ceil(2 * size * 10**9, bandwidth)
 
 
 def spans_from_trace(trace):

@@ -12,18 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from colosim.cli import main as cli_main
-from colosim.comm import (
-    Architecture,
-    ClusterSpec,
-    comm_time,
-    comm_time_unfused,
-)
+from colosim.comm import Architecture, ClusterSpec, comm_time
 from colosim.engine import Phase, trace_to_json, validate_trace
 from colosim.equivalence import LossKind, SgdConfig, check_neutrality, loss_gradient, loss_value
 from colosim.metrics import compare, measure
 from colosim.scenario import load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate
-from colosim.workload import JobProfile, TensorSpec, fixture_profile, fuse_gradients, unfused_messages
+from colosim.workload import JobProfile, TensorSpec, fixture_profile
 
 from oracles import brute_crossover, brute_sequential, crossover_cycle, finite_difference_gradient, spans_from_trace
 
@@ -236,8 +231,8 @@ def test_criterion_6_fusion_benefit():
     for cluster, term in latency_term.items():
         for job in profiles:
             assert len(job.tensors) >= 2
-            fused = comm_time(fuse_gradients(job, 1), cluster)
-            unfused = comm_time_unfused(unfused_messages(job, 1), cluster)
+            fused = comm_time(job.grad_bytes, cluster)
+            unfused = sum(comm_time(t.size_bytes, cluster) for t in job.tensors)
             assert fused < unfused
             assert unfused - fused == term * (len(job.tensors) - 1)
 
@@ -246,8 +241,8 @@ def test_criterion_6_fusion_benefit():
                        latency_per_message=5_000,
                        architecture=Architecture.RING_ALLREDUCE)
     for job in profiles:
-        fused = comm_time(fuse_gradients(job, 1), wide)
-        assert fused < comm_time_unfused(unfused_messages(job, 1), wide)
+        fused = comm_time(job.grad_bytes, wide)
+        assert fused < sum(comm_time(t.size_bytes, wide) for t in job.tensors)
 
 
 @criterion(7, "legality suite: 1000 random plans are legal, dominated, cycle-bounded")

@@ -1,10 +1,16 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from colosim.cli import main
+from colosim.cli import _payload_for_ratio, main
+from colosim.comm import Architecture, ClusterSpec, comm_time
+from colosim.errors import ConfigError
 from colosim.metrics import metrics_from_json
+from colosim.scheduler import Policy, SchedulePlan
+from colosim.workload import JobProfile, TensorSpec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = str(SCENARIO_DIR / "golden_2jobs.json")
@@ -118,12 +124,47 @@ class TestSweep:
         assert run("sweep", "--config", str(bad), "--out", str(tmp_path)) == 1
         assert "homogeneous" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cluster, message", [
+        ({"workers": 1}, "needs workers >= 2"),
+        ({"latency_us": 10_000}, "unreachable"),
+    ])
+    def test_unscalable_cluster_is_usage_error(self, tmp_path, capsys, cluster, message):
+        doc = json.loads((SCENARIO_DIR / "sweep_base.json").read_text())
+        doc["cluster"].update(cluster)
+        bad = tmp_path / "cluster.json"
+        bad.write_text(json.dumps(doc))
+        assert run("sweep", "--config", str(bad), "--out", str(tmp_path)) == 1
+        assert message in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path):
         for d in ("a", "b"):
             run("sweep", "--config", str(SCENARIO_DIR / "sweep_base.json"),
                 "--out", str(tmp_path / d), "--steps", "4", "--iters", "50")
         assert ((tmp_path / "a" / "sweep.csv").read_bytes()
                 == (tmp_path / "b" / "sweep.csv").read_bytes())
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(Architecture), st.integers(min_value=2, max_value=64),
+       st.integers(min_value=1, max_value=10**13), st.integers(min_value=0, max_value=10**4),
+       st.integers(min_value=1, max_value=10**12),
+       st.fractions(min_value=0, max_value=4, max_denominator=10**6).filter(bool))
+def test_sweep_payload_inverts_comm_time(architecture, workers, bandwidth, latency, comp, rho):
+    cluster = ClusterSpec(workers=workers, bandwidth_bytes_per_sec=bandwidth,
+                          latency_per_message=latency, architecture=architecture)
+    job = JobProfile("j", comp, 0, (TensorSpec("payload", 0),), 1)
+    plan = SchedulePlan(Policy.CROSSOVER, (job,), cluster)
+    target = rho * comp
+    beta = Fraction(2 * 10**9, bandwidth)  # ns per byte
+    if architecture is Architecture.RING_ALLREDUCE:
+        beta *= Fraction(workers - 1, workers)
+    try:
+        payload = _payload_for_ratio(plan, rho)
+    except ConfigError:
+        assert target < comm_time(0, cluster)
+        return
+    assert payload >= 0
+    assert abs(comm_time(payload, cluster) - target) <= beta / 2 + 1
 
 
 class TestEquivalence:
@@ -142,6 +183,13 @@ class TestEquivalence:
 
     def test_bad_perturb_flag(self, capsys):
         assert run("equivalence", "--perturb", "nonsense") == 1
+
+    @pytest.mark.parametrize("perturb", ["0:99", "9:1", "0:0", "-1:1"])
+    def test_perturbation_outside_the_run_is_usage_error(self, capsys, perturb):
+        assert run("equivalence", "--iters", "2", f"--perturb={perturb}") == 1
+        captured = capsys.readouterr()
+        assert "--perturb" in captured.err
+        assert "PASS" not in captured.out
 
     def test_bad_iters(self):
         assert run("equivalence", "--iters", "0") == 1

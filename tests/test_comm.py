@@ -1,19 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from colosim.comm import (
-    Architecture,
-    ClusterSpec,
-    comm_comp_ratio,
-    comm_time,
-    comm_time_allreduce,
-    comm_time_ps,
-    comm_time_unfused,
-)
+from colosim.comm import Architecture, ClusterSpec, comm_comp_ratio, comm_time
 from colosim.errors import ConfigError
-from colosim.workload import JobProfile, TensorSpec, fixture_profile, fuse_gradients, unfused_messages
+from colosim.workload import JobProfile, TensorSpec, fixture_profile
+
+from oracles import parameter_server_ns, ring_allreduce_ns
 
 MB = 10**6
 
@@ -35,40 +29,32 @@ def ps(bandwidth=GBPS_10, latency=0, workers=4):
 
 class TestRingAllreduce:
     def test_single_worker_is_free(self):
-        assert comm_time_allreduce(400 * MB, ring(1)) == 0
+        assert comm_time(400 * MB, ring(1)) == 0
 
     def test_latency_only_when_empty(self):
         # 2*(W-1)*alpha with W=4, alpha=10us
-        assert comm_time_allreduce(0, ring(4, latency=10_000)) == 60_000
+        assert comm_time(0, ring(4, latency=10_000)) == 60_000
 
     def test_latency_plus_bandwidth(self):
         # evaluated independently: 30us latency + 48ms transfer
-        got = comm_time_allreduce(400 * MB, ring(4, latency=5_000))
+        got = comm_time(400 * MB, ring(4, latency=5_000))
         assert got == 48_030_000
-
-    def test_wrong_architecture(self):
-        with pytest.raises(ConfigError):
-            comm_time_allreduce(1, ps())
 
     def test_negative_size(self):
         with pytest.raises(ValueError):
-            comm_time_allreduce(-1, ring(2))
+            comm_time(-1, ring(2))
 
 
 class TestParameterServer:
     def test_latency_only_when_empty(self):
-        assert comm_time_ps(0, ps(latency=10_000)) == 20_000
+        assert comm_time(0, ps(latency=10_000)) == 20_000
 
     def test_bandwidth_term(self):
         # 2 * 125MB / 1.25GB/s = 200ms, evaluated independently
-        assert comm_time_ps(125 * MB, ps(GBPS_10)) == 200_000_000
+        assert comm_time(125 * MB, ps(GBPS_10)) == 200_000_000
 
     def test_worker_count_irrelevant(self):
-        assert comm_time_ps(77 * MB, ps(workers=2)) == comm_time_ps(77 * MB, ps(workers=16))
-
-    def test_wrong_architecture(self):
-        with pytest.raises(ConfigError):
-            comm_time_ps(1, ring(4))
+        assert comm_time(77 * MB, ps(workers=2)) == comm_time(77 * MB, ps(workers=16))
 
 
 def _job(sizes, fwd=1_000_000, bwd=1_000_000, job_id="j"):
@@ -80,20 +66,20 @@ class TestCommTimeDispatch:
     def test_ps_fused(self):
         job = _job([400 * MB])
         cluster = ps(GBPS_100, latency=5_000)
-        assert comm_time(fuse_gradients(job, 1), cluster) == 64_010_000  # 2a + 2S/B, independent calc
+        assert comm_time(job.grad_bytes, cluster) == 64_010_000  # 2a + 2S/B, independent calc
 
     def test_unfused_pays_latency_per_message(self):
         job = _job([100 * MB, 300 * MB])
         cluster = ring(4, latency=5_000)
-        fused = comm_time(fuse_gradients(job, 1), cluster)
-        unfused = comm_time_unfused(unfused_messages(job, 1), cluster)
+        fused = comm_time(job.grad_bytes, cluster)
+        unfused = sum(comm_time(t.size_bytes, cluster) for t in job.tensors)
         assert unfused - fused == 2 * 3 * 5_000  # one extra latency term set
 
     def test_zero_latency_makes_fusion_free(self):
         job = _job([100 * MB, 300 * MB])
         cluster = ring(4, latency=0)
-        fused = comm_time(fuse_gradients(job, 1), cluster)
-        assert comm_time_unfused(unfused_messages(job, 1), cluster) == fused
+        fused = comm_time(job.grad_bytes, cluster)
+        assert sum(comm_time(t.size_bytes, cluster) for t in job.tensors) == fused
 
 
 class TestCommCompRatio:
@@ -121,28 +107,25 @@ sizes_st = st.integers(min_value=0, max_value=10**10)
 def test_monotone_in_size(a, b, workers):
     lo, hi = sorted((a, b))
     for cluster in (ring(workers, latency=123), ps(latency=123, workers=workers)):
-        if cluster.architecture is Architecture.RING_ALLREDUCE:
-            assert comm_time_allreduce(lo, cluster) <= comm_time_allreduce(hi, cluster)
-        else:
-            assert comm_time_ps(lo, cluster) <= comm_time_ps(hi, cluster)
+        assert comm_time(lo, cluster) <= comm_time(hi, cluster)
 
 
 @given(sizes_st, st.integers(min_value=0, max_value=10**6),
        st.integers(min_value=0, max_value=10**6))
 def test_monotone_in_latency(size, l1, l2):
     lo, hi = sorted((l1, l2))
-    assert (comm_time_allreduce(size, ring(4, latency=lo))
-            <= comm_time_allreduce(size, ring(4, latency=hi)))
-    assert comm_time_ps(size, ps(latency=lo)) <= comm_time_ps(size, ps(latency=hi))
+    assert (comm_time(size, ring(4, latency=lo))
+            <= comm_time(size, ring(4, latency=hi)))
+    assert comm_time(size, ps(latency=lo)) <= comm_time(size, ps(latency=hi))
 
 
 @given(sizes_st, st.integers(min_value=1, max_value=10**12),
        st.integers(min_value=1, max_value=10**12))
 def test_monotone_in_bandwidth(size, b1, b2):
     slow, fast = sorted((b1, b2))
-    assert (comm_time_allreduce(size, ring(4, bandwidth=fast))
-            <= comm_time_allreduce(size, ring(4, bandwidth=slow)))
-    assert comm_time_ps(size, ps(fast)) <= comm_time_ps(size, ps(slow))
+    assert (comm_time(size, ring(4, bandwidth=fast))
+            <= comm_time(size, ring(4, bandwidth=slow)))
+    assert comm_time(size, ps(fast)) <= comm_time(size, ps(slow))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=12),
@@ -151,11 +134,25 @@ def test_monotone_in_bandwidth(size, b1, b2):
 def test_fusion_dominance(sizes, latency, workers):
     job = _job(sizes)
     for cluster in (ring(workers, latency=latency), ps(latency=latency)):
-        fused = comm_time(fuse_gradients(job, 1), cluster)
-        unfused = comm_time_unfused(unfused_messages(job, 1), cluster)
+        fused = comm_time(job.grad_bytes, cluster)
+        unfused = sum(comm_time(t.size_bytes, cluster) for t in job.tensors)
         assert fused <= unfused
         if latency > 0 and len(sizes) >= 2:
             assert fused < unfused
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(Architecture), st.integers(min_value=1, max_value=1024),
+       st.integers(min_value=1, max_value=10**13), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=0, max_value=2**62))
+def test_matches_independent_formulas(architecture, workers, bandwidth, latency, size):
+    cluster = ClusterSpec(workers=workers, bandwidth_bytes_per_sec=bandwidth,
+                          latency_per_message=latency, architecture=architecture)
+    if architecture is Architecture.RING_ALLREDUCE:
+        expected = ring_allreduce_ns(size, workers, bandwidth, latency)
+    else:
+        expected = parameter_server_ns(size, bandwidth, latency)
+    assert comm_time(size, cluster) == expected
 
 
 class TestClusterValidation:

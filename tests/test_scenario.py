@@ -7,7 +7,7 @@ from colosim.comm import Architecture, comm_time
 from colosim.errors import ConfigError
 from colosim.scenario import load_config, parse_scenario, scaled_int
 from colosim.scheduler import Policy
-from colosim.workload import comp_time, fuse_gradients
+from colosim.workload import comp_time
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -54,7 +54,7 @@ class TestBundledScenarios:
         job = scenario.jobs[0]
         assert (job.forward_time, job.backward_time) == (1, 1)
         assert job.grad_bytes == 1
-        sync = comm_time(fuse_gradients(job, 1), scenario.cluster)
+        sync = comm_time(job.grad_bytes, scenario.cluster)
         assert sync == 1  # comp 2ns, comm 1ns: the hand-enumerated setup
 
     def test_speedup_band_ratio_is_calibrated(self):

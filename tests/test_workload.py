@@ -7,8 +7,6 @@ from colosim.workload import (
     comp_time,
     fixture_names,
     fixture_profile,
-    fuse_gradients,
-    unfused_messages,
 )
 
 MB = 10**6
@@ -22,45 +20,29 @@ def make_job(sizes, fwd=MS, bwd=2 * MS, iterations=5, job_id="job"):
 
 class TestFuseGradients:
     def test_sums_tensor_sizes(self):
-        fused = fuse_gradients(make_job([100 * MB, 300 * MB]), 1)
-        assert fused.size_bytes == 400 * MB
+        assert make_job([100 * MB, 300 * MB]).grad_bytes == 400 * MB
 
     def test_zero_byte_tensor(self):
-        fused = fuse_gradients(make_job([0]), 1)
-        assert fused.size_bytes == 0
+        assert make_job([0]).grad_bytes == 0
 
     def test_resnet50_fixture_payload(self):
         # 25,557,032 fp32 parameters -> 102,228,128 bytes, pinned in the fixture
-        fused = fuse_gradients(fixture_profile("resnet50"), 1)
-        assert fused.size_bytes == 102_228_128
-
-    @pytest.mark.parametrize("iteration", [0, -1, 6])
-    def test_iteration_out_of_range(self, iteration):
-        with pytest.raises(ValueError, match="out of range"):
-            fuse_gradients(make_job([1]), iteration)
-
-    def test_carries_job_and_iteration(self):
-        fused = fuse_gradients(make_job([7]), 3)
-        assert (fused.job_id, fused.iteration) == ("job", 3)
+        assert fixture_profile("resnet50").grad_bytes == 102_228_128
 
 
 class TestUnfusedMessages:
     def test_one_message_per_tensor(self):
-        messages = unfused_messages(make_job([100 * MB, 300 * MB]), 1)
-        assert [m.size_bytes for m in messages] == [100 * MB, 300 * MB]
-
-    def test_single_tensor_matches_fused(self):
-        job = make_job([42])
-        assert unfused_messages(job, 2) == [fuse_gradients(job, 2)]
+        job = make_job([100 * MB, 300 * MB])
+        assert [t.size_bytes for t in job.tensors] == [100 * MB, 300 * MB]
 
     def test_fixture_message_counts(self):
         # pinned from the bundled fixture inventories
-        resnet = unfused_messages(fixture_profile("resnet50"), 1)
-        vgg = unfused_messages(fixture_profile("vgg16"), 1)
+        resnet = fixture_profile("resnet50").tensors
+        vgg = fixture_profile("vgg16").tensors
         assert len(resnet) == 161
         assert len(vgg) == 32
-        assert sum(m.size_bytes for m in resnet) == 102_228_128
-        assert sum(m.size_bytes for m in vgg) == 553_430_176
+        assert sum(t.size_bytes for t in resnet) == 102_228_128
+        assert sum(t.size_bytes for t in vgg) == 553_430_176
 
 
 class TestCompTime:
@@ -78,15 +60,8 @@ class TestCompTime:
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=40))
 def test_fusion_conserves_bytes(sizes):
     job = make_job(sizes)
-    fused = fuse_gradients(job, 1)
-    messages = unfused_messages(job, 1)
-    assert sum(m.size_bytes for m in messages) == fused.size_bytes
-
-
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
-def test_fusion_independent_of_iteration(a, b):
-    job = make_job([10, 20], iterations=5)
-    assert fuse_gradients(job, a).size_bytes == fuse_gradients(job, b).size_bytes
+    assert [t.size_bytes for t in job.tensors] == sizes
+    assert job.grad_bytes == sum(sizes)
 
 
 class TestInvariants:

@@ -34,7 +34,6 @@ from .scheduler import (
 )
 from .workload import (
     JobProfile,
-    TensorSpec,
     comp_time,
     fixture_names,
     fixture_profile,

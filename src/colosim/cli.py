@@ -29,7 +29,7 @@ from .errors import ConfigError, InvalidTraceError
 from .metrics import measure, report
 from .scenario import load_config
 from .scheduler import Policy, SchedulePlan, simulate
-from .workload import TensorSpec, comp_time
+from .workload import comp_time
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -81,11 +81,6 @@ def _payload_for_ratio(plan: SchedulePlan, rho: Fraction) -> int:
     return round((target - latency) * den / num)
 
 
-def _with_payload(job, payload_bytes: int):
-    """Replace a job's tensors with one synthetic payload tensor of the given size."""
-    return replace(job, tensors=(TensorSpec("payload", payload_bytes),))
-
-
 def _cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ConfigError("--steps must be >= 2")
@@ -104,7 +99,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for rho in _ratio_points(lo, hi, args.steps):
         payload = _payload_for_ratio(plan, rho)
-        jobs = tuple(_with_payload(job, payload) for job in plan.jobs)
+        jobs = tuple(replace(job, grad_bytes=payload) for job in plan.jobs)
         cross_span = simulate(SchedulePlan(Policy.CROSSOVER, jobs, plan.cluster)).makespan
         seq_span = simulate(SchedulePlan(Policy.SEQUENTIAL, jobs, plan.cluster)).makespan
         speedup = Fraction(seq_span, cross_span)
@@ -137,6 +132,8 @@ def _equiv_configs(n_jobs: int, workers: int, seed: int) -> list[SgdConfig]:
 def _cmd_equivalence(args) -> int:
     if args.iters < 1:
         raise ConfigError("--iters must be >= 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     perturb = None
     if args.perturb:
         try:
@@ -210,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     eq = sub.add_parser("equivalence", help="SGD schedule-neutrality suite")
-    eq.add_argument("--seed", type=int, default=0)
+    eq.add_argument("--seed", type=int, default=0, help="dataset/init seed (>= 0)")
     eq.add_argument("--iters", type=int, default=100)
     eq.add_argument("--perturb", default=None, metavar="JOB:ITER",
                     help="test hook: nudge one update by 1 ulp to force a failure; "

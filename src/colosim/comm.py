@@ -6,7 +6,7 @@ identical durations:
 
 * ring allreduce: ``2*(W-1)*alpha + 2*((W-1)/W) * size / B``
 * parameter server: ``2*alpha + 2 * size / B`` (push then pull; the worker
-  NIC is the bottleneck, so sharding across servers does not change it)
+  NIC is the bottleneck, so the number of servers is not an input)
 
 A collective is modeled as a single duration because all workers run
 lock-step synchronous SGD; worker count still shapes the ring cost.
@@ -42,29 +42,22 @@ class ClusterSpec:
     """Cluster description for the cost models.
 
     bandwidth_bytes_per_sec is the per-worker NIC bandwidth; latency_per_message
-    is the fixed per-message cost in nanoseconds.  gpus_per_worker is carried
-    for completeness; the simulator materializes one representative GPU and
-    its worker NIC (all workers are symmetric).
+    is the fixed per-message cost in nanoseconds.  The simulator materializes
+    one representative GPU and its worker NIC (all workers are symmetric).
     """
 
     workers: int
     bandwidth_bytes_per_sec: int
     latency_per_message: int = 0
     architecture: Architecture = Architecture.RING_ALLREDUCE
-    gpus_per_worker: int = 1
-    ps_servers: int = 1
 
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigError("cluster.workers must be >= 1")
-        if self.gpus_per_worker < 1:
-            raise ConfigError("cluster.gpus_per_worker must be >= 1")
         if self.bandwidth_bytes_per_sec <= 0:
             raise ConfigError("cluster.bandwidth must be > 0")
         if self.latency_per_message < 0:
             raise ConfigError("cluster.latency must be >= 0")
-        if self.architecture is Architecture.PARAMETER_SERVER and self.ps_servers < 1:
-            raise ConfigError("cluster.ps_servers must be >= 1 for parameter_server")
 
 
 def cost_terms(cluster: ClusterSpec) -> tuple[int, int, int]:

@@ -8,6 +8,7 @@ floats at the edge.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import json
@@ -173,15 +174,16 @@ def metrics_from_json(text: str) -> Metrics:
 def _csv(m: Metrics) -> str:
     out = io.StringIO()
     out.write(METRICS_CSV_HEADER + "\n")
+    rows = csv.writer(out, lineterminator="\n")
     speedup = "" if m.speedup_vs_baseline is None else repr(float(m.speedup_vs_baseline))
-    shared = (f"{m.makespan},{float(m.gpu_utilization)!r},"
-              f"{float(m.nic_utilization)!r},{speedup}")
+    shared = (m.makespan, repr(float(m.gpu_utilization)),
+              repr(float(m.nic_utilization)), speedup)
     for job_id, iters in m.per_job_iterations.items():
         period = m.per_job_iteration_period.get(job_id)
-        out.write(f"{m.scenario},{m.policy},{job_id},{iters},"
-                  f"{'' if period is None else period},{shared}\n")
-    out.write(f"{m.scenario},{m.policy},aggregate,"
-              f"{sum(m.per_job_iterations.values())},,{shared}\n")
+        rows.writerow((m.scenario, m.policy, job_id, iters,
+                       "" if period is None else period, *shared))
+    rows.writerow((m.scenario, m.policy, "aggregate",
+                   sum(m.per_job_iterations.values()), "", *shared))
     return out.getvalue()
 
 

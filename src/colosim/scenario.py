@@ -18,7 +18,7 @@ from pathlib import Path
 from .comm import Architecture, ClusterSpec
 from .errors import ConfigError
 from .scheduler import Policy, SchedulePlan
-from .workload import JobProfile, TensorSpec, fixture_names, fixture_profile
+from .workload import JobProfile, fixture_names, fixture_profile
 
 __all__ = ["Scenario", "load_config", "scaled_int"]
 
@@ -73,16 +73,13 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _int_field(obj: dict, key: str, where: str, default=None, minimum=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    v = obj[key]
+def _count_field(obj: dict, key: str, where: str) -> int:
+    """A required integer field that must be >= 1."""
+    v = _require(obj, key, where)
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}")
+    if v < 1:
+        raise ConfigError(f"{where}.{key}: must be >= 1")
     return v
 
 
@@ -102,21 +99,11 @@ def _parse_cluster(obj, where: str = "cluster") -> ClusterSpec:
     if bandwidth <= 0:
         raise ConfigError(f"{where}.bandwidth_gbps: must be > 0")
     return ClusterSpec(
-        workers=_int_field(obj, "workers", where, minimum=1),
-        gpus_per_worker=_int_field(obj, "gpus_per_worker", where, default=1, minimum=1),
+        workers=_count_field(obj, "workers", where),
         bandwidth_bytes_per_sec=bandwidth,
         latency_per_message=scaled_int(obj.get("latency_us", 0), 10**3, 1,
                                        f"{where}.latency_us"),
         architecture=arch,
-        ps_servers=_int_field(obj, "ps_servers", where, default=1, minimum=1),
-    )
-
-
-def _split_payload(total_bytes: int, count: int) -> tuple[TensorSpec, ...]:
-    base, rem = divmod(total_bytes, count)
-    return tuple(
-        TensorSpec(f"grad_{i:03d}", base + (1 if i < rem else 0))
-        for i in range(count)
     )
 
 
@@ -136,13 +123,10 @@ def _parse_job(obj, index: int) -> JobProfile:
                 f"(available: {', '.join(fixture_names())})")
         iterations = None
         if "iterations" in obj:
-            iterations = _int_field(obj, "iterations", where, minimum=1)
+            iterations = _count_field(obj, "iterations", where)
         return fixture_profile(name, job_id=job_id, iterations=iterations)
 
-    iterations = _int_field(obj, "iterations", where, minimum=1)
-    tensor_count = _int_field(obj, "tensor_count", where, default=1, minimum=1)
-    if tensor_count > 10_000:
-        raise ConfigError(f"{where}.tensor_count: must be <= 10000")
+    iterations = _count_field(obj, "iterations", where)
     grad_bytes = scaled_int(_require(obj, "grad_mb", where), 10**6, 1,
                             f"{where}.grad_mb")
     if grad_bytes < 0:
@@ -159,7 +143,7 @@ def _parse_job(obj, index: int) -> JobProfile:
         job_id=job_id,
         forward_time=forward,
         backward_time=backward,
-        tensors=_split_payload(grad_bytes, tensor_count),
+        grad_bytes=grad_bytes,
         iterations=iterations,
     )
 
@@ -190,7 +174,7 @@ def parse_scenario(doc, origin: str = "<config>") -> Scenario:
 
     override = None
     if doc.get("iterations_override") is not None:
-        override = _int_field(doc, "iterations_override", origin, minimum=1)
+        override = _count_field(doc, "iterations_override", origin)
 
     return Scenario(
         name=name,

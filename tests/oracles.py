@@ -5,7 +5,9 @@ walk a rotation cursor one dispatch at a time (the package iterates rounds),
 the gradient check is central finite differences, the trace serializers
 are the dict-per-record ``json.dumps(indent=2)`` documents that define the
 byte formats, and the sync costs are the two alpha-beta formulas written
-out per architecture with a divmod ceiling.  Span tuples are
+out per architecture with a divmod ceiling.  ``fixture_tensor_sizes`` reads
+the per-tensor inventories of the bundled profiles straight from the data
+file, for the fusion counterfactual.  Span tuples are
 (lane_id, job_id, phase, iteration, start, end).
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -130,6 +133,12 @@ def ring_allreduce_ns(size: int, workers: int, bandwidth: int, latency: int) -> 
 def parameter_server_ns(size: int, bandwidth: int, latency: int) -> int:
     """2a + ceil(2 S 1e9 / B): push then pull through the worker NIC."""
     return 2 * latency + _ceil(2 * size * 10**9, bandwidth)
+
+
+def fixture_tensor_sizes(name: str) -> list[int]:
+    """Per-tensor byte sizes of a bundled profile, as listed in profiles.json."""
+    path = Path(__file__).resolve().parent.parent / "src/colosim/data/profiles.json"
+    return [size for _, size in json.loads(path.read_text())["profiles"][name]["tensors"]]
 
 
 def spans_from_trace(trace):

@@ -18,9 +18,10 @@ from colosim.equivalence import LossKind, SgdConfig, check_neutrality, loss_grad
 from colosim.metrics import compare, measure
 from colosim.scenario import load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate
-from colosim.workload import JobProfile, TensorSpec, fixture_profile
+from colosim.workload import JobProfile
 
-from oracles import brute_crossover, brute_sequential, crossover_cycle, finite_difference_gradient, spans_from_trace
+from oracles import (brute_crossover, brute_sequential, crossover_cycle,
+                     finite_difference_gradient, fixture_tensor_sizes, spans_from_trace)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -44,7 +45,7 @@ def criterion(number, title):
 
 
 def ns_job(job_id, fwd, bwd, comm_ns, iterations):
-    return JobProfile(job_id, fwd, bwd, (TensorSpec("g", comm_ns),), iterations)
+    return JobProfile(job_id, fwd, bwd, comm_ns, iterations)
 
 
 def ns_plan(policy, specs):
@@ -224,25 +225,25 @@ def test_criterion_6_fusion_benefit():
                      architecture=Architecture.PARAMETER_SERVER)
     latency_term = {ring2: 2 * (2 - 1) * 5_000, ps: 2 * 5_000}
 
-    synthetic = JobProfile("tiny", 1, 1, tuple(
-        TensorSpec(f"t{i}", s) for i, s in enumerate([3, 1000, 481, 77, 9_999, 0, 256])), 1)
-    profiles = [fixture_profile("resnet50"), fixture_profile("vgg16"), synthetic]
+    # per-tensor inventories: the two bundled profiles and a synthetic one
+    inventories = [fixture_tensor_sizes("resnet50"), fixture_tensor_sizes("vgg16"),
+                   [3, 1000, 481, 77, 9_999, 0, 256]]
 
     for cluster, term in latency_term.items():
-        for job in profiles:
-            assert len(job.tensors) >= 2
-            fused = comm_time(job.grad_bytes, cluster)
-            unfused = sum(comm_time(t.size_bytes, cluster) for t in job.tensors)
+        for sizes in inventories:
+            assert len(sizes) >= 2
+            fused = comm_time(sum(sizes), cluster)
+            unfused = sum(comm_time(s, cluster) for s in sizes)
             assert fused < unfused
-            assert unfused - fused == term * (len(job.tensors) - 1)
+            assert unfused - fused == term * (len(sizes) - 1)
 
     # strictness also holds on a realistic wide ring
     wide = ClusterSpec(workers=16, bandwidth_bytes_per_sec=12_500_000_000,
                        latency_per_message=5_000,
                        architecture=Architecture.RING_ALLREDUCE)
-    for job in profiles:
-        fused = comm_time(job.grad_bytes, wide)
-        assert fused < sum(comm_time(t.size_bytes, wide) for t in job.tensors)
+    for sizes in inventories:
+        fused = comm_time(sum(sizes), wide)
+        assert fused < sum(comm_time(s, wide) for s in sizes)
 
 
 @criterion(7, "legality suite: 1000 random plans are legal, dominated, cycle-bounded")

@@ -10,7 +10,7 @@ from colosim.comm import Architecture, ClusterSpec, comm_time
 from colosim.errors import ConfigError
 from colosim.metrics import metrics_from_json
 from colosim.scheduler import Policy, SchedulePlan
-from colosim.workload import JobProfile, TensorSpec
+from colosim.workload import JobProfile
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = str(SCENARIO_DIR / "golden_2jobs.json")
@@ -152,7 +152,7 @@ class TestSweep:
 def test_sweep_payload_inverts_comm_time(architecture, workers, bandwidth, latency, comp, rho):
     cluster = ClusterSpec(workers=workers, bandwidth_bytes_per_sec=bandwidth,
                           latency_per_message=latency, architecture=architecture)
-    job = JobProfile("j", comp, 0, (TensorSpec("payload", 0),), 1)
+    job = JobProfile("j", comp, 0, 0, 1)
     plan = SchedulePlan(Policy.CROSSOVER, (job,), cluster)
     target = rho * comp
     beta = Fraction(2 * 10**9, bandwidth)  # ns per byte
@@ -193,6 +193,12 @@ class TestEquivalence:
 
     def test_bad_iters(self):
         assert run("equivalence", "--iters", "0") == 1
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run("equivalence", "--iters", "2", "--seed", "-1") == 1
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert "PASS" not in captured.out
 
 
 class TestValidateConfig:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from colosim.comm import Architecture, ClusterSpec, comm_comp_ratio, comm_time
 from colosim.errors import ConfigError
-from colosim.workload import JobProfile, TensorSpec, fixture_profile
+from colosim.workload import JobProfile, fixture_profile
 
 from oracles import parameter_server_ns, ring_allreduce_ns
 
@@ -57,39 +57,43 @@ class TestParameterServer:
         assert comm_time(77 * MB, ps(workers=2)) == comm_time(77 * MB, ps(workers=16))
 
 
-def _job(sizes, fwd=1_000_000, bwd=1_000_000, job_id="j"):
-    return JobProfile(job_id, fwd, bwd,
-                      tuple(TensorSpec(f"t{i}", s) for i, s in enumerate(sizes)), 4)
+def _job(grad_bytes, fwd=1_000_000, bwd=1_000_000, job_id="j"):
+    return JobProfile(job_id, fwd, bwd, grad_bytes, 4)
+
+
+def _unfused(sizes, cluster):
+    """No-fusion counterfactual: one sync message per gradient tensor."""
+    return sum(comm_time(s, cluster) for s in sizes)
 
 
 class TestCommTimeDispatch:
     def test_ps_fused(self):
-        job = _job([400 * MB])
+        job = _job(400 * MB)
         cluster = ps(GBPS_100, latency=5_000)
         assert comm_time(job.grad_bytes, cluster) == 64_010_000  # 2a + 2S/B, independent calc
 
     def test_unfused_pays_latency_per_message(self):
-        job = _job([100 * MB, 300 * MB])
+        sizes = [100 * MB, 300 * MB]
         cluster = ring(4, latency=5_000)
-        fused = comm_time(job.grad_bytes, cluster)
-        unfused = sum(comm_time(t.size_bytes, cluster) for t in job.tensors)
+        fused = comm_time(sum(sizes), cluster)
+        unfused = _unfused(sizes, cluster)
         assert unfused - fused == 2 * 3 * 5_000  # one extra latency term set
 
     def test_zero_latency_makes_fusion_free(self):
-        job = _job([100 * MB, 300 * MB])
+        sizes = [100 * MB, 300 * MB]
         cluster = ring(4, latency=0)
-        fused = comm_time(job.grad_bytes, cluster)
-        assert sum(comm_time(t.size_bytes, cluster) for t in job.tensors) == fused
+        fused = comm_time(sum(sizes), cluster)
+        assert _unfused(sizes, cluster) == fused
 
 
 class TestCommCompRatio:
     def test_half(self):
         # comm 1ms (2*625kB at 1.25GB/s), comp 2ms
-        job = _job([625_000])
+        job = _job(625_000)
         assert comm_comp_ratio(job, ps(GBPS_10)) == Fraction(1, 2)
 
     def test_unity(self):
-        job = _job([1_250_000])  # comm 2ms == comp 2ms
+        job = _job(1_250_000)  # comm 2ms == comp 2ms
         assert comm_comp_ratio(job, ps(GBPS_10)) == 1
 
     def test_resnet50_on_fast_ring_is_hidden(self):
@@ -132,10 +136,9 @@ def test_monotone_in_bandwidth(size, b1, b2):
        st.integers(min_value=0, max_value=50_000),
        st.integers(min_value=2, max_value=16))
 def test_fusion_dominance(sizes, latency, workers):
-    job = _job(sizes)
     for cluster in (ring(workers, latency=latency), ps(latency=latency)):
-        fused = comm_time(job.grad_bytes, cluster)
-        unfused = sum(comm_time(t.size_bytes, cluster) for t in job.tensors)
+        fused = comm_time(sum(sizes), cluster)
+        unfused = _unfused(sizes, cluster)
         assert fused <= unfused
         if latency > 0 and len(sizes) >= 2:
             assert fused < unfused
@@ -167,8 +170,3 @@ class TestClusterValidation:
     def test_negative_latency(self):
         with pytest.raises(ConfigError):
             ClusterSpec(workers=1, bandwidth_bytes_per_sec=1, latency_per_message=-1)
-
-    def test_ps_needs_servers(self):
-        with pytest.raises(ConfigError):
-            ClusterSpec(workers=1, bandwidth_bytes_per_sec=1,
-                        architecture=Architecture.PARAMETER_SERVER, ps_servers=0)

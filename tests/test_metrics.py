@@ -1,3 +1,4 @@
+import csv
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from colosim.metrics import (
     report,
 )
 from colosim.scheduler import Policy, SchedulePlan, simulate
-from colosim.workload import JobProfile, TensorSpec
+from colosim.workload import JobProfile
 
 CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
                       architecture=Architecture.PARAMETER_SERVER)
@@ -21,8 +22,7 @@ CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
 
 def plan(policy=Policy.CROSSOVER, comp=2, comm=1, iterations=3, n_jobs=2):
     jobs = tuple(
-        JobProfile(f"j{i + 1}", comp // 2, comp - comp // 2,
-                   (TensorSpec("g", comm),), iterations)
+        JobProfile(f"j{i + 1}", comp // 2, comp - comp // 2, comm, iterations)
         for i in range(n_jobs)
     )
     return SchedulePlan(policy, jobs, CLUSTER)
@@ -139,6 +139,16 @@ class TestReport:
         assert lines[1].startswith("golden,crossover,j1,3,4,13,")
         assert lines[3].startswith("golden,crossover,aggregate,6,,13,")
         assert lines[3].endswith("1.3846153846153846")
+
+    def test_csv_quotes_delimiters_in_names(self):
+        ids = ("j,1", 'j"2')
+        p = SchedulePlan(Policy.CROSSOVER,
+                         tuple(JobProfile(i, 1, 1, 1, 3) for i in ids), CLUSTER)
+        text = report(measure(simulate(p), p, scenario="a,b"), "csv")
+        rows = list(csv.reader(text.splitlines()))
+        assert [len(r) for r in rows] == [9] * 4
+        assert [r[2] for r in rows[1:]] == [*ids, "aggregate"]
+        assert {r[0] for r in rows[1:]} == {"a,b"}
 
     def test_table_width_budget(self):
         p = plan(n_jobs=8)

@@ -12,7 +12,7 @@ from colosim.scheduler import (
     simulate,
     steady_state_period,
 )
-from colosim.workload import JobProfile, TensorSpec
+from colosim.workload import JobProfile
 
 from oracles import brute_crossover, brute_sequential, crossover_cycle, spans_from_trace
 
@@ -24,7 +24,7 @@ CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
 
 
 def job(job_id, fwd, bwd, comm_ns, iterations):
-    return JobProfile(job_id, fwd, bwd, (TensorSpec("g", comm_ns),), iterations)
+    return JobProfile(job_id, fwd, bwd, comm_ns, iterations)
 
 
 def plan(policy, specs, cluster=CLUSTER):

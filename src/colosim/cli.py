@@ -38,6 +38,10 @@ EXIT_EQUIVALENCE = 3
 
 REPORT_FILES = {"json": "metrics.json", "csv": "metrics.csv", "table": "metrics.txt"}
 
+# Upper bounds that keep a run's time and memory small; not options.
+MAX_SWEEP_STEPS = 1000
+MAX_EQUIV_ITERS = 10_000
+
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -58,7 +62,7 @@ def _cmd_simulate(args) -> int:
         else:
             _write(out / REPORT_FILES[fmt], report(metrics, fmt))
     print(f"{scenario.name}: policy={plan.policy.value} "
-          f"makespan_ns={trace.makespan} spans={len(trace.spans)} -> {out}")
+          f"makespan_ns={trace.makespan} spans={3 * len(trace.rows)} -> {out}")
     return EXIT_OK
 
 
@@ -82,8 +86,8 @@ def _payload_for_ratio(plan: SchedulePlan, rho: Fraction) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.steps < 2:
-        raise ConfigError("--steps must be >= 2")
+    if not 2 <= args.steps <= MAX_SWEEP_STEPS:
+        raise ConfigError(f"--steps must be in [2, {MAX_SWEEP_STEPS}], got {args.steps}")
     for flag, value in (("--ratio-min", args.ratio_min), ("--ratio-max", args.ratio_max)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be a finite number, got {value}")
@@ -130,8 +134,8 @@ def _equiv_configs(n_jobs: int, workers: int, seed: int) -> list[SgdConfig]:
 
 
 def _cmd_equivalence(args) -> int:
-    if args.iters < 1:
-        raise ConfigError("--iters must be >= 1")
+    if not 1 <= args.iters <= MAX_EQUIV_ITERS:
+        raise ConfigError(f"--iters must be in [1, {MAX_EQUIV_ITERS}], got {args.iters}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     perturb = None
@@ -202,13 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", default="out")
     sweep.add_argument("--ratio-min", type=float, default=0.1)
     sweep.add_argument("--ratio-max", type=float, default=2.0)
-    sweep.add_argument("--steps", type=int, default=20)
+    sweep.add_argument("--steps", type=int, default=20,
+                       help=f"ratio points, in [2, {MAX_SWEEP_STEPS}] (default 20)")
     sweep.add_argument("--iters", type=int, default=None)
     sweep.set_defaults(func=_cmd_sweep)
 
     eq = sub.add_parser("equivalence", help="SGD schedule-neutrality suite")
     eq.add_argument("--seed", type=int, default=0, help="dataset/init seed (>= 0)")
-    eq.add_argument("--iters", type=int, default=100)
+    eq.add_argument("--iters", type=int, default=100,
+                    help=f"iterations per job, in [1, {MAX_EQUIV_ITERS}] (default 100)")
     eq.add_argument("--perturb", default=None, metavar="JOB:ITER",
                     help="test hook: nudge one update by 1 ulp to force a failure; "
                          f"JOB in [0, {max(_EQUIV_JOB_COUNTS) - 1}], ITER in [1, --iters]")

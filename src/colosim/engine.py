@@ -1,9 +1,11 @@
-"""Span traces: the record of a schedule, its legality check and exporters.
+"""Traces: the record of a schedule, its legality check and exporters.
 
-A trace is the list of spans a schedule produced, one per forward, backward
-or sync phase of a job iteration, each on the lane (GPU or NIC) that ran it.
-Everything is integer nanoseconds; a run is a pure function of its input, so
-repeated runs produce byte-identical traces.
+A trace holds one row per job-iteration, in dispatch order (the order the
+GPU ran the computes): ``(job_id, iteration, start, backward_start,
+compute_end, sync_start, sync_end)``.  Forward and backward run on the GPU
+lane, the gradient sync on the NIC lane; exports expand each row into those
+three span records.  Everything is integer nanoseconds; a run is a pure
+function of its input, so repeated runs produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
+    "GPU_LANE_ID",
+    "NIC_LANE_ID",
     "Phase",
     "Span",
     "Trace",
@@ -20,6 +24,11 @@ __all__ = [
     "trace_to_json",
     "trace_to_chrome_json",
 ]
+
+GPU_LANE_ID = "gpu0"
+NIC_LANE_ID = "nic0"
+
+Row = tuple[str, int, int, int, int, int, int]
 
 
 class Phase(Enum):
@@ -40,75 +49,66 @@ class Span:
 
 @dataclass(frozen=True)
 class Trace:
-    spans: tuple[Span, ...]
+    rows: tuple[Row, ...]
     makespan: int
+
+    @property
+    def spans(self) -> tuple[Span, ...]:
+        """Read-only view: each row as its forward, backward and sync span."""
+        spans: list[Span] = []
+        for job_id, t, start, backward_start, compute_end, sync_start, sync_end in self.rows:
+            spans += (
+                Span(GPU_LANE_ID, job_id, Phase.FORWARD, t, start, backward_start),
+                Span(GPU_LANE_ID, job_id, Phase.BACKWARD, t, backward_start, compute_end),
+                Span(NIC_LANE_ID, job_id, Phase.SYNC, t, sync_start, sync_end),
+            )
+        return tuple(spans)
 
 
 def validate_trace(trace: Trace) -> list[str]:
     """Check trace legality; returns violation messages (empty means legal).
 
-    Checked: span sanity, per-lane non-overlap, per-job phase ordering
-    forward_t < backward_t < sync_t < forward_{t+1}, a sync present for every
-    iteration (the final one included), and makespan consistency.
+    One pass over the rows, which must come in dispatch order.  Per row:
+    ``0 <= start <= backward_start <= compute_end <= sync_start <= sync_end``;
+    each job's iterations run 1, 2, ... in row order (no duplicate, no gap);
+    compute starts no earlier than the job's previous sync end; and neither
+    lane overlaps the previous row's span on it.  A trace whose rows are not
+    in dispatch order is therefore rejected.  Finally the makespan must be
+    the latest sync end.
     """
     violations: list[str] = []
-
-    for s in trace.spans:
-        if s.start < 0 or s.end < s.start:
+    last: dict[str, tuple[int, int]] = {}  # job -> (iteration, sync_end) of its last row
+    prev: Row | None = None
+    end = 0
+    for row in trace.rows:
+        job_id, t, start, backward_start, compute_end, sync_start, sync_end = row
+        if not 0 <= start <= backward_start <= compute_end <= sync_start <= sync_end:
             violations.append(
-                f"span {s.lane_id}/{s.job_id}/{s.phase.value}/t{s.iteration}: "
-                f"bad interval [{s.start}, {s.end}]")
-
-    by_lane: dict[str, list[Span]] = {}
-    for s in trace.spans:
-        by_lane.setdefault(s.lane_id, []).append(s)
-    for lane_id, spans in by_lane.items():
-        ordered = sorted(spans, key=lambda s: (s.start, s.end))
-        for prev, cur in zip(ordered, ordered[1:]):
-            if cur.start < prev.end:
-                violations.append(
-                    f"lane {lane_id}: {prev.job_id}/t{prev.iteration} "
-                    f"[{prev.start},{prev.end}] overlaps {cur.job_id}/t{cur.iteration} "
-                    f"[{cur.start},{cur.end}]")
-
-    # Keyed by Phase._value_, the plain attribute behind Enum.value: hashing the
-    # enum or reading .value runs Python-level code, once per span.
-    by_job: dict[str, dict[int, dict[str, Span]]] = {}
-    for s in trace.spans:
-        phases = by_job.setdefault(s.job_id, {}).setdefault(s.iteration, {})
-        phase = s.phase._value_
-        if phase in phases:
+                f"job {job_id}: iteration {t} bad interval [{start}, {backward_start}, "
+                f"{compute_end}, {sync_start}, {sync_end}]")
+        last_t, last_sync_end = last.get(job_id, (0, 0))
+        if t != last_t + 1:
+            what = "duplicate row" if t == last_t else f"row after iteration {last_t}"
+            violations.append(f"job {job_id}: {what} for iteration {t}")
+        if start < last_sync_end:
             violations.append(
-                f"job {s.job_id}: duplicate {phase} span for iteration {s.iteration}")
-        else:
-            phases[phase] = s
-
-    for job_id, iters in by_job.items():
-        prev_sync: Span | None = None
-        for t in sorted(iters):
-            phases = iters[t]
-            fwd = phases.get("forward")
-            bwd = phases.get("backward")
-            syn = phases.get("sync")
-            if fwd is None:
-                violations.append(f"job {job_id}: missing forward span for iteration {t}")
-            if bwd is None:
-                violations.append(f"job {job_id}: missing backward span for iteration {t}")
-            if syn is None:
-                violations.append(f"job {job_id}: missing sync span for iteration {t}")
-            if fwd and bwd and bwd.start < fwd.end:
-                violations.append(f"job {job_id}: backward precedes forward at iteration {t}")
-            if bwd and syn and syn.start < bwd.end:
-                violations.append(f"job {job_id}: sync starts before backward ends at iteration {t}")
-            if prev_sync and fwd and fwd.start < prev_sync.end:
+                f"job {job_id}: iteration {t} compute starts before "
+                f"iteration {last_t} sync completes")
+        if prev is not None:
+            if start < prev[4]:
                 violations.append(
-                    f"job {job_id}: iteration {t} compute starts before "
-                    f"iteration {prev_sync.iteration} sync completes")
-            prev_sync = syn
+                    f"lane {GPU_LANE_ID}: {prev[0]}/t{prev[1]} [{prev[2]},{prev[4]}] "
+                    f"overlaps {job_id}/t{t} [{start},{compute_end}]")
+            if sync_start < prev[6]:
+                violations.append(
+                    f"lane {NIC_LANE_ID}: {prev[0]}/t{prev[1]} [{prev[5]},{prev[6]}] "
+                    f"overlaps {job_id}/t{t} [{sync_start},{sync_end}]")
+        last[job_id] = (t, sync_end)
+        prev = row
+        end = max(end, sync_end)
 
-    expected = max((s.end for s in trace.spans), default=0)
-    if trace.makespan != expected:
-        violations.append(f"makespan {trace.makespan} != max span end {expected}")
+    if trace.makespan != end:
+        violations.append(f"makespan {trace.makespan} != max sync end {end}")
 
     return violations
 
@@ -153,24 +153,20 @@ _CHROME_SPAN = """\
     }"""
 
 
-class _Escaped(dict):
-    """id -> its JSON string body without the quotes, escaped once per id."""
-
-    def __missing__(self, key: str) -> str:
-        body = self[key] = json.dumps(key)[1:-1]
-        return body
-
-
 def trace_to_json(trace: Trace) -> str:
-    """Serialize the trace as a JSON array of span records."""
-    if not trace.spans:
+    """Serialize the trace as a JSON array of span records, three per row."""
+    if not trace.rows:
         return "[]\n"
-    esc = _Escaped()
-    records = [
-        _SPAN_RECORD % (esc[s.lane_id], esc[s.job_id], s.phase._value_,
-                        s.iteration, s.start, s.end)
-        for s in trace.spans
-    ]
+    # job id -> its JSON string body without the quotes, escaped once per id
+    esc = {job_id: json.dumps(job_id)[1:-1] for job_id in {row[0] for row in trace.rows}}
+    records: list[str] = []
+    for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows:
+        job = esc[job_id]
+        records += (
+            _SPAN_RECORD % (GPU_LANE_ID, job, "forward", t, start, backward_start),
+            _SPAN_RECORD % (GPU_LANE_ID, job, "backward", t, backward_start, compute_end),
+            _SPAN_RECORD % (NIC_LANE_ID, job, "sync", t, sync_start, sync_end),
+        )
     return "[\n" + ",\n".join(records) + "\n]\n"
 
 
@@ -180,18 +176,21 @@ def trace_to_chrome_json(trace: Trace) -> str:
     Complete ("X") events with microsecond timestamps, one viewer row (tid)
     per lane, loadable in chrome://tracing or Perfetto.
     """
-    if not trace.spans:
+    if not trace.rows:
         return '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}\n'
-    esc = _Escaped()
-    lane_ids = sorted({s.lane_id for s in trace.spans})
-    tid = {lane_id: i for i, lane_id in enumerate(lane_ids)}
-    events = [_CHROME_LANE % (i, esc[lane_id]) for i, lane_id in enumerate(lane_ids)]
+    esc = {job_id: json.dumps(job_id)[1:-1] for job_id in {row[0] for row in trace.rows}}
+    # tids number the lanes in id order: gpu0 is 0, nic0 is 1
+    events = [_CHROME_LANE % (0, GPU_LANE_ID), _CHROME_LANE % (1, NIC_LANE_ID)]
     # %r of a float is float.__repr__, which is what json writes for it
-    events += [
-        _CHROME_SPAN % (esc[s.job_id], s.phase._value_, s.iteration,
-                        s.start / 1000.0, (s.end - s.start) / 1000.0,
-                        tid[s.lane_id], esc[s.job_id], s.iteration)
-        for s in trace.spans
-    ]
+    for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows:
+        job = esc[job_id]
+        events += (
+            _CHROME_SPAN % (job, "forward", t, start / 1000.0,
+                            (backward_start - start) / 1000.0, 0, job, t),
+            _CHROME_SPAN % (job, "backward", t, backward_start / 1000.0,
+                            (compute_end - backward_start) / 1000.0, 0, job, t),
+            _CHROME_SPAN % (job, "sync", t, sync_start / 1000.0,
+                            (sync_end - sync_start) / 1000.0, 1, job, t),
+        )
     return ('{\n  "traceEvents": [\n' + ",\n".join(events)
             + '\n  ],\n  "displayTimeUnit": "ms"\n}\n')

@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import Phase, Trace, validate_trace
+from .engine import Trace, validate_trace
 from .errors import ComparisonError, InvalidTraceError
 from .scheduler import SchedulePlan
 
@@ -72,21 +72,20 @@ def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
 
     compute_busy = 0
     network_busy = 0
-    starts: dict[str, list[tuple[int, int]]] = {j.job_id: [] for j in plan.jobs}
-    completed: dict[str, int] = {j.job_id: 0 for j in plan.jobs}
-    unknown: set[str] = set()
-    for s in trace.spans:
-        if s.job_id not in completed:
-            unknown.add(s.job_id)
-        elif s.phase is Phase.SYNC:
-            network_busy += s.end - s.start
-            completed[s.job_id] += 1
-        else:
-            compute_busy += s.end - s.start
-            if s.phase is Phase.FORWARD:
-                starts[s.job_id].append((s.iteration, s.start))
+    starts: dict[str, list[int]] = {j.job_id: [] for j in plan.jobs}
+    unknown: dict[str, None] = {}  # job ids in order of first appearance
+    for job_id, _, start, _, compute_end, sync_start, sync_end in trace.rows:
+        job_starts = starts.get(job_id)
+        if job_starts is None:
+            unknown[job_id] = None
+            continue
+        compute_busy += compute_end - start
+        network_busy += sync_end - sync_start
+        job_starts.append(start)
+    # one sync per row; validate_trace checked that each job's rows run 1, 2, ...
+    completed = {job_id: len(job_starts) for job_id, job_starts in starts.items()}
     mismatches = [f"job {job_id}: in the trace but not in the plan"
-                  for job_id in sorted(unknown)]
+                  for job_id in unknown]
     mismatches += [f"job {j.job_id}: {completed[j.job_id]} sync span(s) for a "
                    f"budget of {j.iterations} iteration(s)"
                    for j in plan.jobs if completed[j.job_id] != j.iterations]
@@ -100,10 +99,7 @@ def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
     throughput = (Fraction(total_iters * 10**9, makespan) if makespan
                   else Fraction(0))
 
-    periods = {
-        job_id: _steady_period([t for _, t in sorted(entries)])
-        for job_id, entries in starts.items()
-    }
+    periods = {job_id: _steady_period(job_starts) for job_id, job_starts in starts.items()}
     return Metrics(
         scenario=scenario,
         policy=plan.policy.value,

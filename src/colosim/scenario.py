@@ -20,11 +20,15 @@ from .errors import ConfigError
 from .scheduler import Policy, SchedulePlan
 from .workload import JobProfile, fixture_names, fixture_profile
 
-__all__ = ["Scenario", "load_config", "scaled_int"]
+__all__ = ["Scenario", "load_config", "scaled_int", "MAX_JOB_ITERATIONS"]
 
 # Internal integers are kept within signed 64-bit range so traces and
 # timestamps stay portable; larger values are rejected at load time.
 _INT_LIMIT = 2**63
+
+# Most job-iterations (trace rows) one plan may hold: a Chrome export peaks
+# at a few KB of memory per job-iteration, so this keeps a run to a few GB.
+MAX_JOB_ITERATIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,11 @@ class Scenario:
             if override < 1:
                 raise ConfigError("iterations override must be >= 1")
             jobs = tuple(replace(j, iterations=override) for j in jobs)
+        total = sum(j.iterations for j in jobs)
+        if total > MAX_JOB_ITERATIONS:
+            raise ConfigError(
+                f"iterations: {total} job-iterations in all exceed the limit of "
+                f"{MAX_JOB_ITERATIONS} (lower iterations, iterations_override or --iters)")
         return SchedulePlan(policy=self.policy, jobs=jobs, cluster=self.cluster)
 
 

@@ -7,6 +7,8 @@ at ``max(gpu_free, sync_end[i])`` (the end of its iteration ``t-1`` sync,
 zero at ``t = 1``), runs forward then backward, and its fused gradient syncs
 from ``max(nic_free, backward_end)``.  After a job's last compute its final
 sync still drains, so a ``T``-iteration job always has exactly ``T`` syncs.
+Each dispatch appends one trace row (see ``engine``), so rows come in GPU
+order, which is also the NIC's FIFO order.
 
 * ``crossover`` -- the GPU moves to the next job the moment a backward pass
   ends, so one job's sync overlaps another job's compute.
@@ -22,21 +24,16 @@ from enum import Enum
 from fractions import Fraction
 
 from .comm import ClusterSpec, comm_time
-from .engine import Phase, Span, Trace
+from .engine import Row, Trace
 from .workload import JobProfile, comp_time
 
 __all__ = [
     "Policy",
     "SchedulePlan",
-    "GPU_LANE_ID",
-    "NIC_LANE_ID",
     "simulate",
     "steady_state_period",
     "predicted_speedup",
 ]
-
-GPU_LANE_ID = "gpu0"
-NIC_LANE_ID = "nic0"
 
 
 class Policy(Enum):
@@ -64,16 +61,12 @@ class SchedulePlan:
             raise ValueError("job ids must be unique within a plan")
 
 
-def _sync_duration(job: JobProfile, cluster: ClusterSpec) -> int:
-    return comm_time(job.grad_bytes, cluster)
-
-
 def simulate(plan: SchedulePlan) -> Trace:
-    """Run the plan under its policy; spans come in dispatch order."""
+    """Run the plan under its policy; one trace row per job-iteration, in dispatch order."""
     hold_gpu = plan.policy is Policy.SEQUENTIAL
-    comm = {j.job_id: _sync_duration(j, plan.cluster) for j in plan.jobs}
+    comm = {j.job_id: comm_time(j.grad_bytes, plan.cluster) for j in plan.jobs}
     sync_end = dict.fromkeys(comm, 0)
-    spans: list[Span] = []
+    rows: list[Row] = []
     gpu_free = nic_free = 0
     active = plan.jobs
     for t in range(1, max(j.iterations for j in plan.jobs) + 1):
@@ -86,18 +79,14 @@ def simulate(plan: SchedulePlan) -> Trace:
             sync_start = max(nic_free, compute_end)
             nic_free = sync_end[job_id] = sync_start + comm[job_id]
             gpu_free = nic_free if hold_gpu else compute_end
-            spans += (
-                Span(GPU_LANE_ID, job_id, Phase.FORWARD, t, start, backward_start),
-                Span(GPU_LANE_ID, job_id, Phase.BACKWARD, t, backward_start, compute_end),
-                Span(NIC_LANE_ID, job_id, Phase.SYNC, t, sync_start, nic_free),
-            )
+            rows.append((job_id, t, start, backward_start, compute_end, sync_start, nic_free))
     # Every compute is followed by a sync, and the NIC clock never runs back.
-    return Trace(tuple(spans), nic_free)
+    return Trace(tuple(rows), nic_free)
 
 
 def _homogeneous_comp_comm(plan: SchedulePlan) -> tuple[int, int]:
     comps = {comp_time(j) for j in plan.jobs}
-    comms = {_sync_duration(j, plan.cluster) for j in plan.jobs}
+    comms = {comm_time(j.grad_bytes, plan.cluster) for j in plan.jobs}
     if len(comps) != 1 or len(comms) != 1:
         raise ValueError(
             "closed forms require homogeneous jobs (equal compute and sync "

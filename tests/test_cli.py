@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colosim.cli import _payload_for_ratio, main
+from colosim.cli import MAX_EQUIV_ITERS, MAX_SWEEP_STEPS, _payload_for_ratio, main
 from colosim.comm import Architecture, ClusterSpec, comm_time
 from colosim.errors import ConfigError
 from colosim.metrics import metrics_from_json
@@ -61,6 +61,13 @@ class TestSimulate:
         metrics = metrics_from_json((tmp_path / "metrics.json").read_text())
         assert metrics.per_job_iterations == {"j1": 5, "j2": 5}
 
+    def test_run_size_limit_is_usage_error(self, tmp_path, capsys):
+        code = run("simulate", "--config", GOLDEN, "--out", str(tmp_path),
+                   "--iters", "1000000000000")
+        assert code == 1
+        assert "iterations" in capsys.readouterr().err
+        assert not (tmp_path / "trace.json").exists()
+
     def test_missing_config_is_validation_error(self, tmp_path, capsys):
         code = run("simulate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path))
@@ -95,6 +102,12 @@ class TestSweep:
     def test_single_step_is_usage_error(self, tmp_path, capsys):
         code = run("sweep", "--config", str(SCENARIO_DIR / "sweep_base.json"),
                    "--out", str(tmp_path), "--steps", "1")
+        assert code == 1
+        assert "--steps" in capsys.readouterr().err
+
+    def test_steps_past_limit_is_usage_error(self, tmp_path, capsys):
+        code = run("sweep", "--config", str(SCENARIO_DIR / "sweep_base.json"),
+                   "--out", str(tmp_path), "--steps", str(MAX_SWEEP_STEPS + 1))
         assert code == 1
         assert "--steps" in capsys.readouterr().err
 
@@ -193,6 +206,12 @@ class TestEquivalence:
 
     def test_bad_iters(self):
         assert run("equivalence", "--iters", "0") == 1
+
+    def test_iters_past_limit_is_usage_error(self, capsys):
+        assert run("equivalence", "--iters", str(MAX_EQUIV_ITERS + 1)) == 1
+        captured = capsys.readouterr()
+        assert "--iters" in captured.err
+        assert "PASS" not in captured.out
 
     def test_negative_seed_is_usage_error(self, capsys):
         assert run("equivalence", "--iters", "2", "--seed", "-1") == 1

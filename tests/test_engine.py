@@ -1,32 +1,26 @@
 import dataclasses
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from colosim.comm import Architecture, ClusterSpec
 from colosim.engine import (
-    Phase,
-    Span,
     Trace,
     trace_to_chrome_json,
     trace_to_json,
     validate_trace,
 )
+from colosim.errors import InvalidTraceError
+from colosim.metrics import measure
+from colosim.scheduler import Policy, SchedulePlan, simulate
+from colosim.workload import JobProfile
 from oracles import trace_to_chrome_json_reference, trace_to_json_reference
 
-
-def span(lane, job, phase, it, start, end):
-    return Span(lane, job, phase, it, start, end)
+# rows: (job_id, iteration, start, backward_start, compute_end, sync_start, sync_end)
 
 
 def legal_trace():
-    spans = (
-        span("gpu0", "j1", Phase.FORWARD, 1, 0, 1),
-        span("gpu0", "j1", Phase.BACKWARD, 1, 1, 2),
-        span("nic0", "j1", Phase.SYNC, 1, 2, 3),
-        span("gpu0", "j1", Phase.FORWARD, 2, 3, 4),
-        span("gpu0", "j1", Phase.BACKWARD, 2, 4, 5),
-        span("nic0", "j1", Phase.SYNC, 2, 5, 6),
-    )
-    return Trace(spans, 6)
+    return Trace((("j1", 1, 0, 1, 2, 2, 3), ("j1", 2, 3, 4, 5, 5, 6)), 6)
 
 
 class TestValidateTrace:
@@ -34,56 +28,76 @@ class TestValidateTrace:
         assert validate_trace(legal_trace()) == []
 
     def test_lane_overlap_is_one_violation(self):
-        spans = (
-            span("gpu0", "j1", Phase.FORWARD, 1, 0, 4),
-            span("gpu0", "j2", Phase.FORWARD, 1, 3, 5),
-            span("gpu0", "j1", Phase.BACKWARD, 1, 5, 6),
-            span("gpu0", "j2", Phase.BACKWARD, 1, 6, 7),
-            span("nic0", "j1", Phase.SYNC, 1, 6, 7),
-            span("nic0", "j2", Phase.SYNC, 1, 7, 8),
-        )
-        violations = validate_trace(Trace(spans, 8))
+        rows = (("j1", 1, 0, 2, 4, 6, 7), ("j2", 1, 3, 4, 5, 7, 8))
+        violations = validate_trace(Trace(rows, 8))
         assert len(violations) == 1
-        assert "overlap" in violations[0]
+        assert "lane gpu0" in violations[0] and "overlap" in violations[0]
 
-    def test_missing_sync_for_non_final_iteration(self):
-        spans = tuple(s for s in legal_trace().spans
-                      if not (s.phase is Phase.SYNC and s.iteration == 1))
-        violations = validate_trace(Trace(spans, 6))
-        assert violations == ["job j1: missing sync span for iteration 1"]
-
-    def test_missing_sync_for_final_iteration(self):
-        # the final sync drains too: a T-iteration job has exactly T syncs
-        spans = tuple(s for s in legal_trace().spans
-                      if not (s.phase is Phase.SYNC and s.iteration == 2))
-        violations = validate_trace(Trace(spans, 5))
-        assert violations == ["job j1: missing sync span for iteration 2"]
+    def test_nic_overlap_is_one_violation(self):
+        rows = (("j1", 1, 0, 1, 2, 2, 6), ("j2", 1, 2, 3, 4, 5, 7))
+        violations = validate_trace(Trace(rows, 7))
+        assert len(violations) == 1
+        assert "lane nic0" in violations[0] and "overlap" in violations[0]
 
     def test_compute_before_previous_sync_completes(self):
-        spans = (
-            span("gpu0", "j1", Phase.FORWARD, 1, 0, 1),
-            span("gpu0", "j1", Phase.BACKWARD, 1, 1, 2),
-            span("nic0", "j1", Phase.SYNC, 1, 2, 5),
-            span("gpu0", "j1", Phase.FORWARD, 2, 3, 4),
-            span("gpu0", "j1", Phase.BACKWARD, 2, 4, 5),
-            span("nic0", "j1", Phase.SYNC, 2, 5, 6),
-        )
-        violations = validate_trace(Trace(spans, 6))
+        rows = (("j1", 1, 0, 1, 2, 2, 5), ("j1", 2, 3, 4, 5, 5, 6))
+        violations = validate_trace(Trace(rows, 6))
         assert any("before" in v and "sync completes" in v for v in violations)
 
     def test_wrong_makespan(self):
         trace = dataclasses.replace(legal_trace(), makespan=7)
-        assert validate_trace(trace) == ["makespan 7 != max span end 6"]
+        assert validate_trace(trace) == ["makespan 7 != max sync end 6"]
 
     def test_duplicate_phase_span(self):
-        spans = legal_trace().spans + (span("nic0", "j1", Phase.SYNC, 2, 6, 7),)
-        violations = validate_trace(Trace(spans, 7))
-        assert any("duplicate sync" in v for v in violations)
+        rows = legal_trace().rows
+        violations = validate_trace(Trace(rows + rows[-1:], 6))
+        assert "job j1: duplicate row for iteration 2" in violations
+
+    def test_iteration_gap(self):
+        rows = (("j1", 1, 0, 1, 2, 2, 3), ("j1", 3, 3, 4, 5, 5, 6))
+        assert validate_trace(Trace(rows, 6)) == ["job j1: row after iteration 1 for iteration 3"]
 
     def test_negative_start(self):
-        trace = Trace((span("gpu0", "j1", Phase.FORWARD, 1, -1, 1),
-                       span("gpu0", "j1", Phase.BACKWARD, 1, 1, 2)), 2)
+        trace = Trace((("j1", 1, -1, 1, 2, 2, 3),), 3)
         assert any("bad interval" in v for v in validate_trace(trace))
+
+    def test_rows_out_of_dispatch_order_rejected(self):
+        rows = (("j1", 1, 0, 1, 2, 2, 3), ("j2", 1, 2, 3, 4, 4, 5))
+        assert validate_trace(Trace(rows, 5)) == []
+        assert validate_trace(Trace(rows[::-1], 5))
+
+
+# Sync time equals grad_bytes, and zero bytes is a zero-length sync.
+_CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
+                       architecture=Architecture.PARAMETER_SERVER)
+# (forward, backward, grad_bytes, iterations); forward + backward must be > 0
+_JOB = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 6),
+                 st.integers(1, 5)).filter(lambda j: j[0] + j[1] > 0)
+
+
+def _with_rows(trace, i, *new):
+    """The trace with row i replaced by the rows in new."""
+    return dataclasses.replace(trace, rows=trace.rows[:i] + new + trace.rows[i + 1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_JOB, min_size=1, max_size=4))
+def test_validator_is_tight_on_crossover_traces(specs):
+    # Crossover only: the sequential baseline holds the GPU until each sync
+    # ends, and validate_trace does not know that rule, so an earlier start
+    # can still be legal there.
+    plan = SchedulePlan(Policy.CROSSOVER,
+                        tuple(JobProfile(f"j{i}", *spec) for i, spec in enumerate(specs)),
+                        _CLUSTER)
+    trace = simulate(plan)
+    assert validate_trace(trace) == []
+    for i, row in enumerate(trace.rows):
+        for col in (2, 5):  # start, sync_start one nanosecond earlier
+            shifted = row[:col] + (row[col] - 1,) + row[col + 1:]
+            assert validate_trace(_with_rows(trace, i, shifted)), (i, col)
+        assert validate_trace(_with_rows(trace, i, row, row)), i
+        with pytest.raises(InvalidTraceError):
+            measure(_with_rows(trace, i), plan)
 
 
 class TestExports:
@@ -107,9 +121,10 @@ class TestExports:
 
 # ids that exercise json's ensure_ascii escaping: quotes, backslashes, control
 # characters, non-ASCII, astral-plane and lone-surrogate code points
+_ESCAPING_IDS = ["gpu0", "nic0", "j1", '"', "\\", "a\"b\\c", "\x00\n\t\x1f\x7f",
+                 "é", "ジョブ", "\U0001f680", "\ud800", "\u2028", "</script>", ""]
 _ID = st.one_of(
-    st.sampled_from(["gpu0", "nic0", "j1", '"', "\\", "a\"b\\c", "\x00\n\t\x1f\x7f",
-                     "é", "ジョブ", "\U0001f680", "\ud800", "\u2028", "</script>", ""]),
+    st.sampled_from(_ESCAPING_IDS),
     st.text(st.characters(exclude_categories=()), max_size=6),
 )
 # up to ~10^16 ns: well past where start / 1000.0 stops being exact
@@ -118,21 +133,20 @@ _NS = st.integers(min_value=0, max_value=10**16)
 
 @st.composite
 def _traces(draw):
-    lanes = draw(st.lists(_ID, min_size=1, max_size=3))
     jobs = draw(st.lists(_ID, min_size=1, max_size=3))
-    spans = []
-    for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        start = draw(_NS)
-        end = start + draw(st.one_of(st.just(0), _NS))  # zero-length spans included
-        spans.append(Span(draw(st.sampled_from(lanes)), draw(st.sampled_from(jobs)),
-                          draw(st.sampled_from(Phase)), draw(st.integers(0, 10**6)),
-                          start, end))
-    return Trace(tuple(spans), max((s.end for s in spans), default=0))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        times = [draw(_NS)]
+        for _ in range(4):  # zero-length phases included
+            times.append(times[-1] + draw(st.one_of(st.just(0), _NS)))
+        rows.append((draw(st.sampled_from(jobs)), draw(st.integers(0, 10**6)), *times))
+    return Trace(tuple(rows), max((r[6] for r in rows), default=0))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_traces())
 @example(Trace((), 0))
+@example(Trace(tuple((job_id, 1, 0, 0, 1, 1, 2) for job_id in _ESCAPING_IDS), 2))
 def test_serializers_byte_identical_to_json_dumps(trace):
     assert trace_to_json(trace) == trace_to_json_reference(trace)
     assert trace_to_chrome_json(trace) == trace_to_chrome_json_reference(trace)

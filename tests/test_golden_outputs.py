@@ -1,4 +1,5 @@
-"""Byte-identity gate: every bundled scenario's outputs, pinned by sha256.
+"""Byte-identity gate: every bundled scenario's outputs, and the traces of
+three in-test heterogeneous plans, pinned by sha256.
 
 The digests were generated by the event-engine scheduler that preceded the
 dispatch recurrence, so they are an independent record of the schedule it
@@ -16,9 +17,11 @@ from pathlib import Path
 import pytest
 
 from colosim.cli import main
-from colosim.engine import trace_to_json
+from colosim.comm import Architecture, ClusterSpec
+from colosim.engine import trace_to_chrome_json, trace_to_json
 from colosim.scenario import load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate
+from colosim.workload import JobProfile
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
@@ -112,6 +115,77 @@ GOLDEN = {
 }
 
 
+# Plans no bundled scenario covers: 3 to 5 jobs, unequal budgets (so the
+# rotation skips finished jobs) and zero-length forward, backward and sync
+# phases, under both architectures.  Jobs are
+# (job_id, forward_ns, backward_ns, grad_bytes, iterations).
+HETEROGENEOUS_PLANS = {
+    "ring_3jobs": (
+        ClusterSpec(workers=4, bandwidth_bytes_per_sec=1_000_000_000,
+                    latency_per_message=3, architecture=Architecture.RING_ALLREDUCE),
+        (("a", 0, 7, 40, 5), ("b", 5, 4, 12, 2), ("c", 3, 0, 90, 4)),
+    ),
+    "ps_4jobs": (
+        ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
+                    architecture=Architecture.PARAMETER_SERVER),
+        (("w", 6, 2, 0, 3), ("x", 1, 1, 9, 6), ("y", 4, 0, 5, 1),
+         ("z", 2, 3, 14, 4)),
+    ),
+    "ps_5jobs": (
+        ClusterSpec(workers=8, bandwidth_bytes_per_sec=500_000_000,
+                    latency_per_message=2, architecture=Architecture.PARAMETER_SERVER),
+        (("p1", 10, 20, 7, 7), ("p2", 0, 3, 30, 2), ("p3", 8, 8, 1, 5),
+         ("p4", 2, 0, 0, 3), ("p5", 5, 5, 11, 6)),
+    ),
+}
+
+# Generated by the Span-per-phase trace engine, before traces became rows.
+HETEROGENEOUS_GOLDEN = {
+    "ps_4jobs": {
+        "crossover": {
+            "trace.json":
+                "827bb44338bdfb11c2a3e5a879520cc10b817dec648133954088e30cbe17f6e3",
+            "trace_chrome.json":
+                "8fb919adb6cff2c52c319c89c8efd0d93629f6b5208b950a6609c69f0d3701a5",
+        },
+        "sequential": {
+            "trace.json":
+                "2df26845dece068c9b8159bf81176405b07b68628021a347e3c97d5f6f27f57f",
+            "trace_chrome.json":
+                "89d145a49637673dbec89bbf13cd817355ac9577feedccf5890e85c8a2a8149e",
+        },
+    },
+    "ps_5jobs": {
+        "crossover": {
+            "trace.json":
+                "5b72c1f92362f774eb5592a05b489dc487032d4a1b2f007b218768ad76a274cb",
+            "trace_chrome.json":
+                "2fed2f78df474442183353cff03317cae8bdecd9fbb4a1bc0a7f093c7401a6a9",
+        },
+        "sequential": {
+            "trace.json":
+                "28b25ce773c17ce38cbd08ebb4f4c711b9a73c0c79107f38cc6304cc143eaa69",
+            "trace_chrome.json":
+                "e9f76258571720e0b12c4a794661bad7ce04338a00829bc121795fd35d625e3c",
+        },
+    },
+    "ring_3jobs": {
+        "crossover": {
+            "trace.json":
+                "e33da3b6bd90c8f0779ffbb8644947930383e642030fb28160128fec8c3207c4",
+            "trace_chrome.json":
+                "1570e6d61a0e57b5f7dee2db46a258d3cba24840d806b965067a903b30d17d9b",
+        },
+        "sequential": {
+            "trace.json":
+                "687a2498ccdc5f09dd7199aecd975f08074d97aa1bc02f3ff1f8d99d1b1c9fe1",
+            "trace_chrome.json":
+                "8dfa808e08df021d647dac860b813649adf61141d79b21f32269e4af678e33e9",
+        },
+    },
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -159,6 +233,20 @@ def test_default_sweep_is_byte_identical(tmp_path):
     assert sweep_digests(tmp_path) == GOLDEN["sweep"]
 
 
+def heterogeneous_digests(name: str, policy: Policy) -> dict[str, str]:
+    """Digests of both trace files for one in-test plan under one policy."""
+    cluster, jobs = HETEROGENEOUS_PLANS[name]
+    trace = simulate(SchedulePlan(policy, tuple(JobProfile(*j) for j in jobs), cluster))
+    return {"trace.json": _sha256(trace_to_json(trace).encode()),
+            "trace_chrome.json": _sha256(trace_to_chrome_json(trace).encode())}
+
+
+@pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+@pytest.mark.parametrize("name", sorted(HETEROGENEOUS_PLANS))
+def test_heterogeneous_traces_are_byte_identical(name, policy):
+    assert heterogeneous_digests(name, policy) == HETEROGENEOUS_GOLDEN[name][policy.value]
+
+
 def _table() -> dict:
     table: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -168,6 +256,10 @@ def _table() -> dict:
                 "other_policy_trace.json": other_policy_digest(name),
             }
         table["sweep"] = sweep_digests(Path(tmp) / "sweep")
+    table["heterogeneous"] = {
+        name: {policy.value: heterogeneous_digests(name, policy) for policy in Policy}
+        for name in sorted(HETEROGENEOUS_PLANS)
+    }
     return table
 
 

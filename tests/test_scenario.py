@@ -5,7 +5,7 @@ import pytest
 
 from colosim.comm import Architecture, comm_time
 from colosim.errors import ConfigError
-from colosim.scenario import load_config, parse_scenario, scaled_int
+from colosim.scenario import MAX_JOB_ITERATIONS, load_config, parse_scenario, scaled_int
 from colosim.scheduler import Policy
 from colosim.workload import comp_time
 
@@ -176,6 +176,18 @@ class TestScenarioSemantics:
         assert scenario.plan().jobs[0].iterations == 50
         assert scenario.plan(iterations=7).jobs[0].iterations == 7
         assert parse_scenario(base_doc()).plan().jobs[0].iterations == 3
+
+    def test_run_size_is_bounded(self):
+        # plan() only builds job profiles, so neither case allocates a trace
+        doc = base_doc()
+        doc["jobs"][0]["iterations"] = 10**12
+        scenario = parse_scenario(doc)
+        with pytest.raises(ConfigError, match=f"iterations.*{MAX_JOB_ITERATIONS}"):
+            scenario.plan()
+        at_limit = parse_scenario(base_doc(iterations_override=MAX_JOB_ITERATIONS // 2))
+        assert sum(j.iterations for j in at_limit.plan().jobs) == MAX_JOB_ITERATIONS
+        with pytest.raises(ConfigError, match="iterations"):
+            at_limit.plan(iterations=MAX_JOB_ITERATIONS // 2 + 1)
 
     def test_policy_enum(self):
         assert parse_scenario(base_doc()).policy is Policy.CROSSOVER

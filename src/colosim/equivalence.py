@@ -9,6 +9,13 @@ trajectories must be bitwise identical.
 
 Everything is double precision with a fixed left-to-right reduction order so
 bit equality is well defined.
+
+A mini-batch is a pure function of (job seed, iteration, worker index,
+dataset size, batch size), so each draw is made once per process and shared,
+read-only, by both runs, as is each config's synthetic dataset.  Gradients,
+gathered batches and anything else derived from the parameters are never
+cached: both runs compute every gradient themselves, or the comparison would
+prove nothing.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ class GradientBatch:
 
 @lru_cache(maxsize=128)
 def make_dataset(config: SgdConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic synthetic dataset for the config (cached; do not mutate)."""
+    """Deterministic synthetic dataset for the config (cached, read-only)."""
     rng = np.random.default_rng(config.dataset_seed)
     x = rng.standard_normal((config.dataset_size, config.dim))
     w_true = rng.standard_normal(config.dim)
@@ -92,6 +99,8 @@ def make_dataset(config: SgdConfig) -> tuple[np.ndarray, np.ndarray]:
         y = z
     else:
         y = (z > 0).astype(np.float64)
+    x.setflags(write=False)
+    y.setflags(write=False)
     return x, y
 
 
@@ -126,10 +135,26 @@ def loss_gradient(loss: LossKind, parameters: np.ndarray,
     return x.T @ residual / len(y)
 
 
-def _batch_indices(state: TrainingState, iteration: int, worker_index: int,
-                   config: SgdConfig) -> np.ndarray:
-    rng = np.random.default_rng([state.rng_seed, 1, iteration, worker_index])
-    return rng.integers(0, config.dataset_size, size=config.batch_size)
+# Distinct mini-batch draws kept per process.  The default CLI grid makes
+# 1,200: 3 job seeds x worker indices 0-3 x 100 iterations.
+_BATCH_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=_BATCH_CACHE_SIZE)
+def _batch_indices(rng_seed: int, iteration: int, worker_index: int,
+                   dataset_size: int, batch_size: int) -> np.ndarray:
+    """Read-only sample indices of one worker's mini-batch for one iteration."""
+    rng = np.random.default_rng([rng_seed, 1, iteration, worker_index])
+    idx = rng.integers(0, dataset_size, size=batch_size)
+    idx.setflags(write=False)
+    return idx
+
+
+def _worker_gradient(state: TrainingState, worker_index: int, config: SgdConfig,
+                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    idx = _batch_indices(state.rng_seed, state.iteration + 1, worker_index,
+                         config.dataset_size, config.batch_size)
+    return loss_gradient(config.loss, state.parameters, x[idx], y[idx])
 
 
 def local_gradient(state: TrainingState, worker_index: int,
@@ -143,8 +168,7 @@ def local_gradient(state: TrainingState, worker_index: int,
     if not 0 <= worker_index < config.workers:
         raise ValueError(f"worker_index {worker_index} out of range")
     x, y = make_dataset(config)
-    idx = _batch_indices(state, state.iteration + 1, worker_index, config)
-    return loss_gradient(config.loss, state.parameters, x[idx], y[idx])
+    return _worker_gradient(state, worker_index, config, x, y)
 
 
 def average_gradients(batch: GradientBatch) -> np.ndarray:
@@ -169,7 +193,8 @@ def sgd_step(state: TrainingState, averaged: np.ndarray,
 
 
 def _averaged_gradient(state: TrainingState, config: SgdConfig) -> np.ndarray:
-    batch = GradientBatch([local_gradient(state, w, config)
+    x, y = make_dataset(config)
+    batch = GradientBatch([_worker_gradient(state, w, config, x, y)
                            for w in range(config.workers)])
     return average_gradients(batch)
 
@@ -247,7 +272,11 @@ class NeutralityReport:
 def check_neutrality(configs: Sequence[SgdConfig], iterations: int,
                      rng_seeds: Sequence[int] | None = None,
                      perturb: tuple[int, int] | None = None) -> NeutralityReport:
-    """Compare interleaved trajectories against isolated ones, bit for bit."""
+    """Compare interleaved trajectories against isolated ones, bit for bit.
+
+    A missing, extra or misnumbered interleaved state is a divergence at the
+    first iteration it affects (coordinate 0).
+    """
     if rng_seeds is None:
         rng_seeds = list(range(len(configs)))
     crossed = run_crossover(configs, iterations, rng_seeds, perturb=perturb)
@@ -256,11 +285,16 @@ def check_neutrality(configs: Sequence[SgdConfig], iterations: int,
     for j, (cfg, seed) in enumerate(zip(configs, rng_seeds)):
         isolated = run_isolated(cfg, iterations, seed)
         for t, (a, b) in enumerate(zip(isolated, crossed[j]), start=1):
+            if (a.iteration, b.iteration) != (t, t):
+                first = first or (j, t, 0)
+                break
             diff = np.abs(a.parameters - b.parameters)
             dev = float(diff.max()) if diff.size else 0.0
             if dev > max_dev:
                 max_dev = dev
-            if first is None and (dev != 0.0 or a.iteration != b.iteration):
-                coord = int(np.argmax(diff != 0.0)) if dev != 0.0 else 0
-                first = (j, t, coord)
+            if first is None and dev != 0.0:
+                first = (j, t, int(np.argmax(diff != 0.0)))
+        else:
+            if len(crossed[j]) != len(isolated):
+                first = first or (j, min(len(crossed[j]), len(isolated)) + 1, 0)
     return NeutralityReport(max_dev, first)

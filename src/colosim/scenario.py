@@ -6,6 +6,8 @@ latency_us) and are converted exactly once into the internal integer units
 arithmetic on the decimal literal, so a value either lands on a whole
 internal unit or is rejected -- there is no silent rounding.  Divisors:
 ms*1e6 -> ns, MB*1e6 -> bytes, us*1e3 -> ns, Gbps*1e9/8 -> bytes/s.
+A key outside the schema is rejected too, so a misspelt optional field
+cannot silently take its default; only ``RETIRED_KEYS`` are let through.
 """
 
 from __future__ import annotations
@@ -29,6 +31,18 @@ _INT_LIMIT = 2**63
 # Most job-iterations (trace rows) one plan may hold: a Chrome export peaks
 # at a few KB of memory per job-iteration, so this keeps a run to a few GB.
 MAX_JOB_ITERATIONS = 10**6
+
+# The keys each part of a document may carry; any other key is a ConfigError.
+_TOP_KEYS = frozenset({"name", "policy", "cluster", "jobs", "iterations_override"})
+_CLUSTER_KEYS = frozenset({"workers", "bandwidth_gbps", "latency_us", "architecture"})
+_INLINE_JOB_KEYS = frozenset({"job_id", "forward_ms", "backward_ms", "grad_mb",
+                              "iterations"})
+_PROFILE_JOB_KEYS = frozenset({"job_id", "profile", "iterations"})
+
+# Keys no cost reads any more.  The cluster and inline jobs still accept and
+# ignore them, because older scenario files and the benchmark's plan
+# generator (perfbench/gen.py) write them.
+RETIRED_KEYS = frozenset({"tensor_count", "gpus_per_worker", "ps_servers"})
 
 
 @dataclass(frozen=True)
@@ -82,6 +96,15 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _reject_unknown(obj: dict, allowed: frozenset, where: str | None,
+                    retired: frozenset = frozenset()) -> None:
+    for key in obj:
+        if key not in allowed and key not in retired:
+            path = f"{where}.{key}" if where else str(key)
+            raise ConfigError(
+                f"{path}: unknown key (allowed: {', '.join(sorted(allowed))})")
+
+
 def _count_field(obj: dict, key: str, where: str) -> int:
     """A required integer field that must be >= 1."""
     v = _require(obj, key, where)
@@ -95,6 +118,7 @@ def _count_field(obj: dict, key: str, where: str) -> int:
 def _parse_cluster(obj, where: str = "cluster") -> ClusterSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
+    _reject_unknown(obj, _CLUSTER_KEYS, where, RETIRED_KEYS)
     arch_raw = _require(obj, "architecture", where)
     try:
         arch = Architecture(arch_raw)
@@ -120,6 +144,10 @@ def _parse_job(obj, index: int) -> JobProfile:
     where = f"jobs[{index}]"
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
+    if "profile" in obj:
+        _reject_unknown(obj, _PROFILE_JOB_KEYS, where)
+    else:
+        _reject_unknown(obj, _INLINE_JOB_KEYS, where, RETIRED_KEYS)
     job_id = _require(obj, "job_id", where)
     if not isinstance(job_id, str) or not job_id:
         raise ConfigError(f"{where}.job_id: expected a non-empty string")
@@ -161,6 +189,7 @@ def parse_scenario(doc, origin: str = "<config>") -> Scenario:
     """Validate a parsed JSON document into a Scenario."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{origin}: top level must be a JSON object")
+    _reject_unknown(doc, _TOP_KEYS, None)
     name = _require(doc, "name", origin)
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{origin}: name must be a non-empty string")

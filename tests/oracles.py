@@ -4,11 +4,12 @@ These stay deliberately separate from the package: the schedule enumerators
 walk a rotation cursor one dispatch at a time (the package iterates rounds),
 the gradient check is central finite differences, the trace serializers
 are the dict-per-record ``json.dumps(indent=2)`` documents that define the
-byte formats, and the sync costs are the two alpha-beta formulas written
-out per architecture with a divmod ceiling.  ``fixture_tensor_sizes`` reads
-the per-tensor inventories of the bundled profiles straight from the data
-file, for the fusion counterfactual.  Span tuples are
-(lane_id, job_id, phase, iteration, start, end).
+byte formats, the sync costs are the two alpha-beta formulas written
+out per architecture with a divmod ceiling, and the SGD mini-batch draw
+makes a fresh generator on every call (the package caches its draws).
+``fixture_tensor_sizes`` reads the per-tensor inventories of the bundled
+profiles straight from the data file, for the fusion counterfactual.  Span
+tuples are (lane_id, job_id, phase, iteration, start, end).
 """
 
 from __future__ import annotations
@@ -117,6 +118,13 @@ def finite_difference_gradient(f, params: np.ndarray, step: float = 1e-5) -> np.
         bump[k] = step
         grad[k] = (f(params + bump) - f(params - bump)) / (2.0 * step)
     return grad
+
+
+def batch_indices_reference(rng_seed: int, iteration: int, worker_index: int,
+                            dataset_size: int, batch_size: int) -> np.ndarray:
+    """One worker's mini-batch indices, drawn from a fresh generator every call."""
+    return np.random.default_rng([rng_seed, 1, iteration, worker_index]).integers(
+        0, dataset_size, size=batch_size)
 
 
 def _ceil(num: int, den: int) -> int:

@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from colosim import cli, equivalence
 from colosim.equivalence import (
     GradientBatch,
     LossKind,
@@ -18,7 +22,12 @@ from colosim.equivalence import (
     sgd_step,
 )
 
-from oracles import finite_difference_gradient
+from oracles import batch_indices_reference, finite_difference_gradient
+
+# sha256 over the parameter bytes of every state of run_crossover, then of
+# run_isolated per job, for each cell of the CLI grid at seeds 0, 5 and 123
+# with 60 iterations; see _grid_digest for the order.
+GRID_DIGEST = "38ef243ceb6077e70f742bb896df4dccb872c5d26453712d09f9f2ade54a0d67"
 
 
 def config(loss=LossKind.LEAST_SQUARES, workers=2, seed=7, lr=0.05):
@@ -150,6 +159,7 @@ class TestRunCrossover:
         cfg = config()
         crossed = run_crossover([cfg], 25, [6])
         isolated = run_isolated(cfg, 25, 6)
+        assert len(crossed[0]) == len(isolated)
         for a, b in zip(isolated, crossed[0]):
             assert np.array_equal(a.parameters, b.parameters)
 
@@ -165,6 +175,8 @@ class TestRunCrossover:
         cfg_b = config(LossKind.LOGISTIC, seed=32)
         fwd = run_crossover([cfg_a, cfg_b], 30, [5, 6])
         rev = run_crossover([cfg_b, cfg_a], 30, [6, 5])
+        assert len(fwd[0]) == len(rev[1]) == 30
+        assert len(fwd[1]) == len(rev[0]) == 30
         for a, b in zip(fwd[0], rev[1]):
             assert np.array_equal(a.parameters, b.parameters)
         for a, b in zip(fwd[1], rev[0]):
@@ -183,6 +195,113 @@ class TestRunCrossover:
         job, iteration, _ = report.first_divergence
         assert (job, iteration) == (1, 4)
         assert report.max_abs_deviation > 0.0
+
+
+def _renumbered(state: TrainingState, iteration: int) -> TrainingState:
+    return TrainingState(state.parameters, iteration, state.rng_seed)
+
+
+# Broken interleaved runs, each with the iteration check_neutrality must name
+# for a 5-iteration run.
+TRAJECTORY_MUTANTS = {
+    "skips_final_drain": (lambda t: t[:-1], 5),
+    "drops_a_middle_state": (lambda t: t[:2] + t[3:], 3),
+    "repeats_a_state": (lambda t: t[:2] + [t[1]] + t[2:-1], 3),
+    "extra_state": (lambda t: t + [_renumbered(t[-1], 6)], 6),
+    "misnumbered_state": (lambda t: t[:3] + [_renumbered(t[3], 7)] + t[4:], 4),
+}
+
+
+class TestCheckNeutrality:
+    @pytest.fixture
+    def mutate(self, monkeypatch):
+        def install(edit):
+            real = equivalence.run_crossover
+            monkeypatch.setattr(
+                equivalence, "run_crossover",
+                lambda *args, **kwargs: [edit(t) for t in real(*args, **kwargs)])
+        return install
+
+    @pytest.mark.parametrize("name", sorted(TRAJECTORY_MUTANTS))
+    def test_broken_trajectory_is_a_divergence(self, mutate, name):
+        edit, iteration = TRAJECTORY_MUTANTS[name]
+        mutate(edit)
+        report = check_neutrality([config(seed=51), config(seed=52)], 5, [0, 1])
+        assert not report.equal
+        assert report.first_divergence == (0, iteration, 0)
+
+    def test_cli_fails_on_a_skipped_final_drain(self, mutate, capsys):
+        mutate(TRAJECTORY_MUTANTS["skips_final_drain"][0])
+        assert cli.main(["equivalence", "--iters", "5"]) == cli.EXIT_EQUIVALENCE
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "iteration=5" in captured.err
+
+
+def _grid_digest(seeds=(0, 5, 123), iterations=60) -> str:
+    h = hashlib.sha256()
+    for seed in seeds:
+        for n_jobs in cli._EQUIV_JOB_COUNTS:
+            for workers in cli._EQUIV_WORKER_COUNTS:
+                configs = cli._equiv_configs(n_jobs, workers, seed)
+                rng_seeds = [seed + 31 * j for j in range(n_jobs)]
+                for trajectory in run_crossover(configs, iterations, rng_seeds):
+                    for state in trajectory:
+                        h.update(state.parameters.tobytes())
+                for cfg, rng_seed in zip(configs, rng_seeds):
+                    for state in run_isolated(cfg, iterations, rng_seed):
+                        h.update(state.parameters.tobytes())
+    return h.hexdigest()
+
+
+def test_cli_grid_trajectories_are_pinned():
+    assert _grid_digest() == GRID_DIGEST
+
+
+class TestBatchDraws:
+    @given(rng_seed=st.integers(0, 2**32), dataset_size=st.integers(1, 1000),
+           batch_size=st.integers(1, 64),
+           keys=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)),
+                         min_size=1, max_size=12))
+    def test_cached_draws_match_a_fresh_generator(self, rng_seed, dataset_size,
+                                                  batch_size, keys):
+        for _ in range(2):  # the second pass starts from an empty cache
+            for iteration, worker in keys * 2:
+                got = equivalence._batch_indices(rng_seed, iteration, worker,
+                                                 dataset_size, batch_size)
+                want = batch_indices_reference(rng_seed, iteration, worker,
+                                               dataset_size, batch_size)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            equivalence._batch_indices.cache_clear()
+
+    def test_returned_draw_is_read_only(self):
+        idx = equivalence._batch_indices(3, 1, 0, 128, 16)
+        with pytest.raises(ValueError):
+            idx[0] = 0
+        assert np.array_equal(idx, batch_indices_reference(3, 1, 0, 128, 16))
+
+    def test_shared_dataset_is_read_only(self):
+        x, y = make_dataset(config(seed=71))
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            y[0] = 0.0
+
+    def test_each_draw_is_made_once_and_shared_by_both_runs(self):
+        equivalence._batch_indices.cache_clear()
+        report = check_neutrality([config(workers=3, seed=61),
+                                   config(workers=2, seed=62)], 10, [8, 9])
+        assert report.equal
+        info = equivalence._batch_indices.cache_info()
+        assert info.misses == (3 + 2) * 10
+        assert info.hits == info.misses
+
+    def test_cache_holds_the_default_cli_grid(self, capsys):
+        equivalence._batch_indices.cache_clear()
+        assert cli.main(["equivalence"]) == cli.EXIT_OK
+        info = equivalence._batch_indices.cache_info()
+        assert info.misses == info.currsize == 1200  # 3 job seeds x 4 workers x 100
 
 
 class TestConfigValidation:

@@ -1,11 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from colosim.comm import Architecture, comm_time
 from colosim.errors import ConfigError
-from colosim.scenario import MAX_JOB_ITERATIONS, load_config, parse_scenario, scaled_int
+from colosim.scenario import (MAX_JOB_ITERATIONS, RETIRED_KEYS, load_config,
+                               parse_scenario, scaled_int)
 from colosim.scheduler import Policy
 from colosim.workload import comp_time
 
@@ -148,6 +150,42 @@ class TestValidation:
         del doc["jobs"][0]["iterations"]
         with pytest.raises(ConfigError, match="iterations"):
             load_config(write_config(tmp_path, doc))
+
+
+class TestUnknownKeys:
+    def _rejects(self, doc, path):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: unknown key"):
+            parse_scenario(doc)
+
+    def test_top_level(self):
+        self._rejects(base_doc(iterations_overide=5), "iterations_overide")
+
+    def test_cluster(self):
+        doc = base_doc()
+        doc["cluster"]["latency_ms"] = 5
+        with pytest.raises(ConfigError, match=re.escape(
+                "cluster.latency_ms: unknown key (allowed: architecture, "
+                "bandwidth_gbps, latency_us, workers)")):
+            parse_scenario(doc)
+
+    def test_inline_job(self):
+        doc = base_doc()
+        doc["jobs"][1]["backward_sm"] = 1
+        self._rejects(doc, "jobs[1].backward_sm")
+
+    def test_profile_job(self):
+        self._rejects(base_doc(jobs=[{"job_id": "a", "profile": "resnet50",
+                                      "iteration": 9}]), "jobs[0].iteration")
+
+    def test_profile_job_takes_no_inline_fields(self):
+        self._rejects(base_doc(jobs=[{"job_id": "a", "profile": "resnet50",
+                                      "grad_mb": 1}]), "jobs[0].grad_mb")
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+    def test_retired_keys_only_where_they_were_read(self, key):
+        self._rejects(base_doc(**{key: 1}), key)
+        self._rejects(base_doc(jobs=[{"job_id": "a", "profile": "vgg16", key: 1}]),
+                      f"jobs[0].{key}")
 
 
 class TestScenarioSemantics:

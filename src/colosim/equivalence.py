@@ -1,11 +1,13 @@
-"""Numerical oracle: interleaved scheduling does not change SGD trajectories.
+"""Numerical oracle: the co-located schedule does not change SGD trajectories.
 
 The overlapped schedule only reorders *when* each job's synchronization lands
 on the wall clock; it never reorders any single job's own compute/update
 sequence.  This module makes that claim checkable: it runs synchronous SGD on
-seed-generated synthetic problems twice -- once per job in isolation, once in
-the exact co-located interleaving order -- and the resulting parameter
-trajectories must be bitwise identical.
+seed-generated synthetic problems per job in isolation and along the rows of
+``scheduler.simulate``, and the parameter trajectories must be bitwise
+identical.  Along the trace, a job applies each pending update whose sync has
+ended at a row's ``start``, so a compute that starts before the job's previous
+sync ends reads stale parameters and diverges.
 
 Everything is double precision with a fixed left-to-right reduction order so
 bit equality is well defined.
@@ -20,27 +22,28 @@ prove nothing.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+
+from .scheduler import SchedulePlan, simulate
 
 __all__ = [
     "LossKind",
     "SgdConfig",
     "TrainingState",
-    "GradientBatch",
     "make_dataset",
     "initial_state",
     "loss_value",
     "loss_gradient",
-    "local_gradient",
     "average_gradients",
     "sgd_step",
     "run_isolated",
-    "run_crossover",
+    "replay_trace",
     "NeutralityReport",
     "check_neutrality",
 ]
@@ -79,13 +82,6 @@ class TrainingState:
     parameters: np.ndarray
     iteration: int
     rng_seed: int
-
-
-@dataclass
-class GradientBatch:
-    """One gradient vector per simulated worker, in worker-index order."""
-
-    per_worker_gradients: list[np.ndarray]
 
 
 @lru_cache(maxsize=128)
@@ -150,30 +146,8 @@ def _batch_indices(rng_seed: int, iteration: int, worker_index: int,
     return idx
 
 
-def _worker_gradient(state: TrainingState, worker_index: int, config: SgdConfig,
-                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    idx = _batch_indices(state.rng_seed, state.iteration + 1, worker_index,
-                         config.dataset_size, config.batch_size)
-    return loss_gradient(config.loss, state.parameters, x[idx], y[idx])
-
-
-def local_gradient(state: TrainingState, worker_index: int,
-                   config: SgdConfig) -> np.ndarray:
-    """Worker's gradient for the upcoming iteration at the current parameters.
-
-    The mini-batch is drawn deterministically from (job seed, iteration,
-    worker index), so the result depends only on the job's own state, never
-    on what other jobs did in between.
-    """
-    if not 0 <= worker_index < config.workers:
-        raise ValueError(f"worker_index {worker_index} out of range")
-    x, y = make_dataset(config)
-    return _worker_gradient(state, worker_index, config, x, y)
-
-
-def average_gradients(batch: GradientBatch) -> np.ndarray:
-    """Element-wise mean with fixed left-to-right summation over workers."""
-    grads = batch.per_worker_gradients
+def average_gradients(grads: Sequence[np.ndarray]) -> np.ndarray:
+    """Element-wise mean of per-worker gradients, summed left to right."""
     if not grads:
         raise ValueError("gradient batch must be non-empty")
     acc = np.zeros_like(grads[0])
@@ -193,10 +167,18 @@ def sgd_step(state: TrainingState, averaged: np.ndarray,
 
 
 def _averaged_gradient(state: TrainingState, config: SgdConfig) -> np.ndarray:
+    """Averaged gradient for the job's next iteration at its current parameters.
+
+    Each worker's mini-batch is drawn from (job seed, iteration, worker
+    index) alone, never from what other jobs did in between.
+    """
     x, y = make_dataset(config)
-    batch = GradientBatch([_worker_gradient(state, w, config, x, y)
-                           for w in range(config.workers)])
-    return average_gradients(batch)
+    grads = []
+    for w in range(config.workers):
+        idx = _batch_indices(state.rng_seed, state.iteration + 1, w,
+                             config.dataset_size, config.batch_size)
+        grads.append(loss_gradient(config.loss, state.parameters, x[idx], y[idx]))
+    return average_gradients(grads)
 
 
 def run_isolated(config: SgdConfig, iterations: int,
@@ -212,49 +194,38 @@ def run_isolated(config: SgdConfig, iterations: int,
     return trajectory
 
 
-def run_crossover(configs: Sequence[SgdConfig], iterations: int,
-                  rng_seeds: Sequence[int] | None = None,
-                  perturb: tuple[int, int] | None = None) -> list[list[TrainingState]]:
-    """Run all jobs in the co-located interleaving order.
+def replay_trace(configs: Sequence[SgdConfig], plan: SchedulePlan,
+                 rng_seeds: Sequence[int],
+                 perturb: tuple[int, int] | None) -> Iterator[tuple[int, TrainingState]]:
+    """Train ``configs[i]`` as ``plan.jobs[i]`` along ``simulate(plan).rows``.
 
-    Per rotation turn a job computes and ships its averaged gradient; the
-    update lands right before that job's next compute (first iteration has
-    nothing pending, and a final drain applies the last update).  ``perturb``
-    is a test hook: (job_index, iteration) nudges that update's first
-    coordinate by one ulp to prove the comparison can fail.
+    Yields ``(job index, state)`` as each update lands: at a row's start,
+    every pending update of that job whose sync ended by then; after the last
+    row, whatever is still queued.  ``perturb`` is a test hook:
+    (job_index, iteration) nudges that update's first coordinate by one ulp
+    to prove the comparison can fail.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if not configs:
-        raise ValueError("at least one job config required")
-    if rng_seeds is None:
-        rng_seeds = list(range(len(configs)))
-    if len(rng_seeds) != len(configs):
-        raise ValueError("rng_seeds must match configs")
-
+    if not len(configs) == len(rng_seeds) == len(plan.jobs):
+        raise ValueError("configs and rng_seeds must match the plan's jobs")
+    index = {job.job_id: j for j, job in enumerate(plan.jobs)}
     states = [initial_state(cfg, seed) for cfg, seed in zip(configs, rng_seeds)]
-    pending: list[np.ndarray | None] = [None] * len(configs)
-    trajectories: list[list[TrainingState]] = [[] for _ in configs]
+    pending: list[deque[tuple[int, np.ndarray]]] = [deque() for _ in configs]
 
-    def apply_update(j: int) -> None:
-        new_state = sgd_step(states[j], pending[j], configs[j])
-        if perturb is not None and perturb == (j, new_state.iteration):
-            p = new_state.parameters.copy()
-            p[0] = np.nextafter(p[0], np.inf)
-            new_state = TrainingState(p, new_state.iteration, new_state.rng_seed)
-        states[j] = new_state
-        trajectories[j].append(new_state)
-        pending[j] = None
+    def land(j: int) -> tuple[int, TrainingState]:
+        state = sgd_step(states[j], pending[j].popleft()[1], configs[j])
+        if perturb == (j, state.iteration):
+            state.parameters[0] = np.nextafter(state.parameters[0], np.inf)
+        states[j] = state
+        return j, state
 
-    for _ in range(iterations):
-        for j, cfg in enumerate(configs):
-            if pending[j] is not None:
-                apply_update(j)
-            pending[j] = _averaged_gradient(states[j], cfg)
+    for job_id, _, start, *_, sync_end in simulate(plan).rows:
+        j = index[job_id]
+        while pending[j] and pending[j][0][0] <= start:
+            yield land(j)
+        pending[j].append((sync_end, _averaged_gradient(states[j], configs[j])))
     for j in range(len(configs)):
-        if pending[j] is not None:
-            apply_update(j)
-    return trajectories
+        while pending[j]:
+            yield land(j)
 
 
 @dataclass(frozen=True)
@@ -269,32 +240,34 @@ class NeutralityReport:
         return self.first_divergence is None and self.max_abs_deviation == 0.0
 
 
-def check_neutrality(configs: Sequence[SgdConfig], iterations: int,
-                     rng_seeds: Sequence[int] | None = None,
+def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan,
+                     rng_seeds: Sequence[int],
                      perturb: tuple[int, int] | None = None) -> NeutralityReport:
-    """Compare interleaved trajectories against isolated ones, bit for bit.
+    """Compare the replayed trajectories against isolated ones, bit for bit.
 
-    A missing, extra or misnumbered interleaved state is a divergence at the
-    first iteration it affects (coordinate 0).
+    Each job's isolated reference steps as each replayed update lands, so no
+    trajectory is stored, and its budget is the plan's.  A missing, extra or
+    misnumbered replayed state is a divergence at the first iteration it
+    affects (coordinate 0).  The lowest (job, iteration) divergence is
+    reported.
     """
-    if rng_seeds is None:
-        rng_seeds = list(range(len(configs)))
-    crossed = run_crossover(configs, iterations, rng_seeds, perturb=perturb)
+    reference = [initial_state(cfg, seed) for cfg, seed in zip(configs, rng_seeds)]
     max_dev = 0.0
-    first: tuple[int, int, int] | None = None
-    for j, (cfg, seed) in enumerate(zip(configs, rng_seeds)):
-        isolated = run_isolated(cfg, iterations, seed)
-        for t, (a, b) in enumerate(zip(isolated, crossed[j]), start=1):
-            if (a.iteration, b.iteration) != (t, t):
-                first = first or (j, t, 0)
-                break
-            diff = np.abs(a.parameters - b.parameters)
-            dev = float(diff.max()) if diff.size else 0.0
-            if dev > max_dev:
-                max_dev = dev
-            if first is None and dev != 0.0:
-                first = (j, t, int(np.argmax(diff != 0.0)))
-        else:
-            if len(crossed[j]) != len(isolated):
-                first = first or (j, min(len(crossed[j]), len(isolated)) + 1, 0)
+    diverged: dict[int, tuple[int, int]] = {}
+    for j, state in replay_trace(configs, plan, rng_seeds, perturb):
+        t = reference[j].iteration + 1
+        if state.iteration != t or t > plan.jobs[j].iterations:
+            diverged.setdefault(j, (t, 0))
+            continue
+        ref, cfg = reference[j], configs[j]
+        ref = reference[j] = sgd_step(ref, _averaged_gradient(ref, cfg), cfg)
+        diff = np.abs(ref.parameters - state.parameters)
+        dev = float(diff.max())
+        max_dev = max(max_dev, dev)
+        if dev != 0.0:
+            diverged.setdefault(j, (t, int(np.argmax(diff != 0.0))))
+    for j, (ref, job) in enumerate(zip(reference, plan.jobs)):
+        if ref.iteration < job.iterations:
+            diverged.setdefault(j, (ref.iteration + 1, 0))
+    first = min(((j, *where) for j, where in diverged.items()), default=None)
     return NeutralityReport(max_dev, first)

@@ -8,7 +8,8 @@ zero at ``t = 1``), runs forward then backward, and its fused gradient syncs
 from ``max(nic_free, backward_end)``.  After a job's last compute its final
 sync still drains, so a ``T``-iteration job always has exactly ``T`` syncs.
 Each dispatch appends one trace row (see ``engine``), so rows come in GPU
-order, which is also the NIC's FIFO order.
+order, which is also the NIC's FIFO order.  This is the one place job order
+is decided: the SGD oracle in ``equivalence`` replays these rows.
 
 * ``crossover`` -- the GPU moves to the next job the moment a backward pass
   ends, so one job's sync overlaps another job's compute.
@@ -84,34 +85,44 @@ def simulate(plan: SchedulePlan) -> Trace:
     return Trace(tuple(rows), nic_free)
 
 
-def _homogeneous_comp_comm(plan: SchedulePlan) -> tuple[int, int]:
-    comps = {comp_time(j) for j in plan.jobs}
-    comms = {comm_time(j.grad_bytes, plan.cluster) for j in plan.jobs}
-    if len(comps) != 1 or len(comms) != 1:
-        raise ValueError(
-            "closed forms require homogeneous jobs (equal compute and sync "
-            "durations); simulate heterogeneous plans instead")
-    return comps.pop(), comms.pop()
+def _periods(plan: SchedulePlan) -> tuple[int, int]:
+    """(crossover, sequential) steady-state periods; see steady_state_period."""
+    comps = [comp_time(j) for j in plan.jobs]
+    comms = [comm_time(j.grad_bytes, plan.cluster) for j in plan.jobs]
+    own = max(comp + comm for comp, comm in zip(comps, comms))
+    return max(sum(comps), sum(comms), own), sum(comps) + sum(comms)
 
 
 def steady_state_period(plan: SchedulePlan) -> int:
     """Exact steady-state gap between one job's consecutive compute starts.
 
-    Homogeneous jobs only: N*max(comp, comm) under crossover,
-    N*(comp + comm) under the sequential baseline.
+    Any plan, while every job still has iterations left.  Sequential holds
+    the GPU through each sync, so a rotation is ``sum(comp_i + comm_i)``.
+    Crossover gives ``max(sum comp_i, sum comm_i, max_i(comp_i + comm_i))``:
+    one rotation is max-plus linear in the lane and sync clocks, so the
+    period is the maximum cycle mean of its timed event graph (Baccelli,
+    Cohen, Olsder and Quadrat, *Synchronization and Linearity*, 1992).  Its
+    nodes are compute starts s_i and sync starts n_i; its arcs are
+    s_i -> s_i+1 (the GPU) and s_i -> n_i, both weighing comp_i, and
+    n_i -> n_i+1 (the NIC) and n_i -> s_i, both weighing comm_i.  Arcs
+    n_i -> s_i and the arcs from job N to job 1 cross into the next rotation.
+    An elementary circuit leaves each node once, so it weighs at most
+    ``sum comp_i + sum comm_i``.  The circuits that cross one rotation are
+    the GPU ring, the NIC ring and each job's loop s_i -> n_i -> s_i, which
+    give the three terms; any other circuit crosses at least two, so its
+    mean is at most half that sum and never exceeds the larger ring.
     """
-    comp, comm = _homogeneous_comp_comm(plan)
-    n = len(plan.jobs)
-    if plan.policy is Policy.CROSSOVER:
-        return n * max(comp, comm)
-    return n * (comp + comm)
+    crossover, sequential = _periods(plan)
+    return crossover if plan.policy is Policy.CROSSOVER else sequential
 
 
 def predicted_speedup(plan: SchedulePlan) -> Fraction:
-    """Closed-form crossover-vs-sequential speedup for homogeneous jobs.
+    """Closed-form steady-state speedup of crossover over sequential, any plan.
 
-    (comp + comm) / max(comp, comm): equals 1 + ratio while the sync hides
-    under compute (ratio <= 1), then decays toward 1 as the NIC dominates.
+    The ratio of the two ``steady_state_period`` forms.  For N >= 2 identical
+    jobs it is (comp + comm) / max(comp, comm): 1 + ratio while the sync
+    hides under compute (ratio <= 1), then decaying toward 1 as the NIC
+    dominates.  A single job gets 1: both policies give it the same trace.
     """
-    comp, comm = _homogeneous_comp_comm(plan)
-    return Fraction(comp + comm, max(comp, comm))
+    crossover, sequential = _periods(plan)
+    return Fraction(sequential, crossover)

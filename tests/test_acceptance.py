@@ -191,7 +191,11 @@ def test_criterion_5_convergence_neutrality():
                         for j in range(n_jobs)
                     ]
                     rng_seeds = [seed * 31 + j for j in range(n_jobs)]
-                    report = check_neutrality(configs, iterations, rng_seeds)
+                    # syncs of 0-8 ns against 5 ns computes, under both policies
+                    specs = [(f"j{j}", 2, 3, (seed + 3 * j) % 9, iterations)
+                             for j in range(n_jobs)]
+                    plan = ns_plan((Policy.CROSSOVER, Policy.SEQUENTIAL)[seed % 2], specs)
+                    report = check_neutrality(configs, plan, rng_seeds)
                     assert report.equal, (
                         f"divergence at jobs={n_jobs} workers={workers} "
                         f"T={iterations} seed={seed}: {report.first_divergence}")

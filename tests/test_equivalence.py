@@ -5,33 +5,60 @@ import pytest
 from hypothesis import given, strategies as st
 
 from colosim import cli, equivalence
+from colosim.comm import Architecture, ClusterSpec
+from colosim.engine import Trace
 from colosim.equivalence import (
-    GradientBatch,
     LossKind,
     SgdConfig,
     TrainingState,
     average_gradients,
     check_neutrality,
     initial_state,
-    local_gradient,
     loss_gradient,
     loss_value,
     make_dataset,
-    run_crossover,
+    replay_trace,
     run_isolated,
     sgd_step,
 )
+from colosim.scheduler import Policy, SchedulePlan
+from colosim.workload import JobProfile
 
 from oracles import batch_indices_reference, finite_difference_gradient
 
-# sha256 over the parameter bytes of every state of run_crossover, then of
-# run_isolated per job, for each cell of the CLI grid at seeds 0, 5 and 123
-# with 60 iterations; see _grid_digest for the order.
+# sha256 over the parameter bytes of every state each job reaches along the
+# CLI cell's trace, then of run_isolated per job, for each cell of the CLI
+# grid at seeds 0, 5 and 123 with 60 iterations; see _grid_digest for the
+# order.  Generated by the hand-written rotation that preceded the replay.
 GRID_DIGEST = "38ef243ceb6077e70f742bb896df4dccb872c5d26453712d09f9f2ade54a0d67"
+
+# Parameter server at 2e9 B/s: a job's grad_bytes is its sync time in ns.
+NS_CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
+                         architecture=Architecture.PARAMETER_SERVER)
 
 
 def config(loss=LossKind.LEAST_SQUARES, workers=2, seed=7, lr=0.05):
     return SgdConfig(learning_rate=lr, workers=workers, loss=loss, dataset_seed=seed)
+
+
+def crossover_plan(*budgets):
+    """One job per budget; each sync (5 ns) outlasts its compute (3 ns)."""
+    return SchedulePlan(Policy.CROSSOVER,
+                        tuple(JobProfile(f"j{i}", 1, 2, 5, iterations)
+                              for i, iterations in enumerate(budgets)),
+                        NS_CLUSTER)
+
+
+def by_job(n_jobs, updates):
+    """Group a replay's (job index, state) stream into per-job trajectories."""
+    trajectories = [[] for _ in range(n_jobs)]
+    for j, state in updates:
+        trajectories[j].append(state)
+    return trajectories
+
+
+def replayed(configs, plan, rng_seeds):
+    return by_job(len(configs), replay_trace(configs, plan, rng_seeds, None))
 
 
 class TestLossGradient:
@@ -77,30 +104,30 @@ class TestLossGradient:
 class TestAverageGradients:
     def test_identical_vectors(self):
         g = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(average_gradients(GradientBatch([g, g, g])), g)
+        assert np.array_equal(average_gradients([g, g, g]), g)
 
     def test_single_worker_identity(self):
         g = np.array([0.5, 0.25])
-        assert np.array_equal(average_gradients(GradientBatch([g])), g)
+        assert np.array_equal(average_gradients([g]), g)
 
     def test_mean_of_basis_vectors(self):
         basis = [np.eye(4)[k] for k in range(4)]
-        assert np.array_equal(average_gradients(GradientBatch(basis)),
+        assert np.array_equal(average_gradients(basis),
                               np.full(4, 0.25))
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            average_gradients(GradientBatch([]))
+            average_gradients([])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            average_gradients(GradientBatch([np.zeros(2), np.zeros(3)]))
+            average_gradients([np.zeros(2), np.zeros(3)])
 
     def test_fixed_order_is_bit_stable(self):
         rng = np.random.default_rng(9)
         grads = [rng.standard_normal(8) for _ in range(5)]
-        a = average_gradients(GradientBatch(grads))
-        b = average_gradients(GradientBatch([g.copy() for g in grads]))
+        a = average_gradients(grads)
+        b = average_gradients([g.copy() for g in grads])
         assert np.array_equal(a, b)
 
 
@@ -128,7 +155,10 @@ class TestRunIsolated:
     def test_one_iteration_is_one_averaged_step(self):
         cfg = config(workers=3)
         state = initial_state(cfg, rng_seed=4)
-        grads = GradientBatch([local_gradient(state, w, cfg) for w in range(3)])
+        x, y = make_dataset(cfg)
+        draws = [batch_indices_reference(4, 1, w, cfg.dataset_size, cfg.batch_size)
+                 for w in range(3)]
+        grads = [loss_gradient(cfg.loss, state.parameters, x[idx], y[idx]) for idx in draws]
         expected = sgd_step(state, average_gradients(grads), cfg)
         trajectory = run_isolated(cfg, 1, rng_seed=4)
         assert len(trajectory) == 1
@@ -149,15 +179,13 @@ class TestRunIsolated:
         assert losses[-1] < losses[0]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
-    def test_worker_index_validated(self):
-        with pytest.raises(ValueError):
-            local_gradient(initial_state(config(workers=2)), 2, config(workers=2))
-
 
 class TestRunCrossover:
+    """The interleaved run: replay_trace along simulate's rows."""
+
     def test_single_job_degenerates_to_isolated(self):
         cfg = config()
-        crossed = run_crossover([cfg], 25, [6])
+        crossed = replayed([cfg], crossover_plan(25), [6])
         isolated = run_isolated(cfg, 25, 6)
         assert len(crossed[0]) == len(isolated)
         for a, b in zip(isolated, crossed[0]):
@@ -166,15 +194,15 @@ class TestRunCrossover:
     def test_two_heterogeneous_jobs_match_isolated_exactly(self):
         cfgs = [config(LossKind.LEAST_SQUARES, workers=4, seed=21),
                 config(LossKind.LOGISTIC, workers=4, seed=22)]
-        report = check_neutrality(cfgs, 100, [1, 2])
+        report = check_neutrality(cfgs, crossover_plan(100, 100), [1, 2])
         assert report.equal
         assert report.max_abs_deviation == 0.0
 
     def test_job_order_is_irrelevant(self):
         cfg_a = config(LossKind.LEAST_SQUARES, seed=31)
         cfg_b = config(LossKind.LOGISTIC, seed=32)
-        fwd = run_crossover([cfg_a, cfg_b], 30, [5, 6])
-        rev = run_crossover([cfg_b, cfg_a], 30, [6, 5])
+        fwd = replayed([cfg_a, cfg_b], crossover_plan(30, 30), [5, 6])
+        rev = replayed([cfg_b, cfg_a], crossover_plan(30, 30), [6, 5])
         assert len(fwd[0]) == len(rev[1]) == 30
         assert len(fwd[1]) == len(rev[0]) == 30
         for a, b in zip(fwd[0], rev[1]):
@@ -183,13 +211,13 @@ class TestRunCrossover:
             assert np.array_equal(a.parameters, b.parameters)
 
     def test_trajectory_lengths(self):
-        trajs = run_crossover([config(seed=1), config(seed=2)], 7)
-        assert [len(t) for t in trajs] == [7, 7]
+        trajs = replayed([config(seed=1), config(seed=2)], crossover_plan(7, 4), [0, 1])
+        assert [len(t) for t in trajs] == [7, 4]
         assert all(s.iteration == i + 1 for t in trajs for i, s in enumerate(t))
 
     def test_perturbation_hook_is_detected(self):
         cfgs = [config(seed=41), config(seed=42)]
-        report = check_neutrality(cfgs, 10, [0, 1], perturb=(1, 4))
+        report = check_neutrality(cfgs, crossover_plan(10, 10), [0, 1], perturb=(1, 4))
         assert not report.equal
         assert report.first_divergence is not None
         job, iteration, _ = report.first_divergence
@@ -201,8 +229,8 @@ def _renumbered(state: TrainingState, iteration: int) -> TrainingState:
     return TrainingState(state.parameters, iteration, state.rng_seed)
 
 
-# Broken interleaved runs, each with the iteration check_neutrality must name
-# for a 5-iteration run.
+# Broken edits of each job's replayed states, each with the iteration
+# check_neutrality must name for a 5-iteration run.
 TRAJECTORY_MUTANTS = {
     "skips_final_drain": (lambda t: t[:-1], 5),
     "drops_a_middle_state": (lambda t: t[:2] + t[3:], 3),
@@ -212,21 +240,47 @@ TRAJECTORY_MUTANTS = {
 }
 
 
+def _early_start(job_id, iteration):
+    """Rows edit: that row's compute starts 1 ns before its previous sync ends."""
+    def edit(rows):
+        sync_end = {}
+        for k, row in enumerate(rows):
+            if row[:2] == (job_id, iteration):
+                rows[k] = (*row[:2], sync_end[job_id] - 1, *row[3:])
+            sync_end[row[0]] = row[6]
+        return rows
+    return edit
+
+
 class TestCheckNeutrality:
     @pytest.fixture
     def mutate(self, monkeypatch):
         def install(edit):
-            real = equivalence.run_crossover
-            monkeypatch.setattr(
-                equivalence, "run_crossover",
-                lambda *args, **kwargs: [edit(t) for t in real(*args, **kwargs)])
+            real = equivalence.replay_trace
+
+            def edited(configs, *args):
+                trajectories = by_job(len(configs), real(configs, *args))
+                return [(j, s) for j, t in enumerate(trajectories) for s in edit(t)]
+            monkeypatch.setattr(equivalence, "replay_trace", edited)
+        return install
+
+    @pytest.fixture
+    def mutate_rows(self, monkeypatch):
+        def install(edit):
+            real = equivalence.simulate
+
+            def edited(plan):
+                trace = real(plan)
+                return Trace(tuple(edit(list(trace.rows))), trace.makespan)
+            monkeypatch.setattr(equivalence, "simulate", edited)
         return install
 
     @pytest.mark.parametrize("name", sorted(TRAJECTORY_MUTANTS))
     def test_broken_trajectory_is_a_divergence(self, mutate, name):
         edit, iteration = TRAJECTORY_MUTANTS[name]
         mutate(edit)
-        report = check_neutrality([config(seed=51), config(seed=52)], 5, [0, 1])
+        report = check_neutrality([config(seed=51), config(seed=52)],
+                                  crossover_plan(5, 5), [0, 1])
         assert not report.equal
         assert report.first_divergence == (0, iteration, 0)
 
@@ -237,6 +291,26 @@ class TestCheckNeutrality:
         assert "PASS" not in captured.out
         assert "iteration=5" in captured.err
 
+    @pytest.mark.parametrize("job, iteration", [(0, 2), (1, 3), (2, 5)])
+    def test_compute_before_previous_sync_ends_diverges(self, mutate_rows, job, iteration):
+        mutate_rows(_early_start(f"job{job}", iteration))
+        report = check_neutrality(cli._equiv_configs(3, 2, 0), cli._equiv_plan(3, 2, 5),
+                                  [0, 31, 62])
+        assert report.first_divergence[:2] == (job, iteration)
+        assert report.max_abs_deviation > 0.0
+
+    def test_dropped_final_row_is_a_divergence(self, mutate_rows):
+        mutate_rows(lambda rows: rows[:-1])
+        report = check_neutrality(cli._equiv_configs(3, 2, 0), cli._equiv_plan(3, 2, 5),
+                                  [0, 31, 62])
+        assert report.first_divergence == (2, 5, 0)
+
+    def test_unequal_budgets_pass(self):
+        configs = cli._equiv_configs(3, 2, 0)
+        plan = crossover_plan(3, 10, 7)
+        assert check_neutrality(configs, plan, [0, 31, 62]).equal
+        assert [len(t) for t in replayed(configs, plan, [0, 31, 62])] == [3, 10, 7]
+
 
 def _grid_digest(seeds=(0, 5, 123), iterations=60) -> str:
     h = hashlib.sha256()
@@ -245,7 +319,8 @@ def _grid_digest(seeds=(0, 5, 123), iterations=60) -> str:
             for workers in cli._EQUIV_WORKER_COUNTS:
                 configs = cli._equiv_configs(n_jobs, workers, seed)
                 rng_seeds = [seed + 31 * j for j in range(n_jobs)]
-                for trajectory in run_crossover(configs, iterations, rng_seeds):
+                plan = cli._equiv_plan(n_jobs, workers, iterations)
+                for trajectory in replayed(configs, plan, rng_seeds):
                     for state in trajectory:
                         h.update(state.parameters.tobytes())
                 for cfg, rng_seed in zip(configs, rng_seeds):
@@ -291,11 +366,21 @@ class TestBatchDraws:
     def test_each_draw_is_made_once_and_shared_by_both_runs(self):
         equivalence._batch_indices.cache_clear()
         report = check_neutrality([config(workers=3, seed=61),
-                                   config(workers=2, seed=62)], 10, [8, 9])
+                                   config(workers=2, seed=62)], crossover_plan(10, 10), [8, 9])
         assert report.equal
         info = equivalence._batch_indices.cache_info()
         assert info.misses == (3 + 2) * 10
         assert info.hits == info.misses
+
+    def test_reuse_holds_past_the_cache_size(self):
+        # 2,400 distinct draws, more than the cache holds: each job's reference
+        # steps right after its replayed update lands, while the draw is cached.
+        equivalence._batch_indices.cache_clear()
+        report = check_neutrality(cli._equiv_configs(3, 4, 0), cli._equiv_plan(3, 4, 200),
+                                  [0, 31, 62])
+        assert report.equal
+        info = equivalence._batch_indices.cache_info()
+        assert info.hits == info.misses == 3 * 4 * 200
 
     def test_cache_holds_the_default_cli_grid(self, capsys):
         equivalence._batch_indices.cache_clear()
@@ -319,6 +404,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run_isolated(config(), 0)
         with pytest.raises(ValueError):
-            run_crossover([], 5)
+            list(replay_trace([config()], crossover_plan(5, 5), [1], None))
         with pytest.raises(ValueError):
-            run_crossover([config()], 5, [1, 2])
+            check_neutrality([config(), config()], crossover_plan(5, 5), [1])

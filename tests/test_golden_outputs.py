@@ -1,5 +1,6 @@
-"""Byte-identity gate: every bundled scenario's outputs, and the traces of
-three in-test heterogeneous plans, pinned by sha256.
+"""Byte-identity gate: every bundled scenario's outputs, the traces of three
+in-test heterogeneous plans and two `colosim equivalence` transcripts, pinned
+by sha256.
 
 The digests were generated by the event-engine scheduler that preceded the
 dispatch recurrence, so they are an independent record of the schedule it
@@ -10,7 +11,9 @@ change) with ``PYTHONPATH=src python tests/test_golden_outputs.py``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import tempfile
 from pathlib import Path
 
@@ -185,6 +188,17 @@ HETEROGENEOUS_GOLDEN = {
     },
 }
 
+# `colosim equivalence` flags -> (stdout sha256, stderr sha256, exit code).
+# Generated by the hand-written rotation that preceded the trace replay.
+EQUIVALENCE_GOLDEN = {
+    "--iters 60 --seed 0": (
+        "9ed6110efda55c5a25eab36038069d8696b256858b2b246df2b6b48c18e329c3",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "--iters 10 --perturb 1:4": (
+        "043195e8c44d8a679cd4bd34048e06d1352446c639bba4aa5a2ce937e24c395e",
+        "f9ec9d6a1e6107dd9798b4e563715a00c25889befe43a68f83e964a8bbbabe31", 3),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -247,6 +261,19 @@ def test_heterogeneous_traces_are_byte_identical(name, policy):
     assert heterogeneous_digests(name, policy) == HETEROGENEOUS_GOLDEN[name][policy.value]
 
 
+def equivalence_transcript(flags: str) -> tuple[str, str, int]:
+    """Digests of what `colosim equivalence <flags>` prints, and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["equivalence", *flags.split()])
+    return _sha256(out.getvalue().encode()), _sha256(err.getvalue().encode()), code
+
+
+@pytest.mark.parametrize("flags", sorted(EQUIVALENCE_GOLDEN))
+def test_equivalence_transcript_is_byte_identical(flags):
+    assert equivalence_transcript(flags) == EQUIVALENCE_GOLDEN[flags]
+
+
 def _table() -> dict:
     table: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -260,12 +287,12 @@ def _table() -> dict:
         name: {policy.value: heterogeneous_digests(name, policy) for policy in Policy}
         for name in sorted(HETEROGENEOUS_PLANS)
     }
+    table["equivalence"] = {flags: equivalence_transcript(flags)
+                            for flags in sorted(EQUIVALENCE_GOLDEN)}
     return table
 
 
 if __name__ == "__main__":
-    import contextlib
-    import io
     import pprint
 
     with contextlib.redirect_stdout(io.StringIO()):

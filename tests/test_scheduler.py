@@ -114,10 +114,13 @@ class TestSteadyStatePeriod:
         assert steady_state_period(two_identical(comp=2, comm=1,
                                                  policy=Policy.SEQUENTIAL)) == 6
 
-    def test_heterogeneous_unsupported(self):
-        hetero = plan(Policy.CROSSOVER, [("a", 1, 1, 1, 3), ("b", 2, 2, 1, 3)])
-        with pytest.raises(ValueError, match="homogeneous"):
-            steady_state_period(hetero)
+    def test_single_job_is_its_own_loop(self):
+        for policy in Policy:
+            p = plan(policy, [("solo", 1, 1, 1, 3)])
+            starts = [row[2] for row in simulate(p).rows]
+            assert starts == [0, 3, 6]
+            assert steady_state_period(p) == 3
+        assert predicted_speedup(p) == 1
 
     def test_matches_golden_compute_starts(self):
         trace = simulate(two_identical())
@@ -305,6 +308,20 @@ def test_steady_cycle_lower_bound(raw):
     tightest = max(total_comp, total_comm,
                    max(f + b + c for _, f, b, c, _ in specs))
     assert cycle >= tightest
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(job_spec_st, min_size=1, max_size=6))
+def test_steady_state_period_matches_the_recurrence(raw):
+    """Closed forms for any plan: 1-6 jobs, zero-length phases."""
+    specs = build_specs(raw)
+    cross = steady_state_period(plan(Policy.CROSSOVER, specs))
+    assert cross == crossover_cycle(specs)
+    # sequential: job j0's second compute starts one full rotation in
+    rows = simulate(plan(Policy.SEQUENTIAL, [s[:4] + (2,) for s in specs])).rows
+    seq = steady_state_period(plan(Policy.SEQUENTIAL, specs))
+    assert seq == rows[len(specs)][2] - rows[0][2]
+    assert predicted_speedup(plan(Policy.CROSSOVER, specs)) == Fraction(seq, cross)
 
 
 class TestUnequalBudgets:

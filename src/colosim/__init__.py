@@ -28,6 +28,7 @@ from .scenario import Scenario, load_config
 from .scheduler import (
     Policy,
     SchedulePlan,
+    makespan,
     predicted_speedup,
     simulate,
     steady_state_period,

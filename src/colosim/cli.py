@@ -28,7 +28,7 @@ from .engine import trace_to_chrome_json, trace_to_json
 from .errors import ConfigError, InvalidTraceError
 from .metrics import measure, report
 from .scenario import load_config
-from .scheduler import Policy, SchedulePlan, simulate
+from .scheduler import Policy, SchedulePlan, makespan, simulate
 from .workload import comp_time, fixture_profile
 
 EXIT_OK = 0
@@ -104,9 +104,8 @@ def _cmd_sweep(args) -> int:
     for rho in _ratio_points(lo, hi, args.steps):
         payload = _payload_for_ratio(plan, rho)
         jobs = tuple(replace(job, grad_bytes=payload) for job in plan.jobs)
-        cross_span = simulate(SchedulePlan(Policy.CROSSOVER, jobs, plan.cluster)).makespan
-        seq_span = simulate(SchedulePlan(Policy.SEQUENTIAL, jobs, plan.cluster)).makespan
-        speedup = Fraction(seq_span, cross_span)
+        speedup = Fraction(makespan(SchedulePlan(Policy.SEQUENTIAL, jobs, plan.cluster)),
+                           makespan(SchedulePlan(Policy.CROSSOVER, jobs, plan.cluster)))
         rows.append(f"{float(rho)!r},{float(speedup)!r}")
 
     out = Path(args.out) / "sweep.csv"

@@ -8,11 +8,15 @@ internal unit or is rejected -- there is no silent rounding.  Divisors:
 ms*1e6 -> ns, MB*1e6 -> bytes, us*1e3 -> ns, Gbps*1e9/8 -> bytes/s.
 A key outside the schema is rejected too, so a misspelt optional field
 cannot silently take its default; only ``RETIRED_KEYS`` are let through.
+So is a key repeated within one object, which JSON would otherwise resolve
+silently to its last value.  Errors quote a value only in shortened form.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +48,11 @@ _PROFILE_JOB_KEYS = frozenset({"job_id", "profile", "iterations"})
 # generator (perfbench/gen.py) write them.
 RETIRED_KEYS = frozenset({"tensor_count", "gpus_per_worker", "ps_servers"})
 
+# Quotes a document value in an error message: long strings, numbers and
+# containers are cut short, and nesting is not followed.
+_brief = reprlib.Repr()
+_brief.maxlevel, _brief.maxstring, _brief.maxlong, _brief.maxother = 2, 60, 40, 40
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -74,7 +83,7 @@ class Scenario:
 def scaled_int(value, num: int, den: int, field: str) -> int:
     """Convert a config number to internal integer units, exactly or not at all."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field}: expected a number, got {value!r}")
+        raise ConfigError(f"{field}: expected a number, got {_brief.repr(value)}")
     try:
         exact = Fraction(str(value))
     except (ValueError, ZeroDivisionError):
@@ -82,11 +91,12 @@ def scaled_int(value, num: int, den: int, field: str) -> int:
     scaled = exact * num / den
     if scaled.denominator != 1:
         raise ConfigError(
-            f"{field}: {value!r} does not land on a whole internal unit "
+            f"{field}: {_brief.repr(value)} does not land on a whole internal unit "
             f"(scale {num}/{den})")
     n = int(scaled)
     if not -_INT_LIMIT < n < _INT_LIMIT:
-        raise ConfigError(f"{field}: {value!r} overflows the internal integer range")
+        raise ConfigError(
+            f"{field}: {_brief.repr(value)} overflows the internal integer range")
     return n
 
 
@@ -94,6 +104,16 @@ def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ConfigError(f"{where}: missing required field {key!r}")
     return obj[key]
+
+
+def _unique_keys(pairs: list) -> dict:
+    """``json.loads`` object hook: a key given twice in one object is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {_brief.repr(key)}")
+        obj[key] = value
+    return obj
 
 
 def _reject_unknown(obj: dict, allowed: frozenset, where: str | None,
@@ -109,33 +129,52 @@ def _count_field(obj: dict, key: str, where: str) -> int:
     """A required integer field that must be >= 1."""
     v = _require(obj, key, where)
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
+        raise ConfigError(f"{where}.{key}: expected an integer, got {_brief.repr(v)}")
     if v < 1:
         raise ConfigError(f"{where}.{key}: must be >= 1")
+    if v >= _INT_LIMIT:
+        raise ConfigError(
+            f"{where}.{key}: {_brief.repr(v)} overflows the internal integer range")
     return v
+
+
+def _enum_field(enum, raw, field: str):
+    """The member of ``enum`` whose value is the string ``raw``."""
+    members = {m.value: m for m in enum}
+    if not isinstance(raw, str) or raw not in members:
+        raise ConfigError(f"{field}: unknown value {_brief.repr(raw)} "
+                          f"(allowed: {', '.join(members)})")
+    return members[raw]
+
+
+def _text_field(raw, field: str) -> str:
+    """A non-empty string that can be printed as UTF-8."""
+    if not isinstance(raw, str) or not raw:
+        raise ConfigError(f"{field}: expected a non-empty string")
+    try:
+        raw.encode()
+    except UnicodeEncodeError:
+        raise ConfigError(f"{field}: {_brief.repr(raw)} contains a lone surrogate") from None
+    return raw
 
 
 def _parse_cluster(obj, where: str = "cluster") -> ClusterSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     _reject_unknown(obj, _CLUSTER_KEYS, where, RETIRED_KEYS)
-    arch_raw = _require(obj, "architecture", where)
-    try:
-        arch = Architecture(arch_raw)
-    except ValueError:
-        allowed = ", ".join(a.value for a in Architecture)
-        raise ConfigError(
-            f"{where}.architecture: unknown value {arch_raw!r} (allowed: {allowed})"
-        ) from None
+    arch = _enum_field(Architecture, _require(obj, "architecture", where),
+                       f"{where}.architecture")
     bandwidth = scaled_int(_require(obj, "bandwidth_gbps", where),
                            10**9, 8, f"{where}.bandwidth_gbps")
     if bandwidth <= 0:
         raise ConfigError(f"{where}.bandwidth_gbps: must be > 0")
+    latency = scaled_int(obj.get("latency_us", 0), 10**3, 1, f"{where}.latency_us")
+    if latency < 0:
+        raise ConfigError(f"{where}.latency_us: must be >= 0")
     return ClusterSpec(
         workers=_count_field(obj, "workers", where),
         bandwidth_bytes_per_sec=bandwidth,
-        latency_per_message=scaled_int(obj.get("latency_us", 0), 10**3, 1,
-                                       f"{where}.latency_us"),
+        latency_per_message=latency,
         architecture=arch,
     )
 
@@ -148,15 +187,13 @@ def _parse_job(obj, index: int) -> JobProfile:
         _reject_unknown(obj, _PROFILE_JOB_KEYS, where)
     else:
         _reject_unknown(obj, _INLINE_JOB_KEYS, where, RETIRED_KEYS)
-    job_id = _require(obj, "job_id", where)
-    if not isinstance(job_id, str) or not job_id:
-        raise ConfigError(f"{where}.job_id: expected a non-empty string")
+    job_id = _text_field(_require(obj, "job_id", where), f"{where}.job_id")
 
     if "profile" in obj:
         name = obj["profile"]
-        if name not in fixture_names():
+        if not isinstance(name, str) or name not in fixture_names():
             raise ConfigError(
-                f"{where}.profile: unknown profile {name!r} "
+                f"{where}.profile: unknown profile {_brief.repr(name)} "
                 f"(available: {', '.join(fixture_names())})")
         iterations = None
         if "iterations" in obj:
@@ -190,17 +227,8 @@ def parse_scenario(doc, origin: str = "<config>") -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigError(f"{origin}: top level must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, None)
-    name = _require(doc, "name", origin)
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{origin}: name must be a non-empty string")
-
-    policy_raw = _require(doc, "policy", origin)
-    try:
-        policy = Policy(policy_raw)
-    except ValueError:
-        allowed = ", ".join(p.value for p in Policy)
-        raise ConfigError(
-            f"policy: unknown value {policy_raw!r} (allowed: {allowed})") from None
+    name = _text_field(_require(doc, "name", origin), "name")
+    policy = _enum_field(Policy, _require(doc, "policy", origin), "policy")
 
     jobs_raw = _require(doc, "jobs", origin)
     if not isinstance(jobs_raw, list) or not jobs_raw:
@@ -227,13 +255,22 @@ def load_config(path: str | Path) -> Scenario:
     """Load and validate a scenario file; errors name the offending field."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.start} is invalid") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    except ValueError:  # int() refuses longer literals
+        raise ConfigError(f"{path}: parse error: an integer literal has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: parse error: arrays or objects nested too deeply") from None
     return parse_scenario(doc, origin=str(path))

@@ -9,7 +9,8 @@ from ``max(nic_free, backward_end)``.  After a job's last compute its final
 sync still drains, so a ``T``-iteration job always has exactly ``T`` syncs.
 Each dispatch appends one trace row (see ``engine``), so rows come in GPU
 order, which is also the NIC's FIFO order.  This is the one place job order
-is decided: the SGD oracle in ``equivalence`` replays these rows.
+is decided: the SGD oracle in ``equivalence`` replays these rows, and
+``makespan`` runs the same rounds without rows, skipping whole periods.
 
 * ``crossover`` -- the GPU moves to the next job the moment a backward pass
   ends, so one job's sync overlaps another job's compute.
@@ -32,6 +33,7 @@ __all__ = [
     "Policy",
     "SchedulePlan",
     "simulate",
+    "makespan",
     "steady_state_period",
     "predicted_speedup",
 ]
@@ -62,27 +64,85 @@ class SchedulePlan:
             raise ValueError("job ids must be unique within a plan")
 
 
+def _round(active, t, clocks, sync_end, comm, hold_gpu, rows):
+    """Dispatch round ``t``: each active job once, in plan order.
+
+    ``clocks`` is ``(gpu_free, nic_free)`` at the round's start; returns them
+    at its end and updates ``sync_end`` in place.  Appends one row per job
+    when ``rows`` is a list.
+    """
+    gpu_free, nic_free = clocks
+    for job in active:
+        job_id = job.job_id
+        start = max(gpu_free, sync_end[job_id])
+        backward_start = start + job.forward_time
+        compute_end = backward_start + job.backward_time
+        sync_start = max(nic_free, compute_end)
+        nic_free = sync_end[job_id] = sync_start + comm[job_id]
+        gpu_free = nic_free if hold_gpu else compute_end
+        if rows is not None:
+            rows.append((job_id, t, start, backward_start, compute_end, sync_start, nic_free))
+    return gpu_free, nic_free
+
+
 def simulate(plan: SchedulePlan) -> Trace:
     """Run the plan under its policy; one trace row per job-iteration, in dispatch order."""
     hold_gpu = plan.policy is Policy.SEQUENTIAL
     comm = {j.job_id: comm_time(j.grad_bytes, plan.cluster) for j in plan.jobs}
     sync_end = dict.fromkeys(comm, 0)
     rows: list[Row] = []
-    gpu_free = nic_free = 0
+    clocks = (0, 0)
     active = plan.jobs
     for t in range(1, max(j.iterations for j in plan.jobs) + 1):
         active = [j for j in active if j.iterations >= t]
-        for job in active:
-            job_id = job.job_id
-            start = max(gpu_free, sync_end[job_id])
-            backward_start = start + job.forward_time
-            compute_end = backward_start + job.backward_time
-            sync_start = max(nic_free, compute_end)
-            nic_free = sync_end[job_id] = sync_start + comm[job_id]
-            gpu_free = nic_free if hold_gpu else compute_end
-            rows.append((job_id, t, start, backward_start, compute_end, sync_start, nic_free))
+        clocks = _round(active, t, clocks, sync_end, comm, hold_gpu, rows)
     # Every compute is followed by a sync, and the NIC clock never runs back.
-    return Trace(tuple(rows), nic_free)
+    return Trace(tuple(rows), clocks[1])
+
+
+def makespan(plan: SchedulePlan) -> int:
+    """Exactly ``simulate(plan).makespan``, skipping whole periods; no rows.
+
+    While the active job set is fixed, a round is fixed by its start state
+    relative to the GPU clock g: the key ``(nic_free - g, max(sync_end_j - g,
+    0) for each active j)``.  The clamp is exact because a job starts at
+    ``max(gpu_free, sync_end_j)`` and gpu_free never falls below g within a
+    round; after round 1, nic_free >= g.  The round is shift-invariant, so
+    once a key seen at round t0 with GPU clock g0 comes back at round t, every
+    further ``t - t0`` rounds add ``g - g0`` to every clock, and as many whole
+    periods as fit before the next job's budget runs out are skipped at once
+    (a max-plus recurrence is eventually periodic; Baccelli, Cohen, Olsder and
+    Quadrat, 1992).  A sync end below g stays below the shifted g, so the
+    shift needs no clamp.  A plan whose transient outlasts its budgets never
+    repeats a key and costs about one full ``simulate`` without the rows.
+    """
+    hold_gpu = plan.policy is Policy.SEQUENTIAL
+    comm = {j.job_id: comm_time(j.grad_bytes, plan.cluster) for j in plan.jobs}
+    sync_end = dict.fromkeys(comm, 0)
+    clocks = (0, 0)
+    active = plan.jobs
+    t = 1
+    for until in sorted({j.iterations for j in plan.jobs}):
+        active = [j for j in active if j.iterations >= t]
+        seen: dict[tuple, tuple[int, int]] = {}
+        while t <= until:
+            gpu_free, nic_free = clocks
+            key = (nic_free - gpu_free,
+                   *[max(sync_end[j.job_id] - gpu_free, 0) for j in active])
+            if key in seen:
+                t0, g0 = seen[key]
+                periods = (until - t + 1) // (t - t0)
+                shift = periods * (gpu_free - g0)
+                clocks = gpu_free + shift, nic_free + shift
+                for job in active:
+                    sync_end[job.job_id] += shift
+                t += periods * (t - t0)
+                seen.clear()
+                continue
+            seen[key] = t, gpu_free
+            clocks = _round(active, t, clocks, sync_end, comm, hold_gpu, None)
+            t += 1
+    return clocks[1]
 
 
 def _periods(plan: SchedulePlan) -> tuple[int, int]:

@@ -1,6 +1,6 @@
 """Byte-identity gate: every bundled scenario's outputs, the traces of three
-in-test heterogeneous plans and two `colosim equivalence` transcripts, pinned
-by sha256.
+in-test heterogeneous plans, three `colosim sweep` runs and two `colosim
+equivalence` transcripts, pinned by sha256.
 
 The digests were generated by the event-engine scheduler that preceded the
 dispatch recurrence, so they are an independent record of the schedule it
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -188,6 +189,19 @@ HETEROGENEOUS_GOLDEN = {
     },
 }
 
+# `colosim sweep` runs on sweep_base beyond the default one -> (budgets that
+# replace its iterations_override, flags) and the sha256 of sweep.csv,
+# generated when every point still ran two full simulations.  With budgets
+# 1000 and 370, each point's plans change regime when the shorter job ends.
+SWEEP_RUNS = {
+    "wide": (None, "--ratio-min 0.3 --ratio-max 2.1 --steps 40"),
+    "unequal_budgets": ((1000, 370), "--steps 20"),
+}
+SWEEP_GOLDEN = {
+    "unequal_budgets": "6cc5b8a976d12b7a1d3aa0de432f77c02aef75ed2ffd12648ebcb46599bbc39e",
+    "wide": "20dc3f1f0c541e6724022a11db292535f868214cb18f2077b253dee681f92c4b",
+}
+
 # `colosim equivalence` flags -> (stdout sha256, stderr sha256, exit code).
 # Generated by the hand-written rotation that preceded the trace replay.
 EQUIVALENCE_GOLDEN = {
@@ -247,6 +261,27 @@ def test_default_sweep_is_byte_identical(tmp_path):
     assert sweep_digests(tmp_path) == GOLDEN["sweep"]
 
 
+def sweep_run_digest(run: str, tmp: Path) -> str:
+    """sha256 of the sweep.csv that one SWEEP_RUNS entry writes."""
+    budgets, flags = SWEEP_RUNS[run]
+    doc = json.loads((SCENARIO_DIR / "sweep_base.json").read_text())
+    if budgets:
+        del doc["iterations_override"]
+        for job, budget in zip(doc["jobs"], budgets):
+            job["iterations"] = budget
+    tmp.mkdir(parents=True, exist_ok=True)
+    config = tmp / "sweep_base.json"
+    config.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", str(config), "--out", str(tmp), *flags.split()]) == 0
+    return _sha256((tmp / "sweep.csv").read_bytes())
+
+
+@pytest.mark.parametrize("run", sorted(SWEEP_RUNS))
+def test_sweep_runs_are_byte_identical(run, tmp_path):
+    assert sweep_run_digest(run, tmp_path) == SWEEP_GOLDEN[run]
+
+
 def heterogeneous_digests(name: str, policy: Policy) -> dict[str, str]:
     """Digests of both trace files for one in-test plan under one policy."""
     cluster, jobs = HETEROGENEOUS_PLANS[name]
@@ -283,6 +318,8 @@ def _table() -> dict:
                 "other_policy_trace.json": other_policy_digest(name),
             }
         table["sweep"] = sweep_digests(Path(tmp) / "sweep")
+        table["sweep_runs"] = {run: sweep_run_digest(run, Path(tmp) / run)
+                               for run in sorted(SWEEP_RUNS)}
     table["heterogeneous"] = {
         name: {policy.value: heterogeneous_digests(name, policy) for policy in Policy}
         for name in sorted(HETEROGENEOUS_PLANS)

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from colosim.cli import main
 from colosim.comm import Architecture, comm_time
 from colosim.errors import ConfigError
 from colosim.scenario import (MAX_JOB_ITERATIONS, RETIRED_KEYS, load_config,
@@ -235,3 +243,167 @@ class TestScenarioSemantics:
         doc = base_doc()
         doc["cluster"]["architecture"] = "ring_allreduce"
         assert parse_scenario(doc).cluster.architecture is Architecture.RING_ALLREDUCE
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    proc = subprocess.run([sys.executable, "-m", "colosim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestMalformedFiles:
+    """Files the JSON parser fails on without a JSONDecodeError, or would
+    load silently wrong, end in a ConfigError that names the file."""
+
+    def _rejected(self, tmp_path, data: bytes, reason: str):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        for command in (["validate-config"], ["simulate", "--out", str(tmp_path / "out")]):
+            code, _, err = run_cli(*command, "--config", str(path))
+            assert code == 1, err
+            assert "Traceback" not in err
+            assert err.startswith(f"error: {path}: ") and reason in err, err
+
+    def test_integer_literal_over_the_digit_limit(self, tmp_path):
+        doc = b'{"name": "x", "cluster": {"workers": ' + b"7" * 4301 + b"}}"
+        self._rejected(tmp_path, doc, "more than 4300 digits")
+
+    def test_nesting_beyond_the_recursion_limit(self, tmp_path):
+        doc = b'{"name": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        self._rejected(tmp_path, doc, "nested too deeply")
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        self._rejected(tmp_path, b'{"name": "caf\xe9"}', "not UTF-8")
+
+    def test_duplicate_key(self, tmp_path):
+        doc = json.dumps(base_doc())
+        doc = doc.replace('"latency_us": 0', '"latency_us": 0, "latency_us": 5')
+        path = tmp_path / "dup.json"
+        path.write_text(doc)
+        with pytest.raises(ConfigError, match=r"duplicate key 'latency_us'"):
+            load_config(path)
+
+
+class TestFieldLimits:
+    def test_count_beyond_the_integer_range(self):
+        doc = base_doc()
+        doc["cluster"]["workers"] = 2**63
+        with pytest.raises(ConfigError, match=r"cluster\.workers: .* overflows"):
+            parse_scenario(doc)
+
+    def test_negative_latency_names_the_field(self):
+        doc = base_doc()
+        doc["cluster"]["latency_us"] = -1
+        with pytest.raises(ConfigError, match=r"cluster\.latency_us: must be >= 0"):
+            parse_scenario(doc)
+
+    def test_lone_surrogate_in_a_name(self):
+        with pytest.raises(ConfigError, match="name: .*lone surrogate"):
+            parse_scenario(base_doc(name="\ud800"))
+
+    def test_long_values_are_quoted_short(self):
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(base_doc(policy="x" * 10_000))
+        assert len(str(info.value)) < 200
+
+
+# Scenario documents with one field replaced, added or deleted.  Values
+# cover wrong types, nesting (up to 900 levels, which json.loads still
+# accepts), integers of up to 4,000 digits, non-finite and extreme floats,
+# and strings with lone surrogates; every value is small in memory.
+_edge_values = st.sampled_from((
+    None, True, False, 0, -1, 1, 2**63 - 1, 2**63, -2**63, 0.5, -0.5, -0.0, 1e308,
+    5e-324, math.nan, math.inf, -math.inf, "", "\ud800", "x" * 1000, "crossover",
+    "ring_allreduce", "resnet50", "a", [], {}, [1], {"a": 1}))
+_json_leaf = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=8)
+              | st.builds(lambda k, sign: sign * 10**k, st.integers(0, 4000),
+                          st.sampled_from((1, -1))))
+_json_value = st.one_of(
+    _edge_values,
+    st.recursive(_json_leaf,
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                 max_leaves=8),
+    st.builds(lambda depth, leaf: json.loads("[" * depth + json.dumps(leaf) + "]" * depth),
+              st.integers(1, 900), _json_leaf))
+
+
+def _fuzz_doc():
+    doc = base_doc(iterations_override=4)
+    doc["jobs"].append({"job_id": "c", "profile": "resnet50", "iterations": 2})
+    return doc
+
+
+def _paths(node, prefix=()):
+    """Every path of keys and indexes in the document."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield prefix + (key,)
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield prefix + (index,)
+            yield from _paths(child, prefix + (index,))
+
+
+_FUZZ_PATHS = [()] + list(_paths(_fuzz_doc()))
+
+
+def _names(path):
+    """What an error about ``path`` may call it: its last key, or an
+    enclosing array element such as ``jobs[2]``."""
+    names, dotted = set(), ""
+    for step in path:
+        if isinstance(step, int):
+            dotted += f"[{step}]"
+            names.add(dotted)
+        else:
+            dotted += f".{step}" if dotted else step
+    names.add(next(step for step in reversed(path) if isinstance(step, str)))
+    return names
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_FUZZ_PATHS),
+       st.sampled_from(("replace", "replace", "replace", "add", "delete", "duplicate_id")),
+       _json_value, st.text(min_size=1, max_size=6))
+def test_fuzzed_documents_fail_cleanly(tmp_path_factory, path, action, value, new_key):
+    """validate-config exits 0, or 1 with the field named, and never raises."""
+    doc = _fuzz_doc()
+    if action == "duplicate_id":
+        doc["jobs"][2]["job_id"] = "a"
+        path = ("jobs", 2, "job_id")
+    elif not path:
+        doc = value
+    else:
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if action == "replace":
+            parent[path[-1]] = value
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent[path[-1]], dict) and new_key not in parent[path[-1]]:
+            parent[path[-1]][new_key] = value
+            path += (new_key,)
+        else:
+            return
+    config = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    config.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate-config", "--config", str(config)])
+    out.getvalue().encode()  # stdout must be printable as UTF-8
+    if code == 0:
+        assert out.getvalue().startswith("OK: ")
+        return
+    assert code == 1
+    assert err.getvalue().startswith("error: ")
+    if path:
+        assert any(name in err.getvalue() for name in _names(path)), err.getvalue()

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colosim.comm import Architecture, ClusterSpec
+from colosim.comm import Architecture, ClusterSpec, comm_time
 from colosim.engine import Phase, validate_trace
 from colosim.scheduler import (
     Policy,
     SchedulePlan,
+    makespan,
     predicted_speedup,
     simulate,
     steady_state_period,
@@ -322,6 +323,54 @@ def test_steady_state_period_matches_the_recurrence(raw):
     seq = steady_state_period(plan(Policy.SEQUENTIAL, specs))
     assert seq == rows[len(specs)][2] - rows[0][2]
     assert predicted_speedup(plan(Policy.CROSSOVER, specs)) == Fraction(seq, cross)
+
+
+RING = ClusterSpec(workers=3, bandwidth_bytes_per_sec=1_000_000_000,
+                   latency_per_message=1, architecture=Architecture.RING_ALLREDUCE)
+
+# Budgets up to 60 let a period repeat and be skipped inside one regime;
+# unequal budgets make the active set change mid-run.
+skip_spec_st = st.tuples(
+    st.integers(min_value=0, max_value=30),   # forward
+    st.integers(min_value=0, max_value=30),   # backward
+    st.integers(min_value=0, max_value=40),   # grad_bytes
+    st.integers(min_value=1, max_value=60),   # iterations
+).filter(lambda s: s[0] + s[1] > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(skip_spec_st, min_size=1, max_size=6), st.sampled_from([CLUSTER, RING]))
+def test_makespan_equals_the_full_recurrence(raw, cluster):
+    specs = build_specs(raw)
+    priced = [(j, f, b, comm_time(g, cluster), n) for j, f, b, g, n in specs]
+    for policy, brute in ((Policy.CROSSOVER, brute_crossover),
+                          (Policy.SEQUENTIAL, brute_sequential)):
+        p = plan(policy, specs, cluster)
+        assert makespan(p) == simulate(p).makespan == brute(priced)[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=90))
+def test_makespan_closed_forms_at_a_trillion_iterations(n_jobs, fwd, bwd, comm):
+    """N >= 2 identical jobs: reachable only by skipping periods."""
+    budget, comp = 10**12, fwd + bwd
+    specs = [(f"j{i}", fwd, bwd, comm, budget) for i in range(n_jobs)]
+    assert (makespan(plan(Policy.CROSSOVER, specs))
+            == n_jobs * budget * max(comp, comm) + min(comp, comm))
+    assert makespan(plan(Policy.SEQUENTIAL, specs)) == n_jobs * budget * (comp + comm)
+
+
+def test_makespan_skips_within_each_regime():
+    # budgets m, 2m and 3m give three regimes whose periods are 20 (every
+    # compute), 15 (b's and c's computes) and 9 (c's compute plus its sync),
+    # so past the transients the full recurrence grows 44 per unit of m
+    def specs(m):
+        return [("a", 2, 3, 4, m), ("b", 1, 6, 2, 2 * m), ("c", 4, 4, 1, 3 * m)]
+
+    full = [simulate(plan(Policy.CROSSOVER, specs(m))).makespan for m in (50, 51)]
+    assert full[1] - full[0] == 44
+    assert makespan(plan(Policy.CROSSOVER, specs(10**9))) == full[0] + (10**9 - 50) * 44
 
 
 class TestUnequalBudgets:

@@ -11,7 +11,6 @@ parameter trajectory bit-for-bit unchanged.
 from .comm import (
     Architecture,
     ClusterSpec,
-    comm_comp_ratio,
     comm_time,
 )
 from .engine import (
@@ -23,7 +22,7 @@ from .engine import (
     validate_trace,
 )
 from .errors import ComparisonError, ConfigError, InvalidTraceError
-from .metrics import Metrics, compare, measure, metrics_from_json, report
+from .metrics import Metrics, compare, measure, report
 from .scenario import Scenario, load_config
 from .scheduler import (
     Policy,

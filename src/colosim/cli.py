@@ -123,10 +123,9 @@ def _equiv_configs(n_jobs: int, workers: int, seed: int) -> list[SgdConfig]:
     losses = (LossKind.LEAST_SQUARES, LossKind.LOGISTIC)
     return [
         SgdConfig(
-            learning_rate=0.05,
-            workers=workers,
             loss=losses[j % 2],
             dataset_seed=seed * 1000 + n_jobs * 100 + workers * 10 + j,
+            rng_seed=seed + 31 * j,
         )
         for j in range(n_jobs)
     ]
@@ -168,10 +167,9 @@ def _cmd_equivalence(args) -> int:
     for n_jobs in _EQUIV_JOB_COUNTS:
         for workers in _EQUIV_WORKER_COUNTS:
             configs = _equiv_configs(n_jobs, workers, args.seed)
-            seeds = [args.seed + 31 * j for j in range(n_jobs)]
             active = perturb if perturb and perturb[0] < n_jobs else None
             plan = _equiv_plan(n_jobs, workers, args.iters)
-            rep = check_neutrality(configs, plan, seeds, perturb=active)
+            rep = check_neutrality(configs, plan, perturb=active)
             print(f"jobs={n_jobs} workers={workers} iters={args.iters}: "
                   f"max deviation {rep.max_abs_deviation:g}")
             worst = max(worst, rep.max_abs_deviation)
@@ -197,8 +195,16 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, like every other usage error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="colosim",
         description="Deterministic simulator for co-located training jobs that "
                     "overlap gradient synchronization with compute.")

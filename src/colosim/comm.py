@@ -16,17 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import ConfigError
-from .workload import JobProfile, comp_time
 
 __all__ = [
     "Architecture",
     "ClusterSpec",
     "cost_terms",
     "comm_time",
-    "comm_comp_ratio",
 ]
 
 NS_PER_S = 10**9
@@ -80,11 +77,3 @@ def comm_time(size_bytes: int, cluster: ClusterSpec) -> int:
         raise ValueError("size_bytes must be >= 0")
     latency, num, den = cost_terms(cluster)
     return latency + -(-size_bytes * num // den)
-
-
-def comm_comp_ratio(job: JobProfile, cluster: ClusterSpec) -> Fraction:
-    """Exact ratio of fused sync time to one iteration's compute time."""
-    comp = comp_time(job)
-    if comp <= 0:
-        raise ValueError(f"job {job.job_id!r}: compute time must be > 0")
-    return Fraction(comm_time(job.grad_bytes, cluster), comp)

@@ -12,9 +12,12 @@ sync ends reads stale parameters and diverges.
 Everything is double precision with a fixed left-to-right reduction order so
 bit equality is well defined.
 
-A mini-batch is a pure function of (job seed, iteration, worker index,
-dataset size, batch size), so each draw is made once per process and shared,
-read-only, by both runs, as is each config's synthetic dataset.  Gradients,
+Every job trains the same size of problem at the same learning rate
+(``DIM``, ``DATASET_SIZE``, ``BATCH_SIZE``, ``LEARNING_RATE``); an
+``SgdConfig`` picks only its loss and seeds, and the worker count is that of
+the plan's cluster.  A mini-batch is a pure function of (job seed, iteration,
+worker index), so each draw is made once per process and shared, read-only,
+by both runs, as is each config's synthetic dataset.  Gradients,
 gathered batches and anything else derived from the parameters are never
 cached: both runs compute every gradient themselves, or the comparison would
 prove nothing.
@@ -33,6 +36,10 @@ import numpy as np
 from .scheduler import SchedulePlan, simulate
 
 __all__ = [
+    "DIM",
+    "DATASET_SIZE",
+    "BATCH_SIZE",
+    "LEARNING_RATE",
     "LossKind",
     "SgdConfig",
     "TrainingState",
@@ -48,6 +55,13 @@ __all__ = [
     "check_neutrality",
 ]
 
+# Every job's problem: parameter dimension, dataset rows, rows per worker's
+# mini-batch, and the SGD step size.
+DIM = 8
+DATASET_SIZE = 128
+BATCH_SIZE = 16
+LEARNING_RATE = 0.05
+
 
 class LossKind(Enum):
     LEAST_SQUARES = "least_squares"
@@ -56,23 +70,15 @@ class LossKind(Enum):
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Synchronous-SGD setup for one job's synthetic training problem."""
+    """One job's synthetic training problem.
 
-    learning_rate: float
-    workers: int
+    ``dataset_seed`` draws the dataset; ``rng_seed`` draws the initial
+    parameters and every mini-batch.
+    """
+
     loss: LossKind
     dataset_seed: int
-    dim: int = 8
-    dataset_size: int = 128
-    batch_size: int = 16
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if min(self.dim, self.dataset_size, self.batch_size) < 1:
-            raise ValueError("dim, dataset_size and batch_size must be >= 1")
+    rng_seed: int
 
 
 @dataclass
@@ -81,15 +87,14 @@ class TrainingState:
 
     parameters: np.ndarray
     iteration: int
-    rng_seed: int
 
 
 @lru_cache(maxsize=128)
 def make_dataset(config: SgdConfig) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic synthetic dataset for the config (cached, read-only)."""
     rng = np.random.default_rng(config.dataset_seed)
-    x = rng.standard_normal((config.dataset_size, config.dim))
-    w_true = rng.standard_normal(config.dim)
+    x = rng.standard_normal((DATASET_SIZE, DIM))
+    w_true = rng.standard_normal(DIM)
     z = x @ w_true
     if config.loss is LossKind.LEAST_SQUARES:
         y = z
@@ -100,9 +105,9 @@ def make_dataset(config: SgdConfig) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def initial_state(config: SgdConfig, rng_seed: int = 0) -> TrainingState:
-    rng = np.random.default_rng([rng_seed, 0])
-    return TrainingState(rng.standard_normal(config.dim), 0, rng_seed)
+def initial_state(config: SgdConfig) -> TrainingState:
+    rng = np.random.default_rng([config.rng_seed, 0])
+    return TrainingState(rng.standard_normal(DIM), 0)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -137,11 +142,10 @@ _BATCH_CACHE_SIZE = 2048
 
 
 @lru_cache(maxsize=_BATCH_CACHE_SIZE)
-def _batch_indices(rng_seed: int, iteration: int, worker_index: int,
-                   dataset_size: int, batch_size: int) -> np.ndarray:
+def _batch_indices(rng_seed: int, iteration: int, worker_index: int) -> np.ndarray:
     """Read-only sample indices of one worker's mini-batch for one iteration."""
     rng = np.random.default_rng([rng_seed, 1, iteration, worker_index])
-    idx = rng.integers(0, dataset_size, size=batch_size)
+    idx = rng.integers(0, DATASET_SIZE, size=BATCH_SIZE)
     idx.setflags(write=False)
     return idx
 
@@ -158,15 +162,15 @@ def average_gradients(grads: Sequence[np.ndarray]) -> np.ndarray:
     return acc / len(grads)
 
 
-def sgd_step(state: TrainingState, averaged: np.ndarray,
-             config: SgdConfig) -> TrainingState:
+def sgd_step(state: TrainingState, averaged: np.ndarray) -> TrainingState:
     if averaged.shape != state.parameters.shape:
         raise ValueError("gradient shape does not match parameters")
-    return TrainingState(state.parameters - config.learning_rate * averaged,
-                         state.iteration + 1, state.rng_seed)
+    return TrainingState(state.parameters - LEARNING_RATE * averaged,
+                         state.iteration + 1)
 
 
-def _averaged_gradient(state: TrainingState, config: SgdConfig) -> np.ndarray:
+def _averaged_gradient(state: TrainingState, config: SgdConfig,
+                       workers: int) -> np.ndarray:
     """Averaged gradient for the job's next iteration at its current parameters.
 
     Each worker's mini-batch is drawn from (job seed, iteration, worker
@@ -174,45 +178,45 @@ def _averaged_gradient(state: TrainingState, config: SgdConfig) -> np.ndarray:
     """
     x, y = make_dataset(config)
     grads = []
-    for w in range(config.workers):
-        idx = _batch_indices(state.rng_seed, state.iteration + 1, w,
-                             config.dataset_size, config.batch_size)
+    for w in range(workers):
+        idx = _batch_indices(config.rng_seed, state.iteration + 1, w)
         grads.append(loss_gradient(config.loss, state.parameters, x[idx], y[idx]))
     return average_gradients(grads)
 
 
-def run_isolated(config: SgdConfig, iterations: int,
-                 rng_seed: int = 0) -> list[TrainingState]:
+def run_isolated(config: SgdConfig, workers: int,
+                 iterations: int) -> list[TrainingState]:
     """Reference trajectory: plain synchronous SGD, no interleaving."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    state = initial_state(config, rng_seed)
+    state = initial_state(config)
     trajectory = []
     for _ in range(iterations):
-        state = sgd_step(state, _averaged_gradient(state, config), config)
+        state = sgd_step(state, _averaged_gradient(state, config, workers))
         trajectory.append(state)
     return trajectory
 
 
 def replay_trace(configs: Sequence[SgdConfig], plan: SchedulePlan,
-                 rng_seeds: Sequence[int],
                  perturb: tuple[int, int] | None) -> Iterator[tuple[int, TrainingState]]:
     """Train ``configs[i]`` as ``plan.jobs[i]`` along ``simulate(plan).rows``.
 
     Yields ``(job index, state)`` as each update lands: at a row's start,
     every pending update of that job whose sync ended by then; after the last
-    row, whatever is still queued.  ``perturb`` is a test hook:
-    (job_index, iteration) nudges that update's first coordinate by one ulp
-    to prove the comparison can fail.
+    row, whatever is still queued.  Each job averages the gradients of
+    ``plan.cluster.workers`` workers, the count its syncs were priced for.
+    ``perturb`` is a test hook: (job_index, iteration) nudges that update's
+    first coordinate by one ulp to prove the comparison can fail.
     """
-    if not len(configs) == len(rng_seeds) == len(plan.jobs):
-        raise ValueError("configs and rng_seeds must match the plan's jobs")
+    if len(configs) != len(plan.jobs):
+        raise ValueError("configs must match the plan's jobs")
+    workers = plan.cluster.workers
     index = {job.job_id: j for j, job in enumerate(plan.jobs)}
-    states = [initial_state(cfg, seed) for cfg, seed in zip(configs, rng_seeds)]
+    states = [initial_state(cfg) for cfg in configs]
     pending: list[deque[tuple[int, np.ndarray]]] = [deque() for _ in configs]
 
     def land(j: int) -> tuple[int, TrainingState]:
-        state = sgd_step(states[j], pending[j].popleft()[1], configs[j])
+        state = sgd_step(states[j], pending[j].popleft()[1])
         if perturb == (j, state.iteration):
             state.parameters[0] = np.nextafter(state.parameters[0], np.inf)
         states[j] = state
@@ -222,7 +226,7 @@ def replay_trace(configs: Sequence[SgdConfig], plan: SchedulePlan,
         j = index[job_id]
         while pending[j] and pending[j][0][0] <= start:
             yield land(j)
-        pending[j].append((sync_end, _averaged_gradient(states[j], configs[j])))
+        pending[j].append((sync_end, _averaged_gradient(states[j], configs[j], workers)))
     for j in range(len(configs)):
         while pending[j]:
             yield land(j)
@@ -241,7 +245,6 @@ class NeutralityReport:
 
 
 def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan,
-                     rng_seeds: Sequence[int],
                      perturb: tuple[int, int] | None = None) -> NeutralityReport:
     """Compare the replayed trajectories against isolated ones, bit for bit.
 
@@ -251,16 +254,17 @@ def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan,
     affects (coordinate 0).  The lowest (job, iteration) divergence is
     reported.
     """
-    reference = [initial_state(cfg, seed) for cfg, seed in zip(configs, rng_seeds)]
+    workers = plan.cluster.workers
+    reference = [initial_state(cfg) for cfg in configs]
     max_dev = 0.0
     diverged: dict[int, tuple[int, int]] = {}
-    for j, state in replay_trace(configs, plan, rng_seeds, perturb):
+    for j, state in replay_trace(configs, plan, perturb):
         t = reference[j].iteration + 1
         if state.iteration != t or t > plan.jobs[j].iterations:
             diverged.setdefault(j, (t, 0))
             continue
-        ref, cfg = reference[j], configs[j]
-        ref = reference[j] = sgd_step(ref, _averaged_gradient(ref, cfg), cfg)
+        ref = reference[j]
+        ref = reference[j] = sgd_step(ref, _averaged_gradient(ref, configs[j], workers))
         diff = np.abs(ref.parameters - state.parameters)
         dev = float(diff.max())
         max_dev = max(max_dev, dev)

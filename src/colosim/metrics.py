@@ -20,8 +20,7 @@ from .engine import Trace, validate_trace
 from .errors import ComparisonError, InvalidTraceError
 from .scheduler import SchedulePlan
 
-__all__ = ["Metrics", "measure", "compare", "report", "metrics_from_json",
-           "METRICS_CSV_HEADER"]
+__all__ = ["Metrics", "measure", "compare", "report", "METRICS_CSV_HEADER"]
 
 # Versioned column set of the CSV report; changing it means bumping the name.
 METRICS_CSV_HEADER = ("scenario,policy,job_id,iterations,period_ns,"
@@ -146,25 +145,6 @@ def _json_doc(m: Metrics) -> dict:
         "aggregate_throughput_per_s": _frac_str(m.aggregate_throughput),
         "speedup_vs_baseline": _frac_str(m.speedup_vs_baseline),
     }
-
-
-def metrics_from_json(text: str) -> Metrics:
-    doc = json.loads(text)
-    if doc.get("format") != _JSON_FORMAT:
-        raise ValueError(f"unsupported metrics document: {doc.get('format')!r}")
-    per_job = doc["per_job"]
-    speedup = doc["speedup_vs_baseline"]
-    return Metrics(
-        scenario=doc["scenario"],
-        policy=doc["policy"],
-        makespan=doc["makespan_ns"],
-        per_job_iteration_period={j: v["period_ns"] for j, v in per_job.items()},
-        per_job_iterations={j: v["iterations"] for j, v in per_job.items()},
-        gpu_utilization=Fraction(doc["gpu_utilization"]),
-        nic_utilization=Fraction(doc["nic_utilization"]),
-        aggregate_throughput=Fraction(doc["aggregate_throughput_per_s"]),
-        speedup_vs_baseline=None if speedup is None else Fraction(speedup),
-    )
 
 
 def _csv(m: Metrics) -> str:

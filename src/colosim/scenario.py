@@ -80,8 +80,12 @@ class Scenario:
         return SchedulePlan(policy=self.policy, jobs=jobs, cluster=self.cluster)
 
 
-def scaled_int(value, num: int, den: int, field: str) -> int:
-    """Convert a config number to internal integer units, exactly or not at all."""
+def scaled_int(value, num: int, den: int, field: str, minimum: int) -> int:
+    """Convert a config number to internal integer units, exactly or not at all.
+
+    ``minimum`` is 0 for a field that may be zero and 1 for one that must be
+    positive; a whole number of units is >= 1 exactly when it is > 0.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: expected a number, got {_brief.repr(value)}")
     try:
@@ -97,6 +101,8 @@ def scaled_int(value, num: int, den: int, field: str) -> int:
     if not -_INT_LIMIT < n < _INT_LIMIT:
         raise ConfigError(
             f"{field}: {_brief.repr(value)} overflows the internal integer range")
+    if n < minimum:
+        raise ConfigError(f"{field}: must be {'> 0' if minimum else '>= 0'}")
     return n
 
 
@@ -165,12 +171,8 @@ def _parse_cluster(obj, where: str = "cluster") -> ClusterSpec:
     arch = _enum_field(Architecture, _require(obj, "architecture", where),
                        f"{where}.architecture")
     bandwidth = scaled_int(_require(obj, "bandwidth_gbps", where),
-                           10**9, 8, f"{where}.bandwidth_gbps")
-    if bandwidth <= 0:
-        raise ConfigError(f"{where}.bandwidth_gbps: must be > 0")
-    latency = scaled_int(obj.get("latency_us", 0), 10**3, 1, f"{where}.latency_us")
-    if latency < 0:
-        raise ConfigError(f"{where}.latency_us: must be >= 0")
+                           10**9, 8, f"{where}.bandwidth_gbps", 1)
+    latency = scaled_int(obj.get("latency_us", 0), 10**3, 1, f"{where}.latency_us", 0)
     return ClusterSpec(
         workers=_count_field(obj, "workers", where),
         bandwidth_bytes_per_sec=bandwidth,
@@ -202,15 +204,11 @@ def _parse_job(obj, index: int) -> JobProfile:
 
     iterations = _count_field(obj, "iterations", where)
     grad_bytes = scaled_int(_require(obj, "grad_mb", where), 10**6, 1,
-                            f"{where}.grad_mb")
-    if grad_bytes < 0:
-        raise ConfigError(f"{where}.grad_mb: must be >= 0")
+                            f"{where}.grad_mb", 0)
     forward = scaled_int(_require(obj, "forward_ms", where), 10**6, 1,
-                         f"{where}.forward_ms")
+                         f"{where}.forward_ms", 0)
     backward = scaled_int(_require(obj, "backward_ms", where), 10**6, 1,
-                          f"{where}.backward_ms")
-    if forward < 0 or backward < 0:
-        raise ConfigError(f"{where}: compute times must be >= 0")
+                          f"{where}.backward_ms", 0)
     if forward + backward <= 0:
         raise ConfigError(f"{where}: forward_ms + backward_ms must be > 0")
     return JobProfile(

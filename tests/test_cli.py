@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from colosim.cli import MAX_EQUIV_ITERS, MAX_SWEEP_STEPS, _payload_for_ratio, main
 from colosim.comm import Architecture, ClusterSpec, comm_time
 from colosim.errors import ConfigError
-from colosim.metrics import metrics_from_json
 from colosim.scheduler import Policy, SchedulePlan
 from colosim.workload import JobProfile
 
@@ -24,9 +23,9 @@ class TestSimulate:
     def test_golden_metrics_json(self, tmp_path):
         code = run("simulate", "--config", GOLDEN, "--out", str(tmp_path))
         assert code == 0
-        metrics = metrics_from_json((tmp_path / "metrics.json").read_text())
-        assert metrics.makespan == 13
-        assert metrics.scenario == "golden_2jobs"
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["makespan_ns"] == 13
+        assert metrics["scenario"] == "golden_2jobs"
         spans = json.loads((tmp_path / "trace.json").read_text())
         assert len(spans) == 18
 
@@ -58,8 +57,8 @@ class TestSimulate:
 
     def test_iters_override(self, tmp_path):
         run("simulate", "--config", GOLDEN, "--out", str(tmp_path), "--iters", "5")
-        metrics = metrics_from_json((tmp_path / "metrics.json").read_text())
-        assert metrics.per_job_iterations == {"j1": 5, "j2": 5}
+        per_job = json.loads((tmp_path / "metrics.json").read_text())["per_job"]
+        assert {j: v["iterations"] for j, v in per_job.items()} == {"j1": 5, "j2": 5}
 
     def test_run_size_limit_is_usage_error(self, tmp_path, capsys):
         code = run("simulate", "--config", GOLDEN, "--out", str(tmp_path),
@@ -218,6 +217,28 @@ class TestEquivalence:
         captured = capsys.readouterr()
         assert "--seed" in captured.err
         assert "PASS" not in captured.out
+
+
+class TestUsageErrors:
+    """Argument errors argparse catches exit 1, like every other usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", GOLDEN, "--iters", "abc"],
+        ["simulate", "--config", GOLDEN, "--format", "yaml"],
+        ["simulate"],
+        ["bogus"],
+    ], ids=["bad_int", "bad_choice", "missing_config", "unknown_subcommand"])
+    def test_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(*argv)
+        assert info.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("simulate", "--help")
+        assert info.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
 
 class TestValidateConfig:

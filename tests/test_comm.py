@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colosim.comm import Architecture, ClusterSpec, comm_comp_ratio, comm_time
+from colosim.comm import Architecture, ClusterSpec, comm_time
 from colosim.errors import ConfigError
-from colosim.workload import JobProfile, fixture_profile
+from colosim.workload import JobProfile, comp_time, fixture_profile
 
 from oracles import parameter_server_ns, ring_allreduce_ns
 
@@ -86,20 +86,24 @@ class TestCommTimeDispatch:
         assert _unfused(sizes, cluster) == fused
 
 
+def _ratio(job, cluster):
+    return Fraction(comm_time(job.grad_bytes, cluster), comp_time(job))
+
+
 class TestCommCompRatio:
     def test_half(self):
         # comm 1ms (2*625kB at 1.25GB/s), comp 2ms
         job = _job(625_000)
-        assert comm_comp_ratio(job, ps(GBPS_10)) == Fraction(1, 2)
+        assert _ratio(job, ps(GBPS_10)) == Fraction(1, 2)
 
     def test_unity(self):
         job = _job(1_250_000)  # comm 2ms == comp 2ms
-        assert comm_comp_ratio(job, ps(GBPS_10)) == 1
+        assert _ratio(job, ps(GBPS_10)) == 1
 
     def test_resnet50_on_fast_ring_is_hidden(self):
         # frozen from an independent evaluation of the ring formula against
         # the fixture constants (15,484,220 ns sync vs 230 ms compute)
-        ratio = comm_comp_ratio(fixture_profile("resnet50"), ring(16, latency=5_000))
+        ratio = _ratio(fixture_profile("resnet50"), ring(16, latency=5_000))
         assert ratio == Fraction(774_211, 11_500_000)
         assert 0 < ratio < 1
 

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from colosim import cli, equivalence
 from colosim.comm import Architecture, ClusterSpec
 from colosim.engine import Trace
 from colosim.equivalence import (
+    BATCH_SIZE,
+    DATASET_SIZE,
+    DIM,
     LossKind,
     SgdConfig,
     TrainingState,
@@ -37,16 +41,16 @@ NS_CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
                          architecture=Architecture.PARAMETER_SERVER)
 
 
-def config(loss=LossKind.LEAST_SQUARES, workers=2, seed=7, lr=0.05):
-    return SgdConfig(learning_rate=lr, workers=workers, loss=loss, dataset_seed=seed)
+def config(loss=LossKind.LEAST_SQUARES, seed=7, rng_seed=0):
+    return SgdConfig(loss=loss, dataset_seed=seed, rng_seed=rng_seed)
 
 
-def crossover_plan(*budgets):
+def crossover_plan(*budgets, workers=NS_CLUSTER.workers):
     """One job per budget; each sync (5 ns) outlasts its compute (3 ns)."""
     return SchedulePlan(Policy.CROSSOVER,
                         tuple(JobProfile(f"j{i}", 1, 2, 5, iterations)
                               for i, iterations in enumerate(budgets)),
-                        NS_CLUSTER)
+                        replace(NS_CLUSTER, workers=workers))
 
 
 def by_job(n_jobs, updates):
@@ -57,8 +61,8 @@ def by_job(n_jobs, updates):
     return trajectories
 
 
-def replayed(configs, plan, rng_seeds):
-    return by_job(len(configs), replay_trace(configs, plan, rng_seeds, None))
+def replayed(configs, plan):
+    return by_job(len(configs), replay_trace(configs, plan, None))
 
 
 class TestLossGradient:
@@ -133,48 +137,47 @@ class TestAverageGradients:
 
 class TestSgdStep:
     def test_zero_gradient_keeps_parameters(self):
-        state = initial_state(config(), rng_seed=1)
-        stepped = sgd_step(state, np.zeros(8), config())
+        state = initial_state(config(rng_seed=1))
+        stepped = sgd_step(state, np.zeros(DIM))
         assert np.array_equal(stepped.parameters, state.parameters)
         assert stepped.iteration == 1
 
     def test_arithmetic(self):
-        state = TrainingState(np.array([1.0, 1.0]), 0, 0)
-        cfg = SgdConfig(learning_rate=0.1, workers=1,
-                        loss=LossKind.LEAST_SQUARES, dataset_seed=0, dim=2)
-        stepped = sgd_step(state, np.array([1.0, -1.0]), cfg)
-        assert np.array_equal(stepped.parameters, np.array([0.9, 1.1]))
+        # learning rate 0.05
+        state = TrainingState(np.ones(DIM), 0)
+        stepped = sgd_step(state, np.tile([1.0, -1.0], DIM // 2))
+        assert np.array_equal(stepped.parameters, np.tile([0.95, 1.05], DIM // 2))
 
     def test_shape_mismatch(self):
-        state = initial_state(config(), rng_seed=1)
+        state = initial_state(config(rng_seed=1))
         with pytest.raises(ValueError):
-            sgd_step(state, np.zeros(3), config())
+            sgd_step(state, np.zeros(3))
 
 
 class TestRunIsolated:
     def test_one_iteration_is_one_averaged_step(self):
-        cfg = config(workers=3)
-        state = initial_state(cfg, rng_seed=4)
+        cfg = config(rng_seed=4)
+        state = initial_state(cfg)
         x, y = make_dataset(cfg)
-        draws = [batch_indices_reference(4, 1, w, cfg.dataset_size, cfg.batch_size)
+        draws = [batch_indices_reference(4, 1, w, DATASET_SIZE, BATCH_SIZE)
                  for w in range(3)]
         grads = [loss_gradient(cfg.loss, state.parameters, x[idx], y[idx]) for idx in draws]
-        expected = sgd_step(state, average_gradients(grads), cfg)
-        trajectory = run_isolated(cfg, 1, rng_seed=4)
+        expected = sgd_step(state, average_gradients(grads))
+        trajectory = run_isolated(cfg, 3, 1)
         assert len(trajectory) == 1
         assert np.array_equal(trajectory[0].parameters, expected.parameters)
 
     def test_deterministic_across_runs(self):
-        a = run_isolated(config(), 20, rng_seed=2)
-        b = run_isolated(config(), 20, rng_seed=2)
+        a = run_isolated(config(rng_seed=2), 2, 20)
+        b = run_isolated(config(rng_seed=2), 2, 20)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.parameters, sb.parameters)
 
     def test_least_squares_loss_decreases(self):
-        cfg = config(lr=0.05, workers=2, seed=13)
+        cfg = config(seed=13, rng_seed=3)
         x, y = make_dataset(cfg)
-        trajectory = run_isolated(cfg, 40, rng_seed=3)
-        losses = [loss_value(cfg.loss, initial_state(cfg, 3).parameters, x, y)]
+        trajectory = run_isolated(cfg, 2, 40)
+        losses = [loss_value(cfg.loss, initial_state(cfg).parameters, x, y)]
         losses += [loss_value(cfg.loss, s.parameters, x, y) for s in trajectory]
         assert losses[-1] < losses[0]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
@@ -184,25 +187,26 @@ class TestRunCrossover:
     """The interleaved run: replay_trace along simulate's rows."""
 
     def test_single_job_degenerates_to_isolated(self):
-        cfg = config()
-        crossed = replayed([cfg], crossover_plan(25), [6])
-        isolated = run_isolated(cfg, 25, 6)
+        cfg = config(rng_seed=6)
+        plan = crossover_plan(25)
+        crossed = replayed([cfg], plan)
+        isolated = run_isolated(cfg, plan.cluster.workers, 25)
         assert len(crossed[0]) == len(isolated)
         for a, b in zip(isolated, crossed[0]):
             assert np.array_equal(a.parameters, b.parameters)
 
     def test_two_heterogeneous_jobs_match_isolated_exactly(self):
-        cfgs = [config(LossKind.LEAST_SQUARES, workers=4, seed=21),
-                config(LossKind.LOGISTIC, workers=4, seed=22)]
-        report = check_neutrality(cfgs, crossover_plan(100, 100), [1, 2])
+        cfgs = [config(LossKind.LEAST_SQUARES, seed=21, rng_seed=1),
+                config(LossKind.LOGISTIC, seed=22, rng_seed=2)]
+        report = check_neutrality(cfgs, crossover_plan(100, 100, workers=4))
         assert report.equal
         assert report.max_abs_deviation == 0.0
 
     def test_job_order_is_irrelevant(self):
-        cfg_a = config(LossKind.LEAST_SQUARES, seed=31)
-        cfg_b = config(LossKind.LOGISTIC, seed=32)
-        fwd = replayed([cfg_a, cfg_b], crossover_plan(30, 30), [5, 6])
-        rev = replayed([cfg_b, cfg_a], crossover_plan(30, 30), [6, 5])
+        cfg_a = config(LossKind.LEAST_SQUARES, seed=31, rng_seed=5)
+        cfg_b = config(LossKind.LOGISTIC, seed=32, rng_seed=6)
+        fwd = replayed([cfg_a, cfg_b], crossover_plan(30, 30))
+        rev = replayed([cfg_b, cfg_a], crossover_plan(30, 30))
         assert len(fwd[0]) == len(rev[1]) == 30
         assert len(fwd[1]) == len(rev[0]) == 30
         for a, b in zip(fwd[0], rev[1]):
@@ -211,13 +215,14 @@ class TestRunCrossover:
             assert np.array_equal(a.parameters, b.parameters)
 
     def test_trajectory_lengths(self):
-        trajs = replayed([config(seed=1), config(seed=2)], crossover_plan(7, 4), [0, 1])
+        trajs = replayed([config(seed=1, rng_seed=0), config(seed=2, rng_seed=1)],
+                         crossover_plan(7, 4))
         assert [len(t) for t in trajs] == [7, 4]
         assert all(s.iteration == i + 1 for t in trajs for i, s in enumerate(t))
 
     def test_perturbation_hook_is_detected(self):
-        cfgs = [config(seed=41), config(seed=42)]
-        report = check_neutrality(cfgs, crossover_plan(10, 10), [0, 1], perturb=(1, 4))
+        cfgs = [config(seed=41, rng_seed=0), config(seed=42, rng_seed=1)]
+        report = check_neutrality(cfgs, crossover_plan(10, 10), perturb=(1, 4))
         assert not report.equal
         assert report.first_divergence is not None
         job, iteration, _ = report.first_divergence
@@ -226,7 +231,7 @@ class TestRunCrossover:
 
 
 def _renumbered(state: TrainingState, iteration: int) -> TrainingState:
-    return TrainingState(state.parameters, iteration, state.rng_seed)
+    return TrainingState(state.parameters, iteration)
 
 
 # Broken edits of each job's replayed states, each with the iteration
@@ -279,8 +284,8 @@ class TestCheckNeutrality:
     def test_broken_trajectory_is_a_divergence(self, mutate, name):
         edit, iteration = TRAJECTORY_MUTANTS[name]
         mutate(edit)
-        report = check_neutrality([config(seed=51), config(seed=52)],
-                                  crossover_plan(5, 5), [0, 1])
+        report = check_neutrality([config(seed=51, rng_seed=0), config(seed=52, rng_seed=1)],
+                                  crossover_plan(5, 5))
         assert not report.equal
         assert report.first_divergence == (0, iteration, 0)
 
@@ -294,22 +299,20 @@ class TestCheckNeutrality:
     @pytest.mark.parametrize("job, iteration", [(0, 2), (1, 3), (2, 5)])
     def test_compute_before_previous_sync_ends_diverges(self, mutate_rows, job, iteration):
         mutate_rows(_early_start(f"job{job}", iteration))
-        report = check_neutrality(cli._equiv_configs(3, 2, 0), cli._equiv_plan(3, 2, 5),
-                                  [0, 31, 62])
+        report = check_neutrality(cli._equiv_configs(3, 2, 0), cli._equiv_plan(3, 2, 5))
         assert report.first_divergence[:2] == (job, iteration)
         assert report.max_abs_deviation > 0.0
 
     def test_dropped_final_row_is_a_divergence(self, mutate_rows):
         mutate_rows(lambda rows: rows[:-1])
-        report = check_neutrality(cli._equiv_configs(3, 2, 0), cli._equiv_plan(3, 2, 5),
-                                  [0, 31, 62])
+        report = check_neutrality(cli._equiv_configs(3, 2, 0), cli._equiv_plan(3, 2, 5))
         assert report.first_divergence == (2, 5, 0)
 
     def test_unequal_budgets_pass(self):
         configs = cli._equiv_configs(3, 2, 0)
         plan = crossover_plan(3, 10, 7)
-        assert check_neutrality(configs, plan, [0, 31, 62]).equal
-        assert [len(t) for t in replayed(configs, plan, [0, 31, 62])] == [3, 10, 7]
+        assert check_neutrality(configs, plan).equal
+        assert [len(t) for t in replayed(configs, plan)] == [3, 10, 7]
 
 
 def _grid_digest(seeds=(0, 5, 123), iterations=60) -> str:
@@ -318,13 +321,12 @@ def _grid_digest(seeds=(0, 5, 123), iterations=60) -> str:
         for n_jobs in cli._EQUIV_JOB_COUNTS:
             for workers in cli._EQUIV_WORKER_COUNTS:
                 configs = cli._equiv_configs(n_jobs, workers, seed)
-                rng_seeds = [seed + 31 * j for j in range(n_jobs)]
                 plan = cli._equiv_plan(n_jobs, workers, iterations)
-                for trajectory in replayed(configs, plan, rng_seeds):
+                for trajectory in replayed(configs, plan):
                     for state in trajectory:
                         h.update(state.parameters.tobytes())
-                for cfg, rng_seed in zip(configs, rng_seeds):
-                    for state in run_isolated(cfg, iterations, rng_seed):
+                for cfg in configs:
+                    for state in run_isolated(cfg, workers, iterations):
                         h.update(state.parameters.tobytes())
     return h.hexdigest()
 
@@ -334,24 +336,21 @@ def test_cli_grid_trajectories_are_pinned():
 
 
 class TestBatchDraws:
-    @given(rng_seed=st.integers(0, 2**32), dataset_size=st.integers(1, 1000),
-           batch_size=st.integers(1, 64),
+    @given(rng_seed=st.integers(0, 2**32),
            keys=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)),
                          min_size=1, max_size=12))
-    def test_cached_draws_match_a_fresh_generator(self, rng_seed, dataset_size,
-                                                  batch_size, keys):
+    def test_cached_draws_match_a_fresh_generator(self, rng_seed, keys):
         for _ in range(2):  # the second pass starts from an empty cache
             for iteration, worker in keys * 2:
-                got = equivalence._batch_indices(rng_seed, iteration, worker,
-                                                 dataset_size, batch_size)
+                got = equivalence._batch_indices(rng_seed, iteration, worker)
                 want = batch_indices_reference(rng_seed, iteration, worker,
-                                               dataset_size, batch_size)
+                                               DATASET_SIZE, BATCH_SIZE)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
             equivalence._batch_indices.cache_clear()
 
     def test_returned_draw_is_read_only(self):
-        idx = equivalence._batch_indices(3, 1, 0, 128, 16)
+        idx = equivalence._batch_indices(3, 1, 0)
         with pytest.raises(ValueError):
             idx[0] = 0
         assert np.array_equal(idx, batch_indices_reference(3, 1, 0, 128, 16))
@@ -365,19 +364,19 @@ class TestBatchDraws:
 
     def test_each_draw_is_made_once_and_shared_by_both_runs(self):
         equivalence._batch_indices.cache_clear()
-        report = check_neutrality([config(workers=3, seed=61),
-                                   config(workers=2, seed=62)], crossover_plan(10, 10), [8, 9])
+        plan = crossover_plan(10, 10, workers=3)
+        report = check_neutrality([config(seed=61, rng_seed=8),
+                                   config(seed=62, rng_seed=9)], plan)
         assert report.equal
         info = equivalence._batch_indices.cache_info()
-        assert info.misses == (3 + 2) * 10
+        assert info.misses == len(plan.jobs) * plan.cluster.workers * 10 == 60
         assert info.hits == info.misses
 
     def test_reuse_holds_past_the_cache_size(self):
         # 2,400 distinct draws, more than the cache holds: each job's reference
         # steps right after its replayed update lands, while the draw is cached.
         equivalence._batch_indices.cache_clear()
-        report = check_neutrality(cli._equiv_configs(3, 4, 0), cli._equiv_plan(3, 4, 200),
-                                  [0, 31, 62])
+        report = check_neutrality(cli._equiv_configs(3, 4, 0), cli._equiv_plan(3, 4, 200))
         assert report.equal
         info = equivalence._batch_indices.cache_info()
         assert info.hits == info.misses == 3 * 4 * 200
@@ -390,20 +389,10 @@ class TestBatchDraws:
 
 
 class TestConfigValidation:
-    def test_bad_learning_rate(self):
-        with pytest.raises(ValueError):
-            SgdConfig(learning_rate=0.0, workers=1,
-                      loss=LossKind.LEAST_SQUARES, dataset_seed=0)
-
-    def test_bad_workers(self):
-        with pytest.raises(ValueError):
-            SgdConfig(learning_rate=0.1, workers=0,
-                      loss=LossKind.LEAST_SQUARES, dataset_seed=0)
-
     def test_run_validation(self):
         with pytest.raises(ValueError):
-            run_isolated(config(), 0)
+            run_isolated(config(), 2, 0)
         with pytest.raises(ValueError):
-            list(replay_trace([config()], crossover_plan(5, 5), [1], None))
+            list(replay_trace([config()], crossover_plan(5, 5), None))
         with pytest.raises(ValueError):
-            check_neutrality([config(), config()], crossover_plan(5, 5), [1])
+            check_neutrality([config(), config()], crossover_plan(5))

@@ -1,4 +1,5 @@
 import csv
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from colosim.metrics import (
     METRICS_CSV_HEADER,
     compare,
     measure,
-    metrics_from_json,
     report,
 )
 from colosim.scheduler import Policy, SchedulePlan, simulate
@@ -126,10 +126,15 @@ class TestCompare:
 
 class TestReport:
     def test_json_round_trips_exactly(self):
+        # every ratio is written as its exact fraction string
         mx, ms = golden_pair()
-        combined = compare(mx, ms)
-        assert metrics_from_json(report(combined, "json")) == combined
-        assert metrics_from_json(report(mx, "json")) == mx
+        for m in (compare(mx, ms), mx):
+            doc = json.loads(report(m, "json"))
+            assert Fraction(doc["gpu_utilization"]) == m.gpu_utilization
+            assert Fraction(doc["nic_utilization"]) == m.nic_utilization
+            assert Fraction(doc["aggregate_throughput_per_s"]) == m.aggregate_throughput
+            speedup = doc["speedup_vs_baseline"]
+            assert (None if speedup is None else Fraction(speedup)) == m.speedup_vs_baseline
 
     def test_csv_shape(self):
         mx, ms = golden_pair()

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -68,40 +69,40 @@ class TestBundledScenarios:
         assert sync == 1  # comp 2ns, comm 1ns: the hand-enumerated setup
 
     def test_speedup_band_ratio_is_calibrated(self):
-        from colosim.comm import comm_comp_ratio
-        from fractions import Fraction
         scenario = load_config(SCENARIO_DIR / "speedup_band.json")
-        assert comm_comp_ratio(scenario.jobs[0], scenario.cluster) == Fraction(3, 20)
+        job = scenario.jobs[0]
+        assert Fraction(comm_time(job.grad_bytes, scenario.cluster),
+                        comp_time(job)) == Fraction(3, 20)
 
 
 class TestUnitConversion:
     def test_milliseconds_to_nanoseconds(self):
-        assert scaled_int(1.5, 10**6, 1, "f") == 1_500_000
+        assert scaled_int(1.5, 10**6, 1, "f", 0) == 1_500_000
 
     def test_tiny_exact_values(self):
-        assert scaled_int(1e-6, 10**6, 1, "f") == 1
+        assert scaled_int(1e-6, 10**6, 1, "f", 0) == 1
 
     def test_gbps_to_bytes_per_second(self):
-        assert scaled_int(10, 10**9, 8, "bw") == 1_250_000_000
-        assert scaled_int(0.1, 10**9, 8, "bw") == 12_500_000
+        assert scaled_int(10, 10**9, 8, "bw", 1) == 1_250_000_000
+        assert scaled_int(0.1, 10**9, 8, "bw", 1) == 12_500_000
 
     def test_sub_unit_value_rejected(self):
         with pytest.raises(ConfigError, match="whole internal unit"):
-            scaled_int(5e-7, 10**6, 1, "f")
+            scaled_int(5e-7, 10**6, 1, "f", 0)
 
     def test_overflow_rejected(self):
         with pytest.raises(ConfigError, match="overflows"):
-            scaled_int(1e13, 10**6, 1, "f")
+            scaled_int(1e13, 10**6, 1, "f", 0)
 
     def test_non_numeric_rejected(self):
         with pytest.raises(ConfigError, match="expected a number"):
-            scaled_int("fast", 10**6, 1, "f")
+            scaled_int("fast", 10**6, 1, "f", 0)
         with pytest.raises(ConfigError):
-            scaled_int(True, 10**6, 1, "f")
+            scaled_int(True, 10**6, 1, "f", 0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigError):
-            scaled_int(float("inf"), 10**6, 1, "f")
+            scaled_int(float("inf"), 10**6, 1, "f", 0)
 
 
 class TestValidation:
@@ -300,6 +301,19 @@ class TestFieldLimits:
         doc = base_doc()
         doc["cluster"]["latency_us"] = -1
         with pytest.raises(ConfigError, match=r"cluster\.latency_us: must be >= 0"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("cluster.bandwidth_gbps", 0, "must be > 0"),
+        ("jobs[1].grad_mb", -1, "must be >= 0"),
+        ("jobs[1].forward_ms", -1, "must be >= 0"),
+        ("jobs[1].backward_ms", -0.5, "must be >= 0"),
+    ])
+    def test_below_minimum_names_the_field(self, field, value, message):
+        doc = base_doc()
+        part, key = field.split(".")
+        (doc["cluster"] if part == "cluster" else doc["jobs"][1])[key] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: {message}$"):
             parse_scenario(doc)
 
     def test_lone_surrogate_in_a_name(self):

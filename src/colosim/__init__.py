@@ -19,7 +19,6 @@ from .engine import (
     Trace,
     trace_to_chrome_json,
     trace_to_json,
-    validate_trace,
 )
 from .errors import ComparisonError, ConfigError, InvalidTraceError
 from .metrics import Metrics, compare, measure, report
@@ -31,6 +30,7 @@ from .scheduler import (
     predicted_speedup,
     simulate,
     steady_state_period,
+    validate_trace,
 )
 from .workload import (
     JobProfile,

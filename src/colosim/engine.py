@@ -1,4 +1,4 @@
-"""Traces: the record of a schedule, its legality check and exporters.
+"""Traces: the record of a schedule and its exporters.
 
 A trace holds one row per job-iteration, in dispatch order (the order the
 GPU ran the computes): ``(job_id, iteration, start, backward_start,
@@ -20,7 +20,6 @@ __all__ = [
     "Phase",
     "Span",
     "Trace",
-    "validate_trace",
     "trace_to_json",
     "trace_to_chrome_json",
 ]
@@ -63,54 +62,6 @@ class Trace:
                 Span(NIC_LANE_ID, job_id, Phase.SYNC, t, sync_start, sync_end),
             )
         return tuple(spans)
-
-
-def validate_trace(trace: Trace) -> list[str]:
-    """Check trace legality; returns violation messages (empty means legal).
-
-    One pass over the rows, which must come in dispatch order.  Per row:
-    ``0 <= start <= backward_start <= compute_end <= sync_start <= sync_end``;
-    each job's iterations run 1, 2, ... in row order (no duplicate, no gap);
-    compute starts no earlier than the job's previous sync end; and neither
-    lane overlaps the previous row's span on it.  A trace whose rows are not
-    in dispatch order is therefore rejected.  Finally the makespan must be
-    the latest sync end.
-    """
-    violations: list[str] = []
-    last: dict[str, tuple[int, int]] = {}  # job -> (iteration, sync_end) of its last row
-    prev: Row | None = None
-    end = 0
-    for row in trace.rows:
-        job_id, t, start, backward_start, compute_end, sync_start, sync_end = row
-        if not 0 <= start <= backward_start <= compute_end <= sync_start <= sync_end:
-            violations.append(
-                f"job {job_id}: iteration {t} bad interval [{start}, {backward_start}, "
-                f"{compute_end}, {sync_start}, {sync_end}]")
-        last_t, last_sync_end = last.get(job_id, (0, 0))
-        if t != last_t + 1:
-            what = "duplicate row" if t == last_t else f"row after iteration {last_t}"
-            violations.append(f"job {job_id}: {what} for iteration {t}")
-        if start < last_sync_end:
-            violations.append(
-                f"job {job_id}: iteration {t} compute starts before "
-                f"iteration {last_t} sync completes")
-        if prev is not None:
-            if start < prev[4]:
-                violations.append(
-                    f"lane {GPU_LANE_ID}: {prev[0]}/t{prev[1]} [{prev[2]},{prev[4]}] "
-                    f"overlaps {job_id}/t{t} [{start},{compute_end}]")
-            if sync_start < prev[6]:
-                violations.append(
-                    f"lane {NIC_LANE_ID}: {prev[0]}/t{prev[1]} [{prev[5]},{prev[6]}] "
-                    f"overlaps {job_id}/t{t} [{sync_start},{sync_end}]")
-        last[job_id] = (t, sync_end)
-        prev = row
-        end = max(end, sync_end)
-
-    if trace.makespan != end:
-        violations.append(f"makespan {trace.makespan} != max sync end {end}")
-
-    return violations
 
 
 # Record templates holding the exact bytes ``json.dumps(..., indent=2)`` wrote

@@ -8,7 +8,7 @@ class ConfigError(ValueError):
 
 
 class InvalidTraceError(ValueError):
-    """A trace failed legality validation; carries the violation list."""
+    """A trace is not its plan's schedule; carries the violation list."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)

@@ -16,9 +16,11 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import Trace, validate_trace
+from .comm import comm_time
+from .engine import Trace
 from .errors import ComparisonError, InvalidTraceError
-from .scheduler import SchedulePlan
+from .scheduler import SchedulePlan, validate_trace
+from .workload import comp_time
 
 __all__ = ["Metrics", "measure", "compare", "report", "METRICS_CSV_HEADER"]
 
@@ -60,54 +62,33 @@ def _steady_period(starts: list[int]) -> int | None:
 
 
 def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
-    """Compute metrics for a legal trace of the plan.
+    """Compute metrics for a trace that is the plan's schedule.
 
-    Rejects traces with violations, and traces whose job set or per-job sync
-    counts differ from the plan's jobs and iteration budgets.
+    Raises InvalidTraceError unless ``validate_trace(trace, plan)`` is empty,
+    so busy times come from the plan: job i's T_i computes and T_i syncs.
     """
-    violations = validate_trace(trace)
+    violations = validate_trace(trace, plan)
     if violations:
         raise InvalidTraceError(violations)
 
-    compute_busy = 0
-    network_busy = 0
     starts: dict[str, list[int]] = {j.job_id: [] for j in plan.jobs}
-    unknown: dict[str, None] = {}  # job ids in order of first appearance
-    for job_id, _, start, _, compute_end, sync_start, sync_end in trace.rows:
-        job_starts = starts.get(job_id)
-        if job_starts is None:
-            unknown[job_id] = None
-            continue
-        compute_busy += compute_end - start
-        network_busy += sync_end - sync_start
-        job_starts.append(start)
-    # one sync per row; validate_trace checked that each job's rows run 1, 2, ...
-    completed = {job_id: len(job_starts) for job_id, job_starts in starts.items()}
-    mismatches = [f"job {job_id}: in the trace but not in the plan"
-                  for job_id in unknown]
-    mismatches += [f"job {j.job_id}: {completed[j.job_id]} sync span(s) for a "
-                   f"budget of {j.iterations} iteration(s)"
-                   for j in plan.jobs if completed[j.job_id] != j.iterations]
-    if mismatches:
-        raise InvalidTraceError(mismatches)
-
+    for row in trace.rows:
+        starts[row[0]].append(row[2])
+    compute_busy = sum(j.iterations * comp_time(j) for j in plan.jobs)
+    network_busy = sum(j.iterations * comm_time(j.grad_bytes, plan.cluster)
+                       for j in plan.jobs)
+    iterations = {j.job_id: j.iterations for j in plan.jobs}
     makespan = trace.makespan
-    gpu_util = Fraction(compute_busy, makespan) if makespan else Fraction(0)
-    nic_util = Fraction(network_busy, makespan) if makespan else Fraction(0)
-    total_iters = sum(completed.values())
-    throughput = (Fraction(total_iters * 10**9, makespan) if makespan
-                  else Fraction(0))
-
-    periods = {job_id: _steady_period(job_starts) for job_id, job_starts in starts.items()}
     return Metrics(
         scenario=scenario,
         policy=plan.policy.value,
         makespan=makespan,
-        per_job_iteration_period=periods,
-        per_job_iterations=completed,
-        gpu_utilization=gpu_util,
-        nic_utilization=nic_util,
-        aggregate_throughput=throughput,
+        per_job_iteration_period={job_id: _steady_period(job_starts)
+                                  for job_id, job_starts in starts.items()},
+        per_job_iterations=iterations,
+        gpu_utilization=Fraction(compute_busy, makespan),
+        nic_utilization=Fraction(network_busy, makespan),
+        aggregate_throughput=Fraction(sum(iterations.values()) * 10**9, makespan),
     )
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "makespan",
     "steady_state_period",
     "predicted_speedup",
+    "validate_trace",
 ]
 
 
@@ -143,6 +144,59 @@ def makespan(plan: SchedulePlan) -> int:
             clocks = _round(active, t, clocks, sync_end, comm, hold_gpu, None)
             t += 1
     return clocks[1]
+
+
+_FIELDS = ("start", "backward_start", "compute_end", "sync_start", "sync_end")
+
+
+def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
+    """Check that the trace is the plan's schedule; empty means it is.
+
+    README "Scheduling semantics" as equalities against the trace's own
+    earlier rows: rows visit the unfinished jobs in plan order, round by
+    round; ``start = max(gpu_free, the job's previous sync_end)``, where
+    gpu_free is the previous row's ``compute_end`` (crossover) or
+    ``sync_end`` (sequential); ``backward_start = start + forward_time``;
+    ``compute_end = backward_start + backward_time``; ``sync_start =
+    max(nic_free, compute_end)``, where nic_free is the previous row's
+    ``sync_end``; ``sync_end = sync_start + comm_time(grad_bytes, cluster)``;
+    and the makespan is the last ``sync_end``.  Checking stops at the first
+    row that breaks a rule, so all messages name that one row (``row k`` is
+    ``trace.rows[k]``).
+    """
+    hold_gpu = plan.policy is Policy.SEQUENTIAL
+    jobs = [(j.job_id, j.forward_time, j.backward_time,
+             comm_time(j.grad_bytes, plan.cluster), j.iterations) for j in plan.jobs]
+    last_sync_end = {job[0]: 0 for job in jobs}
+    gpu_free = nic_free = k = 0  # k: rows checked so far
+    rows = trace.rows
+    for t in range(1, max(job[4] for job in jobs) + 1):
+        jobs = [job for job in jobs if job[4] >= t]
+        batch = rows[k:k + len(jobs)]
+        for (job_id, forward, backward, comm, _), row in zip(jobs, batch):
+            _, _, start, backward_start, compute_end, sync_start, sync_end = row
+            ready = last_sync_end[job_id]  # max() inlined: this runs once per row
+            expected = (job_id, t, gpu_free if gpu_free > ready else ready,
+                        start + forward, backward_start + backward,
+                        nic_free if nic_free > compute_end else compute_end,
+                        sync_start + comm)
+            if row != expected:
+                if row[:2] != expected[:2]:
+                    return [f"row {k}: {row[0]} iteration {row[1]}, "
+                            f"expected {job_id} iteration {t}"]
+                return [f"row {k} ({job_id} iteration {t}): {name} {got}, expected {want}"
+                        for name, got, want in zip(_FIELDS, row[2:], expected[2:])
+                        if got != want]
+            nic_free = last_sync_end[job_id] = sync_end
+            gpu_free = sync_end if hold_gpu else compute_end
+            k += 1
+        if len(batch) < len(jobs):
+            return [f"row {k}: missing, expected {jobs[len(batch)][0]} iteration {t}"]
+    if k < len(rows):
+        return [f"row {k}: {rows[k][0]} iteration {rows[k][1]} after the plan's last row"]
+    if trace.makespan != nic_free:
+        return [f"makespan {trace.makespan}, expected {nic_free}"]
+    return []
 
 
 def _periods(plan: SchedulePlan) -> tuple[int, int]:

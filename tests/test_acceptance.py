@@ -14,11 +14,11 @@ import numpy as np
 
 from colosim.cli import main as cli_main
 from colosim.comm import Architecture, ClusterSpec, comm_time
-from colosim.engine import Phase, trace_to_json, validate_trace
+from colosim.engine import Phase, trace_to_json
 from colosim.equivalence import LossKind, SgdConfig, check_neutrality, loss_gradient, loss_value
 from colosim.metrics import compare, measure
 from colosim.scenario import load_config
-from colosim.scheduler import Policy, SchedulePlan, simulate
+from colosim.scheduler import Policy, SchedulePlan, simulate, validate_trace
 from colosim.workload import JobProfile
 
 from oracles import (brute_crossover, brute_sequential, crossover_cycle,
@@ -151,8 +151,9 @@ def test_criterion_4_boundary_semantics():
         [("solo", 5, 5, 9, 5)],
     ]
     for specs in cases:
-        trace = simulate(ns_plan(Policy.CROSSOVER, specs))
-        assert validate_trace(trace) == []
+        p = ns_plan(Policy.CROSSOVER, specs)
+        trace = simulate(p)
+        assert validate_trace(trace, p) == []
         fill = 0
         for job_id, fwd, bwd, _, iterations in specs:
             syncs = [s for s in trace.spans
@@ -264,10 +265,11 @@ def test_criterion_7_legality_property_suite():
             bwd = rng.randint(1, 12) if fwd == 0 else rng.randint(0, 12)
             specs.append((f"j{i}", fwd, bwd, rng.randint(0, 15), rng.randint(2, 7)))
 
-        cross = simulate(ns_plan(Policy.CROSSOVER, specs))
-        seq = simulate(ns_plan(Policy.SEQUENTIAL, specs))
-        assert validate_trace(cross) == []
-        assert validate_trace(seq) == []
+        plan_x = ns_plan(Policy.CROSSOVER, specs)
+        plan_s = ns_plan(Policy.SEQUENTIAL, specs)
+        cross, seq = simulate(plan_x), simulate(plan_s)
+        assert validate_trace(cross, plan_x) == []
+        assert validate_trace(seq, plan_s) == []
 
         assert cross.makespan <= seq.makespan
         if n_jobs >= 2 and all(s[3] > 0 for s in specs):

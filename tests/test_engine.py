@@ -8,68 +8,95 @@ from colosim.engine import (
     Trace,
     trace_to_chrome_json,
     trace_to_json,
-    validate_trace,
 )
 from colosim.errors import InvalidTraceError
 from colosim.metrics import measure
-from colosim.scheduler import Policy, SchedulePlan, simulate
+from colosim.scheduler import Policy, SchedulePlan, simulate, validate_trace
 from colosim.workload import JobProfile
 from oracles import trace_to_chrome_json_reference, trace_to_json_reference
 
 # rows: (job_id, iteration, start, backward_start, compute_end, sync_start, sync_end)
+
+# Sync time equals grad_bytes, and zero bytes is a zero-length sync.
+_CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
+                       architecture=Architecture.PARAMETER_SERVER)
+
+
+def _plan(*specs, policy=Policy.CROSSOVER):
+    """A plan of (job_id, forward, backward, grad_bytes, iterations) specs."""
+    return SchedulePlan(policy, tuple(JobProfile(*spec) for spec in specs), _CLUSTER)
 
 
 def legal_trace():
     return Trace((("j1", 1, 0, 1, 2, 2, 3), ("j1", 2, 3, 4, 5, 5, 6)), 6)
 
 
+LEGAL_PLAN = _plan(("j1", 1, 1, 1, 2))
+
+
 class TestValidateTrace:
     def test_legal_trace_has_no_violations(self):
-        assert validate_trace(legal_trace()) == []
+        assert validate_trace(legal_trace(), LEGAL_PLAN) == []
 
     def test_lane_overlap_is_one_violation(self):
-        rows = (("j1", 1, 0, 2, 4, 6, 7), ("j2", 1, 3, 4, 5, 7, 8))
-        violations = validate_trace(Trace(rows, 8))
-        assert len(violations) == 1
-        assert "lane gpu0" in violations[0] and "overlap" in violations[0]
+        # j2 starts while j1 still holds the GPU
+        rows = (("j1", 1, 0, 1, 2, 2, 3), ("j2", 1, 1, 2, 3, 3, 4))
+        plan = _plan(("j1", 1, 1, 1, 1), ("j2", 1, 1, 1, 1))
+        assert validate_trace(Trace(rows, 4), plan) == [
+            "row 1 (j2 iteration 1): start 1, expected 2"]
 
     def test_nic_overlap_is_one_violation(self):
+        # j2's sync starts while j1's still holds the NIC
         rows = (("j1", 1, 0, 1, 2, 2, 6), ("j2", 1, 2, 3, 4, 5, 7))
-        violations = validate_trace(Trace(rows, 7))
-        assert len(violations) == 1
-        assert "lane nic0" in violations[0] and "overlap" in violations[0]
+        plan = _plan(("j1", 1, 1, 4, 1), ("j2", 1, 1, 2, 1))
+        assert validate_trace(Trace(rows, 7), plan) == [
+            "row 1 (j2 iteration 1): sync_start 5, expected 6"]
 
     def test_compute_before_previous_sync_completes(self):
-        rows = (("j1", 1, 0, 1, 2, 2, 5), ("j1", 2, 3, 4, 5, 5, 6))
-        violations = validate_trace(Trace(rows, 6))
-        assert any("before" in v and "sync completes" in v for v in violations)
+        rows = (("j1", 1, 0, 1, 2, 2, 5), ("j1", 2, 3, 4, 5, 5, 8))
+        plan = _plan(("j1", 1, 1, 3, 2))
+        assert validate_trace(Trace(rows, 8), plan) == [
+            "row 1 (j1 iteration 2): start 3, expected 5"]
 
     def test_wrong_makespan(self):
         trace = dataclasses.replace(legal_trace(), makespan=7)
-        assert validate_trace(trace) == ["makespan 7 != max sync end 6"]
+        assert validate_trace(trace, LEGAL_PLAN) == ["makespan 7, expected 6"]
 
     def test_duplicate_phase_span(self):
         rows = legal_trace().rows
-        violations = validate_trace(Trace(rows + rows[-1:], 6))
-        assert "job j1: duplicate row for iteration 2" in violations
+        assert validate_trace(Trace(rows + rows[-1:], 6), LEGAL_PLAN) == [
+            "row 2: j1 iteration 2 after the plan's last row"]
+        assert validate_trace(Trace(rows[:1] + rows, 6), LEGAL_PLAN) == [
+            "row 1: j1 iteration 1, expected j1 iteration 2"]
 
     def test_iteration_gap(self):
         rows = (("j1", 1, 0, 1, 2, 2, 3), ("j1", 3, 3, 4, 5, 5, 6))
-        assert validate_trace(Trace(rows, 6)) == ["job j1: row after iteration 1 for iteration 3"]
+        assert validate_trace(Trace(rows, 6), _plan(("j1", 1, 1, 1, 3))) == [
+            "row 1: j1 iteration 3, expected j1 iteration 2"]
 
     def test_negative_start(self):
         trace = Trace((("j1", 1, -1, 1, 2, 2, 3),), 3)
-        assert any("bad interval" in v for v in validate_trace(trace))
+        assert validate_trace(trace, _plan(("j1", 2, 1, 1, 1))) == [
+            "row 0 (j1 iteration 1): start -1, expected 0"]
 
     def test_rows_out_of_dispatch_order_rejected(self):
         rows = (("j1", 1, 0, 1, 2, 2, 3), ("j2", 1, 2, 3, 4, 4, 5))
-        assert validate_trace(Trace(rows, 5)) == []
-        assert validate_trace(Trace(rows[::-1], 5))
+        plan = _plan(("j1", 1, 1, 1, 1), ("j2", 1, 1, 1, 1))
+        assert validate_trace(Trace(rows, 5), plan) == []
+        assert validate_trace(Trace(rows[::-1], 5), plan) == [
+            "row 0: j2 iteration 1, expected j1 iteration 1"]
+
+    def test_wrong_policy_is_reported_at_one_row(self):
+        # a sequential trace of 1,000 rows against the crossover plan: every
+        # row after the first breaks a rule, but only row 1 is reported
+        jobs = (("j1", 1, 1, 1, 500), ("j2", 1, 1, 1, 500))
+        trace = simulate(_plan(*jobs, policy=Policy.SEQUENTIAL))
+        assert len(trace.rows) == 1000
+        violations = validate_trace(trace, _plan(*jobs))
+        assert violations
+        assert all(v.startswith("row 1 (j2 iteration 1): ") for v in violations)
 
 
-# Sync time equals grad_bytes, and zero bytes is a zero-length sync.
-_CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
-                       architecture=Architecture.PARAMETER_SERVER)
 # (forward, backward, grad_bytes, iterations); forward + backward must be > 0
 _JOB = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 6),
                  st.integers(1, 5)).filter(lambda j: j[0] + j[1] > 0)
@@ -81,23 +108,31 @@ def _with_rows(trace, i, *new):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_JOB, min_size=1, max_size=4))
-def test_validator_is_tight_on_crossover_traces(specs):
-    # Crossover only: the sequential baseline holds the GPU until each sync
-    # ends, and validate_trace does not know that rule, so an earlier start
-    # can still be legal there.
-    plan = SchedulePlan(Policy.CROSSOVER,
-                        tuple(JobProfile(f"j{i}", *spec) for i, spec in enumerate(specs)),
-                        _CLUSTER)
+@given(st.lists(_JOB, min_size=1, max_size=4), st.sampled_from(Policy))
+def test_validator_is_tight(specs, policy):
+    # every trace but the plan's schedule itself is reported
+    jobs = [(f"j{i}", *spec) for i, spec in enumerate(specs)]
+    plan = _plan(*jobs, policy=policy)
+    other = _plan(*jobs, policy=next(p for p in Policy if p is not policy))
     trace = simulate(plan)
-    assert validate_trace(trace) == []
-    for i, row in enumerate(trace.rows):
-        for col in (2, 5):  # start, sync_start one nanosecond earlier
-            shifted = row[:col] + (row[col] - 1,) + row[col + 1:]
-            assert validate_trace(_with_rows(trace, i, shifted)), (i, col)
-        assert validate_trace(_with_rows(trace, i, row, row)), i
+    assert validate_trace(trace, plan) == []
+    rows = trace.rows
+    for i, row in enumerate(rows):
+        for col in range(1, 7):
+            for delta in (-1, 1):
+                moved = row[:col] + (row[col] + delta,) + row[col + 1:]
+                assert validate_trace(_with_rows(trace, i, moved), plan), (i, col, delta)
+        if i + 1 < len(rows):
+            swapped = rows[:i] + (rows[i + 1], row) + rows[i + 2:]
+            assert validate_trace(dataclasses.replace(trace, rows=swapped), plan), i
+        assert validate_trace(_with_rows(trace, i), plan), i
+        assert validate_trace(_with_rows(trace, i, row, row), plan), i
         with pytest.raises(InvalidTraceError):
             measure(_with_rows(trace, i), plan)
+    for delta in (-1, 1):
+        assert validate_trace(dataclasses.replace(trace, makespan=trace.makespan + delta), plan)
+    if simulate(other).rows != rows:
+        assert validate_trace(trace, other)
 
 
 class TestExports:

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +15,11 @@ from colosim.metrics import (
     measure,
     report,
 )
+from colosim.scenario import load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate
 from colosim.workload import JobProfile
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
                       architecture=Architecture.PARAMETER_SERVER)
@@ -71,26 +76,40 @@ class TestMeasure:
 
     def test_invalid_trace_rejected(self):
         # sync starts before the compute ends
-        bad = Trace((("j1", 1, 0, 2, 5, 4, 6),), 6)
+        bad = Trace((("j1", 1, 0, 1, 2, 1, 2),), 2)
         with pytest.raises(InvalidTraceError) as err:
             measure(bad, plan())
-        assert any("bad interval" in v for v in err.value.violations)
+        assert err.value.violations == ["row 0 (j1 iteration 1): sync_start 1, expected 2"]
 
     def test_job_set_differing_from_plan_rejected(self):
         with pytest.raises(InvalidTraceError) as err:
             measure(simulate(plan(n_jobs=3)), plan(n_jobs=2))
-        assert err.value.violations == ["job j3: in the trace but not in the plan"]
+        assert err.value.violations == ["row 2: j3 iteration 1, expected j1 iteration 2"]
         with pytest.raises(InvalidTraceError) as err:
             measure(simulate(plan(n_jobs=2)), plan(n_jobs=3))
-        assert err.value.violations == [
-            "job j3: 0 sync span(s) for a budget of 3 iteration(s)"]
+        assert err.value.violations == ["row 2: j1 iteration 2, expected j3 iteration 1"]
 
     def test_sync_count_differing_from_budget_rejected(self):
         with pytest.raises(InvalidTraceError) as err:
             measure(simulate(plan(iterations=3)), plan(iterations=4))
-        assert err.value.violations == [
-            "job j1: 3 sync span(s) for a budget of 4 iteration(s)",
-            "job j2: 3 sync span(s) for a budget of 4 iteration(s)"]
+        assert err.value.violations == ["row 6: missing, expected j1 iteration 4"]
+
+    def test_stretched_last_sync_rejected(self):
+        golden = load_config(SCENARIO_DIR / "golden_2jobs.json").plan()
+        trace = simulate(golden)
+        last = trace.rows[-1]
+        stretched = Trace(trace.rows[:-1] + (last[:6] + (last[6] + 1_000,),),
+                          trace.makespan + 1_000)
+        with pytest.raises(InvalidTraceError) as err:
+            measure(stretched, golden)
+        assert err.value.violations == ["row 5 (j2 iteration 3): sync_end 1013, expected 13"]
+
+    def test_other_policys_trace_rejected(self):
+        golden = load_config(SCENARIO_DIR / "golden_2jobs.json").plan()
+        sequential = simulate(dataclasses.replace(golden, policy=Policy.SEQUENTIAL))
+        with pytest.raises(InvalidTraceError) as err:
+            measure(sequential, golden)
+        assert err.value.violations == ["row 1 (j2 iteration 1): start 3, expected 2"]
 
     def test_pure_function_of_inputs(self):
         p = plan()

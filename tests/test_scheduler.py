@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colosim.comm import Architecture, ClusterSpec, comm_time
-from colosim.engine import Phase, validate_trace
+from colosim.engine import Phase
 from colosim.scheduler import (
     Policy,
     SchedulePlan,
@@ -12,6 +12,7 @@ from colosim.scheduler import (
     predicted_speedup,
     simulate,
     steady_state_period,
+    validate_trace,
 )
 from colosim.workload import JobProfile
 
@@ -56,10 +57,11 @@ GOLDEN_CROSSOVER = [
 
 class TestCrossover:
     def test_golden_trace(self):
-        trace = simulate(two_identical())
+        p = two_identical()
+        trace = simulate(p)
         assert spans_from_trace(trace) == GOLDEN_CROSSOVER
         assert trace.makespan == 13
-        assert validate_trace(trace) == []
+        assert validate_trace(trace, p) == []
 
     def test_single_job_still_respects_dependency(self):
         # without an overlap partner: T * (comp + comm) exactly
@@ -88,9 +90,10 @@ class TestCrossover:
 
 class TestSequential:
     def test_golden_makespan(self):
-        trace = simulate(two_identical(policy=Policy.SEQUENTIAL))
+        p = two_identical(policy=Policy.SEQUENTIAL)
+        trace = simulate(p)
         assert trace.makespan == 18  # T * N * (comp + comm)
-        assert validate_trace(trace) == []
+        assert validate_trace(trace, p) == []
 
     def test_single_job_single_iteration(self):
         trace = simulate(plan(Policy.SEQUENTIAL, [("solo", 2, 3, 4, 1)]))
@@ -251,8 +254,9 @@ def test_baseline_dominance(raw):
 @given(plan_st)
 def test_traces_are_always_legal(raw):
     specs = build_specs(raw)
-    assert validate_trace(simulate(plan(Policy.CROSSOVER, specs))) == []
-    assert validate_trace(simulate(plan(Policy.SEQUENTIAL, specs))) == []
+    for policy in Policy:
+        p = plan(policy, specs)
+        assert validate_trace(simulate(p), p) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -376,8 +380,9 @@ def test_makespan_skips_within_each_regime():
 class TestUnequalBudgets:
     def test_rotation_skips_finished_jobs(self):
         specs = [("short", 1, 1, 1, 2), ("long", 1, 1, 1, 5)]
-        trace = simulate(plan(Policy.CROSSOVER, specs))
-        assert validate_trace(trace) == []
+        p = plan(Policy.CROSSOVER, specs)
+        trace = simulate(p)
+        assert validate_trace(trace, p) == []
         for job_id, _, _, _, iterations in specs:
             syncs = [s for s in trace.spans
                      if s.job_id == job_id and s.phase is Phase.SYNC]

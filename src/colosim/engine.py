@@ -49,7 +49,11 @@ class Span:
 @dataclass(frozen=True)
 class Trace:
     rows: tuple[Row, ...]
-    makespan: int
+
+    @property
+    def makespan(self) -> int:
+        """The last row's ``sync_end``; 0 for no rows."""
+        return self.rows[-1][6] if self.rows else 0
 
     @property
     def spans(self) -> tuple[Span, ...]:

@@ -12,10 +12,7 @@ class InvalidTraceError(ValueError):
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
-        super().__init__(
-            "invalid trace: " + "; ".join(self.violations[:5])
-            + ("" if len(self.violations) <= 5 else f" (+{len(self.violations) - 5} more)")
-        )
+        super().__init__("invalid trace: " + "; ".join(self.violations))
 
 
 class ComparisonError(ValueError):

@@ -28,7 +28,7 @@ def _plan(*specs, policy=Policy.CROSSOVER):
 
 
 def legal_trace():
-    return Trace((("j1", 1, 0, 1, 2, 2, 3), ("j1", 2, 3, 4, 5, 5, 6)), 6)
+    return Trace((("j1", 1, 0, 1, 2, 2, 3), ("j1", 2, 3, 4, 5, 5, 6)))
 
 
 LEGAL_PLAN = _plan(("j1", 1, 1, 1, 2))
@@ -42,48 +42,44 @@ class TestValidateTrace:
         # j2 starts while j1 still holds the GPU
         rows = (("j1", 1, 0, 1, 2, 2, 3), ("j2", 1, 1, 2, 3, 3, 4))
         plan = _plan(("j1", 1, 1, 1, 1), ("j2", 1, 1, 1, 1))
-        assert validate_trace(Trace(rows, 4), plan) == [
+        assert validate_trace(Trace(rows), plan) == [
             "row 1 (j2 iteration 1): start 1, expected 2"]
 
     def test_nic_overlap_is_one_violation(self):
         # j2's sync starts while j1's still holds the NIC
         rows = (("j1", 1, 0, 1, 2, 2, 6), ("j2", 1, 2, 3, 4, 5, 7))
         plan = _plan(("j1", 1, 1, 4, 1), ("j2", 1, 1, 2, 1))
-        assert validate_trace(Trace(rows, 7), plan) == [
+        assert validate_trace(Trace(rows), plan) == [
             "row 1 (j2 iteration 1): sync_start 5, expected 6"]
 
     def test_compute_before_previous_sync_completes(self):
         rows = (("j1", 1, 0, 1, 2, 2, 5), ("j1", 2, 3, 4, 5, 5, 8))
         plan = _plan(("j1", 1, 1, 3, 2))
-        assert validate_trace(Trace(rows, 8), plan) == [
+        assert validate_trace(Trace(rows), plan) == [
             "row 1 (j1 iteration 2): start 3, expected 5"]
-
-    def test_wrong_makespan(self):
-        trace = dataclasses.replace(legal_trace(), makespan=7)
-        assert validate_trace(trace, LEGAL_PLAN) == ["makespan 7, expected 6"]
 
     def test_duplicate_phase_span(self):
         rows = legal_trace().rows
-        assert validate_trace(Trace(rows + rows[-1:], 6), LEGAL_PLAN) == [
+        assert validate_trace(Trace(rows + rows[-1:]), LEGAL_PLAN) == [
             "row 2: j1 iteration 2 after the plan's last row"]
-        assert validate_trace(Trace(rows[:1] + rows, 6), LEGAL_PLAN) == [
+        assert validate_trace(Trace(rows[:1] + rows), LEGAL_PLAN) == [
             "row 1: j1 iteration 1, expected j1 iteration 2"]
 
     def test_iteration_gap(self):
         rows = (("j1", 1, 0, 1, 2, 2, 3), ("j1", 3, 3, 4, 5, 5, 6))
-        assert validate_trace(Trace(rows, 6), _plan(("j1", 1, 1, 1, 3))) == [
+        assert validate_trace(Trace(rows), _plan(("j1", 1, 1, 1, 3))) == [
             "row 1: j1 iteration 3, expected j1 iteration 2"]
 
     def test_negative_start(self):
-        trace = Trace((("j1", 1, -1, 1, 2, 2, 3),), 3)
+        trace = Trace((("j1", 1, -1, 1, 2, 2, 3),))
         assert validate_trace(trace, _plan(("j1", 2, 1, 1, 1))) == [
             "row 0 (j1 iteration 1): start -1, expected 0"]
 
     def test_rows_out_of_dispatch_order_rejected(self):
         rows = (("j1", 1, 0, 1, 2, 2, 3), ("j2", 1, 2, 3, 4, 4, 5))
         plan = _plan(("j1", 1, 1, 1, 1), ("j2", 1, 1, 1, 1))
-        assert validate_trace(Trace(rows, 5), plan) == []
-        assert validate_trace(Trace(rows[::-1], 5), plan) == [
+        assert validate_trace(Trace(rows), plan) == []
+        assert validate_trace(Trace(rows[::-1]), plan) == [
             "row 0: j2 iteration 1, expected j1 iteration 1"]
 
     def test_wrong_policy_is_reported_at_one_row(self):
@@ -129,8 +125,6 @@ def test_validator_is_tight(specs, policy):
         assert validate_trace(_with_rows(trace, i, row, row), plan), i
         with pytest.raises(InvalidTraceError):
             measure(_with_rows(trace, i), plan)
-    for delta in (-1, 1):
-        assert validate_trace(dataclasses.replace(trace, makespan=trace.makespan + delta), plan)
     if simulate(other).rows != rows:
         assert validate_trace(trace, other)
 
@@ -175,13 +169,13 @@ def _traces(draw):
         for _ in range(4):  # zero-length phases included
             times.append(times[-1] + draw(st.one_of(st.just(0), _NS)))
         rows.append((draw(st.sampled_from(jobs)), draw(st.integers(0, 10**6)), *times))
-    return Trace(tuple(rows), max((r[6] for r in rows), default=0))
+    return Trace(tuple(rows))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_traces())
-@example(Trace((), 0))
-@example(Trace(tuple((job_id, 1, 0, 0, 1, 1, 2) for job_id in _ESCAPING_IDS), 2))
+@example(Trace(()))
+@example(Trace(tuple((job_id, 1, 0, 0, 1, 1, 2) for job_id in _ESCAPING_IDS)))
 def test_serializers_byte_identical_to_json_dumps(trace):
     assert trace_to_json(trace) == trace_to_json_reference(trace)
     assert trace_to_chrome_json(trace) == trace_to_chrome_json_reference(trace)

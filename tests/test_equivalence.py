@@ -276,7 +276,7 @@ class TestCheckNeutrality:
 
             def edited(plan):
                 trace = real(plan)
-                return Trace(tuple(edit(list(trace.rows))), trace.makespan)
+                return Trace(tuple(edit(list(trace.rows))))
             monkeypatch.setattr(equivalence, "simulate", edited)
         return install
 

@@ -76,7 +76,7 @@ class TestMeasure:
 
     def test_invalid_trace_rejected(self):
         # sync starts before the compute ends
-        bad = Trace((("j1", 1, 0, 1, 2, 1, 2),), 2)
+        bad = Trace((("j1", 1, 0, 1, 2, 1, 2),))
         with pytest.raises(InvalidTraceError) as err:
             measure(bad, plan())
         assert err.value.violations == ["row 0 (j1 iteration 1): sync_start 1, expected 2"]
@@ -98,8 +98,7 @@ class TestMeasure:
         golden = load_config(SCENARIO_DIR / "golden_2jobs.json").plan()
         trace = simulate(golden)
         last = trace.rows[-1]
-        stretched = Trace(trace.rows[:-1] + (last[:6] + (last[6] + 1_000,),),
-                          trace.makespan + 1_000)
+        stretched = Trace(trace.rows[:-1] + (last[:6] + (last[6] + 1_000,),))
         with pytest.raises(InvalidTraceError) as err:
             measure(stretched, golden)
         assert err.value.violations == ["row 5 (j2 iteration 3): sync_end 1013, expected 13"]

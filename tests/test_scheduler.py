@@ -345,12 +345,26 @@ skip_spec_st = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(skip_spec_st, min_size=1, max_size=6), st.sampled_from([CLUSTER, RING]))
 def test_makespan_equals_the_full_recurrence(raw, cluster):
+    # simulate copies the rounds that makespan skips, so both are checked
     specs = build_specs(raw)
     priced = [(j, f, b, comm_time(g, cluster), n) for j, f, b, g, n in specs]
     for policy, brute in ((Policy.CROSSOVER, brute_crossover),
                           (Policy.SEQUENTIAL, brute_sequential)):
         p = plan(policy, specs, cluster)
-        assert makespan(p) == simulate(p).makespan == brute(priced)[1]
+        brute_spans, brute_makespan = brute(priced)
+        trace = simulate(p)
+        assert spans_from_trace(trace) == brute_spans
+        assert makespan(p) == trace.makespan == brute_makespan
+
+
+def test_plan_that_never_repeats_runs_round_by_round():
+    # 1 ms computes and syncs 19 ns longer grow the NIC backlog by 57 ns a
+    # round, so no round starts with the previous round's key in 2,000
+    specs = [(f"j{i}", 400_000, 600_000, 1_000_019, 2_000) for i in range(3)]
+    trace = simulate(plan(Policy.CROSSOVER, specs))
+    brute_spans, brute_makespan = brute_crossover(specs)
+    assert spans_from_trace(trace) == brute_spans
+    assert makespan(plan(Policy.CROSSOVER, specs)) == trace.makespan == brute_makespan
 
 
 @settings(max_examples=200, deadline=None)

@@ -45,7 +45,7 @@ MAX_EQUIV_ITERS = 10_000
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
 
 
 def _cmd_simulate(args) -> int:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +57,20 @@ class TestSimulate:
         for name in ("metrics.json", "metrics.csv", "trace.json", "trace_chrome.json"):
             assert ((tmp_path / "one" / name).read_bytes()
                     == (tmp_path / "two" / name).read_bytes())
+
+    def test_outputs_are_utf8_under_an_ascii_locale(self, tmp_path):
+        doc = json.loads(Path(GOLDEN).read_text(encoding="utf-8"))
+        doc["jobs"][0]["job_id"] = "j\u00e9"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(SCENARIO_DIR.parent / "src"),
+               "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "colosim.cli", "simulate", "--config", str(config),
+             "--out", str(tmp_path / "out"), "--format", "table"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "j\u00e9" in (tmp_path / "out" / "metrics.txt").read_bytes().decode("utf-8")
 
     def test_iters_override(self, tmp_path):
         run("simulate", "--config", GOLDEN, "--out", str(tmp_path), "--iters", "5")

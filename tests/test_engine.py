@@ -149,9 +149,11 @@ class TestExports:
 
 
 # ids that exercise json's ensure_ascii escaping: quotes, backslashes, control
-# characters, non-ASCII, astral-plane and lone-surrogate code points
+# characters, non-ASCII, astral-plane and lone-surrogate code points; and
+# ids with %, which the exporters bake into %-format row templates
 _ESCAPING_IDS = ["gpu0", "nic0", "j1", '"', "\\", "a\"b\\c", "\x00\n\t\x1f\x7f",
-                 "é", "ジョブ", "\U0001f680", "\ud800", "\u2028", "</script>", ""]
+                 "é", "ジョブ", "\U0001f680", "\ud800", "\u2028", "</script>", "",
+                 "%", "%s", "%%d", "100%"]
 _ID = st.one_of(
     st.sampled_from(_ESCAPING_IDS),
     st.text(st.characters(exclude_categories=()), max_size=6),
@@ -176,6 +178,11 @@ def _traces(draw):
 @given(_traces())
 @example(Trace(()))
 @example(Trace(tuple((job_id, 1, 0, 0, 1, 1, 2) for job_id in _ESCAPING_IDS)))
+# two jobs with equal compute phases, and a sync past 2**53 ns that repeats:
+# the Chrome exporter makes each distinct duration's text once per call
+@example(Trace((("%s", 1, 0, 7, 14, 14, 2**53 + 15),
+                ("100%", 1, 14, 21, 28, 2**53 + 15, 2**54 + 16),
+                ("%s", 2, 28, 35, 42, 2**54 + 16, 3 * 2**53 + 17))))
 def test_serializers_byte_identical_to_json_dumps(trace):
     assert trace_to_json(trace) == trace_to_json_reference(trace)
     assert trace_to_chrome_json(trace) == trace_to_chrome_json_reference(trace)

@@ -4,7 +4,8 @@ Subcommands:
   simulate         run one scenario, write metrics report(s) and the span trace
   sweep            scale the sync payload across a comm/comp ratio range and
                    emit a (rho, speedup) CSV comparing both policies
-  equivalence      run the schedule-neutrality suite for the SGD oracle
+  equivalence      run the SGD schedule-neutrality suite over a fixed grid
+                   of job and worker counts
   validate-config  parse and validate a scenario file
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error,
@@ -149,27 +150,14 @@ def _cmd_equivalence(args) -> int:
         raise ConfigError(f"--iters must be in [1, {MAX_EQUIV_ITERS}], got {args.iters}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    perturb = None
-    if args.perturb:
-        try:
-            job_s, iter_s = args.perturb.split(":")
-            perturb = (int(job_s), int(iter_s))
-        except ValueError:
-            raise ConfigError("--perturb expects JOB_INDEX:ITERATION") from None
-        jobs = max(_EQUIV_JOB_COUNTS)
-        if not (0 <= perturb[0] < jobs and 1 <= perturb[1] <= args.iters):
-            raise ConfigError(
-                f"--perturb {args.perturb} is outside the run: JOB_INDEX must be in "
-                f"[0, {jobs - 1}] and ITERATION in [1, {args.iters}]")
 
     worst = 0.0
     failure = None
     for n_jobs in _EQUIV_JOB_COUNTS:
         for workers in _EQUIV_WORKER_COUNTS:
             configs = _equiv_configs(n_jobs, workers, args.seed)
-            active = perturb if perturb and perturb[0] < n_jobs else None
             plan = _equiv_plan(n_jobs, workers, args.iters)
-            rep = check_neutrality(configs, plan, perturb=active)
+            rep = check_neutrality(configs, plan)
             print(f"jobs={n_jobs} workers={workers} iters={args.iters}: "
                   f"max deviation {rep.max_abs_deviation:g}")
             worst = max(worst, rep.max_abs_deviation)
@@ -214,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="scenario JSON file")
     sim.add_argument("--out", default="out", help="output directory")
     sim.add_argument("--format", action="append",
-                     choices=["json", "csv", "table", "chrome-trace"],
+                     choices=[*REPORT_FILES, "chrome-trace"],
                      help="metrics/trace formats (repeatable; default json)")
     sim.add_argument("--iters", type=int, default=None,
                      help="override every job's iteration count")
@@ -234,9 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--seed", type=int, default=0, help="dataset/init seed (>= 0)")
     eq.add_argument("--iters", type=int, default=100,
                     help=f"iterations per job, in [1, {MAX_EQUIV_ITERS}] (default 100)")
-    eq.add_argument("--perturb", default=None, metavar="JOB:ITER",
-                    help="test hook: nudge one update by 1 ulp to force a failure; "
-                         f"JOB in [0, {max(_EQUIV_JOB_COUNTS) - 1}], ITER in [1, --iters]")
     eq.set_defaults(func=_cmd_equivalence)
 
     val = sub.add_parser("validate-config", help="check a scenario file")

@@ -7,7 +7,9 @@ seed-generated synthetic problems per job in isolation and along the rows of
 ``scheduler.simulate``, and the parameter trajectories must be bitwise
 identical.  Along the trace, a job applies each pending update whose sync has
 ended at a row's ``start``, so a compute that starts before the job's previous
-sync ends reads stale parameters and diverges.
+sync ends reads stale parameters and diverges.  The tests show the
+comparison failing on edited replayed states, down to one ulp in one
+coordinate, and on edited trace rows.
 
 Everything is double precision with a fixed left-to-right reduction order so
 bit equality is well defined.
@@ -197,16 +199,14 @@ def run_isolated(config: SgdConfig, workers: int,
     return trajectory
 
 
-def replay_trace(configs: Sequence[SgdConfig], plan: SchedulePlan,
-                 perturb: tuple[int, int] | None) -> Iterator[tuple[int, TrainingState]]:
+def replay_trace(configs: Sequence[SgdConfig],
+                 plan: SchedulePlan) -> Iterator[tuple[int, TrainingState]]:
     """Train ``configs[i]`` as ``plan.jobs[i]`` along ``simulate(plan).rows``.
 
     Yields ``(job index, state)`` as each update lands: at a row's start,
     every pending update of that job whose sync ended by then; after the last
     row, whatever is still queued.  Each job averages the gradients of
     ``plan.cluster.workers`` workers, the count its syncs were priced for.
-    ``perturb`` is a test hook: (job_index, iteration) nudges that update's
-    first coordinate by one ulp to prove the comparison can fail.
     """
     if len(configs) != len(plan.jobs):
         raise ValueError("configs must match the plan's jobs")
@@ -216,11 +216,8 @@ def replay_trace(configs: Sequence[SgdConfig], plan: SchedulePlan,
     pending: list[deque[tuple[int, np.ndarray]]] = [deque() for _ in configs]
 
     def land(j: int) -> tuple[int, TrainingState]:
-        state = sgd_step(states[j], pending[j].popleft()[1])
-        if perturb == (j, state.iteration):
-            state.parameters[0] = np.nextafter(state.parameters[0], np.inf)
-        states[j] = state
-        return j, state
+        states[j] = sgd_step(states[j], pending[j].popleft()[1])
+        return j, states[j]
 
     for job_id, _, start, *_, sync_end in simulate(plan).rows:
         j = index[job_id]
@@ -244,8 +241,7 @@ class NeutralityReport:
         return self.first_divergence is None and self.max_abs_deviation == 0.0
 
 
-def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan,
-                     perturb: tuple[int, int] | None = None) -> NeutralityReport:
+def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan) -> NeutralityReport:
     """Compare the replayed trajectories against isolated ones, bit for bit.
 
     Each job's isolated reference steps as each replayed update lands, so no
@@ -258,7 +254,7 @@ def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan,
     reference = [initial_state(cfg) for cfg in configs]
     max_dev = 0.0
     diverged: dict[int, tuple[int, int]] = {}
-    for j, state in replay_trace(configs, plan, perturb):
+    for j, state in replay_trace(configs, plan):
         t = reference[j].iteration + 1
         if state.iteration != t or t > plan.jobs[j].iterations:
             diverged.setdefault(j, (t, 0))

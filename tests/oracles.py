@@ -4,7 +4,8 @@ These stay deliberately separate from the package: the schedule enumerators
 walk a rotation cursor one dispatch at a time (the package iterates rounds),
 the gradient check is central finite differences, the trace serializers
 are the dict-per-record ``json.dumps(indent=2)`` documents that define the
-byte formats, the sync costs are the two alpha-beta formulas written
+byte formats, built from ``trace.rows`` without the package's span view,
+the sync costs are the two alpha-beta formulas written
 out per architecture with a divmod ceiling, and the SGD mini-batch draw
 makes a fresh generator on every call (the package caches its draws).
 ``fixture_tensor_sizes`` reads the per-tensor inventories of the bundled
@@ -150,30 +151,40 @@ def fixture_tensor_sizes(name: str) -> list[int]:
 
 
 def spans_from_trace(trace):
-    """Engine trace -> the tuple form used by the brute enumerators."""
-    return [(s.lane_id, s.job_id, s.phase.value, s.iteration, s.start, s.end)
-            for s in trace.spans]
+    """Engine trace -> the tuple form used by the brute enumerators.
+
+    Each row (job_id, iteration, start, backward_start, compute_end,
+    sync_start, sync_end) becomes its forward and backward spans on the GPU
+    lane and its sync span on the NIC lane, read from the row tuples alone.
+    """
+    spans = []
+    for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows:
+        spans.append((GPU, job_id, "forward", t, start, backward_start))
+        spans.append((GPU, job_id, "backward", t, backward_start, compute_end))
+        spans.append((NIC, job_id, "sync", t, sync_start, sync_end))
+    return spans
 
 
 def trace_to_json_reference(trace) -> str:
     """The trace.json document as json.dumps writes it, one dict per span."""
     records = [
         {
-            "lane_id": s.lane_id,
-            "job_id": s.job_id,
-            "phase": s.phase.value,
-            "iteration": s.iteration,
-            "start_ns": s.start,
-            "end_ns": s.end,
+            "lane_id": lane_id,
+            "job_id": job_id,
+            "phase": phase,
+            "iteration": iteration,
+            "start_ns": start,
+            "end_ns": end,
         }
-        for s in trace.spans
+        for lane_id, job_id, phase, iteration, start, end in spans_from_trace(trace)
     ]
     return json.dumps(records, indent=2) + "\n"
 
 
 def trace_to_chrome_json_reference(trace) -> str:
     """The Chrome trace-event document as json.dumps writes it."""
-    lane_ids = sorted({s.lane_id for s in trace.spans})
+    spans = spans_from_trace(trace)
+    lane_ids = sorted({s[0] for s in spans})
     tid = {lane_id: i for i, lane_id in enumerate(lane_ids)}
     events: list[dict] = [
         {
@@ -185,14 +196,14 @@ def trace_to_chrome_json_reference(trace) -> str:
         }
         for lane_id in lane_ids
     ]
-    for s in trace.spans:
+    for lane_id, job_id, phase, iteration, start, end in spans:
         events.append({
-            "name": f"{s.job_id} {s.phase.value} t{s.iteration}",
+            "name": f"{job_id} {phase} t{iteration}",
             "ph": "X",
-            "ts": s.start / 1000.0,
-            "dur": (s.end - s.start) / 1000.0,
+            "ts": start / 1000.0,
+            "dur": (end - start) / 1000.0,
             "pid": 0,
-            "tid": tid[s.lane_id],
-            "args": {"job": s.job_id, "iteration": s.iteration},
+            "tid": tid[lane_id],
+            "args": {"job": job_id, "iteration": iteration},
         })
     return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}, indent=2) + "\n"

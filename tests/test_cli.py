@@ -203,23 +203,6 @@ class TestEquivalence:
         assert "max absolute trajectory deviation: 0" in out
         assert "PASS" in out
 
-    def test_perturbation_names_the_iteration(self, capsys):
-        code = run("equivalence", "--iters", "5", "--perturb", "0:3")
-        assert code == 3
-        captured = capsys.readouterr()
-        assert "iteration=3" in captured.err
-        assert "job_index=0" in captured.err
-
-    def test_bad_perturb_flag(self, capsys):
-        assert run("equivalence", "--perturb", "nonsense") == 1
-
-    @pytest.mark.parametrize("perturb", ["0:99", "9:1", "0:0", "-1:1"])
-    def test_perturbation_outside_the_run_is_usage_error(self, capsys, perturb):
-        assert run("equivalence", "--iters", "2", f"--perturb={perturb}") == 1
-        captured = capsys.readouterr()
-        assert "--perturb" in captured.err
-        assert "PASS" not in captured.out
-
     def test_bad_iters(self):
         assert run("equivalence", "--iters", "0") == 1
 

@@ -62,7 +62,7 @@ def by_job(n_jobs, updates):
 
 
 def replayed(configs, plan):
-    return by_job(len(configs), replay_trace(configs, plan, None))
+    return by_job(len(configs), replay_trace(configs, plan))
 
 
 class TestLossGradient:
@@ -220,18 +220,16 @@ class TestRunCrossover:
         assert [len(t) for t in trajs] == [7, 4]
         assert all(s.iteration == i + 1 for t in trajs for i, s in enumerate(t))
 
-    def test_perturbation_hook_is_detected(self):
-        cfgs = [config(seed=41, rng_seed=0), config(seed=42, rng_seed=1)]
-        report = check_neutrality(cfgs, crossover_plan(10, 10), perturb=(1, 4))
-        assert not report.equal
-        assert report.first_divergence is not None
-        job, iteration, _ = report.first_divergence
-        assert (job, iteration) == (1, 4)
-        assert report.max_abs_deviation > 0.0
-
 
 def _renumbered(state: TrainingState, iteration: int) -> TrainingState:
     return TrainingState(state.parameters, iteration)
+
+
+def _nudged(state: TrainingState) -> TrainingState:
+    """A copy of the state with coordinate 0 moved up by one ulp."""
+    parameters = state.parameters.copy()
+    parameters[0] = np.nextafter(parameters[0], np.inf)
+    return TrainingState(parameters, state.iteration)
 
 
 # Broken edits of each job's replayed states, each with the iteration
@@ -242,6 +240,7 @@ TRAJECTORY_MUTANTS = {
     "repeats_a_state": (lambda t: t[:2] + [t[1]] + t[2:-1], 3),
     "extra_state": (lambda t: t + [_renumbered(t[-1], 6)], 6),
     "misnumbered_state": (lambda t: t[:3] + [_renumbered(t[3], 7)] + t[4:], 4),
+    "one_ulp_nudge": (lambda t: t[:2] + [_nudged(t[2])] + t[3:], 3),
 }
 
 
@@ -288,13 +287,18 @@ class TestCheckNeutrality:
                                   crossover_plan(5, 5))
         assert not report.equal
         assert report.first_divergence == (0, iteration, 0)
+        # Only a changed value has a deviation; a missing, extra or
+        # misnumbered state is never compared.
+        assert (report.max_abs_deviation > 0.0) == (name == "one_ulp_nudge")
 
     def test_cli_fails_on_a_skipped_final_drain(self, mutate, capsys):
         mutate(TRAJECTORY_MUTANTS["skips_final_drain"][0])
-        assert cli.main(["equivalence", "--iters", "5"]) == cli.EXIT_EQUIVALENCE
+        assert cli.main(["equivalence", "--iters", "5"]) == cli.EXIT_EQUIVALENCE == 3
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
-        assert "iteration=5" in captured.err
+        assert captured.out.splitlines()[-1] == "max absolute trajectory deviation: 0"
+        assert captured.err == ("FAIL: trajectories diverge at jobs=1 workers=1 "
+                                "job_index=0 iteration=5 coordinate=0\n")
 
     @pytest.mark.parametrize("job, iteration", [(0, 2), (1, 3), (2, 5)])
     def test_compute_before_previous_sync_ends_diverges(self, mutate_rows, job, iteration):
@@ -393,6 +397,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run_isolated(config(), 2, 0)
         with pytest.raises(ValueError):
-            list(replay_trace([config()], crossover_plan(5, 5), None))
+            list(replay_trace([config()], crossover_plan(5, 5)))
         with pytest.raises(ValueError):
             check_neutrality([config(), config()], crossover_plan(5))

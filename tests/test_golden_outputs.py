@@ -208,9 +208,6 @@ EQUIVALENCE_GOLDEN = {
     "--iters 60 --seed 0": (
         "9ed6110efda55c5a25eab36038069d8696b256858b2b246df2b6b48c18e329c3",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
-    "--iters 10 --perturb 1:4": (
-        "043195e8c44d8a679cd4bd34048e06d1352446c639bba4aa5a2ce937e24c395e",
-        "f9ec9d6a1e6107dd9798b4e563715a00c25889befe43a68f83e964a8bbbabe31", 3),
 }
 
 

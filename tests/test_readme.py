@@ -1,18 +1,33 @@
-"""The README's examples run against the current API."""
+"""The README's examples run against the current API, and its CLI flags match the parser."""
 
+import argparse
 import json
 import re
 from pathlib import Path
 
+from colosim.cli import build_parser
 from colosim.scenario import parse_scenario
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+FLAG = re.compile(r"--[a-z][a-z-]*")
+
+
+def _section(section: str) -> str:
+    """The text under the ``## section`` heading, up to the next one."""
+    return README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def _block(section: str, lang: str) -> str:
     """The first ``lang`` code block under the ``## section`` heading."""
-    body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(rf"```{lang}\n(.*?)```", body, re.S).group(1)
+    return re.search(rf"```{lang}\n(.*?)```", _section(section), re.S).group(1)
+
+
+def _parser_flags() -> set[str]:
+    """Every option string of the top-level parser and its subcommands."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for p in (parser, *sub.choices.values())
+            for action in p._actions for flag in action.option_strings}
 
 
 def test_scenario_example_builds_a_plan():
@@ -31,3 +46,13 @@ def test_scenario_example_has_only_read_keys():
 def test_library_example_runs(capsys):
     exec(compile(_block("Library", "python"), "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_cli_flags_match_the_parser():
+    equivalence = [par for par in _section("Library").split("\n\n")
+                   if "colosim equivalence" in par]
+    assert equivalence
+    documented = set(FLAG.findall(_section("CLI") + "".join(equivalence)))
+    parser = _parser_flags()
+    assert documented - parser == set()
+    assert parser - {"-h", "--help"} - set(FLAG.findall(README)) == set()

@@ -43,10 +43,16 @@ REPORT_FILES = {"json": "metrics.json", "csv": "metrics.csv", "table": "metrics.
 MAX_SWEEP_STEPS = 1000
 MAX_EQUIV_ITERS = 10_000
 
+# Characters encoded per write, so a document is never held a second time
+# whole as bytes.
+WRITE_SLICE_CHARS = 1 << 20
+
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        for i in range(0, len(text), WRITE_SLICE_CHARS):
+            f.write(text[i:i + WRITE_SLICE_CHARS])
 
 
 def _cmd_simulate(args) -> int:

@@ -70,22 +70,24 @@ class Trace:
 
 # Record templates holding the exact bytes ``json.dumps(..., indent=2)`` wrote
 # for the dict-per-record documents these formats were defined by.  With an
-# indent, ``json`` falls back to its pure-Python encoder, so formatting the
+# indent, ``json`` falls back to its pure-Python encoder, so writing the
 # records directly is several times faster and builds no per-span dict.
-# ``_row`` joins a format's three span records into one row template with the
-# lane, tid and phase filled in, and ``_job_templates`` bakes in each job's
-# escaped id, so each row is a single ``%`` over its numbers.  In the Chrome
-# format ``ts`` is ``%r`` of a float, which is float.__repr__, what json writes
-# for it; ``dur`` is the same text taken from a per-call ``_Durations`` cache,
-# since a job's phases last the same in every row of a valid trace.
+# ``_pieces`` joins a format's three span records into one row with the lane,
+# tid and phase filled in and cuts it at each ``{n}``, where a number goes;
+# ``_job_pieces`` then bakes each job's escaped id into the pieces.  A
+# serializer lays the whole document out as one flat list, head, then each
+# row's pieces with its numbers' texts between them, then tail, and joins it
+# once.  In the Chrome format ``ts`` is ``repr`` of a float, what json writes
+# for it; ``dur`` is the same text taken from a per-call ``_Durations``
+# cache, since a job's phases last the same in every row of a valid trace.
 _SPAN_RECORD = """\
   {
     "lane_id": "{lane}",
     "job_id": "{job}",
     "phase": "{phase}",
-    "iteration": %d,
-    "start_ns": %d,
-    "end_ns": %d
+    "iteration": {n},
+    "start_ns": {n},
+    "end_ns": {n}
   }"""
 
 _CHROME_LANE = """\
@@ -93,52 +95,64 @@ _CHROME_LANE = """\
       "name": "thread_name",
       "ph": "M",
       "pid": 0,
-      "tid": %d,
+      "tid": {tid},
       "args": {
-        "name": "%s"
+        "name": "{lane}"
       }
     }"""
 
 _CHROME_SPAN = """\
     {
-      "name": "{job} {phase} t%d",
+      "name": "{job} {phase} t{n}",
       "ph": "X",
-      "ts": %r,
-      "dur": %s,
+      "ts": {n},
+      "dur": {n},
       "pid": 0,
       "tid": {tid},
       "args": {
         "job": "{job}",
-        "iteration": %d
+        "iteration": {n}
       }
     }"""
 
-
-def _row(span: str) -> str:
-    """A row's forward, backward and sync records; ``{job}`` is left to fill."""
-    return ",\n".join(
-        span.replace("{lane}", lane).replace("{tid}", tid).replace("{phase}", phase)
-        for lane, tid, phase in ((GPU_LANE_ID, "0", "forward"),
-                                 (GPU_LANE_ID, "0", "backward"),
-                                 (NIC_LANE_ID, "1", "sync"))
-    )
-
-
-_JSON_ROW = _row(_SPAN_RECORD)
-_CHROME_ROW = _row(_CHROME_SPAN)
 # tids number the lanes in id order for the Chrome viewer: gpu0 is 0, nic0 is 1
-_CHROME_HEAD = ('{\n  "traceEvents": [\n' + _CHROME_LANE % (0, GPU_LANE_ID) + ",\n"
-                + _CHROME_LANE % (1, NIC_LANE_ID) + ",\n")
+_SPAN_LANES = ((GPU_LANE_ID, "0", "forward"), (GPU_LANE_ID, "0", "backward"),
+               (NIC_LANE_ID, "1", "sync"))
 
 
-def _job_templates(rows: tuple[Row, ...], row: str) -> dict[str, str]:
-    """Job id -> ``row`` with the id's JSON string body in place of ``{job}``.
+def _fill(record: str, lane: str, tid: str, phase: str = "") -> str:
+    return record.replace("{lane}", lane).replace("{tid}", tid).replace("{phase}", phase)
 
-    Each id is escaped once, as ``json.dumps`` writes it, and its ``%`` signs
-    are doubled so the template still formats only the row's numbers.
+
+def _pieces(span: str) -> list[str]:
+    """A row's three span records and the ``,\\n`` after them, cut at each ``{n}``.
+
+    The lane, tid and phase are filled in; ``{job}`` is left to fill.
     """
-    return {job_id: row.replace("{job}", json.dumps(job_id)[1:-1].replace("%", "%%"))
-            for job_id in {r[0] for r in rows}}
+    return (",\n".join(_fill(span, *lane) for lane in _SPAN_LANES) + ",\n").split("{n}")
+
+
+_JSON_PIECES = _pieces(_SPAN_RECORD)
+_CHROME_PIECES = _pieces(_CHROME_SPAN)
+_CHROME_HEAD = ('{\n  "traceEvents": [\n' + _fill(_CHROME_LANE, GPU_LANE_ID, "0") + ",\n"
+                + _fill(_CHROME_LANE, NIC_LANE_ID, "1") + ",\n")
+
+
+def _job_pieces(rows: tuple[Row, ...], pieces: list[str]) -> dict[str, tuple[str, ...]]:
+    """Job id -> ``pieces`` with the id's JSON string body in place of ``{job}``.
+
+    The pieces are cut before the id goes in, so an id's text is never read
+    as a place for a number.
+    """
+    ids = {job_id: json.dumps(job_id)[1:-1] for job_id in {r[0] for r in rows}}
+    return {job_id: tuple(p.replace("{job}", text) for p in pieces)
+            for job_id, text in ids.items()}
+
+
+def _join(parts: list[str], tail: str) -> str:
+    """The document: ``parts`` with the last row's ``,\\n`` replaced by ``tail``."""
+    parts[-1] = parts[-1][:-2] + tail
+    return "".join(parts)
 
 
 class _Durations(dict):
@@ -149,28 +163,19 @@ class _Durations(dict):
         return text
 
 
-def _enclose(records: list[str], head: str, tail: str) -> str:
-    """``head + ",\\n".join(records) + tail``, built as one string.
-
-    Wrapping the first and last record rather than the joined document saves
-    a second copy of the whole document at the peak.
-    """
-    records[0] = head + records[0]
-    records[-1] += tail
-    return ",\n".join(records)
-
-
 def trace_to_json(trace: Trace) -> str:
     """Serialize the trace as a JSON array of span records, three per row."""
     if not trace.rows:
         return "[]\n"
-    row = _job_templates(trace.rows, _JSON_ROW)
-    records = [
-        row[job_id] % (t, start, backward_start, t, backward_start, compute_end,
-                       t, sync_start, sync_end)
-        for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows
-    ]
-    return _enclose(records, "[\n", "\n]\n")
+    pieces = _job_pieces(trace.rows, _JSON_PIECES)
+    parts = ["[\n"]
+    for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows:
+        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = pieces[job_id]
+        t, b = str(t), str(backward_start)
+        parts += (p0, t, p1, str(start), p2, b,
+                  p3, t, p4, b, p5, str(compute_end),
+                  p6, t, p7, str(sync_start), p8, str(sync_end), p9)
+    return _join(parts, "\n]\n")
 
 
 def trace_to_chrome_json(trace: Trace) -> str:
@@ -181,12 +186,15 @@ def trace_to_chrome_json(trace: Trace) -> str:
     """
     if not trace.rows:
         return '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}\n'
-    row = _job_templates(trace.rows, _CHROME_ROW)
+    pieces = _job_pieces(trace.rows, _CHROME_PIECES)
     dur = _Durations()
-    events = [
-        row[job_id] % (t, start / 1000.0, dur[backward_start - start], t,
-                       t, backward_start / 1000.0, dur[compute_end - backward_start], t,
-                       t, sync_start / 1000.0, dur[sync_end - sync_start], t)
-        for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows
-    ]
-    return _enclose(events, _CHROME_HEAD, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')
+    parts = [_CHROME_HEAD]
+    for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows:
+        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12 = pieces[job_id]
+        t = str(t)
+        parts += (p0, t, p1, repr(start / 1000.0), p2, dur[backward_start - start], p3, t,
+                  p4, t, p5, repr(backward_start / 1000.0), p6,
+                  dur[compute_end - backward_start], p7, t,
+                  p8, t, p9, repr(sync_start / 1000.0), p10, dur[sync_end - sync_start],
+                  p11, t, p12)
+    return _join(parts, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')

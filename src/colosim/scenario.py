@@ -33,7 +33,7 @@ __all__ = ["Scenario", "load_config", "scaled_int", "MAX_JOB_ITERATIONS"]
 _INT_LIMIT = 2**63
 
 # Most job-iterations (trace rows) one plan may hold: a Chrome export peaks
-# at a few KB of memory per job-iteration, so this keeps a run to a few GB.
+# at about 1.7 KB of memory per job-iteration, so this keeps a run under 2 GB.
 MAX_JOB_ITERATIONS = 10**6
 
 # The keys each part of a document may carry; any other key is a ConfigError.

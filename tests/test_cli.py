@@ -8,10 +8,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colosim.cli import MAX_EQUIV_ITERS, MAX_SWEEP_STEPS, _payload_for_ratio, main
+from colosim.cli import (
+    MAX_EQUIV_ITERS,
+    MAX_SWEEP_STEPS,
+    WRITE_SLICE_CHARS,
+    _payload_for_ratio,
+    _write,
+    main,
+)
 from colosim.comm import Architecture, ClusterSpec, comm_time
+from colosim.engine import trace_to_chrome_json, trace_to_json
 from colosim.errors import ConfigError
-from colosim.scheduler import Policy, SchedulePlan
+from colosim.scenario import load_config
+from colosim.scheduler import Policy, SchedulePlan, simulate
 from colosim.workload import JobProfile
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -71,6 +80,29 @@ class TestSimulate:
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "j\u00e9" in (tmp_path / "out" / "metrics.txt").read_bytes().decode("utf-8")
+
+    def test_write_in_slices_keeps_utf8_bytes(self, tmp_path):
+        # 2- and 4-byte characters on both sides of each slice boundary
+        n = WRITE_SLICE_CHARS
+        text = ("a" * (n - 1) + "\u00e9\U0001f680" + "\u30b8" * (n - 2)
+                + "\u00e9\U0001f680" + "tail\n")
+        assert len(text) > 2 * n
+        assert text[n - 1:n + 1] == text[2 * n - 1:2 * n + 1] == "\u00e9\U0001f680"
+        path = tmp_path / "sub" / "doc.txt"
+        _write(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_large_trace_files_equal_the_serializers(self, tmp_path):
+        config = str(SCENARIO_DIR / "speedup_band.json")
+        code = run("simulate", "--config", config, "--out", str(tmp_path),
+                   "--iters", "3000", "--format", "chrome-trace")
+        assert code == 0
+        trace = simulate(load_config(config).plan(3000))
+        for name, serialize in (("trace.json", trace_to_json),
+                                ("trace_chrome.json", trace_to_chrome_json)):
+            data = (tmp_path / name).read_bytes()
+            assert len(data) > WRITE_SLICE_CHARS, name
+            assert data == serialize(trace).encode("utf-8"), name
 
     def test_iters_override(self, tmp_path):
         run("simulate", "--config", GOLDEN, "--out", str(tmp_path), "--iters", "5")

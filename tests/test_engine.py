@@ -149,11 +149,12 @@ class TestExports:
 
 
 # ids that exercise json's ensure_ascii escaping: quotes, backslashes, control
-# characters, non-ASCII, astral-plane and lone-surrogate code points; and
-# ids with %, which the exporters bake into %-format row templates
+# characters, non-ASCII, astral-plane and lone-surrogate code points; ids with
+# % signs; and ids spelling the exporters' template placeholders, which must
+# come out as literal text
 _ESCAPING_IDS = ["gpu0", "nic0", "j1", '"', "\\", "a\"b\\c", "\x00\n\t\x1f\x7f",
                  "é", "ジョブ", "\U0001f680", "\ud800", "\u2028", "</script>", "",
-                 "%", "%s", "%%d", "100%"]
+                 "%", "%s", "%%d", "100%", "{job}", "{lane}", "{phase}", "{tid}", "{n}"]
 _ID = st.one_of(
     st.sampled_from(_ESCAPING_IDS),
     st.text(st.characters(exclude_categories=()), max_size=6),
@@ -178,6 +179,8 @@ def _traces(draw):
 @given(_traces())
 @example(Trace(()))
 @example(Trace(tuple((job_id, 1, 0, 0, 1, 1, 2) for job_id in _ESCAPING_IDS)))
+# one row: the document's tail takes the place of its only row's separator
+@example(Trace((("{n}", 7, 1, 2, 3, 4, 5),)))
 # two jobs with equal compute phases, and a sync past 2**53 ns that repeats:
 # the Chrome exporter makes each distinct duration's text once per call
 @example(Trace((("%s", 1, 0, 7, 14, 14, 2**53 + 15),

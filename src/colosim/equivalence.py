@@ -17,12 +17,12 @@ bit equality is well defined.
 Every job trains the same size of problem at the same learning rate
 (``DIM``, ``DATASET_SIZE``, ``BATCH_SIZE``, ``LEARNING_RATE``); an
 ``SgdConfig`` picks only its loss and seeds, and the worker count is that of
-the plan's cluster.  A mini-batch is a pure function of (job seed, iteration,
-worker index), so each draw is made once per process and shared, read-only,
-by both runs, as is each config's synthetic dataset.  Gradients,
-gathered batches and anything else derived from the parameters are never
-cached: both runs compute every gradient themselves, or the comparison would
-prove nothing.
+the plan's cluster.  A worker's mini-batch is a pure function of (job seed,
+iteration, worker index), so each draw, and each iteration's index stack of
+its workers' draws, is made once per process and shared, read-only, by both
+runs, as is each config's synthetic dataset.  Gathered batches, gradients
+and anything else derived from the parameters are never cached: both runs
+compute every gradient themselves, or the comparison would prove nothing.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ __all__ = [
     "initial_state",
     "loss_value",
     "loss_gradient",
-    "average_gradients",
     "sgd_step",
-    "run_isolated",
     "replay_trace",
     "NeutralityReport",
     "check_neutrality",
@@ -127,41 +125,48 @@ def loss_value(loss: LossKind, parameters: np.ndarray,
 
 def loss_gradient(loss: LossKind, parameters: np.ndarray,
                   x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean gradient of the loss over the given batch."""
-    if x.shape[1] != parameters.shape[0] or x.shape[0] != y.shape[0]:
-        raise ValueError("batch shapes do not match parameter dimension")
+    """Worker-averaged mean gradient over a stack of equal-size worker batches.
+
+    ``x`` is ``(workers, batch, dim)`` and ``y`` is ``(workers, batch)``.  One
+    ``matmul`` gives every worker's ``x_w.T @ r_w / batch``; the worker rows
+    are summed left to right and divided by the worker count, which for equal
+    batches is the mean gradient over every row of the stack.
+    """
+    if x.ndim != 3 or y.shape != x.shape[:2] or x.shape[2:] != parameters.shape or 0 in y.shape:
+        raise ValueError("batch stack must be (workers, batch, dim) rows and (workers, "
+                         "batch) targets, with dim parameters and workers, batch >= 1")
     z = x @ parameters
     if loss is LossKind.LEAST_SQUARES:
         residual = z - y
     else:
         residual = _sigmoid(z) - y
-    return x.T @ residual / len(y)
+    per_worker = np.matmul(x.transpose(0, 2, 1), residual[..., None])[..., 0] / y.shape[1]
+    return np.add.accumulate(per_worker)[-1] / len(y)
 
 
-# Distinct mini-batch draws kept per process.  The default CLI grid makes
-# 1,200: 3 job seeds x worker indices 0-3 x 100 iterations.
-_BATCH_CACHE_SIZE = 2048
+# Rows and index stacks kept per process, each.  Worker counts share leading
+# rows (a 4-worker stack starts with the 2-worker one), so rows are cached too.
+# The default CLI grid builds 900 stacks (3 job seeds x worker counts 1, 2, 4
+# x 100 iterations) from 1,200 rows, each drawn once: a row is asked for again
+# only within one job count's cells, at most 400 draws later.
+_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=_BATCH_CACHE_SIZE)
-def _batch_indices(rng_seed: int, iteration: int, worker_index: int) -> np.ndarray:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _worker_indices(rng_seed: int, iteration: int, worker: int) -> np.ndarray:
     """Read-only sample indices of one worker's mini-batch for one iteration."""
-    rng = np.random.default_rng([rng_seed, 1, iteration, worker_index])
+    rng = np.random.default_rng([rng_seed, 1, iteration, worker])
     idx = rng.integers(0, DATASET_SIZE, size=BATCH_SIZE)
     idx.setflags(write=False)
     return idx
 
 
-def average_gradients(grads: Sequence[np.ndarray]) -> np.ndarray:
-    """Element-wise mean of per-worker gradients, summed left to right."""
-    if not grads:
-        raise ValueError("gradient batch must be non-empty")
-    acc = np.zeros_like(grads[0])
-    for g in grads:
-        if g.shape != acc.shape:
-            raise ValueError("gradient shapes differ across workers")
-        acc = acc + g
-    return acc / len(grads)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _batch_indices(rng_seed: int, iteration: int, workers: int) -> np.ndarray:
+    """Read-only ``(workers, BATCH_SIZE)`` stack of one iteration's worker draws."""
+    idx = np.stack([_worker_indices(rng_seed, iteration, w) for w in range(workers)])
+    idx.setflags(write=False)
+    return idx
 
 
 def sgd_step(state: TrainingState, averaged: np.ndarray) -> TrainingState:
@@ -179,24 +184,8 @@ def _averaged_gradient(state: TrainingState, config: SgdConfig,
     index) alone, never from what other jobs did in between.
     """
     x, y = make_dataset(config)
-    grads = []
-    for w in range(workers):
-        idx = _batch_indices(config.rng_seed, state.iteration + 1, w)
-        grads.append(loss_gradient(config.loss, state.parameters, x[idx], y[idx]))
-    return average_gradients(grads)
-
-
-def run_isolated(config: SgdConfig, workers: int,
-                 iterations: int) -> list[TrainingState]:
-    """Reference trajectory: plain synchronous SGD, no interleaving."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    state = initial_state(config)
-    trajectory = []
-    for _ in range(iterations):
-        state = sgd_step(state, _averaged_gradient(state, config, workers))
-        trajectory.append(state)
-    return trajectory
+    idx = _batch_indices(config.rng_seed, state.iteration + 1, workers)
+    return loss_gradient(config.loss, state.parameters, x[idx], y[idx])
 
 
 def replay_trace(configs: Sequence[SgdConfig],

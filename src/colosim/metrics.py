@@ -16,7 +16,6 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .comm import comm_time
 from .engine import Trace
 from .errors import ComparisonError, InvalidTraceError
 from .scheduler import SchedulePlan, validate_trace
@@ -75,8 +74,7 @@ def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
     for row in trace.rows:
         starts[row[0]].append(row[2])
     compute_busy = sum(j.iterations * comp_time(j) for j in plan.jobs)
-    network_busy = sum(j.iterations * comm_time(j.grad_bytes, plan.cluster)
-                       for j in plan.jobs)
+    network_busy = sum(j.iterations * comm for j, comm in zip(plan.jobs, plan.comm_times))
     iterations = {j.job_id: j.iterations for j in plan.jobs}
     makespan = trace.makespan
     return Metrics(

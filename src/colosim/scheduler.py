@@ -21,12 +21,13 @@ is decided: the SGD oracle in ``equivalence`` replays these rows, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .comm import ClusterSpec, comm_time
 from .engine import Row, Trace
+from .errors import ConfigError
 from .workload import JobProfile, comp_time
 
 __all__ = [
@@ -49,12 +50,15 @@ class Policy(Enum):
 class SchedulePlan:
     """A co-location plan: ordered jobs sharing one GPU plus the cluster model.
 
-    Job order is the rotation order.
+    Job order is the rotation order, and ``comm_times`` holds each job's sync
+    time on the cluster, in that order.  No time either policy produces
+    exceeds ``sum(T_i * (comp_i + comm_i))``, so that sum must stay below 2^63.
     """
 
     policy: Policy
     jobs: tuple[JobProfile, ...]
     cluster: ClusterSpec
+    comm_times: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "jobs", tuple(self.jobs))
@@ -63,6 +67,13 @@ class SchedulePlan:
         ids = [j.job_id for j in self.jobs]
         if len(set(ids)) != len(ids):
             raise ValueError("job ids must be unique within a plan")
+        comm = tuple([comm_time(j.grad_bytes, self.cluster) for j in self.jobs])
+        object.__setattr__(self, "comm_times", comm)
+        total = sum([j.iterations * (j.forward_time + j.backward_time + c)
+                     for j, c in zip(self.jobs, comm)])
+        if total >= 2**63:
+            raise ConfigError(f"plan: sequential makespan sum(T_i * (comp_i + comm_i)) = "
+                              f"{total} ns must stay below 2^63 = {2**63} ns")
 
 
 def _run(plan: SchedulePlan, rows: list[Row] | None) -> int:
@@ -82,13 +93,12 @@ def _run(plan: SchedulePlan, rows: list[Row] | None) -> int:
     whose transient outlasts its budget, runs round by round and stays exact.
     """
     hold_gpu = plan.policy is Policy.SEQUENTIAL
-    comm = {j.job_id: comm_time(j.grad_bytes, plan.cluster) for j in plan.jobs}
-    sync_end = dict.fromkeys(comm, 0)
+    sync_end = {j.job_id: 0 for j in plan.jobs}
     gpu_free = nic_free = 0
     t = 1
     for until in sorted({j.iterations for j in plan.jobs}):
-        active = [(j.job_id, j.forward_time, j.backward_time, comm[j.job_id])
-                  for j in plan.jobs if j.iterations >= t]
+        active = [(j.job_id, j.forward_time, j.backward_time, comm)
+                  for j, comm in zip(plan.jobs, plan.comm_times) if j.iterations >= t]
         key = g_prev = None
         while t <= until:
             prev, key = key, (nic_free - gpu_free,
@@ -151,13 +161,13 @@ def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
     ``sync_end`` (sequential); ``backward_start = start + forward_time``;
     ``compute_end = backward_start + backward_time``; ``sync_start =
     max(nic_free, compute_end)``, where nic_free is the previous row's
-    ``sync_end``; and ``sync_end = sync_start + comm_time(grad_bytes,
-    cluster)``.  Checking stops at the first row that breaks a rule, so all
-    messages name that one row (``row k`` is ``trace.rows[k]``).
+    ``sync_end``; and ``sync_end = sync_start`` plus the job's sync time.
+    Checking stops at the first row that breaks a rule, so all messages name
+    that one row (``row k`` is ``trace.rows[k]``).
     """
     hold_gpu = plan.policy is Policy.SEQUENTIAL
-    jobs = [(j.job_id, j.forward_time, j.backward_time,
-             comm_time(j.grad_bytes, plan.cluster), j.iterations) for j in plan.jobs]
+    jobs = [(j.job_id, j.forward_time, j.backward_time, comm, j.iterations)
+            for j, comm in zip(plan.jobs, plan.comm_times)]
     last_sync_end = {job[0]: 0 for job in jobs}
     gpu_free = nic_free = k = 0  # k: rows checked so far
     rows = trace.rows
@@ -191,7 +201,7 @@ def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
 def _periods(plan: SchedulePlan) -> tuple[int, int]:
     """(crossover, sequential) steady-state periods; see steady_state_period."""
     comps = [comp_time(j) for j in plan.jobs]
-    comms = [comm_time(j.grad_bytes, plan.cluster) for j in plan.jobs]
+    comms = plan.comm_times
     own = max(comp + comm for comp, comm in zip(comps, comms))
     return max(sum(comps), sum(comms), own), sum(comps) + sum(comms)
 

@@ -6,8 +6,12 @@ the gradient check is central finite differences, the trace serializers
 are the dict-per-record ``json.dumps(indent=2)`` documents that define the
 byte formats, built from ``trace.rows`` without the package's span view,
 the sync costs are the two alpha-beta formulas written
-out per architecture with a divmod ceiling, and the SGD mini-batch draw
-makes a fresh generator on every call (the package caches its draws).
+out per architecture with a divmod ceiling, the SGD mini-batch draw makes a
+fresh generator on every call (the package caches its draws), and the
+worker-averaged gradient loops over workers (the package batches them).
+``run_isolated`` is the plain synchronous-SGD reference trajectory that the
+pinned grid digest hashes; it steps with the package's own gradient, since
+that is the code both runs of the neutrality check share.
 ``fixture_tensor_sizes`` reads the per-tensor inventories of the bundled
 profiles straight from the data file, for the fusion counterfactual.  Span
 tuples are (lane_id, job_id, phase, iteration, start, end).
@@ -20,6 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+
+from colosim.equivalence import LossKind, _averaged_gradient, initial_state, sgd_step
 
 GPU = "gpu0"
 NIC = "nic0"
@@ -126,6 +132,33 @@ def batch_indices_reference(rng_seed: int, iteration: int, worker_index: int,
     """One worker's mini-batch indices, drawn from a fresh generator every call."""
     return np.random.default_rng([rng_seed, 1, iteration, worker_index]).integers(
         0, dataset_size, size=batch_size)
+
+
+def averaged_gradient_reference(loss, parameters, x, y) -> np.ndarray:
+    """The worker-averaged gradient as a loop over the stack's workers.
+
+    Each worker's 2-D mean gradient ``x_w.T @ r_w / batch`` is added to a
+    zero vector left to right, and the sum is divided by the worker count.
+    """
+    total = np.zeros_like(parameters)
+    for xw, yw in zip(x, y):
+        z = xw @ parameters
+        if loss is LossKind.LEAST_SQUARES:
+            residual = z - yw
+        else:
+            residual = 0.5 * (1.0 + np.tanh(0.5 * z)) - yw
+        total = total + xw.T @ residual / len(yw)
+    return total / len(x)
+
+
+def run_isolated(config, workers: int, iterations: int) -> list:
+    """Plain synchronous SGD with no interleaving: the state after each update."""
+    state = initial_state(config)
+    trajectory = []
+    for _ in range(iterations):
+        state = sgd_step(state, _averaged_gradient(state, config, workers))
+        trajectory.append(state)
+    return trajectory
 
 
 def _ceil(num: int, den: int) -> int:

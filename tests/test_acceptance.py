@@ -203,11 +203,13 @@ def test_criterion_5_convergence_neutrality():
                         f"divergence at jobs={n_jobs} workers={workers} "
                         f"T={iterations} seed={seed}: {report.first_divergence}")
 
+    # 24 rows as 4 workers x 6 rows: loss_value averages over every row of
+    # the stack, so the check covers the worker averaging too
     rng = np.random.default_rng(2468)
-    x = rng.standard_normal((24, 6))
+    x = rng.standard_normal((24, 6)).reshape(4, 6, 6)
     targets = {
         LossKind.LEAST_SQUARES: x @ rng.standard_normal(6),
-        LossKind.LOGISTIC: (rng.standard_normal(24) > 0).astype(np.float64),
+        LossKind.LOGISTIC: (rng.standard_normal(24) > 0).astype(np.float64).reshape(4, 6),
     }
     for k in range(100):
         loss = losses[k % 2]

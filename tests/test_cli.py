@@ -31,6 +31,16 @@ def run(*argv):
     return main(list(argv))
 
 
+def huge_config(tmp_path) -> str:
+    """One job whose 3 iterations of 9e18 ns compute overflow 2^63 in all."""
+    doc = json.loads(Path(GOLDEN).read_text())
+    doc["jobs"] = [{"job_id": "big", "forward_ms": 9000000000000, "backward_ms": 0,
+                    "grad_mb": 1e-6, "iterations": 3}]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestSimulate:
     def test_golden_metrics_json(self, tmp_path):
         code = run("simulate", "--config", GOLDEN, "--out", str(tmp_path))
@@ -116,6 +126,12 @@ class TestSimulate:
         assert "iterations" in capsys.readouterr().err
         assert not (tmp_path / "trace.json").exists()
 
+    def test_makespan_past_2_63_is_usage_error(self, tmp_path, capsys):
+        code = run("simulate", "--config", huge_config(tmp_path), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "below 2^63" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_validation_error(self, tmp_path, capsys):
         code = run("simulate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path))
@@ -196,6 +212,25 @@ class TestSweep:
         bad.write_text(json.dumps(doc))
         assert run("sweep", "--config", str(bad), "--out", str(tmp_path)) == 1
         assert message in capsys.readouterr().err
+
+    def test_makespan_past_2_63_is_usage_error(self, tmp_path, capsys):
+        code = run("sweep", "--config", huge_config(tmp_path), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "below 2^63" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_scaled_plan_past_2_63_is_usage_error(self, tmp_path, capsys):
+        # 2 x 4e18 ns fits, but a sync of 0.2 x compute takes the sum past 2^63
+        config = huge_config(tmp_path)
+        doc = json.loads(Path(config).read_text())
+        doc["jobs"][0].update(forward_ms=4000000000000, iterations=2)
+        Path(config).write_text(json.dumps(doc))
+        assert run("simulate", "--config", config, "--out", str(tmp_path / "sim")) == 0
+        code = run("sweep", "--config", config, "--out", str(tmp_path / "out"),
+                   "--ratio-min", "0.1", "--ratio-max", "0.2", "--steps", "2")
+        assert code == 1
+        assert "below 2^63" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_output(self, tmp_path):
         for d in ("a", "b"):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colosim import cli, equivalence
 from colosim.comm import Architecture, ClusterSpec
@@ -15,23 +15,22 @@ from colosim.equivalence import (
     LossKind,
     SgdConfig,
     TrainingState,
-    average_gradients,
     check_neutrality,
     initial_state,
     loss_gradient,
     loss_value,
     make_dataset,
     replay_trace,
-    run_isolated,
     sgd_step,
 )
 from colosim.scheduler import Policy, SchedulePlan
 from colosim.workload import JobProfile
 
-from oracles import batch_indices_reference, finite_difference_gradient
+from oracles import (averaged_gradient_reference, batch_indices_reference,
+                     finite_difference_gradient, run_isolated)
 
 # sha256 over the parameter bytes of every state each job reaches along the
-# CLI cell's trace, then of run_isolated per job, for each cell of the CLI
+# CLI cell's trace, then of oracles.run_isolated per job, for each cell of the CLI
 # grid at seeds 0, 5 and 123 with 60 iterations; see _grid_digest for the
 # order.  Generated by the hand-written rotation that preceded the replay.
 GRID_DIGEST = "38ef243ceb6077e70f742bb896df4dccb872c5d26453712d09f9f2ade54a0d67"
@@ -65,10 +64,17 @@ def replayed(configs, plan):
     return by_job(len(configs), replay_trace(configs, plan))
 
 
+def stack_of_batches(rng, workers, batch, dim):
+    """A random (workers, batch, dim) stack and (workers, batch) targets."""
+    return rng.standard_normal((workers, batch, dim)), rng.standard_normal((workers, batch))
+
+
 class TestLossGradient:
+    """loss_gradient takes a stack of worker batches, (workers, batch, dim)."""
+
     def test_zero_at_exact_solution(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((40, 5))
+        x = rng.standard_normal((4, 10, 5))
         w = rng.standard_normal(5)
         y = x @ w  # consistent targets: w is the exact optimum
         grad = loss_gradient(LossKind.LEAST_SQUARES, w, x, y)
@@ -76,11 +82,13 @@ class TestLossGradient:
 
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_matches_finite_differences(self, loss):
+        # loss_value averages over every row of the stack, so this also
+        # checks the averaging over the 3 workers
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((30, 6))
+        x = rng.standard_normal((3, 10, 6))
         y = (x @ rng.standard_normal(6)
              if loss is LossKind.LEAST_SQUARES
-             else (rng.standard_normal(30) > 0).astype(np.float64))
+             else (rng.standard_normal((3, 10)) > 0).astype(np.float64))
         for _ in range(20):
             params = rng.standard_normal(6)
             analytic = loss_gradient(loss, params, x, y)
@@ -94,45 +102,84 @@ class TestLossGradient:
         x = rng.standard_normal((16, 4))
         y = rng.standard_normal(16)
         params = rng.standard_normal(4)
-        once = loss_gradient(LossKind.LEAST_SQUARES, params, x, y)
+        once = loss_gradient(LossKind.LEAST_SQUARES, params, x[None], y[None])
         twice = loss_gradient(LossKind.LEAST_SQUARES, params,
-                              np.vstack([x, x]), np.concatenate([y, y]))
+                              np.vstack([x, x])[None], np.concatenate([y, y])[None])
         np.testing.assert_allclose(twice, once, rtol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             loss_gradient(LossKind.LEAST_SQUARES, np.zeros(3),
-                          np.zeros((4, 2)), np.zeros(4))
+                          np.zeros((1, 4, 2)), np.zeros((1, 4)))
 
 
 class TestAverageGradients:
+    """The averaging over workers inside loss_gradient."""
+
     def test_identical_vectors(self):
-        g = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(average_gradients([g, g, g]), g)
+        # identical worker batches give the one-batch gradient; small integer
+        # data keeps every sum exact, so the mean of 3 copies is exact too
+        x = np.array([[1.0, -2.0, 0.0], [3.0, 1.0, -1.0], [0.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
+        y = np.array([2.0, -1.0, 0.0, 3.0])
+        params = np.array([1.0, 0.0, -1.0])
+        one = loss_gradient(LossKind.LEAST_SQUARES, params, x[None], y[None])
+        assert np.array_equal(one, x.T @ (x @ params - y) / 4)
+        assert np.array_equal(loss_gradient(LossKind.LEAST_SQUARES, params,
+                                            np.stack([x, x, x]), np.stack([y, y, y])), one)
 
     def test_single_worker_identity(self):
-        g = np.array([0.5, 0.25])
-        assert np.array_equal(average_gradients([g]), g)
+        # a one-worker stack's gradient is that batch's own mean gradient
+        rng = np.random.default_rng(4)
+        x, y = stack_of_batches(rng, 1, BATCH_SIZE, DIM)
+        params = rng.standard_normal(DIM)
+        want = x[0].T @ (x[0] @ params - y[0]) / BATCH_SIZE
+        assert np.array_equal(loss_gradient(LossKind.LEAST_SQUARES, params, x, y), want)
 
     def test_mean_of_basis_vectors(self):
-        basis = [np.eye(4)[k] for k in range(4)]
-        assert np.array_equal(average_gradients(basis),
-                              np.full(4, 0.25))
+        # worker k's one row e_k, at zero parameters with target -1, has
+        # gradient e_k
+        stack = np.eye(4)[:, None, :]
+        got = loss_gradient(LossKind.LEAST_SQUARES, np.zeros(4), stack, -np.ones((4, 1)))
+        assert np.array_equal(got, np.full(4, 0.25))
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            average_gradients([])
+            loss_gradient(LossKind.LEAST_SQUARES, np.zeros(DIM),
+                          np.zeros((0, BATCH_SIZE, DIM)), np.zeros((0, BATCH_SIZE)))
+        with pytest.raises(ValueError):
+            loss_gradient(LossKind.LEAST_SQUARES, np.zeros(DIM),
+                          np.zeros((2, 0, DIM)), np.zeros((2, 0)))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            average_gradients([np.zeros(2), np.zeros(3)])
+        for x_shape, y_shape in [
+            ((2, 4, 3), (2, 5)),   # targets per worker differ from rows
+            ((2, 4, 3), (3, 4)),   # targets for another worker count
+            ((2, 4, 2), (2, 4)),   # rows of another dimension
+            ((8, 3), (8,)),        # one batch, not a stack
+        ]:
+            with pytest.raises(ValueError):
+                loss_gradient(LossKind.LEAST_SQUARES, np.zeros(3),
+                              np.zeros(x_shape), np.zeros(y_shape))
+
+    @settings(deadline=None)
+    @given(workers=st.integers(1, 12), batch=st.integers(1, 20), dim=st.integers(1, 10),
+           seed=st.integers(0, 2**32), loss=st.sampled_from(LossKind))
+    def test_matches_a_per_worker_loop(self, workers, batch, dim, seed, loss):
+        # bit for bit: the batching changes no operation and no summation order
+        rng = np.random.default_rng(seed)
+        x, y = stack_of_batches(rng, workers, batch, dim)
+        params = rng.standard_normal(dim)
+        assert np.array_equal(loss_gradient(loss, params, x, y),
+                              averaged_gradient_reference(loss, params, x, y))
 
     def test_fixed_order_is_bit_stable(self):
         rng = np.random.default_rng(9)
-        grads = [rng.standard_normal(8) for _ in range(5)]
-        a = average_gradients(grads)
-        b = average_gradients([g.copy() for g in grads])
-        assert np.array_equal(a, b)
+        x, y = stack_of_batches(rng, 5, BATCH_SIZE, DIM)
+        params = rng.standard_normal(DIM)
+        for loss in LossKind:
+            a = loss_gradient(loss, params, x, y)
+            b = loss_gradient(loss, params.copy(), x.copy(), y.copy())
+            assert np.array_equal(a, b)
 
 
 class TestSgdStep:
@@ -155,14 +202,18 @@ class TestSgdStep:
 
 
 class TestRunIsolated:
+    """The isolated reference trajectory (``oracles.run_isolated``)."""
+
     def test_one_iteration_is_one_averaged_step(self):
-        cfg = config(rng_seed=4)
+        cfg = config(rng_seed=4)  # least squares
         state = initial_state(cfg)
         x, y = make_dataset(cfg)
-        draws = [batch_indices_reference(4, 1, w, DATASET_SIZE, BATCH_SIZE)
-                 for w in range(3)]
-        grads = [loss_gradient(cfg.loss, state.parameters, x[idx], y[idx]) for idx in draws]
-        expected = sgd_step(state, average_gradients(grads))
+        total = np.zeros(DIM)
+        for w in range(3):
+            idx = batch_indices_reference(4, 1, w, DATASET_SIZE, BATCH_SIZE)
+            xw, yw = x[idx], y[idx]
+            total = total + xw.T @ (xw @ state.parameters - yw) / BATCH_SIZE
+        expected = sgd_step(state, total / 3)
         trajectory = run_isolated(cfg, 3, 1)
         assert len(trajectory) == 1
         assert np.array_equal(trajectory[0].parameters, expected.parameters)
@@ -339,25 +390,37 @@ def test_cli_grid_trajectories_are_pinned():
     assert _grid_digest() == GRID_DIGEST
 
 
+def clear_draws():
+    equivalence._batch_indices.cache_clear()
+    equivalence._worker_indices.cache_clear()
+
+
 class TestBatchDraws:
+    """Index stacks (``_batch_indices``) are built from per-worker draws
+    (``_worker_indices``); both are cached, nothing derived from them is."""
+
     @given(rng_seed=st.integers(0, 2**32),
-           keys=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)),
+           keys=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
                          min_size=1, max_size=12))
     def test_cached_draws_match_a_fresh_generator(self, rng_seed, keys):
-        for _ in range(2):  # the second pass starts from an empty cache
-            for iteration, worker in keys * 2:
-                got = equivalence._batch_indices(rng_seed, iteration, worker)
-                want = batch_indices_reference(rng_seed, iteration, worker,
-                                               DATASET_SIZE, BATCH_SIZE)
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-            equivalence._batch_indices.cache_clear()
+        for _ in range(2):  # the second pass starts from empty caches
+            for iteration, workers in keys * 2:
+                got = equivalence._batch_indices(rng_seed, iteration, workers)
+                assert got.shape == (workers, BATCH_SIZE)
+                for w in range(workers):
+                    want = batch_indices_reference(rng_seed, iteration, w,
+                                                   DATASET_SIZE, BATCH_SIZE)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got[w], want)
+            clear_draws()
 
     def test_returned_draw_is_read_only(self):
-        idx = equivalence._batch_indices(3, 1, 0)
+        idx = equivalence._batch_indices(3, 1, 2)
         with pytest.raises(ValueError):
-            idx[0] = 0
-        assert np.array_equal(idx, batch_indices_reference(3, 1, 0, 128, 16))
+            idx[0, 0] = 0
+        with pytest.raises(ValueError):
+            equivalence._worker_indices(3, 1, 1)[0] = 0
+        assert np.array_equal(idx[1], batch_indices_reference(3, 1, 1, 128, 16))
 
     def test_shared_dataset_is_read_only(self):
         x, y = make_dataset(config(seed=71))
@@ -367,35 +430,48 @@ class TestBatchDraws:
             y[0] = 0.0
 
     def test_each_draw_is_made_once_and_shared_by_both_runs(self):
-        equivalence._batch_indices.cache_clear()
+        clear_draws()
         plan = crossover_plan(10, 10, workers=3)
         report = check_neutrality([config(seed=61, rng_seed=8),
                                    config(seed=62, rng_seed=9)], plan)
         assert report.equal
-        info = equivalence._batch_indices.cache_info()
-        assert info.misses == len(plan.jobs) * plan.cluster.workers * 10 == 60
-        assert info.hits == info.misses
+        stacks = equivalence._batch_indices.cache_info()
+        assert stacks.misses == len(plan.jobs) * 10 == 20  # one stack per job-iteration
+        assert stacks.hits == stacks.misses
+        draws = equivalence._worker_indices.cache_info()
+        assert draws.misses == draws.currsize == 20 * plan.cluster.workers
+        assert draws.hits == 0
 
     def test_reuse_holds_past_the_cache_size(self):
-        # 2,400 distinct draws, more than the cache holds: each job's reference
-        # steps right after its replayed update lands, while the draw is cached.
-        equivalence._batch_indices.cache_clear()
-        report = check_neutrality(cli._equiv_configs(3, 4, 0), cli._equiv_plan(3, 4, 200))
+        # 1,200 distinct stacks of 4 draws, more than either cache holds: each
+        # job's reference steps right after its replayed update lands, while
+        # the stack is cached.
+        assert 3 * 400 > equivalence._CACHE_SIZE
+        clear_draws()
+        report = check_neutrality(cli._equiv_configs(3, 4, 0), cli._equiv_plan(3, 4, 400))
         assert report.equal
-        info = equivalence._batch_indices.cache_info()
-        assert info.hits == info.misses == 3 * 4 * 200
+        stacks = equivalence._batch_indices.cache_info()
+        assert stacks.hits == stacks.misses == 3 * 400
+        assert equivalence._worker_indices.cache_info().misses == 3 * 400 * 4
 
     def test_cache_holds_the_default_cli_grid(self, capsys):
-        equivalence._batch_indices.cache_clear()
+        clear_draws()
         assert cli.main(["equivalence"]) == cli.EXIT_OK
-        info = equivalence._batch_indices.cache_info()
-        assert info.misses == info.currsize == 1200  # 3 job seeds x 4 workers x 100
+        stacks = equivalence._batch_indices.cache_info()
+        # 3 job seeds x worker counts 1, 2 and 4 x 100 iterations, each built
+        # once; every cell asks for each of its stacks twice, once per run.
+        assert stacks.misses == stacks.currsize == 900
+        lookups = sum(2 * n_jobs * 100 for n_jobs in cli._EQUIV_JOB_COUNTS
+                      for _ in cli._EQUIV_WORKER_COUNTS)
+        assert stacks.hits == lookups - stacks.misses == 2700
+        # 3 job seeds x worker indices 0-3 x 100 iterations, each drawn once
+        draws = equivalence._worker_indices.cache_info()
+        assert draws.misses == 1200
+        assert draws.hits == 300 * (1 + 2 + 4) - 1200
 
 
 class TestConfigValidation:
     def test_run_validation(self):
-        with pytest.raises(ValueError):
-            run_isolated(config(), 2, 0)
         with pytest.raises(ValueError):
             list(replay_trace([config()], crossover_plan(5, 5)))
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from colosim.comm import Architecture, ClusterSpec, comm_time
 from colosim.engine import Phase
+from colosim.errors import ConfigError
 from colosim.scheduler import (
     Policy,
     SchedulePlan,
@@ -357,6 +358,18 @@ def test_makespan_equals_the_full_recurrence(raw, cluster):
         assert makespan(p) == trace.makespan == brute_makespan
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(skip_spec_st, min_size=1, max_size=5), st.sampled_from([CLUSTER, RING]))
+def test_sequential_sum_bounds_every_makespan(raw, cluster):
+    # the bound SchedulePlan checks against 2^63
+    specs = build_specs(raw)
+    comms = tuple(comm_time(g, cluster) for _, _, _, g, _ in specs)
+    total = sum(n * (f + b + c) for (_, f, b, _, n), c in zip(specs, comms))
+    cross = plan(Policy.CROSSOVER, specs, cluster)
+    assert cross.comm_times == comms
+    assert makespan(cross) <= makespan(plan(Policy.SEQUENTIAL, specs, cluster)) == total
+
+
 def test_plan_that_never_repeats_runs_round_by_round():
     # 1 ms computes and syncs 19 ns longer grow the NIC backlog by 57 ns a
     # round, so no round starts with the previous round's key in 2,000
@@ -410,3 +423,13 @@ class TestUnequalBudgets:
             SchedulePlan(Policy.CROSSOVER, (), CLUSTER)
         with pytest.raises(ValueError, match="unique"):
             plan(Policy.CROSSOVER, [("dup", 1, 1, 1, 1), ("dup", 1, 1, 1, 1)])
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_sequential_makespan_must_stay_below_2_63(self, policy):
+        # 2 iterations x (2^61 + 2^61 - 1 compute + 1 sync) = 2^63 - 2 + 2
+        at_limit = [("a", 2**61, 2**61 - 1, 1, 2)]
+        with pytest.raises(ConfigError, match=f"= {2**63} ns must stay below 2\\^63"):
+            plan(policy, at_limit)
+        assert issubclass(ConfigError, ValueError)
+        below = plan(policy, [("a", 2**61, 2**61 - 2, 1, 2)])
+        assert makespan(below) == 2**63 - 2

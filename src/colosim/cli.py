@@ -183,6 +183,7 @@ def _cmd_equivalence(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = load_config(args.config)
+    scenario.plan()
     print(f"OK: {scenario.name}: {len(scenario.jobs)} job(s), "
           f"policy={scenario.policy.value}, "
           f"architecture={scenario.cluster.architecture.value}")

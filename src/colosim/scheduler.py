@@ -8,9 +8,10 @@ zero at ``t = 1``), runs forward then backward, and its fused gradient syncs
 from ``max(nic_free, backward_end)``.  After a job's last compute its final
 sync still drains, so a ``T``-iteration job always has exactly ``T`` syncs.
 Each dispatch appends one trace row (see ``engine``), so rows come in GPU
-order, which is also the NIC's FIFO order.  This is the one place job order
-is decided: the SGD oracle in ``equivalence`` replays these rows, and
-``makespan`` runs the same loop without rows.
+order, which is also the NIC's FIFO order.  ``_run`` is the one place job
+order is decided: ``makespan`` runs it without rows, ``validate_trace``
+compares a trace with its rows, and the SGD oracle in ``equivalence``
+replays them.
 
 * ``crossover`` -- the GPU moves to the next job the moment a backward pass
   ends, so one job's sync overlaps another job's compute.
@@ -152,50 +153,33 @@ _FIELDS = ("start", "backward_start", "compute_end", "sync_start", "sync_end")
 
 
 def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
-    """Check that the trace is the plan's schedule; empty means it is.
+    """Check that ``trace.rows`` equals ``simulate(plan).rows``; empty means it does.
 
-    README "Scheduling semantics" as equalities against the trace's own
-    earlier rows: rows visit the unfinished jobs in plan order, round by
-    round; ``start = max(gpu_free, the job's previous sync_end)``, where
-    gpu_free is the previous row's ``compute_end`` (crossover) or
-    ``sync_end`` (sequential); ``backward_start = start + forward_time``;
-    ``compute_end = backward_start + backward_time``; ``sync_start =
-    max(nic_free, compute_end)``, where nic_free is the previous row's
-    ``sync_end``; and ``sync_end = sync_start`` plus the job's sync time.
-    Checking stops at the first row that breaks a rule, so all messages name
-    that one row (``row k`` is ``trace.rows[k]``).
+    Otherwise the messages name the first row that differs (``row k`` is
+    ``trace.rows[k]``): missing, past the schedule's end, the wrong job or
+    iteration, or each field that breaks README "Scheduling semantics" given
+    the row's own earlier fields and the rows before it, which match the
+    schedule.
     """
-    hold_gpu = plan.policy is Policy.SEQUENTIAL
-    jobs = [(j.job_id, j.forward_time, j.backward_time, comm, j.iterations)
-            for j, comm in zip(plan.jobs, plan.comm_times)]
-    last_sync_end = {job[0]: 0 for job in jobs}
-    gpu_free = nic_free = k = 0  # k: rows checked so far
-    rows = trace.rows
-    for t in range(1, max(job[4] for job in jobs) + 1):
-        jobs = [job for job in jobs if job[4] >= t]
-        batch = rows[k:k + len(jobs)]
-        for (job_id, forward, backward, comm, _), row in zip(jobs, batch):
-            _, _, start, backward_start, compute_end, sync_start, sync_end = row
-            ready = last_sync_end[job_id]  # max() inlined: this runs once per row
-            expected = (job_id, t, gpu_free if gpu_free > ready else ready,
-                        start + forward, backward_start + backward,
-                        nic_free if nic_free > compute_end else compute_end,
-                        sync_start + comm)
-            if row != expected:
-                if row[:2] != expected[:2]:
-                    return [f"row {k}: {row[0]} iteration {row[1]}, "
-                            f"expected {job_id} iteration {t}"]
-                return [f"row {k} ({job_id} iteration {t}): {name} {got}, expected {want}"
-                        for name, got, want in zip(_FIELDS, row[2:], expected[2:])
-                        if got != want]
-            nic_free = last_sync_end[job_id] = sync_end
-            gpu_free = sync_end if hold_gpu else compute_end
-            k += 1
-        if len(batch) < len(jobs):
-            return [f"row {k}: missing, expected {jobs[len(batch)][0]} iteration {t}"]
-    if k < len(rows):
+    rows, expected = trace.rows, simulate(plan).rows
+    if rows == expected:
+        return []
+    k = next((k for k, (row, want) in enumerate(zip(rows, expected)) if row != want),
+             min(len(rows), len(expected)))
+    if k == len(rows):
+        return [f"row {k}: missing, expected {expected[k][0]} iteration {expected[k][1]}"]
+    if k == len(expected):
         return [f"row {k}: {rows[k][0]} iteration {rows[k][1]} after the plan's last row"]
-    return []
+    job_id, t, a, b, c, e, f = expected[k]
+    row = rows[k]
+    if row[:2] != (job_id, t):
+        return [f"row {k}: {row[0]} iteration {row[1]}, expected {job_id} iteration {t}"]
+    _, _, start, backward_start, compute_end, sync_start, _ = row
+    nic_free = expected[k - 1][6] if k else 0
+    want = (a, start + (b - a), backward_start + (c - b), max(nic_free, compute_end),
+            sync_start + (f - e))
+    return [f"row {k} ({job_id} iteration {t}): {name} {got}, expected {value}"
+            for name, got, value in zip(_FIELDS, row[2:], want) if got != value]
 
 
 def _periods(plan: SchedulePlan) -> tuple[int, int]:

@@ -19,7 +19,7 @@ from colosim.cli import (
 from colosim.comm import Architecture, ClusterSpec, comm_time
 from colosim.engine import trace_to_chrome_json, trace_to_json
 from colosim.errors import ConfigError
-from colosim.scenario import load_config
+from colosim.scenario import MAX_JOB_ITERATIONS, load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate
 from colosim.workload import JobProfile
 
@@ -311,7 +311,27 @@ class TestUsageErrors:
 class TestValidateConfig:
     def test_ok(self, capsys):
         assert run("validate-config", "--config", GOLDEN) == 0
-        assert "OK: golden_2jobs" in capsys.readouterr().out
+        assert capsys.readouterr().out == ("OK: golden_2jobs: 2 job(s), policy=crossover, "
+                                           "architecture=parameter_server\n")
+
+    def test_makespan_past_2_63_is_usage_error(self, tmp_path, capsys):
+        assert run("validate-config", "--config", huge_config(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert "below 2^63" in captured.err
+        assert "OK" not in captured.out
+
+    def test_run_size_limit_is_usage_error(self, tmp_path, capsys):
+        # 600,000 iterations of each bundled profile: 1.2M job-iterations
+        doc = json.loads(Path(GOLDEN).read_text())
+        doc["jobs"] = [{"job_id": "a", "profile": "resnet50", "iterations": 1},
+                       {"job_id": "b", "profile": "vgg16", "iterations": 1}]
+        doc["iterations_override"] = 600_000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert run("validate-config", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        assert f"exceed the limit of {MAX_JOB_ITERATIONS}" in captured.err
+        assert "OK" not in captured.out
 
     def test_invalid(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -16,6 +16,7 @@ from colosim.workload import JobProfile
 from oracles import trace_to_chrome_json_reference, trace_to_json_reference
 
 # rows: (job_id, iteration, start, backward_start, compute_end, sync_start, sync_end)
+TIMES = ("start", "backward_start", "compute_end", "sync_start", "sync_end")
 
 # Sync time equals grad_bytes, and zero bytes is a zero-length sync.
 _CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
@@ -106,7 +107,8 @@ def _with_rows(trace, i, *new):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_JOB, min_size=1, max_size=4), st.sampled_from(Policy))
 def test_validator_is_tight(specs, policy):
-    # every trace but the plan's schedule itself is reported
+    # every trace but the plan's schedule itself is reported; a nudged row's
+    # first message names the nudged field and the value it had
     jobs = [(f"j{i}", *spec) for i, spec in enumerate(specs)]
     plan = _plan(*jobs, policy=policy)
     other = _plan(*jobs, policy=next(p for p in Policy if p is not policy))
@@ -114,10 +116,18 @@ def test_validator_is_tight(specs, policy):
     assert validate_trace(trace, plan) == []
     rows = trace.rows
     for i, row in enumerate(rows):
+        job_id, t = row[:2]
         for col in range(1, 7):
             for delta in (-1, 1):
                 moved = row[:col] + (row[col] + delta,) + row[col + 1:]
-                assert validate_trace(_with_rows(trace, i, moved), plan), (i, col, delta)
+                first = validate_trace(_with_rows(trace, i, moved), plan)[0]
+                if col == 1:
+                    assert first == (f"row {i}: {job_id} iteration {t + delta}, "
+                                     f"expected {job_id} iteration {t}")
+                else:
+                    assert first == (f"row {i} ({job_id} iteration {t}): "
+                                     f"{TIMES[col - 2]} {row[col] + delta}, "
+                                     f"expected {row[col]}")
         if i + 1 < len(rows):
             swapped = rows[:i] + (rows[i + 1], row) + rows[i + 2:]
             assert validate_trace(dataclasses.replace(trace, rows=swapped), plan), i

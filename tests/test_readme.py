@@ -6,9 +6,12 @@ import re
 from pathlib import Path
 
 from colosim.cli import build_parser
-from colosim.scenario import parse_scenario
+from colosim.engine import Trace
+from colosim.scenario import load_config, parse_scenario
+from colosim.scheduler import simulate, validate_trace
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 FLAG = re.compile(r"--[a-z][a-z-]*")
 
 
@@ -56,3 +59,14 @@ def test_readme_cli_flags_match_the_parser():
     parser = _parser_flags()
     assert documented - parser == set()
     assert parser - {"-h", "--help"} - set(FLAG.findall(README)) == set()
+
+
+def test_traces_example_message_is_the_validators():
+    # golden_2jobs with its last sync stretched by 1,000 ns
+    plan = load_config(ROOT / "scenarios" / "golden_2jobs.json").plan()
+    rows = simulate(plan).rows
+    *last, sync_end = rows[-1]
+    stretched = Trace(rows[:-1] + ((*last, sync_end + 1000),))
+    messages = validate_trace(stretched, plan)
+    assert len(messages) == 1
+    assert f"`{messages[0]}`" in _section("Traces")

@@ -11,8 +11,12 @@ function of its input, so repeated runs produce byte-identical traces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .scheduler import SchedulePlan
 
 __all__ = [
     "GPU_LANE_ID",
@@ -48,7 +52,18 @@ class Span:
 
 @dataclass(frozen=True)
 class Trace:
+    """A schedule's rows, plus the plan that produced them when that is known.
+
+    ``plan`` is the plan ``scheduler.simulate`` ran to build this trace, and
+    ``None`` for any other trace.  ``scheduler.validate_trace`` accepts a
+    trace with a plan for any equal plan without running the schedule again.
+    ``plan`` is not an init field, so ``Trace(rows)`` cannot set it and
+    ``dataclasses.replace`` does not copy it; it takes no part in equality
+    or hashing.
+    """
+
     rows: tuple[Row, ...]
+    plan: SchedulePlan | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def makespan(self) -> int:

@@ -9,9 +9,10 @@ from ``max(nic_free, backward_end)``.  After a job's last compute its final
 sync still drains, so a ``T``-iteration job always has exactly ``T`` syncs.
 Each dispatch appends one trace row (see ``engine``), so rows come in GPU
 order, which is also the NIC's FIFO order.  ``_run`` is the one place job
-order is decided: ``makespan`` runs it without rows, ``validate_trace``
-compares a trace with its rows, and the SGD oracle in ``equivalence``
-replays them.
+order is decided: ``makespan`` runs it without rows, ``simulate`` records
+its rows and the plan on a ``Trace``, ``validate_trace`` accepts a trace
+``simulate`` returned for any equal plan and compares any other trace with
+``simulate(plan).rows``, and the SGD oracle in ``equivalence`` replays them.
 
 * ``crossover`` -- the GPU moves to the next job the moment a backward pass
   ends, so one job's sync overlaps another job's compute.
@@ -134,10 +135,15 @@ def _run(plan: SchedulePlan, rows: list[Row] | None) -> int:
 
 
 def simulate(plan: SchedulePlan) -> Trace:
-    """Run the plan under its policy; one trace row per job-iteration, in dispatch order."""
+    """Run the plan under its policy; one trace row per job-iteration, in dispatch order.
+
+    The trace records ``plan`` as ``trace.plan`` (see ``validate_trace``).
+    """
     rows: list[Row] = []
     _run(plan, rows)
-    return Trace(tuple(rows))
+    trace = Trace(tuple(rows))
+    object.__setattr__(trace, "plan", plan)
+    return trace
 
 
 def makespan(plan: SchedulePlan) -> int:
@@ -155,12 +161,17 @@ _FIELDS = ("start", "backward_start", "compute_end", "sync_start", "sync_end")
 def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
     """Check that ``trace.rows`` equals ``simulate(plan).rows``; empty means it does.
 
-    Otherwise the messages name the first row that differs (``row k`` is
-    ``trace.rows[k]``): missing, past the schedule's end, the wrong job or
-    iteration, or each field that breaks README "Scheduling semantics" given
-    the row's own earlier fields and the rows before it, which match the
-    schedule.
+    A trace ``simulate`` returned for a plan equal to ``plan`` passes without
+    running the schedule again: ``_run`` depends only on the fields a plan
+    compares, and rows are immutable.  Any other trace is compared with
+    ``simulate(plan).rows``, and the messages name the first row that differs
+    (``row k`` is ``trace.rows[k]``): missing, past the schedule's end, the
+    wrong job or iteration, or each field that breaks README "Scheduling
+    semantics" given the row's own earlier fields and the rows before it,
+    which match the schedule.
     """
+    if trace.plan == plan:
+        return []
     rows, expected = trace.rows, simulate(plan).rows
     if rows == expected:
         return []

@@ -116,6 +116,29 @@ class TestMeasure:
         assert measure(trace, p, "x") == measure(trace, p, "x")
 
 
+def golden_2jobs():
+    return load_config(SCENARIO_DIR / "golden_2jobs.json").plan()
+
+
+def unequal_budgets():
+    jobs = (JobProfile("a", 1, 2, 3, 2), JobProfile("b", 2, 1, 1, 5),
+            JobProfile("c", 1, 1, 4, 3))
+    return SchedulePlan(Policy.CROSSOVER, jobs, CLUSTER)
+
+
+@pytest.mark.parametrize("make_plan", [golden_2jobs, unequal_budgets])
+class TestDispatchLoops:
+    def test_simulated_trace_is_measured_without_a_second_run(self, run_calls, make_plan):
+        p = make_plan()
+        measure(simulate(p), p)
+        assert len(run_calls) == 1
+
+    def test_plain_trace_is_checked_against_a_fresh_run(self, run_calls, make_plan):
+        p = make_plan()
+        measure(Trace(simulate(p).rows), p)
+        assert len(run_calls) == 2
+
+
 class TestCompare:
     def test_golden_speedup(self):
         mx, ms = golden_pair()

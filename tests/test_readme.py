@@ -51,6 +51,12 @@ def test_library_example_runs(capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_library_example_runs_each_schedule_once(run_calls):
+    # each measure call gets a fresh SchedulePlan equal to the simulated one
+    exec(compile(_block("Library", "python"), "README.md", "exec"), {})
+    assert len(run_calls) == 2
+
+
 def test_readme_cli_flags_match_the_parser():
     equivalence = [par for par in _section("Library").split("\n\n")
                    if "colosim equivalence" in par]

@@ -1,11 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colosim.comm import Architecture, ClusterSpec, comm_time
-from colosim.engine import Phase
-from colosim.errors import ConfigError
+from colosim.engine import Phase, Trace
+from colosim.errors import ConfigError, InvalidTraceError
+from colosim.metrics import measure
 from colosim.scheduler import (
     Policy,
     SchedulePlan,
@@ -423,3 +425,40 @@ class TestUnequalBudgets:
         assert issubclass(ConfigError, ValueError)
         below = plan(policy, [("a", 2**61, 2**61 - 2, 1, 2)])
         assert makespan(below) == 2**63 - 2
+
+
+def _raises_invalid(trace, plan):
+    try:
+        measure(trace, plan)
+    except InvalidTraceError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan_st, st.sampled_from(Policy), st.sampled_from([CLUSTER, RING]),
+       st.integers(min_value=0, max_value=3))
+def test_simulated_trace_is_checked_like_a_plain_one(raw, policy, cluster, bumped):
+    # a trace simulate returned skips the schedule only for an equal plan:
+    # against every other plan it gets the same messages as its bare rows
+    specs = build_specs(raw)
+    p = plan(policy, specs, cluster)
+    trace = simulate(p)
+    plain = Trace(trace.rows)
+    assert trace.plan == p and plain.plan is None
+    assert dataclasses.replace(trace, rows=trace.rows).plan is None
+    with pytest.raises(TypeError):
+        Trace(trace.rows, plan=p)
+    bumped %= len(specs)
+    variants = [
+        p,
+        dataclasses.replace(p, policy=next(q for q in Policy if q is not policy)),
+        plan(policy, [s[:4] + (s[4] + 1,) if i == bumped else s
+                      for i, s in enumerate(specs)], cluster),
+        plan(policy, specs, dataclasses.replace(cluster, workers=cluster.workers + 1)),
+    ]
+    if len(specs) >= 2:
+        variants.append(plan(policy, [specs[1], specs[0], *specs[2:]], cluster))
+    for q in variants:
+        assert validate_trace(trace, q) == validate_trace(plain, q)
+        assert _raises_invalid(trace, q) == _raises_invalid(plain, q)

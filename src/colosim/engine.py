@@ -92,9 +92,17 @@ class Trace:
 # ``_job_pieces`` then bakes each job's escaped id into the pieces.  A
 # serializer lays the whole document out as one flat list, head, then each
 # row's pieces with its numbers' texts between them, then tail, and joins it
-# once.  In the Chrome format ``ts`` is ``repr`` of a float, what json writes
-# for it; ``dur`` is the same text taken from a per-call ``_Durations``
-# cache, since a job's phases last the same in every row of a valid trace.
+# once.  In the Chrome format ``ts`` and ``dur`` are float microseconds, whose
+# text json wrote as ``repr`` of ``n / 1000.0``.  ``_micros`` builds it from
+# integer arithmetic, ``str(n // 1000)`` and a table of the 1000 fraction
+# texts.  That is exact for ``0 <= n < 10**15``: ``n`` is exact as a double,
+# the quotient is correctly rounded, and the decimal ``n / 1000`` has at most
+# 15 significant digits (DBL_DIG), so no other decimal that short rounds to
+# the same double and it is ``repr``'s shortest round-trip text, in fixed
+# notation since it is below 1e16.  Other values take ``repr`` itself.  The
+# bytes are the same either way.
+# ``dur`` comes from a per-call ``_Durations`` cache, since a job's phases
+# last the same in every row of a valid trace.
 _SPAN_RECORD = """\
   {
     "lane_id": "{lane}",
@@ -170,11 +178,24 @@ def _join(parts: list[str], tail: str) -> str:
     return "".join(parts)
 
 
+# ".0", ".001", ..., ".5", ..., ".999": the text after the point of r / 1000
+_FRACTIONS = tuple(repr(r / 1000.0)[1:] for r in range(1000))
+# the fast path's bound: see the comment above _SPAN_RECORD
+_EXACT_BOUND = 10**15
+
+
+def _micros(n: int) -> str:
+    """``n`` nanoseconds as the text json writes for the float ``n / 1000.0``."""
+    if 0 <= n < _EXACT_BOUND:
+        return str(n // 1000) + _FRACTIONS[n % 1000]
+    return repr(n / 1000.0)
+
+
 class _Durations(dict):
-    """Nanoseconds -> ``repr(n / 1000.0)``, made on first use."""
+    """Nanoseconds -> ``_micros(n)``, made on first use."""
 
     def __missing__(self, n: int) -> str:
-        text = self[n] = repr(n / 1000.0)
+        text = self[n] = _micros(n)
         return text
 
 
@@ -207,9 +228,15 @@ def trace_to_chrome_json(trace: Trace) -> str:
     for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows:
         p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12 = pieces[job_id]
         t = str(t)
-        parts += (p0, t, p1, repr(start / 1000.0), p2, dur[backward_start - start], p3, t,
-                  p4, t, p5, repr(backward_start / 1000.0), p6,
-                  dur[compute_end - backward_start], p7, t,
-                  p8, t, p9, repr(sync_start / 1000.0), p10, dur[sync_end - sync_start],
-                  p11, t, p12)
+        # _micros inline, under one bound check for the row's three ts values
+        if 0 <= start <= backward_start <= sync_start < _EXACT_BOUND:
+            forward_ts = str(start // 1000) + _FRACTIONS[start % 1000]
+            backward_ts = str(backward_start // 1000) + _FRACTIONS[backward_start % 1000]
+            sync_ts = str(sync_start // 1000) + _FRACTIONS[sync_start % 1000]
+        else:
+            forward_ts, backward_ts, sync_ts = (
+                _micros(start), _micros(backward_start), _micros(sync_start))
+        parts += (p0, t, p1, forward_ts, p2, dur[backward_start - start], p3, t,
+                  p4, t, p5, backward_ts, p6, dur[compute_end - backward_start], p7, t,
+                  p8, t, p9, sync_ts, p10, dur[sync_end - sync_start], p11, t, p12)
     return _join(parts, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')

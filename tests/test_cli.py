@@ -22,6 +22,7 @@ from colosim.errors import ConfigError
 from colosim.scenario import MAX_JOB_ITERATIONS, load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate
 from colosim.workload import JobProfile
+from oracles import trace_to_chrome_json_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = str(SCENARIO_DIR / "golden_2jobs.json")
@@ -113,6 +114,23 @@ class TestSimulate:
             data = (tmp_path / name).read_bytes()
             assert len(data) > WRITE_SLICE_CHARS, name
             assert data == serialize(trace).encode("utf-8"), name
+
+    def test_large_chrome_trace_with_sub_microsecond_times(self, tmp_path):
+        # syncs of 15000.12 and 11244.84 us outlast the other job's compute,
+        # so starts and sync starts carry fractional microseconds in ts
+        doc = json.loads((SCENARIO_DIR / "speedup_band.json").read_text())
+        for job, forward_ms, grad_mb in zip(doc["jobs"], (3, 2), (124.751, 93.457)):
+            job.update(forward_ms=forward_ms, backward_ms=7, grad_mb=grad_mb)
+        config = tmp_path / "fractional.json"
+        config.write_text(json.dumps(doc))
+        code = run("simulate", "--config", str(config), "--out", str(tmp_path / "out"),
+                   "--format", "chrome-trace")
+        assert code == 0
+        trace = simulate(load_config(str(config)).plan())
+        assert {row[2] % 1000 for row in trace.rows} - {0}
+        data = (tmp_path / "out" / "trace_chrome.json").read_bytes()
+        assert len(data) > WRITE_SLICE_CHARS
+        assert data == trace_to_chrome_json_reference(trace).encode("utf-8")
 
     def test_iters_override(self, tmp_path):
         run("simulate", "--config", GOLDEN, "--out", str(tmp_path), "--iters", "5")

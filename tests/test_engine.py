@@ -5,7 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from colosim.comm import Architecture, ClusterSpec
 from colosim.engine import (
+    _FRACTIONS,
     Trace,
+    _micros,
     trace_to_chrome_json,
     trace_to_json,
 )
@@ -169,8 +171,10 @@ _ID = st.one_of(
     st.sampled_from(_ESCAPING_IDS),
     st.text(st.characters(exclude_categories=()), max_size=6),
 )
-# up to ~10^16 ns: well past where start / 1000.0 stops being exact
-_NS = st.integers(min_value=0, max_value=10**16)
+# up to ~10^16 ns: well past where start / 1000.0 stops being exact, and
+# often near 10^15 ns, where the Chrome exporter's fast path for ts ends
+_NS = st.one_of(st.integers(min_value=0, max_value=10**16),
+                st.integers(min_value=10**15 - 10**4, max_value=10**15 + 10**4))
 
 
 @st.composite
@@ -196,6 +200,26 @@ def _traces(draw):
 @example(Trace((("%s", 1, 0, 7, 14, 14, 2**53 + 15),
                 ("100%", 1, 14, 21, 28, 2**53 + 15, 2**54 + 16),
                 ("%s", 2, 28, 35, 42, 2**54 + 16, 3 * 2**53 + 17))))
+# rows the Chrome exporter's one bound check per row sends to _micros's repr
+# fallback: ts values that straddle 10**15 ns, a start past 10**16 ns after
+# its backward start (so a negative duration), and negative times
+@example(Trace((("j", 1, 10**15 - 1, 10**15 - 1, 10**15 - 1, 10**15, 10**15 + 1),)))
+@example(Trace((("j", 1, 10**16 + 1, 1500, 1500, 2500, 3999),)))
+@example(Trace((("j", 1, -1500, -1, 0, 7, 1001),)))
 def test_serializers_byte_identical_to_json_dumps(trace):
     assert trace_to_json(trace) == trace_to_json_reference(trace)
     assert trace_to_chrome_json(trace) == trace_to_chrome_json_reference(trace)
+
+
+def test_fraction_table():
+    assert _FRACTIONS[0] == ".0"
+    assert len(_FRACTIONS) == 1000
+
+
+def test_micros_is_repr_of_the_float_microseconds():
+    for n in range(10**6):
+        assert _micros(n) == repr(n / 1000.0), n
+    edges = [10**k + d for k in range(17) for d in (-1, 0, 1)]
+    edges += [2**53 - 1, 2**53, 2**53 + 1, -1, -999, -1000, -1001, -(10**15), -(2**53 + 1)]
+    for n in edges:
+        assert _micros(n) == repr(n / 1000.0), n

@@ -228,15 +228,7 @@ def trace_to_chrome_json(trace: Trace) -> str:
     for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows:
         p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12 = pieces[job_id]
         t = str(t)
-        # _micros inline, under one bound check for the row's three ts values
-        if 0 <= start <= backward_start <= sync_start < _EXACT_BOUND:
-            forward_ts = str(start // 1000) + _FRACTIONS[start % 1000]
-            backward_ts = str(backward_start // 1000) + _FRACTIONS[backward_start % 1000]
-            sync_ts = str(sync_start // 1000) + _FRACTIONS[sync_start % 1000]
-        else:
-            forward_ts, backward_ts, sync_ts = (
-                _micros(start), _micros(backward_start), _micros(sync_start))
-        parts += (p0, t, p1, forward_ts, p2, dur[backward_start - start], p3, t,
-                  p4, t, p5, backward_ts, p6, dur[compute_end - backward_start], p7, t,
-                  p8, t, p9, sync_ts, p10, dur[sync_end - sync_start], p11, t, p12)
+        parts += (p0, t, p1, _micros(start), p2, dur[backward_start - start], p3, t,
+                  p4, t, p5, _micros(backward_start), p6, dur[compute_end - backward_start], p7, t,
+                  p8, t, p9, _micros(sync_start), p10, dur[sync_end - sync_start], p11, t, p12)
     return _join(parts, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')

@@ -200,9 +200,9 @@ def _traces(draw):
 @example(Trace((("%s", 1, 0, 7, 14, 14, 2**53 + 15),
                 ("100%", 1, 14, 21, 28, 2**53 + 15, 2**54 + 16),
                 ("%s", 2, 28, 35, 42, 2**54 + 16, 3 * 2**53 + 17))))
-# rows the Chrome exporter's one bound check per row sends to _micros's repr
-# fallback: ts values that straddle 10**15 ns, a start past 10**16 ns after
-# its backward start (so a negative duration), and negative times
+# rows whose Chrome ts or dur values take _micros's repr fallback: ts values
+# that straddle 10**15 ns, a start past 10**16 ns after its backward start (so
+# a negative duration), and negative times
 @example(Trace((("j", 1, 10**15 - 1, 10**15 - 1, 10**15 - 1, 10**15, 10**15 + 1),)))
 @example(Trace((("j", 1, 10**16 + 1, 1500, 1500, 2500, 3999),)))
 @example(Trace((("j", 1, -1500, -1, 0, 7, 1001),)))

@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--ratio-max", type=float, default=2.0)
     sweep.add_argument("--steps", type=int, default=20,
                        help=f"ratio points, in [2, {MAX_SWEEP_STEPS}] (default 20)")
-    sweep.add_argument("--iters", type=int, default=None)
+    sweep.add_argument("--iters", type=int, default=None,
+                       help="override every job's iteration count")
     sweep.set_defaults(func=_cmd_sweep)
 
     eq = sub.add_parser("equivalence", help="SGD schedule-neutrality suite")

@@ -37,7 +37,7 @@ _INT_LIMIT = 2**63
 MAX_JOB_ITERATIONS = 10**6
 
 # The keys each part of a document may carry; any other key is a ConfigError.
-_TOP_KEYS = frozenset({"name", "policy", "cluster", "jobs", "iterations_override"})
+_TOP_KEYS = frozenset({"name", "policy", "cluster", "jobs"})
 _CLUSTER_KEYS = frozenset({"workers", "bandwidth_gbps", "latency_us", "architecture"})
 _INLINE_JOB_KEYS = frozenset({"job_id", "forward_ms", "backward_ms", "grad_mb",
                               "iterations"})
@@ -62,21 +62,19 @@ class Scenario:
     jobs: tuple[JobProfile, ...]
     cluster: ClusterSpec
     policy: Policy
-    iterations_override: int | None = None
 
     def plan(self, iterations: int | None = None) -> SchedulePlan:
-        """Build the schedule plan, optionally overriding every job's budget."""
-        override = iterations if iterations is not None else self.iterations_override
+        """Build the schedule plan; ``iterations`` replaces every job's budget."""
         jobs = self.jobs
-        if override is not None:
-            if override < 1:
-                raise ConfigError("iterations override must be >= 1")
-            jobs = tuple(replace(j, iterations=override) for j in jobs)
+        if iterations is not None:
+            if iterations < 1:
+                raise ConfigError(f"iterations (--iters) must be >= 1, got {iterations}")
+            jobs = tuple(replace(j, iterations=iterations) for j in jobs)
         total = sum(j.iterations for j in jobs)
         if total > MAX_JOB_ITERATIONS:
             raise ConfigError(
                 f"iterations: {total} job-iterations in all exceed the limit of "
-                f"{MAX_JOB_ITERATIONS} (lower iterations, iterations_override or --iters)")
+                f"{MAX_JOB_ITERATIONS} (lower iterations or --iters)")
         return SchedulePlan(policy=self.policy, jobs=jobs, cluster=self.cluster)
 
 
@@ -236,16 +234,11 @@ def parse_scenario(doc, origin: str = "<config>") -> Scenario:
     if len(set(ids)) != len(ids):
         raise ConfigError("jobs: job_id values must be unique")
 
-    override = None
-    if doc.get("iterations_override") is not None:
-        override = _count_field(doc, "iterations_override", origin)
-
     return Scenario(
         name=name,
         jobs=jobs,
         cluster=_parse_cluster(_require(doc, "cluster", origin)),
         policy=policy,
-        iterations_override=override,
     )
 
 

@@ -65,10 +65,10 @@ class SchedulePlan:
     def __post_init__(self):
         object.__setattr__(self, "jobs", tuple(self.jobs))
         if not self.jobs:
-            raise ValueError("plan must contain at least one job")
+            raise ConfigError("plan must contain at least one job")
         ids = [j.job_id for j in self.jobs]
         if len(set(ids)) != len(ids):
-            raise ValueError("job ids must be unique within a plan")
+            raise ConfigError("job ids must be unique within a plan")
         comm = tuple([comm_time(j.grad_bytes, self.cluster) for j in self.jobs])
         object.__setattr__(self, "comm_times", comm)
         total = sum([j.iterations * (j.forward_time + j.backward_time + c)

@@ -144,6 +144,13 @@ class TestSimulate:
         assert "iterations" in capsys.readouterr().err
         assert not (tmp_path / "trace.json").exists()
 
+    def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run("simulate", "--config", GOLDEN, "--out", str(blocker / "out"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+
     def test_makespan_past_2_63_is_usage_error(self, tmp_path, capsys):
         code = run("simulate", "--config", huge_config(tmp_path), "--out", str(tmp_path / "out"))
         assert code == 1
@@ -304,6 +311,14 @@ class TestEquivalence:
         assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_zero_iters_is_usage_error(command, tmp_path, capsys):
+    config = str(SCENARIO_DIR / "sweep_base.json")
+    assert run(command, "--config", config, "--out", str(tmp_path), "--iters", "0") == 1
+    assert capsys.readouterr().err == "error: iterations (--iters) must be >= 1, got 0\n"
+    assert not any(tmp_path.iterdir())
+
+
 class TestUsageErrors:
     """Argument errors argparse catches exit 1, like every other usage error."""
 
@@ -341,9 +356,8 @@ class TestValidateConfig:
     def test_run_size_limit_is_usage_error(self, tmp_path, capsys):
         # 600,000 iterations of each bundled profile: 1.2M job-iterations
         doc = json.loads(Path(GOLDEN).read_text())
-        doc["jobs"] = [{"job_id": "a", "profile": "resnet50", "iterations": 1},
-                       {"job_id": "b", "profile": "vgg16", "iterations": 1}]
-        doc["iterations_override"] = 600_000
+        doc["jobs"] = [{"job_id": "a", "profile": "resnet50", "iterations": 600_000},
+                       {"job_id": "b", "profile": "vgg16", "iterations": 600_000}]
         path = tmp_path / "long.json"
         path.write_text(json.dumps(doc))
         assert run("validate-config", "--config", str(path)) == 1

@@ -190,7 +190,7 @@ HETEROGENEOUS_GOLDEN = {
 }
 
 # `colosim sweep` runs on sweep_base beyond the default one -> (budgets that
-# replace its iterations_override, flags) and the sha256 of sweep.csv,
+# replace its jobs' iterations, flags) and the sha256 of sweep.csv,
 # generated when every point still ran two full simulations.  With budgets
 # 1000 and 370, each point's plans change regime when the shorter job ends.
 SWEEP_RUNS = {
@@ -263,7 +263,6 @@ def sweep_run_digest(run: str, tmp: Path) -> str:
     budgets, flags = SWEEP_RUNS[run]
     doc = json.loads((SCENARIO_DIR / "sweep_base.json").read_text())
     if budgets:
-        del doc["iterations_override"]
         for job, budget in zip(doc["jobs"], budgets):
             job["iterations"] = budget
     tmp.mkdir(parents=True, exist_ok=True)

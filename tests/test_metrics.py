@@ -155,6 +155,11 @@ class TestCompare:
         with pytest.raises(ComparisonError):
             compare(mx, m3)
 
+    def test_empty_crossover_rejected(self):
+        mx, ms = golden_pair()
+        with pytest.raises(ComparisonError, match="empty"):
+            compare(dataclasses.replace(mx, makespan=0), ms)
+
     def test_amortized_band_speedup(self):
         # ratio 0.15 at T=1000 lands within the 10--20% window
         p_x = plan(comp=1_000_000, comm=150_000, iterations=1000)

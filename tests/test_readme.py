@@ -7,7 +7,8 @@ from pathlib import Path
 
 from colosim.cli import build_parser
 from colosim.engine import Trace
-from colosim.scenario import load_config, parse_scenario
+from colosim.scenario import (_CLUSTER_KEYS, _INLINE_JOB_KEYS, _PROFILE_JOB_KEYS,
+                               _TOP_KEYS, RETIRED_KEYS, load_config, parse_scenario)
 from colosim.scheduler import simulate, validate_trace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +45,14 @@ def test_scenario_example_has_only_read_keys():
     text = _block("Scenario files", "json")
     for key in ("tensor_count", "gpus_per_worker", "ps_servers"):
         assert key not in text
+
+
+def test_readme_scenario_keys_match_the_schema():
+    # each key appears in the section as `key` or "key"
+    documented = {quoted or code for code, quoted in
+                  re.findall(r'`([a-z_]+)`|"([a-z_]+)"', _section("Scenario files"))}
+    schema = _TOP_KEYS | _CLUSTER_KEYS | _INLINE_JOB_KEYS | _PROFILE_JOB_KEYS | RETIRED_KEYS
+    assert schema - documented == set()
 
 
 def test_library_example_runs(capsys):

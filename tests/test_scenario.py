@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 from colosim.cli import main
 from colosim.comm import Architecture, comm_time
 from colosim.errors import ConfigError
-from colosim.scenario import (MAX_JOB_ITERATIONS, RETIRED_KEYS, load_config,
-                               parse_scenario, scaled_int)
+from colosim.scenario import (_CLUSTER_KEYS, _INLINE_JOB_KEYS, _PROFILE_JOB_KEYS,
+                               _TOP_KEYS, MAX_JOB_ITERATIONS, RETIRED_KEYS,
+                               load_config, parse_scenario, scaled_int)
 from colosim.scheduler import Policy
 from colosim.workload import comp_time
 
@@ -59,6 +60,12 @@ class TestBundledScenarios:
         scenario = load_config(SCENARIO_DIR / f"{name}.json")
         assert scenario.name == name
         scenario.plan()  # must build without errors
+        # the shipped examples use only schema keys, none of RETIRED_KEYS
+        doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        assert set(doc) <= _TOP_KEYS
+        assert set(doc["cluster"]) <= _CLUSTER_KEYS
+        for job in doc["jobs"]:
+            assert set(job) <= (_PROFILE_JOB_KEYS if "profile" in job else _INLINE_JOB_KEYS)
 
     def test_golden_units_land_on_integers(self):
         scenario = load_config(SCENARIO_DIR / "golden_2jobs.json")
@@ -218,11 +225,20 @@ class TestScenarioSemantics:
             job["tensor_count"] = 20_000
         assert parse_scenario(extra).plan() == parse_scenario(plain).plan()
 
-    def test_iterations_override_layering(self):
-        scenario = parse_scenario(base_doc(iterations_override=50))
-        assert scenario.plan().jobs[0].iterations == 50
-        assert scenario.plan(iterations=7).jobs[0].iterations == 7
-        assert parse_scenario(base_doc()).plan().jobs[0].iterations == 3
+    def test_iterations_override_is_an_unknown_key(self, tmp_path, capsys):
+        # a job's budget is stated once, on the job; null is no exception
+        for value in (None, 50, 0, "x"):
+            config = write_config(tmp_path, base_doc(iterations_override=value))
+            assert main(["validate-config", "--config", str(config)]) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: iterations_override: unknown key")
+
+    def test_iters_replaces_every_budget(self):
+        doc = base_doc()
+        doc["jobs"][1]["iterations"] = 5
+        scenario = parse_scenario(doc)
+        assert [j.iterations for j in scenario.plan().jobs] == [3, 5]
+        assert [j.iterations for j in scenario.plan(iterations=7).jobs] == [7, 7]
 
     def test_run_size_is_bounded(self):
         # plan() only builds job profiles, so neither case allocates a trace
@@ -231,7 +247,10 @@ class TestScenarioSemantics:
         scenario = parse_scenario(doc)
         with pytest.raises(ConfigError, match=f"iterations.*{MAX_JOB_ITERATIONS}"):
             scenario.plan()
-        at_limit = parse_scenario(base_doc(iterations_override=MAX_JOB_ITERATIONS // 2))
+        doc = base_doc()
+        for job in doc["jobs"]:
+            job["iterations"] = MAX_JOB_ITERATIONS // 2
+        at_limit = parse_scenario(doc)
         assert sum(j.iterations for j in at_limit.plan().jobs) == MAX_JOB_ITERATIONS
         with pytest.raises(ConfigError, match="iterations"):
             at_limit.plan(iterations=MAX_JOB_ITERATIONS // 2 + 1)
@@ -316,6 +335,14 @@ class TestFieldLimits:
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: {message}$"):
             parse_scenario(doc)
 
+    def test_zero_compute_job_is_usage_error(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["jobs"][1].update(forward_ms=0, backward_ms=0)
+        config = write_config(tmp_path, doc)
+        assert main(["validate-config", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "error: jobs[1]: forward_ms + backward_ms must be > 0\n")
+
     def test_lone_surrogate_in_a_name(self):
         with pytest.raises(ConfigError, match="name: .*lone surrogate"):
             parse_scenario(base_doc(name="\ud800"))
@@ -349,7 +376,7 @@ _json_value = st.one_of(
 
 
 def _fuzz_doc():
-    doc = base_doc(iterations_override=4)
+    doc = base_doc()
     doc["jobs"].append({"job_id": "c", "profile": "resnet50", "iterations": 2})
     return doc
 

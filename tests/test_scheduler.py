@@ -411,9 +411,9 @@ class TestUnequalBudgets:
         assert trace.makespan == brute_makespan
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="at least one job"):
             SchedulePlan(Policy.CROSSOVER, (), CLUSTER)
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ConfigError, match="unique"):
             plan(Policy.CROSSOVER, [("dup", 1, 1, 1, 1), ("dup", 1, 1, 1, 1)])
 
     @pytest.mark.parametrize("policy", list(Policy))

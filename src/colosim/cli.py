@@ -21,16 +21,19 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .comm import Architecture, ClusterSpec, cost_terms
-from .equivalence import LossKind, SgdConfig, check_neutrality
 from .engine import trace_to_chrome_json, trace_to_json
 from .errors import ConfigError, InvalidTraceError
 from .metrics import measure, report
 from .scenario import load_config
 from .scheduler import Policy, SchedulePlan, makespan, simulate
 from .workload import comp_time, fixture_profile
+
+# The SGD oracle needs numpy, so only the equivalence subcommand imports it.
+if TYPE_CHECKING:
+    from .equivalence import SgdConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -127,6 +130,8 @@ _EQUIV_WORKER_COUNTS = (1, 2, 4)
 
 
 def _equiv_configs(n_jobs: int, workers: int, seed: int) -> list[SgdConfig]:
+    from .equivalence import LossKind, SgdConfig
+
     losses = (LossKind.LEAST_SQUARES, LossKind.LOGISTIC)
     return [
         SgdConfig(
@@ -156,6 +161,7 @@ def _cmd_equivalence(args) -> int:
         raise ConfigError(f"--iters must be in [1, {MAX_EQUIV_ITERS}], got {args.iters}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    from .equivalence import check_neutrality
 
     worst = 0.0
     failure = None

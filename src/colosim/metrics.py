@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import io
 import json
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,18 +45,19 @@ class Metrics:
 
 
 def _steady_period(starts: list[int]) -> int | None:
-    """Median gap between consecutive compute starts over the middle 50%.
+    """Lower median gap between consecutive compute starts over the middle 50%.
 
     Dropping the first and last quarter of the gaps excludes pipeline fill
-    and drain transients; median_low keeps the result an exact integer.
+    and drain transients.  The lower median of an even count is the smaller
+    middle gap, so the result is always one of the gaps, an exact integer.
     Undefined (None) with fewer than two starts.
     """
     if len(starts) < 2:
         return None
     gaps = [b - a for a, b in zip(starts, starts[1:])]
     k = len(gaps)
-    window = gaps[k // 4: k - k // 4]
-    return int(statistics.median_low(window))
+    window = sorted(gaps[k // 4: k - k // 4])
+    return window[(len(window) - 1) // 2]
 
 
 def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:

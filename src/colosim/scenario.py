@@ -2,7 +2,7 @@
 
 Config fields carry unit suffixes (forward_ms, grad_mb, bandwidth_gbps,
 latency_us) and are converted exactly once into the internal integer units
-(nanoseconds, bytes, bytes/s).  Conversion goes through exact rational
+(nanoseconds, bytes, bytes/s).  Conversion goes through exact integer
 arithmetic on the decimal literal, so a value either lands on a whole
 internal unit or is rejected -- there is no silent rounding.  Divisors:
 ms*1e6 -> ns, MB*1e6 -> bytes, us*1e3 -> ns, Gbps*1e9/8 -> bytes/s.
@@ -18,7 +18,6 @@ import json
 import reprlib
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 
 from .comm import Architecture, ClusterSpec
@@ -86,16 +85,19 @@ def scaled_int(value, num: int, den: int, field: str, minimum: int) -> int:
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: expected a number, got {_brief.repr(value)}")
-    try:
-        exact = Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
+    try:  # str(value) is digits * 10**exp; int() refuses 'inf' and 'nan'
+        mantissa, _, exp = str(value).partition("e")
+        whole, _, frac = mantissa.partition(".")
+        digits = int(whole + frac)
+        exp = int(exp or 0) - len(frac)
+    except ValueError:
         raise ConfigError(f"{field}: {value!r} is not a finite number") from None
-    scaled = exact * num / den
-    if scaled.denominator != 1:
+    # A float's exp lies in [-340, 308] and an int's is 0, so the powers stay small.
+    n, rest = divmod(digits * num * 10**max(exp, 0), den * 10**max(-exp, 0))
+    if rest:
         raise ConfigError(
             f"{field}: {_brief.repr(value)} does not land on a whole internal unit "
             f"(scale {num}/{den})")
-    n = int(scaled)
     if not -_INT_LIMIT < n < _INT_LIMIT:
         raise ConfigError(
             f"{field}: {_brief.repr(value)} overflows the internal integer range")

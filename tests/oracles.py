@@ -13,8 +13,10 @@ worker-averaged gradient loops over workers (the package batches them).
 pinned grid digest hashes; it steps with the package's own gradient, since
 that is the code both runs of the neutrality check share.
 ``fixture_tensor_sizes`` reads the per-tensor inventories of the bundled
-profiles straight from the data file, for the fusion counterfactual.  Span
-tuples are (lane_id, job_id, phase, iteration, start, end).
+profiles straight from the data file, for the fusion counterfactual.
+``scaled_int_reference`` converts a config number through ``Fraction`` (the
+package splits the decimal literal into integers).  Span tuples are
+(lane_id, job_id, phase, iteration, start, end).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from colosim.equivalence import LossKind, _averaged_gradient, initial_state, sgd_step
+from colosim.errors import ConfigError
+from colosim.scenario import _INT_LIMIT, _brief
 
 GPU = "gpu0"
 NIC = "nic0"
@@ -240,3 +244,25 @@ def trace_to_chrome_json_reference(trace) -> str:
             "args": {"job": job_id, "iteration": iteration},
         })
     return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}, indent=2) + "\n"
+
+
+def scaled_int_reference(value, num: int, den: int, field: str, minimum: int) -> int:
+    """``scenario.scaled_int`` by exact rational arithmetic on ``str(value)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field}: expected a number, got {_brief.repr(value)}")
+    try:
+        exact = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{field}: {value!r} is not a finite number") from None
+    scaled = exact * num / den
+    if scaled.denominator != 1:
+        raise ConfigError(
+            f"{field}: {_brief.repr(value)} does not land on a whole internal unit "
+            f"(scale {num}/{den})")
+    n = int(scaled)
+    if not -_INT_LIMIT < n < _INT_LIMIT:
+        raise ConfigError(
+            f"{field}: {_brief.repr(value)} overflows the internal integer range")
+    if n < minimum:
+        raise ConfigError(f"{field}: must be {'> 0' if minimum else '>= 0'}")
+    return n

@@ -319,6 +319,55 @@ def test_zero_iters_is_usage_error(command, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+# Runs every subcommand but ``equivalence`` in one fresh interpreter, then
+# prints which of the modules only the SGD oracle may need got imported.
+_COLD_RUN = """
+import sys
+from pathlib import Path
+import colosim
+from colosim.cli import main
+out, bundled = Path(sys.argv[1]), Path(sys.argv[2])
+scenarios = sorted(bundled.glob("*.json"))
+formats = ["--format", "json", "--format", "csv", "--format", "table",
+           "--format", "chrome-trace"]
+codes = [main(["validate-config", "--config", str(s)]) for s in scenarios]
+codes += [main(["simulate", "--config", str(s), "--out", str(out / s.stem), *formats])
+          for s in scenarios]
+codes.append(main(["sweep", "--config", str(bundled / "sweep_base.json"),
+                   "--out", str(out / "sweep"), "--steps", "3"]))
+print(codes, sorted({"numpy", "statistics"} & set(sys.modules)))
+"""
+
+
+def _cold(*argv):
+    """``python *argv`` in a fresh interpreter that imports colosim from src/."""
+    env = {**os.environ, "PYTHONPATH": str(SCENARIO_DIR.parent / "src")}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+class TestColdImports:
+    """numpy is the SGD oracle's alone; a fresh process shows what a call loads.
+
+    The test session itself has numpy loaded already, so only a new
+    interpreter can tell a module-level import from a per-call one.
+    """
+
+    def test_other_subcommands_import_neither_numpy_nor_statistics(self, tmp_path):
+        proc = _cold("-c", _COLD_RUN, str(tmp_path), str(SCENARIO_DIR))
+        assert proc.returncode == 0, proc.stderr
+        n = len(list(SCENARIO_DIR.glob("*.json")))
+        assert proc.stdout.splitlines()[-1] == f"{[0] * (2 * n + 1)} []"
+        assert (tmp_path / "sweep" / "sweep.csv").exists()
+        for s in SCENARIO_DIR.glob("*.json"):
+            assert (tmp_path / s.stem / "trace_chrome.json").exists(), s.stem
+
+    def test_equivalence_imports_its_oracle_per_call(self):
+        proc = _cold("-m", "colosim.cli", "equivalence", "--iters", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout
+
+
 class TestUsageErrors:
     """Argument errors argparse catches exit 1, like every other usage error."""
 

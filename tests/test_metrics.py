@@ -1,16 +1,19 @@
 import csv
 import dataclasses
 import json
+import statistics
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from colosim.comm import Architecture, ClusterSpec
 from colosim.engine import Trace
 from colosim.errors import ComparisonError, InvalidTraceError
 from colosim.metrics import (
     METRICS_CSV_HEADER,
+    _steady_period,
     compare,
     measure,
     report,
@@ -114,6 +117,18 @@ class TestMeasure:
         p = plan()
         trace = simulate(p)
         assert measure(trace, p, "x") == measure(trace, p, "x")
+
+
+@given(st.lists(st.integers(0, 10**12), max_size=60).map(sorted))
+@example([0, 5, 7])  # two gaps: an even window, whose lower middle is taken
+@example([0, 5, 7, 20])  # three gaps: an odd window
+def test_steady_period_is_median_low_of_the_middle_gaps(starts):
+    if len(starts) < 2:
+        assert _steady_period(starts) is None
+        return
+    gaps = [b - a for a, b in zip(starts, starts[1:])]
+    k = len(gaps)
+    assert _steady_period(starts) == int(statistics.median_low(gaps[k // 4: k - k // 4]))
 
 
 def golden_2jobs():

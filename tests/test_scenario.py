@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colosim.cli import main
 from colosim.comm import Architecture, comm_time
@@ -20,6 +20,7 @@ from colosim.scenario import (_CLUSTER_KEYS, _INLINE_JOB_KEYS, _PROFILE_JOB_KEYS
                                load_config, parse_scenario, scaled_int)
 from colosim.scheduler import Policy
 from colosim.workload import comp_time
+from oracles import scaled_int_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -110,6 +111,31 @@ class TestUnitConversion:
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigError):
             scaled_int(float("inf"), 10**6, 1, "f", 0)
+
+    @given(value=st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True),
+                           st.integers(-10**25, 10**25),
+                           # short decimal literals, most of which land
+                           st.builds(lambda m, e: float(f"{m}e{e}"),
+                                     st.integers(-10**6, 10**6), st.integers(-12, 12))),
+           scale=st.sampled_from([(10**6, 1), (10**3, 1), (10**9, 8)]),
+           minimum=st.sampled_from([0, 1]))
+    @example(value=1e-05, scale=(10**6, 1), minimum=0)
+    @example(value=5e-324, scale=(10**9, 8), minimum=1)
+    @example(value=1.5e+300, scale=(10**3, 1), minimum=0)
+    @example(value=-0.0, scale=(10**6, 1), minimum=1)
+    @example(value=2**63, scale=(10**3, 1), minimum=0)
+    @example(value=float("nan"), scale=(10**6, 1), minimum=0)
+    @settings(max_examples=2000)
+    def test_matches_the_rational_reference(self, value, scale, minimum):
+        # same integer, or the same ConfigError text, as exact Fraction arithmetic
+        def outcome(convert):
+            try:
+                return convert(value, *scale, "f", minimum)
+            except ConfigError as exc:
+                return f"ConfigError: {exc}"
+
+        assert outcome(scaled_int) == outcome(scaled_int_reference)
 
 
 class TestValidation:

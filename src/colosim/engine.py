@@ -4,8 +4,10 @@ A trace holds one row per job-iteration, in dispatch order (the order the
 GPU ran the computes): ``(job_id, iteration, start, backward_start,
 compute_end, sync_start, sync_end)``.  Forward and backward run on the GPU
 lane, the gradient sync on the NIC lane; exports expand each row into those
-three span records.  Everything is integer nanoseconds; a run is a pure
-function of its input, so repeated runs produce byte-identical traces.
+three span records.  A trace keeps its rows as blocks, each a stretch of rows
+and a count of shifted copies of it, and builds the rows on first read.
+Everything is integer nanoseconds; a run is a pure function of its input,
+so repeated runs produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -50,25 +52,71 @@ class Span:
     end: int
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A schedule's rows, plus the plan that produced them when that is known.
+Block = tuple[tuple[Row, ...], int, int]
 
-    ``plan`` is the plan ``scheduler.simulate`` ran to build this trace, and
-    ``None`` for any other trace.  ``scheduler.validate_trace`` accepts a
-    trace with a plan for any equal plan without running the schedule again.
-    ``plan`` is not an init field, so ``Trace(rows)`` cannot set it and
-    ``dataclasses.replace`` does not copy it; it takes no part in equality
-    or hashing.
+
+def _expand(blocks: tuple[Block, ...]) -> tuple[Row, ...]:
+    """The rows ``blocks`` stand for, in order.
+
+    A block ``(rows, shift, repeats)`` is its rows followed by ``repeats``
+    copies of them; copy ``k`` adds ``k`` to each row's iteration and
+    ``k * shift`` to each of its times.
+    """
+    out: list[Row] = []
+    for rows, d, n in blocks:
+        out += rows
+        out += [(job_id, i + k, a + s, b + s, c + s, e + s, f + s)
+                for k in range(1, n + 1) for s in (k * d,)
+                for job_id, i, a, b, c, e, f in rows]
+    return tuple(out)
+
+
+class _Rows:
+    """``Trace.rows``: set by ``Trace(rows)``, else built from the blocks on first read.
+
+    A non-data descriptor, so a value in the instance ``__dict__`` (which
+    ``__init__`` and the first read put there) shadows it.  Reading it from
+    the class raises AttributeError, so the dataclass field has no default.
     """
 
-    rows: tuple[Row, ...]
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            raise AttributeError("rows")
+        rows = trace.__dict__["rows"] = _expand(trace.blocks)
+        return rows
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A schedule's rows, kept as blocks, and the plan that produced them when known.
+
+    ``blocks`` is a tuple of ``(rows, shift, repeats)`` (see ``_expand``).
+    A trace ``scheduler.simulate`` returns keeps each repeating regime as
+    one round, its per-round shift and its repeat count, and builds ``rows``
+    from its blocks on first read, once; ``makespan`` reads only the last
+    block.  ``Trace(rows)`` keeps its rows as one block with no repeats.
+    ``plan`` is the plan ``simulate`` ran to build this trace, and ``None``
+    for any other trace.  ``scheduler.validate_trace`` accepts a trace with
+    a plan for any equal plan without running the schedule again.
+    ``blocks`` and ``plan`` are not init fields, so ``Trace(rows)`` cannot
+    set them and ``dataclasses.replace`` does not copy them; they take no
+    part in equality, hashing or repr, which read ``rows``.
+    """
+
+    rows: tuple[Row, ...] = _Rows()
+    blocks: tuple[Block, ...] = field(init=False, repr=False, compare=False)
     plan: SchedulePlan | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", ((self.rows, 0, 0),) if self.rows else ())
 
     @property
     def makespan(self) -> int:
-        """The last row's ``sync_end``; 0 for no rows."""
-        return self.rows[-1][6] if self.rows else 0
+        """The last row's ``sync_end``, read from the last block; 0 for no rows."""
+        if not self.blocks:
+            return 0
+        rows, shift, repeats = self.blocks[-1]
+        return rows[-1][6] + repeats * shift
 
     @property
     def spans(self) -> tuple[Span, ...]:

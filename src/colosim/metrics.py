@@ -12,12 +12,14 @@ import csv
 import dataclasses
 import io
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .engine import Trace
 from .errors import ComparisonError, InvalidTraceError
-from .scheduler import SchedulePlan, validate_trace
+from .scheduler import SchedulePlan, _check
 from .workload import comp_time
 
 __all__ = ["Metrics", "measure", "compare", "report", "METRICS_CSV_HEADER"]
@@ -44,20 +46,52 @@ class Metrics:
     speedup_vs_baseline: Fraction | None = None
 
 
-def _steady_period(starts: list[int]) -> int | None:
+def _steady_period(runs: list[tuple[int, int]]) -> int | None:
     """Lower median gap between consecutive compute starts over the middle 50%.
 
-    Dropping the first and last quarter of the gaps excludes pipeline fill
-    and drain transients.  The lower median of an even count is the smaller
+    ``runs`` lists a job's gaps in order as ``(gap, count)`` runs of equal
+    gaps, each count at least 1.  Dropping the first and last quarter of the
+    ``k`` gaps (positions ``[k//4, k - k//4)``) excludes pipeline fill and
+    drain transients.  The lower median of an even count is the smaller
     middle gap, so the result is always one of the gaps, an exact integer.
-    Undefined (None) with fewer than two starts.
+    Undefined (None) with no gaps, that is with fewer than two starts.
     """
-    if len(starts) < 2:
+    if not runs:
         return None
-    gaps = [b - a for a, b in zip(starts, starts[1:])]
-    k = len(gaps)
-    window = sorted(gaps[k // 4: k - k // 4])
-    return window[(len(window) - 1) // 2]
+    ends = list(accumulate([count for _, count in runs]))
+    k = ends[-1]
+    lo, hi = k // 4, k - k // 4
+    # the runs holding positions lo and hi - 1, cut to the window
+    first, last = bisect_right(ends, lo), bisect_left(ends, hi)
+    window = runs[first:last + 1]
+    window[0] = (window[0][0], ends[first] - lo)
+    window[-1] = (window[-1][0], window[-1][1] - (ends[last] - hi))
+    window.sort()
+    # the gap at rank (hi - lo - 1) // 2 of the sorted window
+    ends = list(accumulate([count for _, count in window]))
+    return window[bisect_right(ends, (hi - lo - 1) // 2)][0]
+
+
+def _gap_runs(schedule: Trace, plan: SchedulePlan) -> dict[str, list[tuple[int, int]]]:
+    """Each job's compute-start gaps as ``(gap, count)`` runs, read from the blocks.
+
+    A row the dispatch loop ran gives one gap, from the job's previous
+    start; a copied block gives its shift once per repeat for each of its
+    jobs.  No rows are built.
+    """
+    runs: dict[str, list[tuple[int, int]]] = {j.job_id: [] for j in plan.jobs}
+    last: dict[str, int] = {}
+    for rows, shift, repeats in schedule.blocks:
+        for row in rows:
+            job_id, start = row[0], row[2]
+            if job_id in last:
+                runs[job_id].append((start - last[job_id], 1))
+            last[job_id] = start
+        if repeats:
+            for row in rows:
+                runs[row[0]].append((shift, repeats))
+                last[row[0]] = row[2] + repeats * shift
+    return runs
 
 
 def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
@@ -65,24 +99,24 @@ def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
 
     Raises InvalidTraceError unless ``validate_trace(trace, plan)`` is empty,
     so busy times come from the plan: job i's T_i computes and T_i syncs.
+    Periods come from the blocks of the schedule validation produced (the
+    trace itself when ``simulate`` made it for an equal plan), so measuring
+    a simulated trace builds no rows.
     """
-    violations = validate_trace(trace, plan)
+    violations, schedule = _check(trace, plan)
     if violations:
         raise InvalidTraceError(violations)
 
-    starts: dict[str, list[int]] = {j.job_id: [] for j in plan.jobs}
-    for row in trace.rows:
-        starts[row[0]].append(row[2])
     compute_busy = sum(j.iterations * comp_time(j) for j in plan.jobs)
     network_busy = sum(j.iterations * comm for j, comm in zip(plan.jobs, plan.comm_times))
     iterations = {j.job_id: j.iterations for j in plan.jobs}
-    makespan = trace.makespan
+    makespan = schedule.makespan
     return Metrics(
         scenario=scenario,
         policy=plan.policy.value,
         makespan=makespan,
-        per_job_iteration_period={job_id: _steady_period(job_starts)
-                                  for job_id, job_starts in starts.items()},
+        per_job_iteration_period={job_id: _steady_period(job_runs)
+                                  for job_id, job_runs in _gap_runs(schedule, plan).items()},
         per_job_iterations=iterations,
         gpu_utilization=Fraction(compute_busy, makespan),
         nic_utilization=Fraction(network_busy, makespan),

@@ -30,6 +30,8 @@ __all__ = ["Scenario", "load_config", "scaled_int", "MAX_JOB_ITERATIONS"]
 # Internal integers are kept within signed 64-bit range so traces and
 # timestamps stay portable; larger values are rejected at load time.
 _INT_LIMIT = 2**63
+# Names no value: an integer's text past the int-to-str digit limit raises.
+_INT_OVERFLOW = "an integer of magnitude 2^63 or more overflows the internal integer range"
 
 # Most job-iterations (trace rows) one plan may hold: a Chrome export peaks
 # at about 1.7 KB of memory per job-iteration, so this keeps a run under 2 GB.
@@ -81,10 +83,14 @@ def scaled_int(value, num: int, den: int, field: str, minimum: int) -> int:
     """Convert a config number to internal integer units, exactly or not at all.
 
     ``minimum`` is 0 for a field that may be zero and 1 for one that must be
-    positive; a whole number of units is >= 1 exactly when it is > 0.
+    positive; a whole number of units is >= 1 exactly when it is > 0.  Every
+    scale ``num / den`` is at least 1, so an integer outside the internal
+    range overflows at any scale; it is rejected before it becomes text.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: expected a number, got {_brief.repr(value)}")
+    if isinstance(value, int) and not -_INT_LIMIT < value < _INT_LIMIT:
+        raise ConfigError(f"{field}: {_INT_OVERFLOW}")
     try:  # str(value) is digits * 10**exp; int() refuses 'inf' and 'nan'
         mantissa, _, exp = str(value).partition("e")
         whole, _, frac = mantissa.partition(".")
@@ -139,8 +145,7 @@ def _count_field(obj: dict, key: str, where: str) -> int:
     if v < 1:
         raise ConfigError(f"{where}.{key}: must be >= 1")
     if v >= _INT_LIMIT:
-        raise ConfigError(
-            f"{where}.{key}: {_brief.repr(v)} overflows the internal integer range")
+        raise ConfigError(f"{where}.{key}: {_INT_OVERFLOW}")
     return v
 
 

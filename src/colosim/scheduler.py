@@ -10,9 +10,10 @@ sync still drains, so a ``T``-iteration job always has exactly ``T`` syncs.
 Each dispatch appends one trace row (see ``engine``), so rows come in GPU
 order, which is also the NIC's FIFO order.  ``_run`` is the one place job
 order is decided: ``makespan`` runs it without rows, ``simulate`` records
-its rows and the plan on a ``Trace``, ``validate_trace`` accepts a trace
-``simulate`` returned for any equal plan and compares any other trace with
-``simulate(plan).rows``, and the SGD oracle in ``equivalence`` replays them.
+its rows as blocks and the plan on a ``Trace``, ``validate_trace`` accepts
+a trace ``simulate`` returned for any equal plan and compares any other
+trace with ``simulate(plan).rows``, and the SGD oracle in ``equivalence``
+replays them.
 
 * ``crossover`` -- the GPU moves to the next job the moment a backward pass
   ends, so one job's sync overlaps another job's compute.
@@ -28,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .comm import ClusterSpec, comm_time
-from .engine import Row, Trace
+from .engine import Block, Row, Trace
 from .errors import ConfigError
 from .workload import JobProfile, comp_time
 
@@ -78,25 +79,29 @@ class SchedulePlan:
                               f"{total} ns must stay below 2^63 = {2**63} ns")
 
 
-def _run(plan: SchedulePlan, rows: list[Row] | None) -> int:
+def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:
     """Dispatch the plan round by round and return its makespan.
 
-    Appends one row per dispatch when ``rows`` is a list.  While the active
-    job set is fixed (a regime), a round is fixed by its start state relative
-    to the GPU clock g: the key ``(nic_free - g, max(sync_end_j - g, 0) for
-    each active j)``.  The clamp is exact because a job starts at
-    ``max(gpu_free, sync_end_j)`` and gpu_free never falls below g within a
-    round.  The round is shift-invariant, so once a round starts with the
-    previous round's key, every remaining round of the regime is that
-    previous round shifted by ``d = g - g_prev`` per round: they are appended
-    as shifted copies, or skipped, and the clocks jump to the regime's end
+    When ``blocks`` is a list, appends the schedule to it as blocks (see
+    ``engine._expand``).  While the active job set is fixed (a regime), a
+    round is fixed by its start state relative to the GPU clock g: the key
+    ``(nic_free - g, max(sync_end_j - g, 0) for each active j)``.  The clamp
+    is exact because a job starts at ``max(gpu_free, sync_end_j)`` and
+    gpu_free never falls below g within a round.  The round is
+    shift-invariant, so once a round starts with the previous round's key,
+    every remaining round of the regime is that previous round shifted by
+    ``d = g - g_prev`` per round.  The rows dispatched before that round
+    become a block with no repeats, the round itself the block
+    ``(round, d, until + 1 - t)``, and the clocks jump to the regime's end
     (a max-plus recurrence is eventually periodic; Baccelli, Cohen, Olsder
     and Quadrat, 1992).  A regime whose period is longer than one round, or
-    whose transient outlasts its budget, runs round by round and stays exact.
+    whose transient outlasts its budget, runs round by round and stays
+    exact; the rows dispatched last form the final block.
     """
     hold_gpu = plan.policy is Policy.SEQUENTIAL
     sync_end = {j.job_id: 0 for j in plan.jobs}
     gpu_free = nic_free = 0
+    rows: list[Row] | None = None if blocks is None else []
     t = 1
     for until in sorted({j.iterations for j in plan.jobs}):
         active = [(j.job_id, j.forward_time, j.backward_time, comm)
@@ -108,10 +113,11 @@ def _run(plan: SchedulePlan, rows: list[Row] | None) -> int:
             if key == prev:
                 d = gpu_free - g_prev
                 if rows is not None:
-                    last = rows[-len(active):]
-                    rows += [(job_id, i, a + s, b + s, c + s, e + s, f + s)
-                             for i in range(t, until + 1) for s in ((i - t + 1) * d,)
-                             for job_id, _, a, b, c, e, f in last]
+                    cut = len(rows) - len(active)
+                    if cut:
+                        blocks.append((tuple(rows[:cut]), 0, 0))
+                    blocks.append((tuple(rows[cut:]), d, until + 1 - t))
+                    rows = []
                 shift = (until + 1 - t) * d
                 gpu_free += shift
                 nic_free += shift
@@ -131,25 +137,31 @@ def _run(plan: SchedulePlan, rows: list[Row] | None) -> int:
                     rows.append((job_id, t, start, backward_start, compute_end,
                                  sync_start, nic_free))
             t += 1
+    if rows:
+        blocks.append((tuple(rows), 0, 0))
     return nic_free
 
 
 def simulate(plan: SchedulePlan) -> Trace:
     """Run the plan under its policy; one trace row per job-iteration, in dispatch order.
 
-    The trace records ``plan`` as ``trace.plan`` (see ``validate_trace``).
+    The trace holds ``_run``'s blocks, so a repeating regime costs one
+    round however many rounds it lasts; ``trace.rows`` is built from them
+    on first read.  It records ``plan`` as ``trace.plan`` (see
+    ``validate_trace``).
     """
-    rows: list[Row] = []
-    _run(plan, rows)
-    trace = Trace(tuple(rows))
+    blocks: list[Block] = []
+    _run(plan, blocks)
+    trace = Trace.__new__(Trace)
+    object.__setattr__(trace, "blocks", tuple(blocks))
     object.__setattr__(trace, "plan", plan)
     return trace
 
 
 def makespan(plan: SchedulePlan) -> int:
-    """Exactly ``simulate(plan).makespan``, from the same loop without rows.
+    """Exactly ``simulate(plan).makespan``, from the same loop without blocks.
 
-    Whole periods are skipped rather than copied, so it keeps no rows and
+    Whole periods are skipped rather than recorded, so it keeps no rows and
     no table, and a plan that repeats early costs the same at any budget.
     """
     return _run(plan, None)
@@ -162,17 +174,31 @@ def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
     """Check that ``trace.rows`` equals ``simulate(plan).rows``; empty means it does.
 
     A trace ``simulate`` returned for a plan equal to ``plan`` passes without
-    running the schedule again: ``_run`` depends only on the fields a plan
-    compares, and rows are immutable.  Any other trace is compared with
-    ``simulate(plan).rows``, and the messages name the first row that differs
-    (``row k`` is ``trace.rows[k]``): missing, past the schedule's end, the
-    wrong job or iteration, or each field that breaks README "Scheduling
-    semantics" given the row's own earlier fields and the rows before it,
-    which match the schedule.
+    running the schedule again or reading its rows: ``_run`` depends only on
+    the fields a plan compares, and traces are immutable.  Any other trace is
+    compared with ``simulate(plan).rows``, and the messages name the first
+    row that differs (``row k`` is ``trace.rows[k]``): missing, past the
+    schedule's end, the wrong job or iteration, or each field that breaks
+    README "Scheduling semantics" given the row's own earlier fields and the
+    rows before it, which match the schedule.
+    """
+    return _check(trace, plan)[0]
+
+
+def _check(trace: Trace, plan: SchedulePlan) -> tuple[list[str], Trace]:
+    """``validate_trace``'s messages, and the plan's schedule as a simulated trace.
+
+    The schedule is ``trace`` itself when ``simulate`` made it for an equal
+    plan, and otherwise the ``simulate(plan)`` it was compared with.
     """
     if trace.plan == plan:
-        return []
-    rows, expected = trace.rows, simulate(plan).rows
+        return [], trace
+    schedule = simulate(plan)
+    return _differences(trace.rows, schedule.rows), schedule
+
+
+def _differences(rows: tuple[Row, ...], expected: tuple[Row, ...]) -> list[str]:
+    """The messages for the first row of ``rows`` that differs from ``expected``."""
     if rows == expected:
         return []
     k = next((k for k, (row, want) in enumerate(zip(rows, expected)) if row != want),

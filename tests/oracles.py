@@ -15,8 +15,10 @@ that is the code both runs of the neutrality check share.
 ``fixture_tensor_sizes`` reads the per-tensor inventories of the bundled
 profiles straight from the data file, for the fusion counterfactual.
 ``scaled_int_reference`` converts a config number through ``Fraction`` (the
-package splits the decimal literal into integers).  Span tuples are
-(lane_id, job_id, phase, iteration, start, end).
+package splits the decimal literal into integers).
+``steady_period_reference`` walks every row of a trace (the package reads a
+schedule's blocks).  Span tuples are (lane_id, job_id, phase, iteration,
+start, end).
 """
 
 from __future__ import annotations
@@ -202,6 +204,25 @@ def spans_from_trace(trace):
     return spans
 
 
+def steady_period_reference(rows) -> dict:
+    """Each job's sampled period, walked row by row.
+
+    The lower median of the gaps between the job's consecutive compute
+    starts over gap positions ``[k//4, k - k//4)`` of its ``k`` gaps, and
+    None for a job with fewer than two starts.
+    """
+    starts: dict = {}
+    for job_id, _, start, *_ in rows:
+        starts.setdefault(job_id, []).append(start)
+    periods = {}
+    for job_id, job_starts in starts.items():
+        gaps = [b - a for a, b in zip(job_starts, job_starts[1:])]
+        k = len(gaps)
+        window = sorted(gaps[k // 4: k - k // 4])
+        periods[job_id] = window[(len(window) - 1) // 2] if window else None
+    return periods
+
+
 def trace_to_json_reference(trace) -> str:
     """The trace.json document as json.dumps writes it, one dict per span."""
     records = [
@@ -250,6 +271,10 @@ def scaled_int_reference(value, num: int, den: int, field: str, minimum: int) ->
     """``scenario.scaled_int`` by exact rational arithmetic on ``str(value)``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: expected a number, got {_brief.repr(value)}")
+    if isinstance(value, int) and abs(value) >= _INT_LIMIT:
+        # every scale is >= 1; the message does not quote a value this long
+        raise ConfigError(f"{field}: an integer of magnitude 2^63 or more overflows "
+                          f"the internal integer range")
     try:
         exact = Fraction(str(value))
     except (ValueError, ZeroDivisionError):

@@ -1,8 +1,11 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from colosim import engine
 from colosim.comm import Architecture, ClusterSpec
 from colosim.engine import (
     _FRACTIONS,
@@ -13,7 +16,7 @@ from colosim.engine import (
 )
 from colosim.errors import InvalidTraceError
 from colosim.metrics import measure
-from colosim.scheduler import Policy, SchedulePlan, simulate, validate_trace
+from colosim.scheduler import Policy, SchedulePlan, makespan, simulate, validate_trace
 from colosim.workload import JobProfile
 from oracles import trace_to_chrome_json_reference, trace_to_json_reference
 
@@ -158,6 +161,71 @@ class TestExports:
             assert {"name", "ph", "ts", "dur", "pid", "tid"} <= set(e)
         # one viewer row per lane
         assert {e["tid"] for e in complete} == {0, 1}
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The block tuples ``engine._expand`` builds rows from: one per expansion."""
+    calls = []
+    expand = engine._expand
+
+    def counting(blocks):
+        calls.append(blocks)
+        return expand(blocks)
+
+    monkeypatch.setattr(engine, "_expand", counting)
+    return calls
+
+
+def _copying_plan():
+    """Three regimes with unequal budgets, each reaching a repeating round."""
+    return _plan(("a", 1, 2, 3, 40), ("b", 2, 1, 1, 100), ("c", 1, 1, 4, 70))
+
+
+class TestLazyRows:
+    def test_plan_copies_rounds(self):
+        # the cases below hold for blocks with repeats, not only dispatched rows
+        trace = simulate(_copying_plan())
+        assert sum(repeats > 0 for _, _, repeats in trace.blocks) == 3
+        assert trace.makespan == trace.rows[-1][6]
+
+    def test_simulate_makespan_validate_and_measure_build_no_rows(self, expansions):
+        p = _copying_plan()
+        trace = simulate(p)
+        assert trace.makespan == makespan(p)
+        assert validate_trace(trace, p) == []
+        measure(trace, p)
+        assert expansions == []
+
+    def test_rows_are_built_once(self, expansions):
+        trace = simulate(_copying_plan())
+        rows = trace.rows
+        assert trace.rows is rows
+        assert len(expansions) == 1
+
+    def test_equal_to_a_trace_of_its_rows(self):
+        p = _copying_plan()
+        plain = Trace(simulate(p).rows)
+        assert simulate(p) == plain
+        assert hash(simulate(p)) == hash(plain)
+
+    def test_unread_trace_survives_pickle_and_deepcopy(self, expansions):
+        p = _copying_plan()
+        copies = [pickle.loads(pickle.dumps(simulate(p))), copy.deepcopy(simulate(p))]
+        assert expansions == []
+        for trace in copies:
+            assert trace.plan == p
+            assert trace == simulate(p)
+
+    def test_empty_trace(self):
+        assert Trace(()).makespan == 0
+        assert Trace(()).blocks == ()
+
+    def test_rows_field_has_no_default(self):
+        assert dataclasses.fields(Trace)[0].name == "rows"
+        assert dataclasses.fields(Trace)[0].default is dataclasses.MISSING
+        with pytest.raises(TypeError):
+            Trace()
 
 
 # ids that exercise json's ensure_ascii escaping: quotes, backslashes, control

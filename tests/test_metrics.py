@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colosim.comm import Architecture, ClusterSpec
 from colosim.engine import Trace
@@ -21,6 +21,7 @@ from colosim.metrics import (
 from colosim.scenario import load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate
 from colosim.workload import JobProfile
+from oracles import steady_period_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -119,16 +120,39 @@ class TestMeasure:
         assert measure(trace, p, "x") == measure(trace, p, "x")
 
 
-@given(st.lists(st.integers(0, 10**12), max_size=60).map(sorted))
-@example([0, 5, 7])  # two gaps: an even window, whose lower middle is taken
-@example([0, 5, 7, 20])  # three gaps: an odd window
-def test_steady_period_is_median_low_of_the_middle_gaps(starts):
-    if len(starts) < 2:
-        assert _steady_period(starts) is None
+# Runs of equal gaps; counts up to 40 make the quarter cuts k//4 and
+# k - k//4 fall inside a run as often as between two.
+_runs = st.lists(st.tuples(st.integers(0, 10**12), st.integers(1, 40)), max_size=30)
+
+
+@given(_runs)
+@example([(5, 1), (2, 1)])  # two gaps: an even window, whose lower middle is taken
+@example([(5, 1), (2, 1), (13, 1)])  # three gaps: an odd window
+@example([(7, 9)])  # one run: the window lies inside it
+@example([(3, 2), (9, 4), (1, 2)])  # the run of 9s straddles both cuts
+def test_steady_period_is_median_low_of_the_middle_gaps(runs):
+    gaps = [gap for gap, count in runs for _ in range(count)]
+    if not gaps:
+        assert _steady_period(runs) is None
         return
-    gaps = [b - a for a, b in zip(starts, starts[1:])]
     k = len(gaps)
-    assert _steady_period(starts) == int(statistics.median_low(gaps[k // 4: k - k // 4]))
+    assert _steady_period(runs) == statistics.median_low(gaps[k // 4: k - k // 4])
+
+
+# 1-6 jobs with durations of 1 ns to 1 ms and unequal budgets, so that a
+# plan passes through several regimes and most of them copy rounds.
+_timed_job = st.tuples(*[st.integers(1, 10**6)] * 3, st.integers(1, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_timed_job, min_size=1, max_size=6), st.sampled_from(Policy))
+def test_periods_from_blocks_equal_the_row_walk(specs, policy):
+    p = SchedulePlan(policy, tuple(JobProfile(f"j{i}", *spec)
+                                   for i, spec in enumerate(specs)), CLUSTER)
+    trace = simulate(p)
+    m = measure(trace, p)
+    assert m.per_job_iteration_period == steady_period_reference(trace.rows)
+    assert measure(Trace(trace.rows), p) == m
 
 
 def golden_2jobs():

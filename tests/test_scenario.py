@@ -108,6 +108,13 @@ class TestUnitConversion:
         with pytest.raises(ConfigError):
             scaled_int(True, 10**6, 1, "f", 0)
 
+    @pytest.mark.parametrize("value", [10**5000, -10**5000], ids=["10**5000", "-10**5000"])
+    def test_integer_past_the_digit_limit_names_the_field(self, value):
+        # its text would raise ValueError, so the message does not quote it
+        with pytest.raises(ConfigError, match=r"^f: an integer of magnitude 2\^63 or more "
+                                              r"overflows the internal integer range$"):
+            scaled_int(value, 10**6, 1, "f", 0)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigError):
             scaled_int(float("inf"), 10**6, 1, "f", 0)
@@ -340,6 +347,14 @@ class TestFieldLimits:
         doc = base_doc()
         doc["cluster"]["workers"] = 2**63
         with pytest.raises(ConfigError, match=r"cluster\.workers: .* overflows"):
+            parse_scenario(doc)
+
+    def test_count_past_the_digit_limit_names_the_field(self):
+        # its text would raise ValueError, so the message does not quote it
+        doc = base_doc()
+        doc["cluster"]["workers"] = 10**5000
+        with pytest.raises(ConfigError, match=r"^cluster\.workers: an integer of magnitude "
+                                              r"2\^63 or more overflows"):
             parse_scenario(doc)
 
     def test_negative_latency_names_the_field(self):

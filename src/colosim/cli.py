@@ -21,10 +21,10 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .comm import Architecture, ClusterSpec, cost_terms
-from .engine import trace_to_chrome_json, trace_to_json
+from .engine import _CHROME, _JSON, _trace_text
 from .errors import ConfigError, InvalidTraceError
 from .metrics import measure, report
 from .scenario import load_config
@@ -46,16 +46,10 @@ REPORT_FILES = {"json": "metrics.json", "csv": "metrics.csv", "table": "metrics.
 MAX_SWEEP_STEPS = 1000
 MAX_EQUIV_ITERS = 10_000
 
-# Characters encoded per write, so a document is never held a second time
-# whole as bytes.
-WRITE_SLICE_CHARS = 1 << 20
-
-
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, texts: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:
-        for i in range(0, len(text), WRITE_SLICE_CHARS):
-            f.write(text[i:i + WRITE_SLICE_CHARS])
+        f.writelines(texts)
 
 
 def _cmd_simulate(args) -> int:
@@ -65,12 +59,12 @@ def _cmd_simulate(args) -> int:
     metrics = measure(trace, plan, scenario=scenario.name)
 
     out = Path(args.out)
-    _write(out / "trace.json", trace_to_json(trace))
+    _write(out / "trace.json", _trace_text(trace, _JSON))
     for fmt in args.format or ["json"]:
         if fmt == "chrome-trace":
-            _write(out / "trace_chrome.json", trace_to_chrome_json(trace))
+            _write(out / "trace_chrome.json", _trace_text(trace, _CHROME))
         else:
-            _write(out / REPORT_FILES[fmt], report(metrics, fmt))
+            _write(out / REPORT_FILES[fmt], [report(metrics, fmt)])
     print(f"{scenario.name}: policy={plan.policy.value} "
           f"makespan_ns={trace.makespan} spans={3 * len(trace.rows)} -> {out}")
     return EXIT_OK
@@ -119,7 +113,7 @@ def _cmd_sweep(args) -> int:
         rows.append(f"{float(rho)!r},{float(speedup)!r}")
 
     out = Path(args.out) / "sweep.csv"
-    _write(out, "rho,speedup\n" + "\n".join(rows) + "\n")
+    _write(out, ["rho,speedup\n" + "\n".join(rows) + "\n"])
     print(f"{scenario.name}: {args.steps} ratio points "
           f"[{float(lo):g}, {float(hi):g}] -> {out}")
     return EXIT_OK

@@ -13,9 +13,12 @@ so repeated runs produce byte-identical traces.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from itertools import chain
+from operator import sub
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .scheduler import SchedulePlan
@@ -136,11 +139,13 @@ class Trace:
 # indent, ``json`` falls back to its pure-Python encoder, so writing the
 # records directly is several times faster and builds no per-span dict.
 # ``_pieces`` joins a format's three span records into one row with the lane,
-# tid and phase filled in and cuts it at each ``{n}``, where a number goes;
-# ``_job_pieces`` then bakes each job's escaped id into the pieces.  A
-# serializer lays the whole document out as one flat list, head, then each
-# row's pieces with its numbers' texts between them, then tail, and joins it
-# once.  In the Chrome format ``ts`` and ``dur`` are float microseconds, whose
+# tid and phase filled in and cuts it around each slot, ``{job}`` or ``{n}``.
+# ``_trace_text`` lays a document out: the head, then ``_WRITE_ROWS`` rows at
+# a time, each row its pieces with a slot's text in each slot (filled a
+# column of rows at a time), with the tail in place of the last row's
+# ``,\n``.  So no document is held whole.  An integer's text is ``repr``,
+# which is ``str`` for an int and cheaper to call through ``map``.
+# In the Chrome format ``ts`` and ``dur`` are float microseconds, whose
 # text json wrote as ``repr`` of ``n / 1000.0``.  ``_micros`` builds it from
 # integer arithmetic, ``str(n // 1000)`` and a table of the 1000 fraction
 # texts.  That is exact for ``0 <= n < 10**15``: ``n`` is exact as a double,
@@ -149,8 +154,8 @@ class Trace:
 # the same double and it is ``repr``'s shortest round-trip text, in fixed
 # notation since it is below 1e16.  Other values take ``repr`` itself.  The
 # bytes are the same either way.
-# ``dur`` comes from a per-call ``_Durations`` cache, since a job's phases
-# last the same in every row of a valid trace.
+# A chunk makes each distinct ``dur`` text once, since a job's phases last
+# the same in every row of a valid trace.
 _SPAN_RECORD = """\
   {
     "lane_id": "{lane}",
@@ -196,34 +201,13 @@ def _fill(record: str, lane: str, tid: str, phase: str = "") -> str:
 
 
 def _pieces(span: str) -> list[str]:
-    """A row's three span records and the ``,\\n`` after them, cut at each ``{n}``.
+    """A row's three span records and the ``,\\n`` after them, cut around each slot.
 
-    The lane, tid and phase are filled in; ``{job}`` is left to fill.
+    The lane, tid and phase are filled in.  Every odd item is a slot's
+    placeholder, ``{job}`` for an escaped job id or ``{n}`` for a number.
     """
-    return (",\n".join(_fill(span, *lane) for lane in _SPAN_LANES) + ",\n").split("{n}")
-
-
-_JSON_PIECES = _pieces(_SPAN_RECORD)
-_CHROME_PIECES = _pieces(_CHROME_SPAN)
-_CHROME_HEAD = ('{\n  "traceEvents": [\n' + _fill(_CHROME_LANE, GPU_LANE_ID, "0") + ",\n"
-                + _fill(_CHROME_LANE, NIC_LANE_ID, "1") + ",\n")
-
-
-def _job_pieces(rows: tuple[Row, ...], pieces: list[str]) -> dict[str, tuple[str, ...]]:
-    """Job id -> ``pieces`` with the id's JSON string body in place of ``{job}``.
-
-    The pieces are cut before the id goes in, so an id's text is never read
-    as a place for a number.
-    """
-    ids = {job_id: json.dumps(job_id)[1:-1] for job_id in {r[0] for r in rows}}
-    return {job_id: tuple(p.replace("{job}", text) for p in pieces)
-            for job_id, text in ids.items()}
-
-
-def _join(parts: list[str], tail: str) -> str:
-    """The document: ``parts`` with the last row's ``,\\n`` replaced by ``tail``."""
-    parts[-1] = parts[-1][:-2] + tail
-    return "".join(parts)
+    return re.split(r"(\{job\}|\{n\})",
+                    ",\n".join(_fill(span, *lane) for lane in _SPAN_LANES) + ",\n")
 
 
 # ".0", ".001", ..., ".5", ..., ".999": the text after the point of r / 1000
@@ -239,27 +223,59 @@ def _micros(n: int) -> str:
     return repr(n / 1000.0)
 
 
-class _Durations(dict):
-    """Nanoseconds -> ``_micros(n)``, made on first use."""
+def _chrome_span(job: list[str], t: list[str], begin: tuple, end: tuple) -> tuple:
+    """The texts of a Chrome span record's slots, a column each, from its rows' columns."""
+    durations = list(map(sub, end, begin))
+    text = {n: _micros(n) for n in set(durations)}
+    return job, t, map(_micros, begin), map(text.__getitem__, durations), job, t
 
-    def __missing__(self, n: int) -> str:
-        text = self[n] = _micros(n)
-        return text
+
+class _Layout(NamedTuple):
+    """The texts a trace document is made of, and how a span's slots get theirs."""
+
+    empty: str
+    head: str
+    pieces: list[str]
+    span: Callable[..., tuple]  # (escaped ids, iterations, begins, ends) -> slot texts
+    tail: str
+
+
+_JSON = _Layout("[]\n", "[\n", _pieces(_SPAN_RECORD),
+                lambda job, t, begin, end: (job, t, map(repr, begin), map(repr, end)), "\n]\n")
+_CHROME = _Layout(
+    '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}\n',
+    '{\n  "traceEvents": [\n' + _fill(_CHROME_LANE, GPU_LANE_ID, "0") + ",\n"
+    + _fill(_CHROME_LANE, NIC_LANE_ID, "1") + ",\n",
+    _pieces(_CHROME_SPAN), _chrome_span, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')
+
+# Rows per piece of text: 64 to 1024 wrote equally fast, larger pieces slower.
+_WRITE_ROWS = 512
+
+
+def _trace_text(trace: Trace, layout: _Layout) -> Iterator[str]:
+    """``trace``'s document in ``layout``, in pieces of ``_WRITE_ROWS`` rows."""
+    rows = trace.rows
+    if not rows:
+        yield layout.empty
+        return
+    ids = {job_id: json.dumps(job_id)[1:-1] for job_id in {r[0] for r in rows}}
+    yield layout.head
+    for i in range(0, len(rows), _WRITE_ROWS):
+        job, t, start, backward, compute_end, sync_start, sync_end = zip(*rows[i:i + _WRITE_ROWS])
+        job, t = list(map(ids.__getitem__, job)), list(map(repr, t))
+        spans = ((start, backward), (backward, compute_end), (sync_start, sync_end))
+        parts = layout.pieces * len(job)
+        for slot, texts in enumerate(chain.from_iterable(
+                layout.span(job, t, *span) for span in spans)):
+            parts[2 * slot + 1::len(layout.pieces)] = texts
+        if i + _WRITE_ROWS >= len(rows):
+            parts[-1] = parts[-1][:-2] + layout.tail
+        yield "".join(parts)
 
 
 def trace_to_json(trace: Trace) -> str:
     """Serialize the trace as a JSON array of span records, three per row."""
-    if not trace.rows:
-        return "[]\n"
-    pieces = _job_pieces(trace.rows, _JSON_PIECES)
-    parts = ["[\n"]
-    for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows:
-        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = pieces[job_id]
-        t, b = str(t), str(backward_start)
-        parts += (p0, t, p1, str(start), p2, b,
-                  p3, t, p4, b, p5, str(compute_end),
-                  p6, t, p7, str(sync_start), p8, str(sync_end), p9)
-    return _join(parts, "\n]\n")
+    return "".join(_trace_text(trace, _JSON))
 
 
 def trace_to_chrome_json(trace: Trace) -> str:
@@ -268,15 +284,4 @@ def trace_to_chrome_json(trace: Trace) -> str:
     Complete ("X") events with microsecond timestamps, one viewer row (tid)
     per lane, loadable in chrome://tracing or Perfetto.
     """
-    if not trace.rows:
-        return '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}\n'
-    pieces = _job_pieces(trace.rows, _CHROME_PIECES)
-    dur = _Durations()
-    parts = [_CHROME_HEAD]
-    for job_id, t, start, backward_start, compute_end, sync_start, sync_end in trace.rows:
-        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12 = pieces[job_id]
-        t = str(t)
-        parts += (p0, t, p1, _micros(start), p2, dur[backward_start - start], p3, t,
-                  p4, t, p5, _micros(backward_start), p6, dur[compute_end - backward_start], p7, t,
-                  p8, t, p9, _micros(sync_start), p10, dur[sync_end - sync_start], p11, t, p12)
-    return _join(parts, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')
+    return "".join(_trace_text(trace, _CHROME))

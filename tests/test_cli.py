@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colosim import engine
 from colosim.cli import (
     MAX_EQUIV_ITERS,
     MAX_SWEEP_STEPS,
-    WRITE_SLICE_CHARS,
     _payload_for_ratio,
     _write,
     main,
@@ -22,7 +22,7 @@ from colosim.errors import ConfigError
 from colosim.scenario import MAX_JOB_ITERATIONS, load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate
 from colosim.workload import JobProfile
-from oracles import trace_to_chrome_json_reference
+from oracles import trace_to_chrome_json_reference, trace_to_json_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = str(SCENARIO_DIR / "golden_2jobs.json")
@@ -92,16 +92,33 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert "j\u00e9" in (tmp_path / "out" / "metrics.txt").read_bytes().decode("utf-8")
 
-    def test_write_in_slices_keeps_utf8_bytes(self, tmp_path):
-        # 2- and 4-byte characters on both sides of each slice boundary
-        n = WRITE_SLICE_CHARS
-        text = ("a" * (n - 1) + "\u00e9\U0001f680" + "\u30b8" * (n - 2)
-                + "\u00e9\U0001f680" + "tail\n")
-        assert len(text) > 2 * n
-        assert text[n - 1:n + 1] == text[2 * n - 1:2 * n + 1] == "\u00e9\U0001f680"
+    def test_write_keeps_a_reports_utf8_bytes(self, tmp_path):
+        # 1-, 2-, 3- and 4-byte characters, 3.2 MB in all
+        text = "a\u00e9\u30b8\U0001f680 tail\n" * 200_000
         path = tmp_path / "sub" / "doc.txt"
-        _write(path, text)
+        _write(path, [text])
         assert path.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_trace_files_at_a_chunk_boundary(self, tmp_path, extra):
+        # 2 * _WRITE_ROWS rows fill two chunks exactly; one more row starts a third
+        n = engine._WRITE_ROWS
+        doc = json.loads(Path(GOLDEN).read_text())
+        for job, iterations in zip(doc["jobs"], (n, n + extra)):
+            job["iterations"] = iterations
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code = run("simulate", "--config", str(config), "--out", str(tmp_path / "out"),
+                   "--format", "chrome-trace")
+        assert code == 0
+        trace = simulate(load_config(str(config)).plan())
+        assert len(trace.rows) == 2 * n + extra
+        for name, serialize, reference in (
+                ("trace.json", trace_to_json, trace_to_json_reference),
+                ("trace_chrome.json", trace_to_chrome_json, trace_to_chrome_json_reference)):
+            data = (tmp_path / "out" / name).read_bytes()
+            assert data == serialize(trace).encode("utf-8"), name
+            assert data == reference(trace).encode("utf-8"), name
 
     def test_large_trace_files_equal_the_serializers(self, tmp_path):
         config = str(SCENARIO_DIR / "speedup_band.json")
@@ -109,10 +126,10 @@ class TestSimulate:
                    "--iters", "3000", "--format", "chrome-trace")
         assert code == 0
         trace = simulate(load_config(config).plan(3000))
+        assert len(trace.rows) > engine._WRITE_ROWS
         for name, serialize in (("trace.json", trace_to_json),
                                 ("trace_chrome.json", trace_to_chrome_json)):
             data = (tmp_path / name).read_bytes()
-            assert len(data) > WRITE_SLICE_CHARS, name
             assert data == serialize(trace).encode("utf-8"), name
 
     def test_large_chrome_trace_with_sub_microsecond_times(self, tmp_path):
@@ -128,8 +145,8 @@ class TestSimulate:
         assert code == 0
         trace = simulate(load_config(str(config)).plan())
         assert {row[2] % 1000 for row in trace.rows} - {0}
+        assert len(trace.rows) > engine._WRITE_ROWS
         data = (tmp_path / "out" / "trace_chrome.json").read_bytes()
-        assert len(data) > WRITE_SLICE_CHARS
         assert data == trace_to_chrome_json_reference(trace).encode("utf-8")
 
     def test_iters_override(self, tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -275,8 +276,12 @@ def _traces(draw):
 @example(Trace((("j", 1, 10**16 + 1, 1500, 1500, 2500, 3999),)))
 @example(Trace((("j", 1, -1500, -1, 0, 7, 1001),)))
 def test_serializers_byte_identical_to_json_dumps(trace):
-    assert trace_to_json(trace) == trace_to_json_reference(trace)
-    assert trace_to_chrome_json(trace) == trace_to_chrome_json_reference(trace)
+    # with up to 4 rows, 1 to 3 rows per chunk lay out empty, one-row,
+    # exact-multiple and multiple-plus-one documents
+    expected = trace_to_json_reference(trace), trace_to_chrome_json_reference(trace)
+    for rows_per_write in (1, 2, 3, engine._WRITE_ROWS):
+        with mock.patch.object(engine, "_WRITE_ROWS", rows_per_write):
+            assert (trace_to_json(trace), trace_to_chrome_json(trace)) == expected
 
 
 def test_fraction_table():

@@ -15,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from colosim.cli import main
 from colosim.comm import Architecture, comm_time
 from colosim.errors import ConfigError
-from colosim.scenario import (_CLUSTER_KEYS, _INLINE_JOB_KEYS, _PROFILE_JOB_KEYS,
-                               _TOP_KEYS, MAX_JOB_ITERATIONS, RETIRED_KEYS,
+from colosim.engine import Trace, trace_to_chrome_json, trace_to_json
+from colosim.scenario import (_CLUSTER_KEYS, _INLINE_JOB_KEYS, _JOB_ID_LIMIT, _PROFILE_JOB_KEYS,
+                               _TOP_KEYS, _TRACE_BYTES, MAX_JOB_ITERATIONS, RETIRED_KEYS,
                                load_config, parse_scenario, scaled_int)
 from colosim.scheduler import Policy
 from colosim.workload import comp_time
@@ -387,6 +388,40 @@ class TestFieldLimits:
     def test_lone_surrogate_in_a_name(self):
         with pytest.raises(ConfigError, match="name: .*lone surrogate"):
             parse_scenario(base_doc(name="\ud800"))
+
+    # "x" escapes to 1 character, U+1F680 to 12 (a \u surrogate pair)
+    @pytest.mark.parametrize("unit", ["x", "\U0001f680"])
+    def test_longest_job_ids_keep_both_trace_files_within_budget(self, unit):
+        width = len(json.dumps(unit)) - 2
+        longest = unit * (_JOB_ID_LIMIT // width) + "x" * (_JOB_ID_LIMIT % width)
+        assert len(json.dumps(longest)) - 2 == _JOB_ID_LIMIT
+        doc = base_doc()
+        doc["jobs"][0]["job_id"] = longest
+        assert parse_scenario(doc).jobs[0].job_id == longest
+        # every number 19 digits, and each Chrome ts and dur past 10^15 ns
+        row = (longest, 10**18, *(k * (10**18 + 1) for k in range(1, 6)))
+        total = 0
+        for serialize in (trace_to_json, trace_to_chrome_json):
+            one, two = (len(serialize(Trace((row,) * n))) for n in (1, 2))
+            total += one + (MAX_JOB_ITERATIONS - 1) * (two - one)
+        assert total <= _TRACE_BYTES
+
+    @pytest.mark.parametrize("job_id", [
+        "x" * (_JOB_ID_LIMIT + 1),
+        "\u00e9" * (_JOB_ID_LIMIT // 6) + "x" * (_JOB_ID_LIMIT % 6 + 1),
+    ])
+    @pytest.mark.parametrize("command", ["validate-config", "simulate"])
+    def test_job_id_past_the_limit_is_usage_error(self, tmp_path, capsys, job_id, command):
+        doc = base_doc()
+        doc["jobs"][1]["job_id"] = job_id
+        argv = [command, "--config", str(write_config(tmp_path, doc))]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: jobs[1].job_id: {_JOB_ID_LIMIT + 1} characters once JSON-escaped "
+            f"exceed the limit of {_JOB_ID_LIMIT}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_long_values_are_quoted_short(self):
         with pytest.raises(ConfigError) as info:

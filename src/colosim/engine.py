@@ -248,6 +248,37 @@ _CHROME = _Layout(
     + _fill(_CHROME_LANE, NIC_LANE_ID, "1") + ",\n",
     _pieces(_CHROME_SPAN), _chrome_span, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')
 
+# Most job-iterations (trace rows) one scenario's plan may hold.  While
+# ``simulate`` writes its traces a row costs about 0.38 KB of memory, its
+# tuple and times (speedup_band: 94 MB peak at 200,000 rows, 388 MB at 10^6),
+# and on disk its width in each trace file, which _JOB_ID_LIMIT bounds.
+MAX_JOB_ITERATIONS = 10**6
+
+# Bytes both trace files of one run may take in all.
+_TRACE_BYTES = 2 * 10**9
+
+
+def _job_id_limit() -> int:
+    """The most characters a job_id may take once JSON-escaped.
+
+    A trace row's text in either file is its layout's pieces with an escaped
+    id in each ``{job}`` slot and a number's text in each ``{n}`` slot.  Each
+    number is an integer in [0, 2^63), since the plan bound caps every time,
+    and its text (``str``, or a Chrome ``ts`` or ``dur``) is no longer than
+    ``str(2**63 - 1)``.  With ids this long, both files of a run of
+    MAX_JOB_ITERATIONS rows, with their heads and tails, fit _TRACE_BYTES.
+    """
+    layouts = (_JSON, _CHROME)
+    ends = sum(len(layout.head) + len(layout.tail) for layout in layouts)
+    number = len(str(2**63 - 1))
+    row = sum(len("".join(layout.pieces[::2])) + number * layout.pieces[1::2].count("{n}")
+              for layout in layouts)
+    ids = sum(layout.pieces[1::2].count("{job}") for layout in layouts)
+    return ((_TRACE_BYTES - ends) // MAX_JOB_ITERATIONS - row) // ids
+
+
+_JOB_ID_LIMIT = _job_id_limit()
+
 # Rows per piece of text: 64 to 1024 wrote equally fast, larger pieces slower.
 _WRITE_ROWS = 512
 

@@ -19,7 +19,7 @@ from itertools import accumulate
 
 from .engine import Trace
 from .errors import ComparisonError, InvalidTraceError
-from .scheduler import SchedulePlan, _check
+from .scheduler import SchedulePlan, validate_trace
 from .workload import comp_time
 
 __all__ = ["Metrics", "measure", "compare", "report", "METRICS_CSV_HEADER"]
@@ -72,7 +72,7 @@ def _steady_period(runs: list[tuple[int, int]]) -> int | None:
     return window[bisect_right(ends, (hi - lo - 1) // 2)][0]
 
 
-def _gap_runs(schedule: Trace, plan: SchedulePlan) -> dict[str, list[tuple[int, int]]]:
+def _gap_runs(trace: Trace, plan: SchedulePlan) -> dict[str, list[tuple[int, int]]]:
     """Each job's compute-start gaps as ``(gap, count)`` runs, read from the blocks.
 
     A row the dispatch loop ran gives one gap, from the job's previous
@@ -81,7 +81,7 @@ def _gap_runs(schedule: Trace, plan: SchedulePlan) -> dict[str, list[tuple[int, 
     """
     runs: dict[str, list[tuple[int, int]]] = {j.job_id: [] for j in plan.jobs}
     last: dict[str, int] = {}
-    for rows, shift, repeats in schedule.blocks:
+    for rows, shift, repeats in trace.blocks:
         for row in rows:
             job_id, start = row[0], row[2]
             if job_id in last:
@@ -97,26 +97,26 @@ def _gap_runs(schedule: Trace, plan: SchedulePlan) -> dict[str, list[tuple[int, 
 def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
     """Compute metrics for a trace that is the plan's schedule.
 
-    Raises InvalidTraceError unless ``validate_trace(trace, plan)`` is empty,
-    so busy times come from the plan: job i's T_i computes and T_i syncs.
-    Periods come from the blocks of the schedule validation produced (the
-    trace itself when ``simulate`` made it for an equal plan), so measuring
-    a simulated trace builds no rows.
+    Raises InvalidTraceError unless ``validate_trace(trace, plan)`` is empty.
+    A valid trace holds exactly the schedule's rows, so busy times come from
+    the plan (job i's T_i computes and T_i syncs) and the makespan and
+    periods from the trace's own blocks; measuring a simulated trace builds
+    no rows.
     """
-    violations, schedule = _check(trace, plan)
+    violations = validate_trace(trace, plan)
     if violations:
         raise InvalidTraceError(violations)
 
     compute_busy = sum(j.iterations * comp_time(j) for j in plan.jobs)
     network_busy = sum(j.iterations * comm for j, comm in zip(plan.jobs, plan.comm_times))
     iterations = {j.job_id: j.iterations for j in plan.jobs}
-    makespan = schedule.makespan
+    makespan = trace.makespan
     return Metrics(
         scenario=scenario,
         policy=plan.policy.value,
         makespan=makespan,
         per_job_iteration_period={job_id: _steady_period(job_runs)
-                                  for job_id, job_runs in _gap_runs(schedule, plan).items()},
+                                  for job_id, job_runs in _gap_runs(trace, plan).items()},
         per_job_iterations=iterations,
         gpu_utilization=Fraction(compute_busy, makespan),
         nic_utilization=Fraction(network_busy, makespan),

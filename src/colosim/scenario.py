@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .comm import Architecture, ClusterSpec
-from .engine import _CHROME, _JSON
+from .engine import MAX_JOB_ITERATIONS
 from .errors import ConfigError
 from .scheduler import Policy, SchedulePlan
 from .workload import JobProfile, fixture_names, fixture_profile
@@ -33,37 +33,6 @@ __all__ = ["Scenario", "load_config", "scaled_int", "MAX_JOB_ITERATIONS"]
 _INT_LIMIT = 2**63
 # Names no value: an integer's text past the int-to-str digit limit raises.
 _INT_OVERFLOW = "an integer of magnitude 2^63 or more overflows the internal integer range"
-
-# Most job-iterations (trace rows) one plan may hold.  While ``simulate``
-# writes its traces a row costs about 0.38 KB of memory, its tuple and times
-# (speedup_band: 94 MB peak at 200,000 rows, 388 MB at 10^6), and on disk
-# its width in each trace file, which _JOB_ID_LIMIT bounds.
-MAX_JOB_ITERATIONS = 10**6
-
-# Bytes both trace files of one run may take in all.
-_TRACE_BYTES = 2 * 10**9
-
-
-def _job_id_limit() -> int:
-    """The most characters a job_id may take once JSON-escaped.
-
-    A trace row's text in either file is its layout's pieces with an escaped
-    id in each ``{job}`` slot and a number's text in each ``{n}`` slot.  Each
-    number is an integer in [0, 2^63), since the plan bound caps every time,
-    and its text (``str``, or a Chrome ``ts`` or ``dur``) is no longer than
-    ``str(2**63 - 1)``.  With ids this long, both files of a run of
-    MAX_JOB_ITERATIONS rows, with their heads and tails, fit _TRACE_BYTES.
-    """
-    layouts = (_JSON, _CHROME)
-    ends = sum(len(layout.head) + len(layout.tail) for layout in layouts)
-    number = len(str(_INT_LIMIT - 1))
-    row = sum(len("".join(layout.pieces[::2])) + number * layout.pieces[1::2].count("{n}")
-              for layout in layouts)
-    ids = sum(layout.pieces[1::2].count("{job}") for layout in layouts)
-    return ((_TRACE_BYTES - ends) // MAX_JOB_ITERATIONS - row) // ids
-
-
-_JOB_ID_LIMIT = _job_id_limit()
 
 # The keys each part of a document may carry; any other key is a ConfigError.
 _TOP_KEYS = frozenset({"name", "policy", "cluster", "jobs"})
@@ -223,10 +192,6 @@ def _parse_job(obj, index: int) -> JobProfile:
     else:
         _reject_unknown(obj, _INLINE_JOB_KEYS, where, RETIRED_KEYS)
     job_id = _text_field(_require(obj, "job_id", where), f"{where}.job_id")
-    escaped = len(json.dumps(job_id)) - 2
-    if escaped > _JOB_ID_LIMIT:
-        raise ConfigError(f"{where}.job_id: {escaped} characters once JSON-escaped exceed "
-                          f"the limit of {_JOB_ID_LIMIT}")
 
     if "profile" in obj:
         name = obj["profile"]

@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .comm import ClusterSpec, comm_time
-from .engine import Block, Row, Trace
+from .engine import _JOB_ID_LIMIT, Block, Row, Trace
 from .errors import ConfigError
 from .workload import JobProfile, comp_time
 
@@ -56,6 +57,8 @@ class SchedulePlan:
     Job order is the rotation order, and ``comm_times`` holds each job's sync
     time on the cluster, in that order.  No time either policy produces
     exceeds ``sum(T_i * (comp_i + comm_i))``, so that sum must stay below 2^63.
+    Each job id takes at most ``engine._JOB_ID_LIMIT`` characters once
+    JSON-escaped, as the trace files write it.
     """
 
     policy: Policy
@@ -68,6 +71,11 @@ class SchedulePlan:
         if not self.jobs:
             raise ConfigError("plan must contain at least one job")
         ids = [j.job_id for j in self.jobs]
+        for i, job_id in enumerate(ids):
+            escaped = len(encode_basestring_ascii(job_id)) - 2
+            if escaped > _JOB_ID_LIMIT:
+                raise ConfigError(f"jobs[{i}].job_id: {escaped} characters once JSON-escaped "
+                                  f"exceed the limit of {_JOB_ID_LIMIT}")
         if len(set(ids)) != len(ids):
             raise ConfigError("job ids must be unique within a plan")
         comm = tuple([comm_time(j.grad_bytes, self.cluster) for j in self.jobs])
@@ -182,19 +190,9 @@ def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
     README "Scheduling semantics" given the row's own earlier fields and the
     rows before it, which match the schedule.
     """
-    return _check(trace, plan)[0]
-
-
-def _check(trace: Trace, plan: SchedulePlan) -> tuple[list[str], Trace]:
-    """``validate_trace``'s messages, and the plan's schedule as a simulated trace.
-
-    The schedule is ``trace`` itself when ``simulate`` made it for an equal
-    plan, and otherwise the ``simulate(plan)`` it was compared with.
-    """
     if trace.plan == plan:
-        return [], trace
-    schedule = simulate(plan)
-    return _differences(trace.rows, schedule.rows), schedule
+        return []
+    return _differences(trace.rows, simulate(plan).rows)
 
 
 def _differences(rows: tuple[Row, ...], expected: tuple[Row, ...]) -> list[str]:

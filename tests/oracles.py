@@ -17,7 +17,9 @@ profiles straight from the data file, for the fusion counterfactual.
 ``scaled_int_reference`` converts a config number through ``Fraction`` (the
 package splits the decimal literal into integers).
 ``steady_period_reference`` walks every row of a trace (the package reads a
-schedule's blocks).  Span tuples are (lane_id, job_id, phase, iteration,
+schedule's blocks).  ``max_cycle_mean`` runs Karp's algorithm over the
+crossover rotation's timed event graph (the package states the period in
+closed form).  Span tuples are (lane_id, job_id, phase, iteration,
 start, end).
 """
 
@@ -122,6 +124,40 @@ def crossover_cycle(jobs, max_rotations=10_000) -> Fraction:
             return Fraction(gpu_free - prev_gpu, rotation - prev_rotation)
         seen[key] = (rotation, gpu_free)
     raise AssertionError("no periodic regime within the rotation budget")
+
+
+def max_cycle_mean(jobs) -> Fraction:
+    """Karp's maximum cycle mean of the crossover rotation's timed event graph.
+
+    The graph is the one the ``scheduler.py`` docstring writes out.  Node
+    ``2i`` is job i's compute start s_i and ``2i + 1`` its sync start n_i;
+    the arcs s_i -> s_i+1 and s_i -> n_i weigh comp_i, n_i -> n_i+1 and
+    n_i -> s_i weigh comm_i, and n_i -> s_i and the arcs from the last job
+    to the first cross into the next rotation.  ``walks[k][v]`` is the
+    heaviest walk that crosses k rotations and ends at v, from a start of 0
+    at every node: one crossing arc, then arcs within the rotation, which
+    all lead to a higher node.  The mean per rotation is
+    ``max_v min_k (walks[n][v] - walks[k][v]) / (n - k)`` over ``k < n``,
+    with ``n`` the number of nodes (R. M. Karp, "A characterization of the
+    minimum cycle mean in a digraph", Discrete Mathematics, 1978).
+    """
+    n_jobs = len(jobs)
+    arcs = []  # (tail, head, weight, crosses into the next rotation)
+    for i, (_, fwd, bwd, comm, _) in enumerate(jobs):
+        nxt = (i + 1) % n_jobs
+        arcs += [(2 * i, 2 * nxt, fwd + bwd, nxt == 0), (2 * i, 2 * i + 1, fwd + bwd, False),
+                 (2 * i + 1, 2 * nxt + 1, comm, nxt == 0), (2 * i + 1, 2 * i, comm, True)]
+    # crossing arcs first, then the others by tail, so each tail is final when read
+    arcs.sort(key=lambda arc: (not arc[3], arc[0]))
+    n = 2 * n_jobs
+    walks = [[0] * n]
+    for _ in range(n):
+        walk = [float("-inf")] * n
+        for tail, head, weight, crosses in arcs:
+            walk[head] = max(walk[head], (walks[-1] if crosses else walk)[tail] + weight)
+        walks.append(walk)
+    return max(min(Fraction(walks[n][v] - walks[k][v], n - k) for k in range(n))
+               for v in range(n))
 
 
 def finite_difference_gradient(f, params: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -169,13 +169,19 @@ def unequal_budgets():
 class TestDispatchLoops:
     def test_simulated_trace_is_measured_without_a_second_run(self, run_calls, make_plan):
         p = make_plan()
-        measure(simulate(p), p)
-        assert len(run_calls) == 1
+        trace = simulate(p)
+        run_calls.clear()
+        measure(trace, p)
+        assert run_calls == []
 
     def test_plain_trace_is_checked_against_a_fresh_run(self, run_calls, make_plan):
         p = make_plan()
-        measure(Trace(simulate(p).rows), p)
-        assert len(run_calls) == 2
+        simulated = simulate(p)
+        plain = Trace(simulated.rows)
+        run_calls.clear()
+        m = measure(plain, p)
+        assert len(run_calls) == 1
+        assert measure(simulated, p) == m
 
 
 class TestCompare:

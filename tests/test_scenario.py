@@ -15,10 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 from colosim.cli import main
 from colosim.comm import Architecture, comm_time
 from colosim.errors import ConfigError
-from colosim.engine import Trace, trace_to_chrome_json, trace_to_json
-from colosim.scenario import (_CLUSTER_KEYS, _INLINE_JOB_KEYS, _JOB_ID_LIMIT, _PROFILE_JOB_KEYS,
-                               _TOP_KEYS, _TRACE_BYTES, MAX_JOB_ITERATIONS, RETIRED_KEYS,
-                               load_config, parse_scenario, scaled_int)
+from colosim.engine import _JOB_ID_LIMIT, _TRACE_BYTES, Trace, trace_to_chrome_json, trace_to_json
+from colosim.scenario import (_CLUSTER_KEYS, _INLINE_JOB_KEYS, _PROFILE_JOB_KEYS, _TOP_KEYS,
+                               MAX_JOB_ITERATIONS, RETIRED_KEYS, load_config, parse_scenario,
+                               scaled_int)
 from colosim.scheduler import Policy
 from colosim.workload import comp_time
 from oracles import scaled_int_reference

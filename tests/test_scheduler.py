@@ -1,11 +1,12 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colosim.comm import Architecture, ClusterSpec, comm_time
-from colosim.engine import Phase, Trace
+from colosim.engine import _JOB_ID_LIMIT, Phase, Trace
 from colosim.errors import ConfigError, InvalidTraceError
 from colosim.metrics import measure
 from colosim.scheduler import (
@@ -19,7 +20,8 @@ from colosim.scheduler import (
 )
 from colosim.workload import JobProfile
 
-from oracles import brute_crossover, brute_sequential, crossover_cycle, spans_from_trace
+from oracles import (brute_crossover, brute_sequential, crossover_cycle, max_cycle_mean,
+                     spans_from_trace)
 
 # Parameter-server at 16 Gbps (2e9 B/s) with zero latency prices a payload of
 # S bytes at exactly S nanoseconds, so tests can dial sync durations directly.
@@ -323,6 +325,13 @@ def test_steady_state_period_matches_the_recurrence(raw):
     assert predicted_speedup(plan(Policy.CROSSOVER, specs)) == Fraction(seq, cross)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(job_spec_st, min_size=1, max_size=6))
+def test_crossover_period_is_the_maximum_cycle_mean(raw):
+    specs = build_specs(raw)
+    assert steady_state_period(plan(Policy.CROSSOVER, specs)) == max_cycle_mean(specs)
+
+
 RING = ClusterSpec(workers=3, bandwidth_bytes_per_sec=1_000_000_000,
                    latency_per_message=1, architecture=Architecture.RING_ALLREDUCE)
 
@@ -425,6 +434,30 @@ class TestUnequalBudgets:
         assert issubclass(ConfigError, ValueError)
         below = plan(policy, [("a", 2**61, 2**61 - 2, 1, 2)])
         assert makespan(below) == 2**63 - 2
+
+
+class TestJobIdBound:
+    """Every plan bounds its ids' JSON-escaped length, scenario or not."""
+
+    # "x" escapes to 1 character, U+1F680 to 12 (a \u surrogate pair)
+    @pytest.mark.parametrize("unit", ["x", "\U0001f680"])
+    def test_longest_job_id_builds_a_plan(self, unit):
+        width = len(json.dumps(unit)) - 2
+        longest = unit * (_JOB_ID_LIMIT // width) + "x" * (_JOB_ID_LIMIT % width)
+        assert len(json.dumps(longest)) - 2 == _JOB_ID_LIMIT
+        p = plan(Policy.CROSSOVER, [("a", 1, 1, 1, 1), (longest, 1, 1, 1, 1)])
+        assert p.jobs[1].job_id == longest
+
+    # "\u00e9" escapes to 6 characters
+    @pytest.mark.parametrize("job_id", [
+        "x" * (_JOB_ID_LIMIT + 1),
+        "\u00e9" * (_JOB_ID_LIMIT // 6) + "x" * (_JOB_ID_LIMIT % 6 + 1),
+    ])
+    def test_job_id_past_the_limit_is_rejected(self, job_id):
+        with pytest.raises(ConfigError) as info:
+            plan(Policy.CROSSOVER, [("a", 1, 1, 1, 1), (job_id, 1, 1, 1, 1)])
+        assert str(info.value) == (f"jobs[1].job_id: {_JOB_ID_LIMIT + 1} characters once "
+                                   f"JSON-escaped exceed the limit of {_JOB_ID_LIMIT}")
 
 
 def _raises_invalid(trace, plan):

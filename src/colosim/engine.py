@@ -4,7 +4,7 @@ A trace holds one row per job-iteration, in dispatch order (the order the
 GPU ran the computes): ``(job_id, iteration, start, backward_start,
 compute_end, sync_start, sync_end)``.  Forward and backward run on the GPU
 lane, the gradient sync on the NIC lane; exports expand each row into those
-three span records.  A trace keeps its rows as blocks, each a stretch of rows
+three span records.  A simulated trace keeps its rows as blocks, each a round
 and a count of shifted copies of it, and builds the rows on first read.
 Everything is integer nanoseconds; a run is a pure function of its input,
 so repeated runs produce byte-identical traces.
@@ -12,11 +12,11 @@ so repeated runs produce byte-identical traces.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
@@ -74,44 +74,63 @@ def _expand(blocks: tuple[Block, ...]) -> tuple[Row, ...]:
     return tuple(out)
 
 
-class _Rows:
-    """``Trace.rows``: set by ``Trace(rows)``, else built from the blocks on first read.
+def _gap_runs(trace: Trace, plan: SchedulePlan) -> dict[str, list[tuple[int, int]]]:
+    """Each plan job's compute-start gaps as ``(gap, count)`` runs, read from the blocks.
 
-    A non-data descriptor, so a value in the instance ``__dict__`` (which
-    ``__init__`` and the first read put there) shadows it.  Reading it from
-    the class raises AttributeError, so the dataclass field has no default.
+    A row of a block gives one gap, from the job's previous start; a
+    block's copies give its shift once per repeat for each of its jobs (see
+    ``_expand``).  No rows are built.
     """
-
-    def __get__(self, trace, owner=None):
-        if trace is None:
-            raise AttributeError("rows")
-        rows = trace.__dict__["rows"] = _expand(trace.blocks)
-        return rows
+    runs: dict[str, list[tuple[int, int]]] = {j.job_id: [] for j in plan.jobs}
+    last: dict[str, int] = {}
+    for rows, shift, repeats in trace.blocks:
+        for row in rows:
+            job_id, start = row[0], row[2]
+            if job_id in last:
+                runs[job_id].append((start - last[job_id], 1))
+            last[job_id] = start
+        if repeats:
+            for row in rows:
+                runs[row[0]].append((shift, repeats))
+                last[row[0]] = row[2] + repeats * shift
+    return runs
 
 
 @dataclass(frozen=True)
 class Trace:
-    """A schedule's rows, kept as blocks, and the plan that produced them when known.
+    """A schedule's rows, and the plan that produced them when known.
 
-    ``blocks`` is a tuple of ``(rows, shift, repeats)`` (see ``_expand``).
-    A trace ``scheduler.simulate`` returns keeps each repeating regime as
-    one round, its per-round shift and its repeat count, and builds ``rows``
-    from its blocks on first read, once; ``makespan`` reads only the last
-    block.  ``Trace(rows)`` keeps its rows as one block with no repeats.
-    ``plan`` is the plan ``simulate`` ran to build this trace, and ``None``
-    for any other trace.  ``scheduler.validate_trace`` accepts a trace with
-    a plan for any equal plan without running the schedule again.
-    ``blocks`` and ``plan`` are not init fields, so ``Trace(rows)`` cannot
-    set them and ``dataclasses.replace`` does not copy them; they take no
-    part in equality, hashing or repr, which read ``rows``.
+    ``Trace(rows)`` keeps its rows.  ``Trace._of(blocks, plan)``, which
+    ``scheduler.simulate`` calls, keeps ``_run``'s blocks, one per dispatched
+    round (see ``_expand``).  Whichever of ``rows`` and ``blocks`` a trace
+    lacks is built on its first read, once; a plain trace is one block with
+    no repeats, and ``makespan`` reads only the last block.  ``plan`` is the
+    plan ``simulate`` ran, and ``None`` for any other trace, since it is not
+    an init field; ``scheduler.validate_trace`` accepts a trace with a plan
+    for any equal plan without running the schedule again.  ``plan`` takes
+    no part in equality, hashing or repr, which read ``rows``.
     """
 
-    rows: tuple[Row, ...] = _Rows()
-    blocks: tuple[Block, ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[Row, ...]
     plan: SchedulePlan | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", ((self.rows, 0, 0),) if self.rows else ())
+    @classmethod
+    def _of(cls, blocks: tuple[Block, ...], plan: SchedulePlan) -> Trace:
+        """The trace of ``plan``'s schedule, held as ``blocks``."""
+        trace = cls.__new__(cls)
+        trace.__dict__.update(blocks=blocks, plan=plan)
+        return trace
+
+    def __getattr__(self, name: str):
+        # called only for a name the instance and its class lack
+        known = self.__dict__
+        if name == "rows" and "blocks" in known:
+            known[name] = _expand(known["blocks"])
+        elif name == "blocks" and "rows" in known:
+            known[name] = ((known["rows"], 0, 0),) if known["rows"] else ()
+        else:
+            raise AttributeError(name)
+        return known[name]
 
     @property
     def makespan(self) -> int:
@@ -191,9 +210,10 @@ _CHROME_SPAN = """\
       }
     }"""
 
-# tids number the lanes in id order for the Chrome viewer: gpu0 is 0, nic0 is 1
-_SPAN_LANES = ((GPU_LANE_ID, "0", "forward"), (GPU_LANE_ID, "0", "backward"),
-               (NIC_LANE_ID, "1", "sync"))
+# each lane and its tid: tids number the lanes in id order for the Chrome viewer
+_LANES = ((GPU_LANE_ID, "0"), (NIC_LANE_ID, "1"))
+# each phase's lane, tid and name: the sync on the NIC, the computes on the GPU
+_SPAN_LANES = tuple((*_LANES[phase is Phase.SYNC], phase.value) for phase in Phase)
 
 
 def _fill(record: str, lane: str, tid: str, phase: str = "") -> str:
@@ -244,9 +264,15 @@ _JSON = _Layout("[]\n", "[\n", _pieces(_SPAN_RECORD),
                 lambda job, t, begin, end: (job, t, map(repr, begin), map(repr, end)), "\n]\n")
 _CHROME = _Layout(
     '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}\n',
-    '{\n  "traceEvents": [\n' + _fill(_CHROME_LANE, GPU_LANE_ID, "0") + ",\n"
-    + _fill(_CHROME_LANE, NIC_LANE_ID, "1") + ",\n",
+    '{\n  "traceEvents": [\n'
+    + "".join(_fill(_CHROME_LANE, *lane) + ",\n" for lane in _LANES),
     _pieces(_CHROME_SPAN), _chrome_span, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')
+
+
+def _escaped(job_id: str) -> str:
+    """``job_id`` as both trace files write it between its quotes: ``json.dumps``'s escapes."""
+    return encode_basestring_ascii(job_id)[1:-1]
+
 
 # Most job-iterations (trace rows) one scenario's plan may hold.  While
 # ``simulate`` writes its traces a row costs about 0.38 KB of memory, its
@@ -289,7 +315,7 @@ def _trace_text(trace: Trace, layout: _Layout) -> Iterator[str]:
     if not rows:
         yield layout.empty
         return
-    ids = {job_id: json.dumps(job_id)[1:-1] for job_id in {r[0] for r in rows}}
+    ids = {job_id: _escaped(job_id) for job_id in {r[0] for r in rows}}
     yield layout.head
     for i in range(0, len(rows), _WRITE_ROWS):
         job, t, start, backward, compute_end, sync_start, sync_end = zip(*rows[i:i + _WRITE_ROWS])

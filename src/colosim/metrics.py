@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .engine import Trace
+from .engine import Trace, _gap_runs
 from .errors import ComparisonError, InvalidTraceError
 from .scheduler import SchedulePlan, validate_trace
 from .workload import comp_time
@@ -72,36 +72,14 @@ def _steady_period(runs: list[tuple[int, int]]) -> int | None:
     return window[bisect_right(ends, (hi - lo - 1) // 2)][0]
 
 
-def _gap_runs(trace: Trace, plan: SchedulePlan) -> dict[str, list[tuple[int, int]]]:
-    """Each job's compute-start gaps as ``(gap, count)`` runs, read from the blocks.
-
-    A row the dispatch loop ran gives one gap, from the job's previous
-    start; a copied block gives its shift once per repeat for each of its
-    jobs.  No rows are built.
-    """
-    runs: dict[str, list[tuple[int, int]]] = {j.job_id: [] for j in plan.jobs}
-    last: dict[str, int] = {}
-    for rows, shift, repeats in trace.blocks:
-        for row in rows:
-            job_id, start = row[0], row[2]
-            if job_id in last:
-                runs[job_id].append((start - last[job_id], 1))
-            last[job_id] = start
-        if repeats:
-            for row in rows:
-                runs[row[0]].append((shift, repeats))
-                last[row[0]] = row[2] + repeats * shift
-    return runs
-
-
 def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
     """Compute metrics for a trace that is the plan's schedule.
 
     Raises InvalidTraceError unless ``validate_trace(trace, plan)`` is empty.
     A valid trace holds exactly the schedule's rows, so busy times come from
     the plan (job i's T_i computes and T_i syncs) and the makespan and
-    periods from the trace's own blocks; measuring a simulated trace builds
-    no rows.
+    periods from the trace (``engine._gap_runs``); measuring a simulated
+    trace builds no rows.
     """
     violations = validate_trace(trace, plan)
     if violations:

@@ -54,7 +54,7 @@ _brief.maxlevel, _brief.maxstring, _brief.maxlong, _brief.maxother = 2, 60, 40, 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated, unit-normalized simulation setup."""
+    """A validated, unit-normalized setup; ``plan()`` adds ``SchedulePlan``'s checks."""
 
     name: str
     jobs: tuple[JobProfile, ...]
@@ -233,14 +233,9 @@ def parse_scenario(doc, origin: str = "<config>") -> Scenario:
     jobs_raw = _require(doc, "jobs", origin)
     if not isinstance(jobs_raw, list) or not jobs_raw:
         raise ConfigError("jobs: expected a non-empty array")
-    jobs = tuple(_parse_job(j, i) for i, j in enumerate(jobs_raw))
-    ids = [j.job_id for j in jobs]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("jobs: job_id values must be unique")
-
     return Scenario(
         name=name,
-        jobs=jobs,
+        jobs=tuple(_parse_job(j, i) for i, j in enumerate(jobs_raw)),
         cluster=_parse_cluster(_require(doc, "cluster", origin)),
         policy=policy,
     )

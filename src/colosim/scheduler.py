@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .comm import ClusterSpec, comm_time
-from .engine import _JOB_ID_LIMIT, Block, Row, Trace
+from .engine import _JOB_ID_LIMIT, Block, Row, Trace, _escaped
 from .errors import ConfigError
 from .workload import JobProfile, comp_time
 
@@ -57,8 +56,8 @@ class SchedulePlan:
     Job order is the rotation order, and ``comm_times`` holds each job's sync
     time on the cluster, in that order.  No time either policy produces
     exceeds ``sum(T_i * (comp_i + comm_i))``, so that sum must stay below 2^63.
-    Each job id takes at most ``engine._JOB_ID_LIMIT`` characters once
-    JSON-escaped, as the trace files write it.
+    Job ids are unique, and each takes at most ``engine._JOB_ID_LIMIT``
+    characters once JSON-escaped, as the trace files write it.
     """
 
     policy: Policy
@@ -70,14 +69,15 @@ class SchedulePlan:
         object.__setattr__(self, "jobs", tuple(self.jobs))
         if not self.jobs:
             raise ConfigError("plan must contain at least one job")
-        ids = [j.job_id for j in self.jobs]
-        for i, job_id in enumerate(ids):
-            escaped = len(encode_basestring_ascii(job_id)) - 2
-            if escaped > _JOB_ID_LIMIT:
-                raise ConfigError(f"jobs[{i}].job_id: {escaped} characters once JSON-escaped "
-                                  f"exceed the limit of {_JOB_ID_LIMIT}")
-        if len(set(ids)) != len(ids):
-            raise ConfigError("job ids must be unique within a plan")
+        first: dict[str, int] = {}
+        for i, job in enumerate(self.jobs):
+            escaped = _escaped(job.job_id)
+            if len(escaped) > _JOB_ID_LIMIT:
+                raise ConfigError(f"jobs[{i}].job_id: {len(escaped)} characters once "
+                                  f"JSON-escaped exceed the limit of {_JOB_ID_LIMIT}")
+            if first.setdefault(job.job_id, i) != i:
+                raise ConfigError(f'jobs[{i}].job_id: "{escaped}" is also '
+                                  f"jobs[{first[job.job_id]}].job_id, and ids must be unique")
         comm = tuple([comm_time(j.grad_bytes, self.cluster) for j in self.jobs])
         object.__setattr__(self, "comm_times", comm)
         total = sum([j.iterations * (j.forward_time + j.backward_time + c)
@@ -90,21 +90,20 @@ class SchedulePlan:
 def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:
     """Dispatch the plan round by round and return its makespan.
 
-    When ``blocks`` is a list, appends the schedule to it as blocks (see
-    ``engine._expand``).  While the active job set is fixed (a regime), a
-    round is fixed by its start state relative to the GPU clock g: the key
-    ``(nic_free - g, max(sync_end_j - g, 0) for each active j)``.  The clamp
-    is exact because a job starts at ``max(gpu_free, sync_end_j)`` and
-    gpu_free never falls below g within a round.  The round is
+    When ``blocks`` is a list, appends each dispatched round to it as one
+    block (see ``engine._expand``).  While the active job set is fixed (a
+    regime), a round is fixed by its start state relative to the GPU clock
+    g: the key ``(nic_free - g, max(sync_end_j - g, 0) for each active j)``.
+    The clamp is exact because a job starts at ``max(gpu_free, sync_end_j)``
+    and gpu_free never falls below g within a round.  The round is
     shift-invariant, so once a round starts with the previous round's key,
     every remaining round of the regime is that previous round shifted by
-    ``d = g - g_prev`` per round.  The rows dispatched before that round
-    become a block with no repeats, the round itself the block
-    ``(round, d, until + 1 - t)``, and the clocks jump to the regime's end
+    ``d = g - g_prev`` per round.  The previous round's block becomes
+    ``(round, d, until + 1 - t)`` and the clocks jump to the regime's end
     (a max-plus recurrence is eventually periodic; Baccelli, Cohen, Olsder
     and Quadrat, 1992).  A regime whose period is longer than one round, or
     whose transient outlasts its budget, runs round by round and stays
-    exact; the rows dispatched last form the final block.
+    exact.
     """
     hold_gpu = plan.policy is Policy.SEQUENTIAL
     sync_end = {j.job_id: 0 for j in plan.jobs}
@@ -120,12 +119,8 @@ def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:
                               *[max(sync_end[job[0]] - gpu_free, 0) for job in active])
             if key == prev:
                 d = gpu_free - g_prev
-                if rows is not None:
-                    cut = len(rows) - len(active)
-                    if cut:
-                        blocks.append((tuple(rows[:cut]), 0, 0))
-                    blocks.append((tuple(rows[cut:]), d, until + 1 - t))
-                    rows = []
+                if blocks is not None:
+                    blocks[-1] = (blocks[-1][0], d, until + 1 - t)
                 shift = (until + 1 - t) * d
                 gpu_free += shift
                 nic_free += shift
@@ -144,9 +139,10 @@ def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:
                 if rows is not None:
                     rows.append((job_id, t, start, backward_start, compute_end,
                                  sync_start, nic_free))
+            if rows is not None:
+                blocks.append((tuple(rows), 0, 0))
+                rows.clear()
             t += 1
-    if rows:
-        blocks.append((tuple(rows), 0, 0))
     return nic_free
 
 
@@ -160,10 +156,7 @@ def simulate(plan: SchedulePlan) -> Trace:
     """
     blocks: list[Block] = []
     _run(plan, blocks)
-    trace = Trace.__new__(Trace)
-    object.__setattr__(trace, "blocks", tuple(blocks))
-    object.__setattr__(trace, "plan", plan)
-    return trace
+    return Trace._of(tuple(blocks), plan)
 
 
 def makespan(plan: SchedulePlan) -> int:
@@ -184,8 +177,9 @@ def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
     A trace ``simulate`` returned for a plan equal to ``plan`` passes without
     running the schedule again or reading its rows: ``_run`` depends only on
     the fields a plan compares, and traces are immutable.  Any other trace is
-    compared with ``simulate(plan).rows``, and the messages name the first
-    row that differs (``row k`` is ``trace.rows[k]``): missing, past the
+    compared with ``simulate(plan).rows``, and the messages name ``rows``
+    if it is not a tuple, else the first row that differs (``row k`` is
+    ``trace.rows[k]``): missing, not a tuple of 7 fields, past the
     schedule's end, the wrong job or iteration, or each field that breaks
     README "Scheduling semantics" given the row's own earlier fields and the
     rows before it, which match the schedule.
@@ -199,14 +193,19 @@ def _differences(rows: tuple[Row, ...], expected: tuple[Row, ...]) -> list[str]:
     """The messages for the first row of ``rows`` that differs from ``expected``."""
     if rows == expected:
         return []
+    if not isinstance(rows, tuple):
+        return [f"rows: a {type(rows).__name__}, expected a tuple of rows"]
     k = next((k for k, (row, want) in enumerate(zip(rows, expected)) if row != want),
              min(len(rows), len(expected)))
     if k == len(rows):
         return [f"row {k}: missing, expected {expected[k][0]} iteration {expected[k][1]}"]
-    if k == len(expected):
-        return [f"row {k}: {rows[k][0]} iteration {rows[k][1]} after the plan's last row"]
-    job_id, t, a, b, c, e, f = expected[k]
     row = rows[k]
+    if not isinstance(row, tuple) or len(row) != 7:
+        shape = f"a tuple of {len(row)} fields" if isinstance(row, tuple) else f"a {type(row).__name__}"
+        return [f"row {k}: {shape}, expected a tuple of 7 fields"]
+    if k == len(expected):
+        return [f"row {k}: {row[0]} iteration {row[1]} after the plan's last row"]
+    job_id, t, a, b, c, e, f = expected[k]
     if row[:2] != (job_id, t):
         return [f"row {k}: {row[0]} iteration {row[1]}, expected {job_id} iteration {t}"]
     _, _, start, backward_start, compute_end, sync_start, _ = row

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from colosim import scheduler
+from colosim import engine, scheduler
 
 # property tests run derandomized so CI results are reproducible
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -14,9 +14,23 @@ def run_calls(monkeypatch):
     calls = []
     run = scheduler._run
 
-    def counting(plan, rows):
+    def counting(plan, blocks):
         calls.append(plan)
-        return run(plan, rows)
+        return run(plan, blocks)
 
     monkeypatch.setattr(scheduler, "_run", counting)
+    return calls
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The block tuples ``engine._expand`` builds rows from: one per expansion."""
+    calls = []
+    expand = engine._expand
+
+    def counting(blocks):
+        calls.append(blocks)
+        return expand(blocks)
+
+    monkeypatch.setattr(engine, "_expand", counting)
     return calls

@@ -164,20 +164,6 @@ class TestExports:
         assert {e["tid"] for e in complete} == {0, 1}
 
 
-@pytest.fixture
-def expansions(monkeypatch):
-    """The block tuples ``engine._expand`` builds rows from: one per expansion."""
-    calls = []
-    expand = engine._expand
-
-    def counting(blocks):
-        calls.append(blocks)
-        return expand(blocks)
-
-    monkeypatch.setattr(engine, "_expand", counting)
-    return calls
-
-
 def _copying_plan():
     """Three regimes with unequal budgets, each reaching a repeating round."""
     return _plan(("a", 1, 2, 3, 40), ("b", 2, 1, 1, 100), ("c", 1, 1, 4, 70))
@@ -212,11 +198,19 @@ class TestLazyRows:
 
     def test_unread_trace_survives_pickle_and_deepcopy(self, expansions):
         p = _copying_plan()
-        copies = [pickle.loads(pickle.dumps(simulate(p))), copy.deepcopy(simulate(p))]
+        copies = [pickle.loads(pickle.dumps(simulate(p))), copy.deepcopy(simulate(p)),
+                  copy.copy(simulate(p))]
         assert expansions == []
         for trace in copies:
             assert trace.plan == p
             assert trace == simulate(p)
+
+    def test_other_attributes_are_missing(self):
+        simulated = simulate(_copying_plan())
+        for trace in (legal_trace(), simulated, pickle.loads(pickle.dumps(simulated))):
+            assert getattr(trace, "spam", None) is None
+            with pytest.raises(AttributeError):
+                trace.spam
 
     def test_empty_trace(self):
         assert Trace(()).makespan == 0

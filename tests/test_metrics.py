@@ -19,7 +19,7 @@ from colosim.metrics import (
     report,
 )
 from colosim.scenario import load_config
-from colosim.scheduler import Policy, SchedulePlan, simulate
+from colosim.scheduler import Policy, SchedulePlan, simulate, validate_trace
 from colosim.workload import JobProfile
 from oracles import steady_period_reference
 
@@ -114,6 +114,22 @@ class TestMeasure:
             measure(sequential, golden)
         assert err.value.violations == ["row 1 (j2 iteration 1): start 3, expected 2"]
 
+    @pytest.mark.parametrize("malform, message", [
+        (lambda rows: (rows[0][:3], *rows[1:]),
+         "row 0: a tuple of 3 fields, expected a tuple of 7 fields"),
+        (lambda rows: (rows[0] + (0,), *rows[1:]),
+         "row 0: a tuple of 8 fields, expected a tuple of 7 fields"),
+        (list, "rows: a list, expected a tuple of rows"),
+        (lambda rows: (list(rows[0]), *rows[1:]), "row 0: a list, expected a tuple of 7 fields"),
+    ], ids=["row_of_3", "row_of_8", "rows_list", "row_list"])
+    def test_malformed_rows_rejected(self, malform, message):
+        golden = golden_2jobs()
+        trace = Trace(malform(simulate(golden).rows))
+        assert validate_trace(trace, golden) == [message]
+        with pytest.raises(InvalidTraceError) as err:
+            measure(trace, golden)
+        assert err.value.violations == [message]
+
     def test_pure_function_of_inputs(self):
         p = plan()
         trace = simulate(p)
@@ -153,6 +169,20 @@ def test_periods_from_blocks_equal_the_row_walk(specs, policy):
     m = measure(trace, p)
     assert m.per_job_iteration_period == steady_period_reference(trace.rows)
     assert measure(Trace(trace.rows), p) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_timed_job, min_size=1, max_size=6), st.sampled_from(Policy))
+def test_each_block_is_one_round(specs, policy):
+    # a block holds one row for each job with iterations left, in plan order,
+    # all at the iteration that follows the previous block and its copies
+    p = SchedulePlan(policy, tuple(JobProfile(f"j{i}", *spec)
+                                   for i, spec in enumerate(specs)), CLUSTER)
+    t = 1
+    for rows, _, repeats in simulate(p).blocks:
+        assert [row[:2] for row in rows] == [(j.job_id, t) for j in p.jobs if j.iterations >= t]
+        t += 1 + repeats
+    assert t == 1 + max(j.iterations for j in p.jobs)
 
 
 def golden_2jobs():

@@ -177,8 +177,17 @@ class TestValidation:
     def test_duplicate_job_ids(self, tmp_path):
         doc = base_doc()
         doc["jobs"][1]["job_id"] = "a"
-        with pytest.raises(ConfigError, match="unique"):
-            load_config(write_config(tmp_path, doc))
+        scenario = load_config(write_config(tmp_path, doc))
+        with pytest.raises(ConfigError, match=r'^jobs\[1\]\.job_id: "a" is also jobs\[0\]'):
+            scenario.plan()
+
+    def test_duplicate_job_id_is_usage_error(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["jobs"].append(dict(doc["jobs"][0], job_id="\u00e9"))
+        doc["jobs"].append(dict(doc["jobs"][0], job_id="\u00e9"))
+        assert main(["validate-config", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert capsys.readouterr().err == (
+            'error: jobs[3].job_id: "\\u00e9" is also jobs[2].job_id, and ids must be unique\n')
 
     def test_empty_jobs(self, tmp_path):
         with pytest.raises(ConfigError, match="non-empty"):

@@ -93,9 +93,12 @@ def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:
     When ``blocks`` is a list, appends each dispatched round to it as one
     block (see ``engine._expand``).  While the active job set is fixed (a
     regime), a round is fixed by its start state relative to the GPU clock
-    g: the key ``(nic_free - g, max(sync_end_j - g, 0) for each active j)``.
-    The clamp is exact because a job starts at ``max(gpu_free, sync_end_j)``
-    and gpu_free never falls below g within a round.  The round is
+    g: the key is ``nic_free - g`` followed by ``sync_end_j - g`` clamped at
+    zero for each active j.  The clamp is exact because a job starts at
+    ``max(gpu_free, sync_end_j)`` and gpu_free never falls below g within a
+    round.  Sync ends are a list indexed by plan position, and each ``max``
+    is a conditional that keeps the first operand on a tie, as ``max`` does,
+    so a row shares its ``int`` objects with the row before it.  The round is
     shift-invariant, so once a round starts with the previous round's key,
     every remaining round of the regime is that previous round shifted by
     ``d = g - g_prev`` per round.  The previous round's block becomes
@@ -106,17 +109,20 @@ def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:
     exact.
     """
     hold_gpu = plan.policy is Policy.SEQUENTIAL
-    sync_end = {j.job_id: 0 for j in plan.jobs}
+    jobs = [(i, j.job_id, j.forward_time, j.backward_time, comm)
+            for i, (j, comm) in enumerate(zip(plan.jobs, plan.comm_times))]
+    sync_end = [0] * len(jobs)
     gpu_free = nic_free = 0
     rows: list[Row] | None = None if blocks is None else []
     t = 1
     for until in sorted({j.iterations for j in plan.jobs}):
-        active = [(j.job_id, j.forward_time, j.backward_time, comm)
-                  for j, comm in zip(plan.jobs, plan.comm_times) if j.iterations >= t]
+        active = [job for job, j in zip(jobs, plan.jobs) if j.iterations >= t]
+        positions = [job[0] for job in active]
         key = g_prev = None
         while t <= until:
-            prev, key = key, (nic_free - gpu_free,
-                              *[max(sync_end[job[0]] - gpu_free, 0) for job in active])
+            prev, key = key, [nic_free - gpu_free, *[sync_end[i] - gpu_free
+                                                     if sync_end[i] > gpu_free else 0
+                                                     for i in positions]]
             if key == prev:
                 d = gpu_free - g_prev
                 if blocks is not None:
@@ -124,17 +130,19 @@ def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:
                 shift = (until + 1 - t) * d
                 gpu_free += shift
                 nic_free += shift
-                for job in active:
-                    sync_end[job[0]] += shift
+                for i in positions:
+                    sync_end[i] += shift
                 t = until + 1
                 break
             g_prev = gpu_free
-            for job_id, forward, backward, job_comm in active:
-                start = max(gpu_free, sync_end[job_id])
+            for i, job_id, forward, backward, job_comm in active:
+                start = sync_end[i]
+                if gpu_free >= start:
+                    start = gpu_free
                 backward_start = start + forward
                 compute_end = backward_start + backward
-                sync_start = max(nic_free, compute_end)
-                nic_free = sync_end[job_id] = sync_start + job_comm
+                sync_start = nic_free if nic_free >= compute_end else compute_end
+                nic_free = sync_end[i] = sync_start + job_comm
                 gpu_free = nic_free if hold_gpu else compute_end
                 if rows is not None:
                     rows.append((job_id, t, start, backward_start, compute_end,
@@ -169,6 +177,8 @@ def makespan(plan: SchedulePlan) -> int:
 
 
 _FIELDS = ("start", "backward_start", "compute_end", "sync_start", "sync_end")
+_NAMES = ("job_id", "iteration", *_FIELDS)
+_TYPES = (str, int, int, int, int, int, int)
 
 
 def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
@@ -177,35 +187,53 @@ def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
     A trace ``simulate`` returned for a plan equal to ``plan`` passes without
     running the schedule again or reading its rows: ``_run`` depends only on
     the fields a plan compares, and traces are immutable.  Any other trace is
-    compared with ``simulate(plan).rows``, and the messages name ``rows``
-    if it is not a tuple, else the first row that differs (``row k`` is
-    ``trace.rows[k]``): missing, not a tuple of 7 fields, past the
-    schedule's end, the wrong job or iteration, or each field that breaks
-    README "Scheduling semantics" given the row's own earlier fields and the
-    rows before it, which match the schedule.
+    compared with ``simulate(plan).rows``, and each of its rows must also be
+    a ``str`` and six values whose ``type`` is ``int`` (``True == 1`` and
+    ``0.0 == 0`` in Python, and neither writes as a JSON integer).  The
+    messages name ``rows`` if it is not a tuple, else the first row that
+    differs (``row k`` is ``trace.rows[k]``): missing, not a tuple of 7
+    fields, past the schedule's end, its first field of another type (with
+    the schedule's value), the wrong job or iteration, or each field that
+    breaks README "Scheduling semantics" given the row's own earlier fields
+    and the rows before it, which match the schedule.
     """
     if trace.plan == plan:
         return []
     return _differences(trace.rows, simulate(plan).rows)
 
 
+def _a(value: object) -> str:
+    """``value``'s type name with its article, as in "an int"."""
+    name = type(value).__name__
+    return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"
+
+
+def _exact(row: Row) -> bool:
+    """Whether ``row`` is a tuple of a ``str`` and six ``int``s, by exact type."""
+    return isinstance(row, tuple) and tuple(map(type, row)) == _TYPES
+
+
 def _differences(rows: tuple[Row, ...], expected: tuple[Row, ...]) -> list[str]:
     """The messages for the first row of ``rows`` that differs from ``expected``."""
-    if rows == expected:
-        return []
     if not isinstance(rows, tuple):
-        return [f"rows: a {type(rows).__name__}, expected a tuple of rows"]
-    k = next((k for k, (row, want) in enumerate(zip(rows, expected)) if row != want),
-             min(len(rows), len(expected)))
+        return [f"rows: {_a(rows)}, expected a tuple of rows"]
+    k = next((k for k, (row, want) in enumerate(zip(rows, expected))
+              if row != want or not _exact(row)), min(len(rows), len(expected)))
     if k == len(rows):
+        if k == len(expected):
+            return []
         return [f"row {k}: missing, expected {expected[k][0]} iteration {expected[k][1]}"]
     row = rows[k]
     if not isinstance(row, tuple) or len(row) != 7:
-        shape = f"a tuple of {len(row)} fields" if isinstance(row, tuple) else f"a {type(row).__name__}"
+        shape = f"a tuple of {len(row)} fields" if isinstance(row, tuple) else _a(row)
         return [f"row {k}: {shape}, expected a tuple of 7 fields"]
     if k == len(expected):
         return [f"row {k}: {row[0]} iteration {row[1]} after the plan's last row"]
     job_id, t, a, b, c, e, f = expected[k]
+    for name, got, kind, value in zip(_NAMES, row, _TYPES, expected[k]):
+        if type(got) is not kind:
+            return [f"row {k} ({job_id} iteration {t}): {name} {got!r}, {_a(got)}, "
+                    f"expected the {kind.__name__} {value!r}"]
     if row[:2] != (job_id, t):
         return [f"row {k}: {row[0]} iteration {row[1]}, expected {job_id} iteration {t}"]
     _, _, start, backward_start, compute_end, sync_start, _ = row

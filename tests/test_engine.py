@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import json
 import pickle
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -143,6 +145,39 @@ def test_validator_is_tight(specs, policy):
             measure(_with_rows(trace, i), plan)
     if simulate(other).rows != rows:
         assert validate_trace(trace, other)
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# each field's value itself, which keeps the trace valid, and values that
+# equal it (or, as text, spell it) but are not of its exact type
+_SAME = [lambda v: v]
+_LOOKALIKES = (_SAME + [_Str], _SAME + [float, _Int, Fraction, str])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_JOB, min_size=1, max_size=3), st.sampled_from(Policy), st.data())
+def test_accepted_traces_serialize_to_json(specs, policy, data):
+    plan = _plan(*[(f"j{i}", *spec) for i, spec in enumerate(specs)], policy=policy)
+    rows = simulate(plan).rows
+    i = data.draw(st.integers(0, len(rows) - 1))
+    col = data.draw(st.integers(0, 6))
+    value = rows[i][col]
+    lookalikes = _LOOKALIKES[col > 0] + ([bool] if col and value in (0, 1) else [])
+    edit = data.draw(st.sampled_from(lookalikes))
+    edited = rows[i][:col] + (edit(value),) + rows[i][col + 1:]
+    trace = Trace(rows[:i] + (edited,) + rows[i + 1:])
+    accepted = validate_trace(trace, plan) == []
+    assert accepted == (type(edited[col]) is type(value))
+    if accepted:
+        json.loads(trace_to_json(trace))
+        json.loads(trace_to_chrome_json(trace))
 
 
 class TestExports:

@@ -130,6 +130,26 @@ class TestMeasure:
             measure(trace, golden)
         assert err.value.violations == [message]
 
+    # row 0 of golden_2jobs is ("j1", 1, 0, 1, 2, 2, 3); each edit but the
+    # strings compares equal to it, and True would reach trace.json as "True"
+    @pytest.mark.parametrize("edit, message", [
+        ({1: True, 2: 0.0}, "iteration True, a bool, expected the int 1"),
+        ({2: "0"}, "start '0', a str, expected the int 0"),
+        ({3: None}, "backward_start None, a NoneType, expected the int 1"),
+        ({1: "1"}, "iteration '1', a str, expected the int 1"),
+        ({2: 0.0}, "start 0.0, a float, expected the int 0"),  # README's example
+    ], ids=["bool_and_float", "str_start", "none_backward_start", "str_iteration",
+            "float_start"])
+    def test_mistyped_row_rejected(self, edit, message):
+        golden = golden_2jobs()
+        rows = simulate(golden).rows
+        row = list(rows[0])
+        for field, value in edit.items():
+            row[field] = value
+        with pytest.raises(InvalidTraceError) as err:
+            measure(Trace((tuple(row), *rows[1:])), golden)
+        assert err.value.violations == [f"row 0 (j1 iteration 1): {message}"]
+
     def test_pure_function_of_inputs(self):
         p = plan()
         trace = simulate(p)

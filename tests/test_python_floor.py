@@ -2,7 +2,8 @@
 
 Before 3.11, ``object`` has no ``__getstate__``, so pickling a ``Trace``
 looks the name up through ``Trace.__getattr__``.  These tests run only when
-a ``python3.10`` on PATH starts, and skip otherwise.
+a ``python3.10`` on PATH starts, directly or as a pyenv shim given one of
+pyenv's 3.10 versions, and skip otherwise.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -23,17 +25,40 @@ SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 FORMATS = ("json", "csv", "table", "chrome-trace")
 
 
+def _starts_floor(path: str, env: dict[str, str]) -> bool:
+    probe = subprocess.run([path, "-c", "import sys; print(sys.version_info[:2])"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    return probe.stdout == "(3, 10)\n"
+
+
+def _pyenv_floor() -> str | None:
+    """The newest 3.10 that ``pyenv versions --bare`` lists, if any."""
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return None
+    listed = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True,
+                            timeout=60).stdout.split()
+    floors = [v for v in listed if re.fullmatch(r"3\.10\.\d+", v)]
+    return max(floors, key=lambda v: int(v.rsplit(".", 1)[1]), default=None)
+
+
 @pytest.fixture(scope="module")
 def floor_python():
-    """A command that runs python3.10 with the package importable, or a skip."""
+    """A command that runs python3.10 with the package importable, or a skip.
+
+    A pyenv shim starts 3.10 only where a pyenv version selects it, so when
+    the shim fails, the newest 3.10 that pyenv lists is tried through
+    ``PYENV_VERSION``.
+    """
     path = shutil.which("python3.10")
     if path is None:
         pytest.skip("no python3.10 on PATH")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    probe = subprocess.run([path, "-c", "import sys; print(sys.version_info[:2])"],
-                           capture_output=True, text=True, env=env, timeout=60)
-    if probe.stdout != "(3, 10)\n":
-        pytest.skip(f"{path} does not start Python 3.10")
+    if not _starts_floor(path, env):
+        version = _pyenv_floor()
+        if version is None or not _starts_floor(path, {**env, "PYENV_VERSION": version}):
+            pytest.skip(f"{path} does not start Python 3.10")
+        env["PYENV_VERSION"] = version
 
     def run(*argv: str) -> subprocess.CompletedProcess:
         return subprocess.run([path, *argv], capture_output=True, text=True, env=env,

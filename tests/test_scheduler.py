@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from colosim.comm import Architecture, ClusterSpec, comm_time
 from colosim.engine import _JOB_ID_LIMIT, Phase, Trace
@@ -404,6 +405,71 @@ def test_makespan_skips_within_each_regime():
     full = [simulate(plan(Policy.CROSSOVER, specs(m))).makespan for m in (50, 51)]
     assert full[1] - full[0] == 44
     assert makespan(plan(Policy.CROSSOVER, specs(10**9))) == full[0] + (10**9 - 50) * 44
+
+
+def drift_plan(iterations):
+    """README's worst case: 1 ms computes and syncs 19 ns longer."""
+    return plan(Policy.CROSSOVER,
+                [(f"j{i}", 500_000, 500_000, 1_000_019, iterations) for i in range(3)])
+
+
+def test_drift_plan_repeats_after_the_same_rounds():
+    # 17,545 dispatched rounds, then the round that repeats holds the rest
+    trace = simulate(drift_plan(20_000))
+    assert len(trace.blocks) == 17_546
+    assert [n for _, _, n in trace.blocks].count(0) == 17_545
+    assert trace.makespan == makespan(drift_plan(20_000))
+
+
+@pytest.mark.parametrize("iterations", [2_000, 20_000])
+def test_makespan_keeps_no_rows(iterations):
+    p = drift_plan(iterations)
+    expected = makespan(p)
+    tracemalloc.start()
+    try:
+        assert makespan(p) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+
+
+# (forward, backward, sync) of up to four jobs, in plan order
+SHARED_DURATIONS = [(2, 3, 4), (1, 6, 2), (4, 4, 1), (3, 1, 5)]
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("budgets", [
+    (30, 30, 30),       # one regime
+    (12, 30, 30),       # the first job in plan order leaves first
+    (30, 30, 12),       # the last one leaves first
+    (12, 30, 12),       # the first and the last leave together
+    (9, 40, 25, 40),    # two jobs leave at different budgets, two share the last
+    (40, 9, 9, 40),     # the middle two leave together
+], ids=lambda b: "-".join(map(str, b)) if isinstance(b, tuple) else b.value)
+def test_jobs_sharing_and_leaving_match_the_brute_force(budgets, policy):
+    specs = [(f"j{i}", *durations, n)
+             for i, (durations, n) in enumerate(zip(SHARED_DURATIONS, budgets))]
+    brute_spans, brute_makespan = {Policy.CROSSOVER: brute_crossover,
+                                   Policy.SEQUENTIAL: brute_sequential}[policy](specs)
+    p = plan(policy, specs)
+    assert spans_from_trace(simulate(p)) == brute_spans
+    assert makespan(p) == simulate(p).makespan == brute_makespan
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(skip_spec_st, min_size=1, max_size=5), st.sampled_from(Policy), st.data())
+def test_less_work_never_lengthens_the_makespan(raw, policy, data):
+    # a max-plus system is monotone: shorten one job's forward, backward or
+    # sync, or lower its budget, and no time can grow
+    specs = build_specs(raw)
+    i = data.draw(st.integers(0, len(specs) - 1), label="job")
+    field = data.draw(st.sampled_from([1, 2, 3, 4]), label="field")
+    less = list(specs[i])
+    less[field] = data.draw(st.integers(1 if field == 4 else 0, less[field]), label="value")
+    assume(less[1] + less[2] > 0)
+    shorter = specs[:i] + [tuple(less)] + specs[i + 1:]
+    assert makespan(plan(policy, shorter)) <= makespan(plan(policy, specs))
 
 
 class TestUnequalBudgets:

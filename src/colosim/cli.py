@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -29,7 +28,7 @@ from .errors import ConfigError, InvalidTraceError
 from .metrics import measure, report
 from .scenario import load_config
 from .scheduler import Policy, SchedulePlan, makespan, simulate
-from .workload import comp_time, fixture_profile
+from .workload import JobProfile, comp_time, fixture_profile
 
 # The SGD oracle needs numpy, so only the equivalence subcommand imports it.
 if TYPE_CHECKING:
@@ -70,23 +69,23 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _ratio_points(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
-    step = (hi - lo) / (steps - 1)
-    return [lo + k * step for k in range(steps)]
-
-
 def _payload_for_ratio(plan: SchedulePlan, rho: Fraction) -> int:
     """Gradient bytes that make the fused sync last rho * comp, exactly as possible."""
+    return _payload(plan, rho.numerator, rho.denominator)
+
+
+def _payload(plan: SchedulePlan, p: int, q: int) -> int:
+    """``_payload_for_ratio`` for rho = p / q, in integers; ``/`` rounds as float() does."""
     latency, num, den = cost_terms(plan.cluster)
     if num == 0:
         raise ConfigError("sweep: ring_allreduce needs workers >= 2 to have "
                           "any communication to scale")
-    target = rho * comp_time(plan.jobs[0])
-    if target < latency:
+    target = p * comp_time(plan.jobs[0])  # q times the target sync time
+    if target < latency * q:
         raise ConfigError(
-            f"sweep: ratio {float(rho):g} unreachable, per-message latency alone "
-            f"is {latency} ns but the target sync time is {float(target):g} ns")
-    return round((target - latency) * den / num)
+            f"sweep: ratio {p / q:g} unreachable, per-message latency alone "
+            f"is {latency} ns but the target sync time is {target / q:g} ns")
+    return round(Fraction((target - latency * q) * den, q * num))
 
 
 def _cmd_sweep(args) -> int:
@@ -104,13 +103,19 @@ def _cmd_sweep(args) -> int:
     if len({comp_time(j) for j in plan.jobs}) != 1:
         raise ConfigError("sweep requires homogeneous jobs (equal compute time)")
 
+    # Point k is lo + k * (hi - lo) / (steps - 1) = (a + k * b) / c.  Both
+    # quotients below are int / int, correctly rounded as float(Fraction) is.
+    a = lo.numerator * hi.denominator * (args.steps - 1)
+    b = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    c = lo.denominator * hi.denominator * (args.steps - 1)
     rows = []
-    for rho in _ratio_points(lo, hi, args.steps):
-        payload = _payload_for_ratio(plan, rho)
-        jobs = tuple(replace(job, grad_bytes=payload) for job in plan.jobs)
-        speedup = Fraction(makespan(SchedulePlan(Policy.SEQUENTIAL, jobs, plan.cluster)),
-                           makespan(SchedulePlan(Policy.CROSSOVER, jobs, plan.cluster)))
-        rows.append(f"{float(rho)!r},{float(speedup)!r}")
+    for k in range(args.steps):
+        p = a + k * b
+        payload = _payload(plan, p, c)
+        jobs = tuple([JobProfile(j.job_id, j.forward_time, j.backward_time, payload,
+                                 j.iterations) for j in plan.jobs])
+        point = SchedulePlan(Policy.CROSSOVER, jobs, plan.cluster)
+        rows.append(f"{p / c!r},{point.sequential_makespan / makespan(point)!r}")
 
     out = Path(args.out) / "sweep.csv"
     _write(out, ["rho,speedup\n" + "\n".join(rows) + "\n"])

@@ -54,8 +54,11 @@ class SchedulePlan:
     """A co-location plan: ordered jobs sharing one GPU plus the cluster model.
 
     Job order is the rotation order, and ``comm_times`` holds each job's sync
-    time on the cluster, in that order.  No time either policy produces
-    exceeds ``sum(T_i * (comp_i + comm_i))``, so that sum must stay below 2^63.
+    time on the cluster, in that order.  ``sequential_makespan`` is
+    ``sum(T_i * (comp_i + comm_i))``, which equals ``makespan`` under
+    ``sequential``: each row starts at the previous row's sync end and adds
+    exactly ``comp_i + comm_i``.  No time either policy produces exceeds it,
+    so it must stay below 2^63.
     Job ids are unique, and each takes at most ``engine._JOB_ID_LIMIT``
     characters once JSON-escaped, as the trace files write it.
     """
@@ -64,6 +67,7 @@ class SchedulePlan:
     jobs: tuple[JobProfile, ...]
     cluster: ClusterSpec
     comm_times: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    sequential_makespan: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "jobs", tuple(self.jobs))
@@ -82,7 +86,8 @@ class SchedulePlan:
         object.__setattr__(self, "comm_times", comm)
         total = sum([j.iterations * (j.forward_time + j.backward_time + c)
                      for j, c in zip(self.jobs, comm)])
-        if total >= 2**63:
+        object.__setattr__(self, "sequential_makespan", total)
+        if self.sequential_makespan >= 2**63:
             raise ConfigError(f"plan: sequential makespan sum(T_i * (comp_i + comm_i)) = "
                               f"{total} ns must stay below 2^63 = {2**63} ns")
 
@@ -228,7 +233,7 @@ def _differences(rows: tuple[Row, ...], expected: tuple[Row, ...]) -> list[str]:
         shape = f"a tuple of {len(row)} fields" if isinstance(row, tuple) else _a(row)
         return [f"row {k}: {shape}, expected a tuple of 7 fields"]
     if k == len(expected):
-        return [f"row {k}: {row[0]} iteration {row[1]} after the plan's last row"]
+        return [f"row {k}: {row[0]} iteration {row[1]!r} after the plan's last row"]
     job_id, t, a, b, c, e, f = expected[k]
     for name, got, kind, value in zip(_NAMES, row, _TYPES, expected[k]):
         if type(got) is not kind:

@@ -19,21 +19,26 @@ package splits the decimal literal into integers).
 ``steady_period_reference`` walks every row of a trace (the package reads a
 schedule's blocks).  ``max_cycle_mean`` runs Karp's algorithm over the
 crossover rotation's timed event graph (the package states the period in
-closed form).  Span tuples are (lane_id, job_id, phase, iteration,
-start, end).
+closed form).  ``sweep_reference`` prices each sweep point with
+``Fraction`` ratios and the makespans of a sequential and a crossover plan
+(the package sums the sequential makespan and uses integer ratios).  Span
+tuples are (lane_id, job_id, phase, iteration, start, end).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from colosim.comm import Architecture
 from colosim.equivalence import LossKind, _averaged_gradient, initial_state, sgd_step
 from colosim.errors import ConfigError
 from colosim.scenario import _INT_LIMIT, _brief
+from colosim.scheduler import Policy, SchedulePlan, makespan
 
 GPU = "gpu0"
 NIC = "nic0"
@@ -327,3 +332,39 @@ def scaled_int_reference(value, num: int, den: int, field: str, minimum: int) ->
     if n < minimum:
         raise ConfigError(f"{field}: must be {'> 0' if minimum else '>= 0'}")
     return n
+
+
+def sweep_reference(plan, lo: Fraction, hi: Fraction, steps: int) -> str:
+    """The ``sweep.csv`` text of ``colosim sweep`` on ``plan``'s homogeneous jobs.
+
+    Point k is the ``Fraction`` ``lo + k * (hi - lo) / (steps - 1)``, its
+    payload rounds the exact byte count for a sync of ``rho * comp``, and its
+    speedup is the ratio of the makespans of a sequential and a crossover
+    plan.  Raises the CLI's ``ConfigError`` for a ring of one worker, an
+    unreachable ratio or a plan past 2^63.
+    """
+    cluster = plan.cluster
+    w, alpha, bandwidth = (cluster.workers, cluster.latency_per_message,
+                           cluster.bandwidth_bytes_per_sec)
+    if cluster.architecture is Architecture.RING_ALLREDUCE:
+        latency, per_byte = 2 * (w - 1) * alpha, Fraction(2 * (w - 1) * 10**9, w * bandwidth)
+    else:
+        latency, per_byte = 2 * alpha, Fraction(2 * 10**9, bandwidth)
+    if per_byte == 0:
+        raise ConfigError("sweep: ring_allreduce needs workers >= 2 to have "
+                          "any communication to scale")
+    comp = plan.jobs[0].forward_time + plan.jobs[0].backward_time
+    lines = ["rho,speedup"]
+    for k in range(steps):
+        rho = lo + k * (hi - lo) / (steps - 1)
+        target = rho * comp
+        if target < latency:
+            raise ConfigError(
+                f"sweep: ratio {float(rho):g} unreachable, per-message latency alone "
+                f"is {latency} ns but the target sync time is {float(target):g} ns")
+        jobs = tuple(dataclasses.replace(j, grad_bytes=round((target - latency) / per_byte))
+                     for j in plan.jobs)
+        speedup = Fraction(makespan(SchedulePlan(Policy.SEQUENTIAL, jobs, cluster)),
+                           makespan(SchedulePlan(Policy.CROSSOVER, jobs, cluster)))
+        lines.append(f"{float(rho)!r},{float(speedup)!r}")
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from colosim.errors import ConfigError
 from colosim.scenario import MAX_JOB_ITERATIONS, load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate
 from colosim.workload import JobProfile
-from oracles import trace_to_chrome_json_reference, trace_to_json_reference
+from oracles import sweep_reference, trace_to_chrome_json_reference, trace_to_json_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = str(SCENARIO_DIR / "golden_2jobs.json")
@@ -274,6 +277,12 @@ class TestSweep:
         assert "below 2^63" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_each_point_runs_one_schedule(self, tmp_path, run_calls):
+        # the sequential makespan is the plan's closed form, not a second run
+        assert run("sweep", "--config", str(SCENARIO_DIR / "sweep_base.json"),
+                   "--out", str(tmp_path), "--steps", "7", "--iters", "20") == 0
+        assert [p.policy for p in run_calls] == [Policy.CROSSOVER] * 7
+
     def test_deterministic_output(self, tmp_path):
         for d in ("a", "b"):
             run("sweep", "--config", str(SCENARIO_DIR / "sweep_base.json"),
@@ -303,6 +312,59 @@ def test_sweep_payload_inverts_comm_time(architecture, workers, bandwidth, laten
         return
     assert payload >= 0
     assert abs(comm_time(payload, cluster) - target) <= beta / 2 + 1
+
+
+@st.composite
+def sweep_cases(draw):
+    """A homogeneous scenario document and one sweep's ratio strings and steps.
+
+    Budgets differ per job, and so does the forward/backward split of the
+    shared compute time.  A compute unit of 10^15 ns lets a scaled plan pass
+    2^63; a latency of up to 10 ms makes low ratios of a small compute
+    unreachable.  Ratios are decimals of up to 20 digits in (0, 4].
+    """
+    unit = draw(st.sampled_from([1, 10**15]))
+    comp = draw(st.integers(1, 10**7 if unit == 1 else 300))
+    jobs = []
+    for i in range(draw(st.integers(1, 8))):
+        forward = draw(st.integers(0, comp))
+        jobs.append({"job_id": f"j{i}", "forward_ms": forward * unit / 10**6,
+                     "backward_ms": (comp - forward) * unit / 10**6, "grad_mb": 1,
+                     "iterations": draw(st.integers(1, 20))})
+    cluster = {"workers": draw(st.integers(1, 8)),
+               "bandwidth_gbps": draw(st.integers(1, 10**13)) * 8 / 10**9,
+               "latency_us": draw(st.one_of(st.just(0), st.integers(1, 10**7))) / 10**3,
+               "architecture": draw(st.sampled_from(Architecture)).value}
+    ratios = []
+    for _ in range(2):
+        digits = draw(st.integers(0, 20))
+        n = draw(st.integers(1, 4 * 10**digits))
+        ratios.append((Fraction(n, 10**digits), f"{n // 10**digits}.{n % 10**digits:0{digits}d}"))
+    (_, lo), (_, hi) = sorted(ratios)
+    doc = {"name": "drawn", "policy": "crossover", "cluster": cluster, "jobs": jobs}
+    return doc, lo, hi, draw(st.integers(2, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+def test_sweep_matches_the_reference(case):
+    doc, lo, hi, steps = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "drawn.json"
+        config.write_text(json.dumps(doc))
+        try:
+            expected = sweep_reference(load_config(config).plan(), Fraction(str(float(lo))),
+                                       Fraction(str(float(hi))), steps)
+        except ConfigError as exc:
+            expected = f"error: {exc}\n"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--config", str(config), "--out", tmp,
+                         "--ratio-min", lo, "--ratio-max", hi, "--steps", str(steps)])
+        if code:
+            assert (code, err.getvalue()) == (1, expected)
+        else:
+            assert (Path(tmp) / "sweep.csv").read_text() == expected
 
 
 class TestEquivalence:

@@ -130,6 +130,18 @@ class TestMeasure:
             measure(trace, golden)
         assert err.value.violations == [message]
 
+    @pytest.mark.parametrize("iteration, message", [
+        (4, "row 6: j1 iteration 4 after the plan's last row"),
+        ("4", "row 6: j1 iteration '4' after the plan's last row"),
+    ], ids=["int", "str"])
+    def test_row_past_the_end_rejected(self, iteration, message):
+        golden = golden_2jobs()
+        trace = Trace(simulate(golden).rows + (("j1", iteration, 13, 14, 15, 15, 16),))
+        assert validate_trace(trace, golden) == [message]
+        with pytest.raises(InvalidTraceError) as err:
+            measure(trace, golden)
+        assert err.value.violations == [message]
+
     # row 0 of golden_2jobs is ("j1", 1, 0, 1, 2, 2, 3); each edit but the
     # strings compares equal to it, and True would reach trace.json as "True"
     @pytest.mark.parametrize("edit, message", [

@@ -1,7 +1,8 @@
 """The declared Python floor (``requires-python >= 3.10``) runs the package.
 
 Before 3.11, ``object`` has no ``__getstate__``, so pickling a ``Trace``
-looks the name up through ``Trace.__getattr__``.  These tests run only when
+looks the name up through ``Trace.__getattr__``; ``sweep`` writes its ratios
+and speedups from ``int / int``.  These tests run only when
 a ``python3.10`` on PATH starts, directly or as a pyenv shim given one of
 pyenv's 3.10 versions, and skip otherwise.
 """
@@ -81,6 +82,18 @@ def test_simulate_writes_the_same_bytes(floor_python, scenario, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main([*argv, "--out", str(tmp_path / "here")]) == 0
     assert proc.stdout.replace(str(tmp_path / "floor"), str(tmp_path / "here")) == out.getvalue()
+    assert _files(tmp_path / "floor") == _files(tmp_path / "here")
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--ratio-min", "0.123456789", "--ratio-max", "3.9", "--steps", "1000"],
+], ids=["default", "long_decimal_1000_steps"])
+def test_sweep_writes_the_same_bytes(floor_python, flags, tmp_path):
+    argv = ["sweep", "--config", str(ROOT / "scenarios" / "sweep_base.json"), *flags]
+    proc = floor_python("-m", "colosim.cli", *argv, "--out", str(tmp_path / "floor"))
+    assert proc.returncode == 0, proc.stderr
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path / "here")]) == 0
     assert _files(tmp_path / "floor") == _files(tmp_path / "here")
 
 

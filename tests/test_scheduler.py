@@ -368,9 +368,10 @@ def test_sequential_sum_bounds_every_makespan(raw, cluster):
     specs = build_specs(raw)
     comms = tuple(comm_time(g, cluster) for _, _, _, g, _ in specs)
     total = sum(n * (f + b + c) for (_, f, b, _, n), c in zip(specs, comms))
-    cross = plan(Policy.CROSSOVER, specs, cluster)
+    cross, seq = plan(Policy.CROSSOVER, specs, cluster), plan(Policy.SEQUENTIAL, specs, cluster)
     assert cross.comm_times == comms
-    assert makespan(cross) <= makespan(plan(Policy.SEQUENTIAL, specs, cluster)) == total
+    assert makespan(cross) <= makespan(seq) == total
+    assert cross.sequential_makespan == seq.sequential_makespan == total
 
 
 def test_plan_that_never_repeats_runs_round_by_round():

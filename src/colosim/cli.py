@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .comm import Architecture, ClusterSpec, cost_terms
-from .engine import _CHROME, _JSON, _trace_text
+from .engine import _CHROME, _JSON, _SPANS, _trace_text
 from .errors import ConfigError, InvalidTraceError
 from .metrics import measure, report
 from .scenario import load_config
@@ -65,17 +65,17 @@ def _cmd_simulate(args) -> int:
         else:
             _write(out / REPORT_FILES[fmt], [report(metrics, fmt)])
     print(f"{scenario.name}: policy={plan.policy.value} "
-          f"makespan_ns={trace.makespan} spans={3 * len(trace.rows)} -> {out}")
+          f"makespan_ns={trace.makespan} spans={len(_SPANS) * len(trace.rows)} -> {out}")
     return EXIT_OK
 
 
-def _payload_for_ratio(plan: SchedulePlan, rho: Fraction) -> int:
-    """Gradient bytes that make the fused sync last rho * comp, exactly as possible."""
-    return _payload(plan, rho.numerator, rho.denominator)
-
-
 def _payload(plan: SchedulePlan, p: int, q: int) -> int:
-    """``_payload_for_ratio`` for rho = p / q, in integers; ``/`` rounds as float() does."""
+    """Gradient bytes whose sync lasts ``p / q`` times the first job's compute time.
+
+    ``p`` and ``q`` are positive integers, and the exact payload is rounded to
+    the nearest byte.  A ``ConfigError`` if no payload reaches that time; its
+    ``p / q`` rounds as ``float()`` of the ratio does.
+    """
     latency, num, den = cost_terms(plan.cluster)
     if num == 0:
         raise ConfigError("sweep: ring_allreduce needs workers >= 2 to have "

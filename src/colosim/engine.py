@@ -2,10 +2,11 @@
 
 A trace holds one row per job-iteration, in dispatch order (the order the
 GPU ran the computes): ``(job_id, iteration, start, backward_start,
-compute_end, sync_start, sync_end)``.  Forward and backward run on the GPU
-lane, the gradient sync on the NIC lane; exports expand each row into those
-three span records.  A simulated trace keeps its rows as blocks, each a round
-and a count of shifted copies of it, and builds the rows on first read.
+compute_end, sync_start, sync_end)``.  ``_SPANS`` lists the spans a row
+holds, forward and backward on the GPU lane and the gradient sync on the NIC
+lane; ``Trace.spans`` and both exports expand each row into them.  A
+simulated trace keeps its rows as blocks, each a round and a count of
+shifted copies of it, and builds the rows on first read.
 Everything is integer nanoseconds; a run is a pure function of its input,
 so repeated runs produce byte-identical traces.
 """
@@ -36,7 +37,14 @@ __all__ = [
 GPU_LANE_ID = "gpu0"
 NIC_LANE_ID = "nic0"
 
+# Internal integers are kept within signed 64-bit range so traces and
+# timestamps stay portable: plan times and scenario numbers lie below this.
+_INT_LIMIT = 2**63
+
 Row = tuple[str, int, int, int, int, int, int]
+_NAMES = ("job_id", "iteration", "start", "backward_start", "compute_end", "sync_start",
+          "sync_end")
+_TYPES = (str, int, int, int, int, int, int)
 
 
 class Phase(Enum):
@@ -54,6 +62,14 @@ class Span:
     start: int
     end: int
 
+
+# Each span a row holds, in the order the trace files write them: its phase,
+# its lane, and the indices of the row fields it runs from and to.
+_SPANS = ((Phase.FORWARD, GPU_LANE_ID, 2, 3),
+          (Phase.BACKWARD, GPU_LANE_ID, 3, 4),
+          (Phase.SYNC, NIC_LANE_ID, 5, 6))
+# each lane's Chrome tid: the lanes numbered in id order, for the viewer
+_TIDS = {lane: str(tid) for tid, lane in enumerate(sorted({lane for _, lane, _, _ in _SPANS}))}
 
 Block = tuple[tuple[Row, ...], int, int]
 
@@ -142,23 +158,18 @@ class Trace:
 
     @property
     def spans(self) -> tuple[Span, ...]:
-        """Read-only view: each row as its forward, backward and sync span."""
-        spans: list[Span] = []
-        for job_id, t, start, backward_start, compute_end, sync_start, sync_end in self.rows:
-            spans += (
-                Span(GPU_LANE_ID, job_id, Phase.FORWARD, t, start, backward_start),
-                Span(GPU_LANE_ID, job_id, Phase.BACKWARD, t, backward_start, compute_end),
-                Span(NIC_LANE_ID, job_id, Phase.SYNC, t, sync_start, sync_end),
-            )
-        return tuple(spans)
+        """Read-only view: each row as its ``_SPANS``, in order."""
+        return tuple([Span(lane, row[0], phase, row[1], row[a], row[b])
+                      for row in self.rows for phase, lane, a, b in _SPANS])
 
 
 # Record templates holding the exact bytes ``json.dumps(..., indent=2)`` wrote
 # for the dict-per-record documents these formats were defined by.  With an
 # indent, ``json`` falls back to its pure-Python encoder, so writing the
 # records directly is several times faster and builds no per-span dict.
-# ``_pieces`` joins a format's three span records into one row with the lane,
-# tid and phase filled in and cuts it around each slot, ``{job}`` or ``{n}``.
+# ``_pieces`` joins a format's span records, one per ``_SPANS`` entry, into
+# one row with the lane, tid and phase filled in and cuts it around each
+# slot, ``{job}`` or ``{n}``.
 # ``_trace_text`` lays a document out: the head, then ``_WRITE_ROWS`` rows at
 # a time, each row its pieces with a slot's text in each slot (filled a
 # column of rows at a time), with the tail in place of the last row's
@@ -210,24 +221,20 @@ _CHROME_SPAN = """\
       }
     }"""
 
-# each lane and its tid: tids number the lanes in id order for the Chrome viewer
-_LANES = ((GPU_LANE_ID, "0"), (NIC_LANE_ID, "1"))
-# each phase's lane, tid and name: the sync on the NIC, the computes on the GPU
-_SPAN_LANES = tuple((*_LANES[phase is Phase.SYNC], phase.value) for phase in Phase)
-
 
 def _fill(record: str, lane: str, tid: str, phase: str = "") -> str:
     return record.replace("{lane}", lane).replace("{tid}", tid).replace("{phase}", phase)
 
 
 def _pieces(span: str) -> list[str]:
-    """A row's three span records and the ``,\\n`` after them, cut around each slot.
+    """A row's span records and the ``,\\n`` after them, cut around each slot.
 
     The lane, tid and phase are filled in.  Every odd item is a slot's
     placeholder, ``{job}`` for an escaped job id or ``{n}`` for a number.
     """
     return re.split(r"(\{job\}|\{n\})",
-                    ",\n".join(_fill(span, *lane) for lane in _SPAN_LANES) + ",\n")
+                    ",\n".join(_fill(span, lane, _TIDS[lane], phase.value)
+                               for phase, lane, _, _ in _SPANS) + ",\n")
 
 
 # ".0", ".001", ..., ".5", ..., ".999": the text after the point of r / 1000
@@ -265,7 +272,7 @@ _JSON = _Layout("[]\n", "[\n", _pieces(_SPAN_RECORD),
 _CHROME = _Layout(
     '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}\n',
     '{\n  "traceEvents": [\n'
-    + "".join(_fill(_CHROME_LANE, *lane) + ",\n" for lane in _LANES),
+    + "".join(_fill(_CHROME_LANE, *lane) + ",\n" for lane in _TIDS.items()),
     _pieces(_CHROME_SPAN), _chrome_span, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')
 
 
@@ -289,14 +296,14 @@ def _job_id_limit() -> int:
 
     A trace row's text in either file is its layout's pieces with an escaped
     id in each ``{job}`` slot and a number's text in each ``{n}`` slot.  Each
-    number is an integer in [0, 2^63), since the plan bound caps every time,
-    and its text (``str``, or a Chrome ``ts`` or ``dur``) is no longer than
-    ``str(2**63 - 1)``.  With ids this long, both files of a run of
+    number is an integer in [0, _INT_LIMIT), since the plan bound caps every
+    time, and its text (``str``, or a Chrome ``ts`` or ``dur``) is no longer
+    than ``str(_INT_LIMIT - 1)``.  With ids this long, both files of a run of
     MAX_JOB_ITERATIONS rows, with their heads and tails, fit _TRACE_BYTES.
     """
     layouts = (_JSON, _CHROME)
     ends = sum(len(layout.head) + len(layout.tail) for layout in layouts)
-    number = len(str(2**63 - 1))
+    number = len(str(_INT_LIMIT - 1))
     row = sum(len("".join(layout.pieces[::2])) + number * layout.pieces[1::2].count("{n}")
               for layout in layouts)
     ids = sum(layout.pieces[1::2].count("{job}") for layout in layouts)
@@ -318,12 +325,11 @@ def _trace_text(trace: Trace, layout: _Layout) -> Iterator[str]:
     ids = {job_id: _escaped(job_id) for job_id in {r[0] for r in rows}}
     yield layout.head
     for i in range(0, len(rows), _WRITE_ROWS):
-        job, t, start, backward, compute_end, sync_start, sync_end = zip(*rows[i:i + _WRITE_ROWS])
-        job, t = list(map(ids.__getitem__, job)), list(map(repr, t))
-        spans = ((start, backward), (backward, compute_end), (sync_start, sync_end))
+        columns = list(zip(*rows[i:i + _WRITE_ROWS]))
+        job, t = list(map(ids.__getitem__, columns[0])), list(map(repr, columns[1]))
         parts = layout.pieces * len(job)
         for slot, texts in enumerate(chain.from_iterable(
-                layout.span(job, t, *span) for span in spans)):
+                layout.span(job, t, columns[a], columns[b]) for _, _, a, b in _SPANS)):
             parts[2 * slot + 1::len(layout.pieces)] = texts
         if i + _WRITE_ROWS >= len(rows):
             parts[-1] = parts[-1][:-2] + layout.tail
@@ -331,7 +337,7 @@ def _trace_text(trace: Trace, layout: _Layout) -> Iterator[str]:
 
 
 def trace_to_json(trace: Trace) -> str:
-    """Serialize the trace as a JSON array of span records, three per row."""
+    """Serialize the trace as a JSON array of span records, a row's ``_SPANS`` each."""
     return "".join(_trace_text(trace, _JSON))
 
 

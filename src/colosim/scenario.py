@@ -21,16 +21,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .comm import Architecture, ClusterSpec
-from .engine import MAX_JOB_ITERATIONS
+from .engine import _INT_LIMIT, MAX_JOB_ITERATIONS
 from .errors import ConfigError
 from .scheduler import Policy, SchedulePlan
 from .workload import JobProfile, fixture_names, fixture_profile
 
 __all__ = ["Scenario", "load_config", "scaled_int", "MAX_JOB_ITERATIONS"]
 
-# Internal integers are kept within signed 64-bit range so traces and
-# timestamps stay portable; larger values are rejected at load time.
-_INT_LIMIT = 2**63
 # Names no value: an integer's text past the int-to-str digit limit raises.
 _INT_OVERFLOW = "an integer of magnitude 2^63 or more overflows the internal integer range"
 

@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .comm import ClusterSpec, comm_time
-from .engine import _JOB_ID_LIMIT, Block, Row, Trace, _escaped
+from .engine import _INT_LIMIT, _JOB_ID_LIMIT, _NAMES, _TYPES, Block, Row, Trace, _escaped
 from .errors import ConfigError
 from .workload import JobProfile, comp_time
 
@@ -58,7 +58,7 @@ class SchedulePlan:
     ``sum(T_i * (comp_i + comm_i))``, which equals ``makespan`` under
     ``sequential``: each row starts at the previous row's sync end and adds
     exactly ``comp_i + comm_i``.  No time either policy produces exceeds it,
-    so it must stay below 2^63.
+    so it must stay below ``engine._INT_LIMIT``, 2^63.
     Job ids are unique, and each takes at most ``engine._JOB_ID_LIMIT``
     characters once JSON-escaped, as the trace files write it.
     """
@@ -87,9 +87,9 @@ class SchedulePlan:
         total = sum([j.iterations * (j.forward_time + j.backward_time + c)
                      for j, c in zip(self.jobs, comm)])
         object.__setattr__(self, "sequential_makespan", total)
-        if self.sequential_makespan >= 2**63:
+        if self.sequential_makespan >= _INT_LIMIT:
             raise ConfigError(f"plan: sequential makespan sum(T_i * (comp_i + comm_i)) = "
-                              f"{total} ns must stay below 2^63 = {2**63} ns")
+                              f"{total} ns must stay below 2^63 = {_INT_LIMIT} ns")
 
 
 def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:
@@ -181,11 +181,6 @@ def makespan(plan: SchedulePlan) -> int:
     return _run(plan, None)
 
 
-_FIELDS = ("start", "backward_start", "compute_end", "sync_start", "sync_end")
-_NAMES = ("job_id", "iteration", *_FIELDS)
-_TYPES = (str, int, int, int, int, int, int)
-
-
 def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
     """Check that ``trace.rows`` equals ``simulate(plan).rows``; empty means it does.
 
@@ -246,7 +241,7 @@ def _differences(rows: tuple[Row, ...], expected: tuple[Row, ...]) -> list[str]:
     want = (a, start + (b - a), backward_start + (c - b), max(nic_free, compute_end),
             sync_start + (f - e))
     return [f"row {k} ({job_id} iteration {t}): {name} {got}, expected {value}"
-            for name, got, value in zip(_FIELDS, row[2:], want) if got != value]
+            for name, got, value in zip(_NAMES[2:], row[2:], want) if got != value]
 
 
 def _periods(plan: SchedulePlan) -> tuple[int, int]:

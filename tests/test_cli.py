@@ -15,7 +15,7 @@ from colosim import engine
 from colosim.cli import (
     MAX_EQUIV_ITERS,
     MAX_SWEEP_STEPS,
-    _payload_for_ratio,
+    _payload,
     _write,
     main,
 )
@@ -306,7 +306,7 @@ def test_sweep_payload_inverts_comm_time(architecture, workers, bandwidth, laten
     if architecture is Architecture.RING_ALLREDUCE:
         beta *= Fraction(workers - 1, workers)
     try:
-        payload = _payload_for_ratio(plan, rho)
+        payload = _payload(plan, rho.numerator, rho.denominator)
     except ConfigError:
         assert target < comm_time(0, cluster)
         return

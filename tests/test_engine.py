@@ -21,7 +21,7 @@ from colosim.errors import InvalidTraceError
 from colosim.metrics import measure
 from colosim.scheduler import Policy, SchedulePlan, makespan, simulate, validate_trace
 from colosim.workload import JobProfile
-from oracles import trace_to_chrome_json_reference, trace_to_json_reference
+from oracles import spans_from_trace, trace_to_chrome_json_reference, trace_to_json_reference
 
 # rows: (job_id, iteration, start, backward_start, compute_end, sync_start, sync_end)
 TIMES = ("start", "backward_start", "compute_end", "sync_start", "sync_end")
@@ -178,6 +178,21 @@ def test_accepted_traces_serialize_to_json(specs, policy, data):
     if accepted:
         json.loads(trace_to_json(trace))
         json.loads(trace_to_chrome_json(trace))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_JOB, min_size=1, max_size=4), st.integers(1, 8), st.sampled_from(Policy))
+# the plan of _copying_plan, whose simulated trace holds blocks with copies
+@example([(1, 2, 3, 40), (2, 1, 1, 100), (1, 1, 4, 70)], 1, Policy.CROSSOVER)
+def test_spans_match_the_oracle(specs, scale, policy):
+    # budgets are scaled up so that rounds repeat and blocks get copies
+    plan = _plan(*[(f"j{i}", f, b, g, t * scale) for i, (f, b, g, t) in enumerate(specs)],
+                 policy=policy)
+    trace = simulate(plan)
+    expected = spans_from_trace(trace)
+    for each in (simulate(plan), Trace(trace.rows)):
+        assert [(s.lane_id, s.job_id, s.phase.value, s.iteration, s.start, s.end)
+                for s in each.spans] == expected
 
 
 class TestExports:

@@ -19,6 +19,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -243,9 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call.
+
+    A parse keeps nothing on the parser: ``--format`` starts each parse from
+    its ``None`` default and appends to a new list.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

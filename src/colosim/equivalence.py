@@ -17,12 +17,14 @@ bit equality is well defined.
 Every job trains the same size of problem at the same learning rate
 (``DIM``, ``DATASET_SIZE``, ``BATCH_SIZE``, ``LEARNING_RATE``); an
 ``SgdConfig`` picks only its loss and seeds, and the worker count is that of
-the plan's cluster.  A worker's mini-batch is a pure function of (job seed,
-iteration, worker index), so each draw, and each iteration's index stack of
-its workers' draws, is made once per process and shared, read-only, by both
-runs, as is each config's synthetic dataset.  Gathered batches, gradients
-and anything else derived from the parameters are never cached: both runs
-compute every gradient themselves, or the comparison would prove nothing.
+the plan's cluster, at most ``MAX_WORKERS``.  A worker's mini-batch is a pure
+function of (job seed, iteration, worker index): one generator, keyed by
+(job seed, block, worker index), draws that worker's batches for a block of
+16 iterations.  Each block is drawn once per process and shared, read-only,
+by both runs, as is each config's synthetic dataset.  Gathered batches,
+gradients and anything else derived from the parameters are never cached:
+both runs compute every gradient themselves, or the comparison would prove
+nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .scheduler import SchedulePlan, simulate
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
     "DATASET_SIZE",
     "BATCH_SIZE",
     "LEARNING_RATE",
+    "MAX_WORKERS",
     "LossKind",
     "SgdConfig",
     "TrainingState",
@@ -144,29 +148,41 @@ def loss_gradient(loss: LossKind, parameters: np.ndarray,
     return np.add.accumulate(per_worker)[-1] / len(y)
 
 
-# Rows and index stacks kept per process, each.  Worker counts share leading
-# rows (a 4-worker stack starts with the 2-worker one), so rows are cached too.
-# The default CLI grid builds 900 stacks (3 job seeds x worker counts 1, 2, 4
-# x 100 iterations) from 1,200 rows, each drawn once: a row is asked for again
-# only within one job count's cells, at most 400 draws later.
-_CACHE_SIZE = 1024
+# Iterations per draw block: one generator per (job seed, block, worker)
+# fills that worker's mini-batches for 16 iterations in a row.
+_BLOCK = 16
+
+# The most workers a replay averages over, so a block (16 x workers x
+# BATCH_SIZE int64 indices, 128 KiB at the bound) stays small.
+MAX_WORKERS = 64
+
+# Blocks kept per process: 64 blocks of at most 128 KiB, so retained draws
+# stay within 8 MiB.  The default CLI grid builds 63 blocks (3 job seeds x
+# worker counts 1, 2, 4 x 7 blocks of 100 iterations), each drawn once; past
+# the cache size a block is still reused, since each job's isolated run asks
+# for an iteration's draw soon after its replayed run did.
+_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _worker_indices(rng_seed: int, iteration: int, worker: int) -> np.ndarray:
-    """Read-only sample indices of one worker's mini-batch for one iteration."""
-    rng = np.random.default_rng([rng_seed, 1, iteration, worker])
-    idx = rng.integers(0, DATASET_SIZE, size=BATCH_SIZE)
+def _draw_block(rng_seed: int, block: int, workers: int) -> np.ndarray:
+    """Read-only ``(16, workers, BATCH_SIZE)`` indices of one block's iterations.
+
+    Worker ``w``'s slice depends on (job seed, block, ``w``) alone, so a
+    W-worker block begins with the w-worker one.
+    """
+    idx = np.empty((_BLOCK, workers, BATCH_SIZE), dtype=np.int64)
+    for w in range(workers):
+        rng = np.random.default_rng([rng_seed, 1, block, w])
+        idx[:, w] = rng.integers(0, DATASET_SIZE, size=(_BLOCK, BATCH_SIZE))
     idx.setflags(write=False)
     return idx
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _batch_indices(rng_seed: int, iteration: int, workers: int) -> np.ndarray:
-    """Read-only ``(workers, BATCH_SIZE)`` stack of one iteration's worker draws."""
-    idx = np.stack([_worker_indices(rng_seed, iteration, w) for w in range(workers)])
-    idx.setflags(write=False)
-    return idx
+    """Read-only ``(workers, BATCH_SIZE)`` view of one iteration's worker draws."""
+    block, row = divmod(iteration - 1, _BLOCK)
+    return _draw_block(rng_seed, block, workers)[row]
 
 
 def sgd_step(state: TrainingState, averaged: np.ndarray) -> TrainingState:
@@ -185,7 +201,7 @@ def _averaged_gradient(state: TrainingState, config: SgdConfig,
     """
     x, y = make_dataset(config)
     idx = _batch_indices(config.rng_seed, state.iteration + 1, workers)
-    return loss_gradient(config.loss, state.parameters, x[idx], y[idx])
+    return loss_gradient(config.loss, state.parameters, x.take(idx, axis=0), y.take(idx))
 
 
 def replay_trace(configs: Sequence[SgdConfig],
@@ -195,11 +211,15 @@ def replay_trace(configs: Sequence[SgdConfig],
     Yields ``(job index, state)`` as each update lands: at a row's start,
     every pending update of that job whose sync ended by then; after the last
     row, whatever is still queued.  Each job averages the gradients of
-    ``plan.cluster.workers`` workers, the count its syncs were priced for.
+    ``plan.cluster.workers`` workers, the count its syncs were priced for,
+    and raises ``ConfigError`` when that is more than ``MAX_WORKERS``.
     """
     if len(configs) != len(plan.jobs):
         raise ValueError("configs must match the plan's jobs")
     workers = plan.cluster.workers
+    if workers > MAX_WORKERS:
+        raise ConfigError(f"the SGD oracle averages at most {MAX_WORKERS} workers, "
+                          f"got {workers}")
     index = {job.job_id: j for j, job in enumerate(plan.jobs)}
     states = [initial_state(cfg) for cfg in configs]
     pending: list[deque[tuple[int, np.ndarray]]] = [deque() for _ in configs]

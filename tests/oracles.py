@@ -7,7 +7,8 @@ are the dict-per-record ``json.dumps(indent=2)`` documents that define the
 byte formats, built from ``trace.rows`` without the package's span view,
 the sync costs are the two alpha-beta formulas written
 out per architecture with a divmod ceiling, the SGD mini-batch draw makes a
-fresh generator on every call (the package caches its draws), and the
+fresh generator and draws a worker's whole 16-iteration block on every call
+(the package caches each block of all workers' draws), and the
 worker-averaged gradient loops over workers (the package batches them).
 ``run_isolated`` is the plain synchronous-SGD reference trajectory that the
 pinned grid digest hashes; it steps with the package's own gradient, since
@@ -174,11 +175,21 @@ def finite_difference_gradient(f, params: np.ndarray, step: float = 1e-5) -> np.
     return grad
 
 
+# Iterations whose mini-batches one generator draws, per job seed and worker.
+DRAW_BLOCK = 16
+
+
 def batch_indices_reference(rng_seed: int, iteration: int, worker_index: int,
                             dataset_size: int, batch_size: int) -> np.ndarray:
-    """One worker's mini-batch indices, drawn from a fresh generator every call."""
-    return np.random.default_rng([rng_seed, 1, iteration, worker_index]).integers(
-        0, dataset_size, size=batch_size)
+    """One worker's mini-batch indices for one iteration.
+
+    A fresh generator, keyed by (seed, block, worker), draws the worker's
+    whole block of ``DRAW_BLOCK`` iterations on every call; the iteration's
+    row of it is returned.
+    """
+    block, row = divmod(iteration - 1, DRAW_BLOCK)
+    rng = np.random.default_rng([rng_seed, 1, block, worker_index])
+    return rng.integers(0, dataset_size, size=(DRAW_BLOCK, batch_size))[row]
 
 
 def averaged_gradient_reference(loss, parameters, x, y) -> np.ndarray:

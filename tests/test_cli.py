@@ -64,6 +64,18 @@ class TestSimulate:
                      "trace.json", "trace_chrome.json"):
             assert (tmp_path / name).exists(), name
 
+    def test_repeated_calls_do_not_share_format_lists(self, tmp_path):
+        # main() parses with one parser per process; each parse starts a new
+        # --format list.
+        runs = {"a": ["csv", "chrome-trace"], "b": ["table"], "c": []}
+        for name, formats in runs.items():
+            flags = [arg for fmt in formats for arg in ("--format", fmt)]
+            assert run("simulate", "--config", GOLDEN, "--out", str(tmp_path / name), *flags) == 0
+        written = {name: sorted(p.name for p in (tmp_path / name).iterdir()) for name in runs}
+        assert written == {"a": ["metrics.csv", "trace.json", "trace_chrome.json"],
+                           "b": ["metrics.txt", "trace.json"],
+                           "c": ["metrics.json", "trace.json"]}
+
     def test_chrome_trace_contract(self, tmp_path):
         run("simulate", "--config", GOLDEN, "--out", str(tmp_path),
             "--format", "chrome-trace")
@@ -440,6 +452,23 @@ class TestColdImports:
         assert (tmp_path / "sweep" / "sweep.csv").exists()
         for s in SCENARIO_DIR.glob("*.json"):
             assert (tmp_path / s.stem / "trace_chrome.json").exists(), s.stem
+
+    def test_parser_is_built_on_the_first_call_and_kept(self):
+        # Live parsers (the top level and its four subcommands) after the
+        # import and after each of two calls.
+        code = ("import argparse, gc\n"
+                "import colosim.cli as cli\n"
+                "def parsers():\n"
+                "    gc.collect()\n"
+                "    return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())\n"
+                "counts = [parsers()]\n"
+                "for _ in range(2):\n"
+                "    cli.main(['validate-config', '--config', " + repr(GOLDEN) + "])\n"
+                "    counts.append(parsers())\n"
+                "print(counts)\n")
+        proc = _cold("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 5, 5]"
 
     def test_equivalence_imports_its_oracle_per_call(self):
         proc = _cold("-m", "colosim.cli", "equivalence", "--iters", "2")

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from colosim.equivalence import (
     BATCH_SIZE,
     DATASET_SIZE,
     DIM,
+    MAX_WORKERS,
     LossKind,
     SgdConfig,
     TrainingState,
@@ -23,6 +26,7 @@ from colosim.equivalence import (
     replay_trace,
     sgd_step,
 )
+from colosim.errors import ConfigError
 from colosim.scheduler import Policy, SchedulePlan
 from colosim.workload import JobProfile
 
@@ -32,8 +36,12 @@ from oracles import (averaged_gradient_reference, batch_indices_reference,
 # sha256 over the parameter bytes of every state each job reaches along the
 # CLI cell's trace, then of oracles.run_isolated per job, for each cell of the CLI
 # grid at seeds 0, 5 and 123 with 60 iterations; see _grid_digest for the
-# order.  Generated by the hand-written rotation that preceded the replay.
-GRID_DIGEST = "38ef243ceb6077e70f742bb896df4dccb872c5d26453712d09f9f2ade54a0d67"
+# order.
+GRID_DIGEST = "288548fc642b86778283d0063c5f8c7d75c8052dddbc0240377707799d1a7f10"
+# The same digest under the per-(seed, iteration, worker) draws that preceded
+# draw blocks (_per_iteration_draws), first generated by the hand-written
+# rotation that preceded the replay.
+PER_ITERATION_GRID_DIGEST = "38ef243ceb6077e70f742bb896df4dccb872c5d26453712d09f9f2ade54a0d67"
 
 # Parameter server at 2e9 B/s: a job's grad_bytes is its sync time in ns.
 NS_CLUSTER = ClusterSpec(workers=2, bandwidth_bytes_per_sec=2_000_000_000,
@@ -390,20 +398,35 @@ def test_cli_grid_trajectories_are_pinned():
     assert _grid_digest() == GRID_DIGEST
 
 
+def _per_iteration_draws(rng_seed, iteration, workers):
+    """The earlier draws: a fresh generator per (seed, iteration, worker)."""
+    return np.stack([np.random.default_rng([rng_seed, 1, iteration, w]).integers(
+        0, DATASET_SIZE, size=BATCH_SIZE) for w in range(workers)])
+
+
+def test_replay_is_unchanged_under_per_iteration_draws(monkeypatch):
+    # Only the draws changed when blocks replaced per-iteration generators:
+    # with the earlier draws, the grid reproduces the digest pinned before.
+    monkeypatch.setattr(equivalence, "_batch_indices", _per_iteration_draws)
+    assert _grid_digest() == PER_ITERATION_GRID_DIGEST
+
+
 def clear_draws():
-    equivalence._batch_indices.cache_clear()
-    equivalence._worker_indices.cache_clear()
+    equivalence._draw_block.cache_clear()
+
+
+# Iterations on both sides of the first block edges, then any iteration.
+ITERATIONS = st.sampled_from([1, 15, 16, 17, 31, 32, 33, 48, 49]) | st.integers(1, 200)
 
 
 class TestBatchDraws:
-    """Index stacks (``_batch_indices``) are built from per-worker draws
-    (``_worker_indices``); both are cached, nothing derived from them is."""
+    """Index stacks (``_batch_indices``) are rows of cached, read-only draw
+    blocks (``_draw_block``); nothing derived from them is cached."""
 
     @given(rng_seed=st.integers(0, 2**32),
-           keys=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
-                         min_size=1, max_size=12))
+           keys=st.lists(st.tuples(ITERATIONS, st.integers(1, 6)), min_size=1, max_size=12))
     def test_cached_draws_match_a_fresh_generator(self, rng_seed, keys):
-        for _ in range(2):  # the second pass starts from empty caches
+        for _ in range(2):  # the second pass starts from an empty cache
             for iteration, workers in keys * 2:
                 got = equivalence._batch_indices(rng_seed, iteration, workers)
                 assert got.shape == (workers, BATCH_SIZE)
@@ -412,15 +435,20 @@ class TestBatchDraws:
                                                    DATASET_SIZE, BATCH_SIZE)
                     assert got.dtype == want.dtype
                     assert np.array_equal(got[w], want)
+                    # A w-worker stack is the W-worker stack's first w rows.
+                    prefix = equivalence._batch_indices(rng_seed, iteration, w + 1)
+                    assert np.array_equal(prefix, got[:w + 1])
             clear_draws()
 
     def test_returned_draw_is_read_only(self):
-        idx = equivalence._batch_indices(3, 1, 2)
+        idx = equivalence._batch_indices(3, 17, 2)
         with pytest.raises(ValueError):
             idx[0, 0] = 0
+        block = equivalence._draw_block(3, 1, 2)
         with pytest.raises(ValueError):
-            equivalence._worker_indices(3, 1, 1)[0] = 0
-        assert np.array_equal(idx[1], batch_indices_reference(3, 1, 1, 128, 16))
+            block[0, 0, 0] = 0
+        assert np.shares_memory(idx, block)
+        assert np.array_equal(idx[1], batch_indices_reference(3, 17, 1, 128, 16))
 
     def test_shared_dataset_is_read_only(self):
         x, y = make_dataset(config(seed=71))
@@ -431,43 +459,81 @@ class TestBatchDraws:
 
     def test_each_draw_is_made_once_and_shared_by_both_runs(self):
         clear_draws()
-        plan = crossover_plan(10, 10, workers=3)
+        plan = crossover_plan(20, 20, workers=3)
         report = check_neutrality([config(seed=61, rng_seed=8),
                                    config(seed=62, rng_seed=9)], plan)
         assert report.equal
-        stacks = equivalence._batch_indices.cache_info()
-        assert stacks.misses == len(plan.jobs) * 10 == 20  # one stack per job-iteration
-        assert stacks.hits == stacks.misses
-        draws = equivalence._worker_indices.cache_info()
-        assert draws.misses == draws.currsize == 20 * plan.cluster.workers
-        assert draws.hits == 0
+        blocks = equivalence._draw_block.cache_info()
+        assert blocks.misses == blocks.currsize == 2 * 2  # two blocks per 20-iteration job
+        # Each job-iteration asks once per run.
+        assert blocks.hits == 2 * 2 * 20 - blocks.misses
 
     def test_reuse_holds_past_the_cache_size(self):
-        # 1,200 distinct stacks of 4 draws, more than either cache holds: each
-        # job's reference steps right after its replayed update lands, while
-        # the stack is cached.
-        assert 3 * 400 > equivalence._CACHE_SIZE
+        # 75 distinct blocks (3 job seeds x 25 blocks of 400 iterations), more
+        # than the cache holds: each job's reference steps soon after its
+        # replayed update lands, while the block is cached.
+        assert 3 * 25 > equivalence._CACHE_SIZE
         clear_draws()
         report = check_neutrality(cli._equiv_configs(3, 4, 0), cli._equiv_plan(3, 4, 400))
         assert report.equal
-        stacks = equivalence._batch_indices.cache_info()
-        assert stacks.hits == stacks.misses == 3 * 400
-        assert equivalence._worker_indices.cache_info().misses == 3 * 400 * 4
+        blocks = equivalence._draw_block.cache_info()
+        assert blocks.misses == 3 * 25
+        assert blocks.hits == 2 * 3 * 400 - blocks.misses
 
     def test_cache_holds_the_default_cli_grid(self, capsys):
         clear_draws()
         assert cli.main(["equivalence"]) == cli.EXIT_OK
-        stacks = equivalence._batch_indices.cache_info()
-        # 3 job seeds x worker counts 1, 2 and 4 x 100 iterations, each built
-        # once; every cell asks for each of its stacks twice, once per run.
-        assert stacks.misses == stacks.currsize == 900
+        blocks = equivalence._draw_block.cache_info()
+        # 3 job seeds x worker counts 1, 2 and 4 x 7 blocks of 100
+        # iterations, each drawn once; every cell asks for each iteration's
+        # stack twice, once per run.
+        assert blocks.misses == blocks.currsize == 3 * 3 * 7 == 63
         lookups = sum(2 * n_jobs * 100 for n_jobs in cli._EQUIV_JOB_COUNTS
                       for _ in cli._EQUIV_WORKER_COUNTS)
-        assert stacks.hits == lookups - stacks.misses == 2700
-        # 3 job seeds x worker indices 0-3 x 100 iterations, each drawn once
-        draws = equivalence._worker_indices.cache_info()
-        assert draws.misses == 1200
-        assert draws.hits == 300 * (1 + 2 + 4) - 1200
+        assert blocks.hits == lookups - blocks.misses == 3537
+
+
+class TestWorkerBound:
+    """Replays average at most ``MAX_WORKERS`` workers, so the draws a
+    process keeps stay within a budget of 8 MiB."""
+
+    BUDGET = 8 * 2**20
+
+    def test_cli_grid_is_within_the_bound(self):
+        assert max(cli._EQUIV_WORKER_COUNTS) <= MAX_WORKERS == 64
+
+    def test_workers_past_the_bound_are_a_config_error(self):
+        plan = crossover_plan(2, workers=MAX_WORKERS + 1)
+        with pytest.raises(ConfigError, match="at most 64 workers, got 65"):
+            next(replay_trace([config()], plan))
+        with pytest.raises(ConfigError):
+            check_neutrality([config()], plan)
+        assert check_neutrality([config()], crossover_plan(2, workers=MAX_WORKERS)).equal
+
+    def test_a_full_cache_of_blocks_fits_the_budget(self):
+        block = equivalence._draw_block(0, 0, MAX_WORKERS)
+        assert block.shape == (16, MAX_WORKERS, BATCH_SIZE)
+        assert equivalence._CACHE_SIZE * block.nbytes == self.BUDGET
+
+    def test_retained_draws_stay_within_the_budget(self):
+        # A replay at the bound with more blocks than the cache holds; what
+        # it leaves allocated is the cache's blocks, plus their array headers.
+        # A short run first imports and caches everything else it uses.
+        cfg = config(seed=81, rng_seed=6)
+        assert check_neutrality([cfg], crossover_plan(1, workers=1)).equal
+        plan = crossover_plan(16 * (equivalence._CACHE_SIZE + 4), workers=MAX_WORKERS)
+        clear_draws()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert check_neutrality([cfg], plan).equal
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert equivalence._draw_block.cache_info().currsize == equivalence._CACHE_SIZE
+        assert self.BUDGET - 2**20 < retained <= self.BUDGET + equivalence._CACHE_SIZE * 1024
 
 
 class TestConfigValidation:

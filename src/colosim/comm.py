@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError
+from .errors import ConfigError, _a
 
 __all__ = [
     "Architecture",
@@ -41,6 +41,9 @@ class ClusterSpec:
     bandwidth_bytes_per_sec is the per-worker NIC bandwidth; latency_per_message
     is the fixed per-message cost in nanoseconds.  The simulator materializes
     one representative GPU and its worker NIC (all workers are symmetric).
+    The three numbers must be exact ``int``s (not ``bool``, ``float`` or a
+    numpy integer), so every sync time is an ``int``; the cluster checks them
+    itself because ``comm_time`` prices a cluster without a plan.
     """
 
     workers: int
@@ -49,6 +52,10 @@ class ClusterSpec:
     architecture: Architecture = Architecture.RING_ALLREDUCE
 
     def __post_init__(self):
+        for name in ("workers", "bandwidth_bytes_per_sec", "latency_per_message"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"cluster.{name}: expected an int, got {_a(value)}")
         if self.workers < 1:
             raise ConfigError("cluster.workers must be >= 1")
         if self.bandwidth_bytes_per_sec <= 0:

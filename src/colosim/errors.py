@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the type names their messages use."""
 
 from __future__ import annotations
 
@@ -17,3 +17,9 @@ class InvalidTraceError(ValueError):
 
 class ComparisonError(ValueError):
     """Two metrics objects describe different job sets and cannot be compared."""
+
+
+def _a(value: object) -> str:
+    """``value``'s type name with its article, as in "an int"."""
+    name = type(value).__name__
+    return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"

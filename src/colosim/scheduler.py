@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .comm import ClusterSpec, comm_time
 from .engine import _INT_LIMIT, _JOB_ID_LIMIT, _NAMES, _TYPES, Block, Row, Trace, _escaped
-from .errors import ConfigError
+from .errors import ConfigError, _a
 from .workload import JobProfile, comp_time
 
 __all__ = [
@@ -42,6 +42,11 @@ __all__ = [
     "predicted_speedup",
     "validate_trace",
 ]
+
+
+# Each job field, in checking order, and its least value, whose exact type it must have.
+_JOB_LEAST = (("job_id", ""), ("forward_time", 0), ("backward_time", 0), ("grad_bytes", 0),
+              ("iterations", 1))
 
 
 class Policy(Enum):
@@ -59,8 +64,11 @@ class SchedulePlan:
     ``sequential``: each row starts at the previous row's sync end and adds
     exactly ``comp_i + comm_i``.  No time either policy produces exceeds it,
     so it must stay below ``engine._INT_LIMIT``, 2^63.
-    Job ids are unique, and each takes at most ``engine._JOB_ID_LIMIT``
-    characters once JSON-escaped, as the trace files write it.
+    A job is checked only here: ``forward_time``, ``backward_time`` and
+    ``grad_bytes`` are ``int``s >= 0 and ``iterations`` an ``int`` >= 1 by exact
+    type (not ``bool``, ``float`` or numpy), ``forward_time + backward_time > 0``,
+    and ``job_id`` is a unique ``str`` of at most ``engine._JOB_ID_LIMIT`` characters
+    once JSON-escaped.  Each broken rule is a ``ConfigError`` naming ``jobs[i].<field>``.
     """
 
     policy: Policy
@@ -75,6 +83,14 @@ class SchedulePlan:
             raise ConfigError("plan must contain at least one job")
         first: dict[str, int] = {}
         for i, job in enumerate(self.jobs):
+            for name, least in _JOB_LEAST:
+                value = getattr(job, name)
+                if type(value) is not type(least):
+                    raise ConfigError(f"jobs[{i}].{name}: expected {_a(least)}, got {_a(value)}")
+                if value < least:
+                    raise ConfigError(f"jobs[{i}].{name}: must be >= {least}")
+            if job.forward_time + job.backward_time == 0:
+                raise ConfigError(f"jobs[{i}]: forward_time + backward_time must be > 0")
             escaped = _escaped(job.job_id)
             if len(escaped) > _JOB_ID_LIMIT:
                 raise ConfigError(f"jobs[{i}].job_id: {len(escaped)} characters once "
@@ -200,12 +216,6 @@ def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
     if trace.plan == plan:
         return []
     return _differences(trace.rows, simulate(plan).rows)
-
-
-def _a(value: object) -> str:
-    """``value``'s type name with its article, as in "an int"."""
-    name = type(value).__name__
-    return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"
 
 
 def _exact(row: Row) -> bool:

@@ -29,7 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JobProfile:
-    """Per-iteration cost profile of one training job.
+    """One job's per-iteration costs: a plain record that ``SchedulePlan`` checks.
 
     forward_time/backward_time are nanoseconds for one iteration's forward
     and backward pass; grad_bytes is the fused gradient synchronized after
@@ -41,16 +41,6 @@ class JobProfile:
     backward_time: int
     grad_bytes: int
     iterations: int
-
-    def __post_init__(self):
-        if self.forward_time < 0 or self.backward_time < 0:
-            raise ValueError(f"job {self.job_id!r}: compute times must be >= 0")
-        if self.forward_time + self.backward_time <= 0:
-            raise ValueError(f"job {self.job_id!r}: forward + backward must be > 0")
-        if self.iterations < 1:
-            raise ValueError(f"job {self.job_id!r}: iterations must be >= 1")
-        if self.grad_bytes < 0:
-            raise ValueError(f"job {self.job_id!r}: grad_bytes must be >= 0")
 
 
 def comp_time(job: JobProfile) -> int:

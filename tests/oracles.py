@@ -20,7 +20,9 @@ package splits the decimal literal into integers).
 ``steady_period_reference`` walks every row of a trace (the package reads a
 schedule's blocks).  ``max_cycle_mean`` runs Karp's algorithm over the
 crossover rotation's timed event graph (the package states the period in
-closed form).  ``sweep_reference`` prices each sweep point with
+closed form), and ``max_plus_state`` raises each regime's one-round max-plus
+matrix to its round count by repeated squaring (the package dispatches
+rounds and skips repeats).  ``sweep_reference`` prices each sweep point with
 ``Fraction`` ratios and the makespans of a sequential and a crossover plan
 (the package sums the sequential makespan and uses integer ratios).  Span
 tuples are (lane_id, job_id, phase, iteration, start, end).
@@ -164,6 +166,45 @@ def max_cycle_mean(jobs) -> Fraction:
         walks.append(walk)
     return max(min(Fraction(walks[n][v] - walks[k][v], n - k) for k in range(n))
                for v in range(n))
+
+
+def _max_plus_product(a, b):
+    """The max-plus matrix product: entry (r, k) is the max over j of a[r][j] + b[j][k]."""
+    return [[max(x + y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def max_plus_state(jobs, policy) -> list:
+    """The state ``[gpu_free, nic_free, sync_end_1, ..., sync_end_n]`` after the last round.
+
+    While the set of unfinished jobs is fixed (a regime), one round maps the
+    state max-plus linearly: each new coordinate is the max over the old
+    coordinates of old plus a constant (-inf where it does not depend on
+    it).  The round's matrix comes from running the round once on symbolic
+    coordinates, each a row of those constants; a regime of ``m`` rounds is
+    the matrix's ``m``-th max-plus power, by repeated squaring, so any budget
+    takes O(n^3 log T) steps (Baccelli, Cohen, Olsder and Quadrat,
+    *Synchronization and Linearity*, 1992).  The state starts at zero.
+    """
+    size = len(jobs) + 2
+    identity = [[0 if r == k else float("-inf") for k in range(size)] for r in range(size)]
+    state = [0] * size
+    t = 1
+    for until in sorted({job[4] for job in jobs}):
+        x = identity
+        for i, (_, fwd, bwd, comm, iterations) in enumerate(jobs):
+            if iterations >= t:
+                compute_end = [max(g, s) + fwd + bwd for g, s in zip(x[0], x[2 + i])]
+                sync_end = [max(nic, c) + comm for nic, c in zip(x[1], compute_end)]
+                gpu_free = sync_end if policy is Policy.SEQUENTIAL else compute_end
+                x = [gpu_free, sync_end, *x[2:2 + i], sync_end, *x[3 + i:]]
+        power, rounds = identity, until + 1 - t
+        while rounds:
+            if rounds & 1:
+                power = _max_plus_product(power, x)
+            x, rounds = _max_plus_product(x, x), rounds >> 1
+        state = [max(m + v for m, v in zip(row, state)) for row in power]
+        t = until + 1
+    return state
 
 
 def finite_difference_gradient(f, params: np.ndarray, step: float = 1e-5) -> np.ndarray:

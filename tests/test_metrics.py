@@ -308,6 +308,14 @@ class TestReport:
         assert [r[2] for r in rows[1:]] == [*ids, "aggregate"]
         assert {r[0] for r in rows[1:]} == {"a,b"}
 
+    def test_table_reports_the_speedup(self):
+        # only a compared Metrics carries a speedup, and the CLI never compares
+        px = golden_2jobs()
+        ps = dataclasses.replace(px, policy=Policy.SEQUENTIAL)
+        mx, ms = measure(simulate(px), px), measure(simulate(ps), ps)
+        assert report(mx, "table").split("\n")[1].endswith("throughput_per_s: 4.61538e+08")
+        assert report(compare(mx, ms), "table").split("\n")[1].endswith("  speedup: 1.3846")
+
     def test_table_width_budget(self):
         p = plan(n_jobs=8)
         m = measure(simulate(p), p, "wide")

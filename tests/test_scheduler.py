@@ -3,6 +3,7 @@ import json
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -22,7 +23,7 @@ from colosim.scheduler import (
 from colosim.workload import JobProfile
 
 from oracles import (brute_crossover, brute_sequential, crossover_cycle, max_cycle_mean,
-                     spans_from_trace)
+                     max_plus_state, spans_from_trace)
 
 # Parameter-server at 16 Gbps (2e9 B/s) with zero latency prices a payload of
 # S bytes at exactly S nanoseconds, so tests can dial sync durations directly.
@@ -435,6 +436,42 @@ def test_makespan_keeps_no_rows(iterations):
     assert peak < 4096
 
 
+def max_plus_jobs(p):
+    """A plan's jobs as the oracles' tuples, with each job's priced sync."""
+    return [(j.job_id, j.forward_time, j.backward_time, comm, j.iterations)
+            for j, comm in zip(p.jobs, p.comm_times)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20),
+                          st.integers(1, 10**15)).filter(lambda s: s[0] + s[1] > 0),
+                min_size=1, max_size=4),
+       st.sampled_from(Policy))
+def test_makespan_is_the_max_plus_power_at_any_budget(raw, policy):
+    # the oracle reaches a budget of 10^15 in about 50 squarings per regime
+    p = plan(policy, build_specs(raw))
+    assert max_plus_state(max_plus_jobs(p), policy)[1] == makespan(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(skip_spec_st, min_size=1, max_size=4), st.sampled_from(Policy))
+def test_max_plus_state_is_each_jobs_last_row(raw, policy):
+    p = plan(policy, build_specs(raw))
+    gpu_free, nic_free, *sync_ends = max_plus_state(max_plus_jobs(p), policy)
+    rows = simulate(p).rows
+    last = {row[0]: row for row in rows}
+    assert sync_ends == [last[j.job_id][6] for j in p.jobs]
+    assert nic_free == rows[-1][6]
+    assert gpu_free == rows[-1][6 if policy is Policy.SEQUENTIAL else 4]
+
+
+@pytest.mark.parametrize("iterations", [20_000, 10**12])
+def test_drift_plan_makespan_is_the_max_plus_power(iterations):
+    # 17,545 rounds run before the schedule repeats; the oracle runs none
+    p = drift_plan(iterations)
+    assert max_plus_state(max_plus_jobs(p), Policy.CROSSOVER)[1] == makespan(p)
+
+
 # (forward, backward, sync) of up to four jobs, in plan order
 SHARED_DURATIONS = [(2, 3, 4), (1, 6, 2), (4, 4, 1), (3, 1, 5)]
 
@@ -501,6 +538,36 @@ class TestUnequalBudgets:
         assert issubclass(ConfigError, ValueError)
         below = plan(policy, [("a", 2**61, 2**61 - 2, 1, 2)])
         assert makespan(below) == 2**63 - 2
+
+
+JOB_NUMBERS = ("forward_time", "backward_time", "grad_bytes", "iterations")
+CLUSTER_NUMBERS = ("workers", "bandwidth_bytes_per_sec", "latency_per_message")
+
+# numbers a plan must not hold: each compares equal to, or near, a valid int
+not_an_int_st = st.one_of(st.integers(1, 10**6).map(float), st.floats(0.5, 1e6),
+                          st.booleans(), st.integers(1, 10**6).map(np.int64))
+not_a_str_st = st.one_of(st.integers(), st.none(), st.binary(), st.text().map(np.str_),
+                         st.tuples(st.text()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("job_id", *JOB_NUMBERS, *CLUSTER_NUMBERS)), st.integers(0, 2),
+       st.data())
+def test_a_field_of_another_type_is_rejected_where_it_is_built(field, index, data):
+    # a job is a plain record that its plan checks; a cluster checks itself
+    bad = data.draw(not_a_str_st if field == "job_id" else not_an_int_st, label="value")
+    if field in CLUSTER_NUMBERS:
+        kwargs = dict(workers=2, bandwidth_bytes_per_sec=10**9, latency_per_message=0)
+        with pytest.raises(ConfigError, match=rf"^cluster\.{field}: expected an int, got an? "
+                                              rf"{type(bad).__name__}$"):
+            ClusterSpec(**{**kwargs, field: bad})
+        return
+    jobs = [JobProfile(f"j{i}", 1, 2, 3, 4) for i in range(3)]
+    jobs[index] = dataclasses.replace(jobs[index], **{field: bad})
+    kind = "a str" if field == "job_id" else "an int"
+    with pytest.raises(ConfigError, match=rf"^jobs\[{index}\]\.{field}: expected {kind}, "
+                                          rf"got an? {type(bad).__name__}$"):
+        SchedulePlan(Policy.CROSSOVER, tuple(jobs), CLUSTER)
 
 
 class TestJobIdBound:

@@ -1,5 +1,8 @@
 import pytest
 
+from colosim.comm import ClusterSpec
+from colosim.errors import ConfigError
+from colosim.scheduler import Policy, SchedulePlan
 from colosim.workload import (
     JobProfile,
     comp_time,
@@ -51,21 +54,31 @@ class TestCompTime:
 
 
 class TestInvariants:
+    """A job is a plain record: the plan that holds it checks its fields."""
+
+    @staticmethod
+    def plan_of(job):
+        return SchedulePlan(Policy.CROSSOVER, (job,), ClusterSpec(2, 10**9))
+
     def test_negative_tensor_size_rejected(self):
-        with pytest.raises(ValueError, match="grad_bytes"):
-            make_job(-1)
+        job = make_job(-1)
+        with pytest.raises(ConfigError, match=r"^jobs\[0\]\.grad_bytes: must be >= 0$"):
+            self.plan_of(job)
 
     def test_zero_total_compute_rejected(self):
-        with pytest.raises(ValueError):
-            make_job(fwd=0, bwd=0)
+        job = make_job(fwd=0, bwd=0)
+        with pytest.raises(ConfigError, match=r"^jobs\[0\]: forward_time \+ backward_time"):
+            self.plan_of(job)
 
     def test_negative_compute_rejected(self):
-        with pytest.raises(ValueError):
-            make_job(fwd=-1, bwd=2)
+        job = make_job(fwd=-1, bwd=2)
+        with pytest.raises(ConfigError, match=r"^jobs\[0\]\.forward_time: must be >= 0$"):
+            self.plan_of(job)
 
     def test_zero_iterations_rejected(self):
-        with pytest.raises(ValueError):
-            make_job(iterations=0)
+        job = make_job(iterations=0)
+        with pytest.raises(ConfigError, match=r"^jobs\[0\]\.iterations: must be >= 1$"):
+            self.plan_of(job)
 
 
 class TestFixtures:

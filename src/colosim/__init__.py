@@ -32,11 +32,6 @@ from .scheduler import (
     steady_state_period,
     validate_trace,
 )
-from .workload import (
-    JobProfile,
-    comp_time,
-    fixture_names,
-    fixture_profile,
-)
+from .workload import JobProfile, fixture_profile
 
 __version__ = "0.1.0"

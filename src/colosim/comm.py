@@ -79,8 +79,14 @@ def cost_terms(cluster: ClusterSpec) -> tuple[int, int, int]:
 
 
 def comm_time(size_bytes: int, cluster: ClusterSpec) -> int:
-    """Duration of one ``size_bytes`` sync in whole nanoseconds (ceiling)."""
+    """Duration of one ``size_bytes`` sync in whole nanoseconds (ceiling).
+
+    ``size_bytes`` must be an exact ``int`` >= 0, as ``SchedulePlan`` requires
+    of ``grad_bytes``; anything else is a ``ConfigError`` naming it.
+    """
+    if type(size_bytes) is not int:
+        raise ConfigError(f"size_bytes: expected an int, got {_a(size_bytes)}")
     if size_bytes < 0:
-        raise ValueError("size_bytes must be >= 0")
+        raise ConfigError("size_bytes: must be >= 0")
     latency, num, den = cost_terms(cluster)
     return latency + -(-size_bytes * num // den)

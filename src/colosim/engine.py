@@ -24,15 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 if TYPE_CHECKING:
     from .scheduler import SchedulePlan
 
-__all__ = [
-    "GPU_LANE_ID",
-    "NIC_LANE_ID",
-    "Phase",
-    "Span",
-    "Trace",
-    "trace_to_json",
-    "trace_to_chrome_json",
-]
+__all__ = ["Phase", "Span", "Trace", "trace_to_json", "trace_to_chrome_json"]
 
 GPU_LANE_ID = "gpu0"
 NIC_LANE_ID = "nic0"

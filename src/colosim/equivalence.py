@@ -49,11 +49,6 @@ __all__ = [
     "LossKind",
     "SgdConfig",
     "TrainingState",
-    "make_dataset",
-    "initial_state",
-    "loss_value",
-    "loss_gradient",
-    "sgd_step",
     "replay_trace",
     "NeutralityReport",
     "check_neutrality",
@@ -116,15 +111,6 @@ def initial_state(config: SgdConfig) -> TrainingState:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
-def loss_value(loss: LossKind, parameters: np.ndarray,
-               x: np.ndarray, y: np.ndarray) -> float:
-    z = x @ parameters
-    if loss is LossKind.LEAST_SQUARES:
-        r = z - y
-        return float(0.5 * np.mean(r * r))
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
 def loss_gradient(loss: LossKind, parameters: np.ndarray,
@@ -193,13 +179,14 @@ def sgd_step(state: TrainingState, averaged: np.ndarray) -> TrainingState:
 
 
 def _averaged_gradient(state: TrainingState, config: SgdConfig,
-                       workers: int) -> np.ndarray:
+                       dataset: tuple[np.ndarray, np.ndarray], workers: int) -> np.ndarray:
     """Averaged gradient for the job's next iteration at its current parameters.
 
-    Each worker's mini-batch is drawn from (job seed, iteration, worker
-    index) alone, never from what other jobs did in between.
+    ``dataset`` is ``make_dataset(config)``, looked up once per job by the
+    caller.  Each worker's mini-batch is drawn from (job seed, iteration,
+    worker index) alone, never from what other jobs did in between.
     """
-    x, y = make_dataset(config)
+    x, y = dataset
     idx = _batch_indices(config.rng_seed, state.iteration + 1, workers)
     return loss_gradient(config.loss, state.parameters, x.take(idx, axis=0), y.take(idx))
 
@@ -222,6 +209,7 @@ def replay_trace(configs: Sequence[SgdConfig],
                           f"got {workers}")
     index = {job.job_id: j for j, job in enumerate(plan.jobs)}
     states = [initial_state(cfg) for cfg in configs]
+    datasets = [make_dataset(cfg) for cfg in configs]
     pending: list[deque[tuple[int, np.ndarray]]] = [deque() for _ in configs]
 
     def land(j: int) -> tuple[int, TrainingState]:
@@ -232,7 +220,8 @@ def replay_trace(configs: Sequence[SgdConfig],
         j = index[job_id]
         while pending[j] and pending[j][0][0] <= start:
             yield land(j)
-        pending[j].append((sync_end, _averaged_gradient(states[j], configs[j], workers)))
+        gradient = _averaged_gradient(states[j], configs[j], datasets[j], workers)
+        pending[j].append((sync_end, gradient))
     for j in range(len(configs)):
         while pending[j]:
             yield land(j)
@@ -240,14 +229,14 @@ def replay_trace(configs: Sequence[SgdConfig],
 
 @dataclass(frozen=True)
 class NeutralityReport:
-    """Outcome of one isolated-vs-interleaved trajectory comparison."""
+    """Outcome of one isolated-vs-interleaved trajectory comparison.
+
+    The trajectories are bitwise equal exactly when ``first_divergence`` is
+    None: any nonzero deviation records a divergence.
+    """
 
     max_abs_deviation: float
     first_divergence: tuple[int, int, int] | None  # (job index, iteration, coord)
-
-    @property
-    def equal(self) -> bool:
-        return self.first_divergence is None and self.max_abs_deviation == 0.0
 
 
 def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan) -> NeutralityReport:
@@ -261,6 +250,7 @@ def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan) -> Neutra
     """
     workers = plan.cluster.workers
     reference = [initial_state(cfg) for cfg in configs]
+    datasets = [make_dataset(cfg) for cfg in configs]
     max_dev = 0.0
     diverged: dict[int, tuple[int, int]] = {}
     for j, state in replay_trace(configs, plan):
@@ -268,8 +258,8 @@ def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan) -> Neutra
         if state.iteration != t or t > plan.jobs[j].iterations:
             diverged.setdefault(j, (t, 0))
             continue
-        ref = reference[j]
-        ref = reference[j] = sgd_step(ref, _averaged_gradient(ref, configs[j], workers))
+        gradient = _averaged_gradient(reference[j], configs[j], datasets[j], workers)
+        ref = reference[j] = sgd_step(reference[j], gradient)
         diff = np.abs(ref.parameters - state.parameters)
         dev = float(diff.max())
         max_dev = max(max_dev, dev)

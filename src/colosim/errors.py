@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ConfigError", "InvalidTraceError", "ComparisonError"]
+
 
 class ConfigError(ValueError):
     """A scenario file or cluster/job specification violates an invariant."""

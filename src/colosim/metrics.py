@@ -22,7 +22,7 @@ from .errors import ComparisonError, InvalidTraceError
 from .scheduler import SchedulePlan, validate_trace
 from .workload import comp_time
 
-__all__ = ["Metrics", "measure", "compare", "report", "METRICS_CSV_HEADER"]
+__all__ = ["Metrics", "measure", "compare", "report"]
 
 # Versioned column set of the CSV report; changing it means bumping the name.
 METRICS_CSV_HEADER = ("scenario,policy,job_id,iterations,period_ns,"

@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .scheduler import Policy, SchedulePlan
 from .workload import JobProfile, fixture_names, fixture_profile
 
-__all__ = ["Scenario", "load_config", "scaled_int", "MAX_JOB_ITERATIONS"]
+__all__ = ["Scenario", "load_config", "MAX_JOB_ITERATIONS"]
 
 # Names no value: an integer's text past the int-to-str digit limit raises.
 _INT_OVERFLOW = "an integer of magnitude 2^63 or more overflows the internal integer range"

@@ -103,9 +103,14 @@ class SchedulePlan:
         total = sum([j.iterations * (j.forward_time + j.backward_time + c)
                      for j, c in zip(self.jobs, comm)])
         object.__setattr__(self, "sequential_makespan", total)
-        if self.sequential_makespan >= _INT_LIMIT:
+        if total >= _INT_LIMIT:
+            # Every sum a scenario reaches is far below 2^1024, which str()
+            # writes under any digit limit; past it only the power of two is
+            # quoted, since str() may refuse the digits.
+            bits = total.bit_length()
+            shown = total if bits <= 1024 else f"2^{bits - 1} or more"
             raise ConfigError(f"plan: sequential makespan sum(T_i * (comp_i + comm_i)) = "
-                              f"{total} ns must stay below 2^63 = {_INT_LIMIT} ns")
+                              f"{shown} ns must stay below 2^63 = {_INT_LIMIT} ns")
 
 
 def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:

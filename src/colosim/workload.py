@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-__all__ = [
-    "JobProfile",
-    "comp_time",
-    "fixture_profile",
-    "fixture_names",
-]
+__all__ = ["JobProfile", "fixture_profile"]
 
 
 @dataclass(frozen=True)

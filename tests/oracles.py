@@ -2,7 +2,8 @@
 
 These stay deliberately separate from the package: the schedule enumerators
 walk a rotation cursor one dispatch at a time (the package iterates rounds),
-the gradient check is central finite differences, the trace serializers
+the gradient check is central finite differences of ``loss_value``, the
+mean loss the package never computes, the trace serializers
 are the dict-per-record ``json.dumps(indent=2)`` documents that define the
 byte formats, built from ``trace.rows`` without the package's span view,
 the sync costs are the two alpha-beta formulas written
@@ -38,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from colosim.comm import Architecture
-from colosim.equivalence import LossKind, _averaged_gradient, initial_state, sgd_step
+from colosim.equivalence import (LossKind, _averaged_gradient, initial_state, make_dataset,
+                                  sgd_step)
 from colosim.errors import ConfigError
 from colosim.scenario import _INT_LIMIT, _brief
 from colosim.scheduler import Policy, SchedulePlan, makespan
@@ -207,6 +209,15 @@ def max_plus_state(jobs, policy) -> list:
     return state
 
 
+def loss_value(loss, parameters: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean loss over every row of ``x``, a matrix or a stack of worker batches."""
+    z = x @ parameters
+    if loss is LossKind.LEAST_SQUARES:
+        r = z - y
+        return float(0.5 * np.mean(r * r))
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
 def finite_difference_gradient(f, params: np.ndarray, step: float = 1e-5) -> np.ndarray:
     grad = np.zeros_like(params)
     for k in range(params.size):
@@ -253,9 +264,10 @@ def averaged_gradient_reference(loss, parameters, x, y) -> np.ndarray:
 def run_isolated(config, workers: int, iterations: int) -> list:
     """Plain synchronous SGD with no interleaving: the state after each update."""
     state = initial_state(config)
+    dataset = make_dataset(config)
     trajectory = []
     for _ in range(iterations):
-        state = sgd_step(state, _averaged_gradient(state, config, workers))
+        state = sgd_step(state, _averaged_gradient(state, config, dataset, workers))
         trajectory.append(state)
     return trajectory
 

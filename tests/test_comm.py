@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,8 +42,16 @@ class TestRingAllreduce:
         assert got == 48_030_000
 
     def test_negative_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^size_bytes: must be >= 0$"):
             comm_time(-1, ring(2))
+
+    # as strict as SchedulePlan is with grad_bytes: a bool, float or numpy
+    # integer is refused even where it compares equal to a valid size
+    @pytest.mark.parametrize("size", [1.5, 2.0, True, np.int64(5)])
+    def test_size_must_be_an_exact_int(self, size):
+        with pytest.raises(ConfigError, match=rf"^size_bytes: expected an int, got an? "
+                                              rf"{type(size).__name__}$"):
+            comm_time(size, ring(2))
 
 
 class TestParameterServer:

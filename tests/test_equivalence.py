@@ -21,7 +21,6 @@ from colosim.equivalence import (
     check_neutrality,
     initial_state,
     loss_gradient,
-    loss_value,
     make_dataset,
     replay_trace,
     sgd_step,
@@ -31,7 +30,7 @@ from colosim.scheduler import Policy, SchedulePlan
 from colosim.workload import JobProfile
 
 from oracles import (averaged_gradient_reference, batch_indices_reference,
-                     finite_difference_gradient, run_isolated)
+                     finite_difference_gradient, loss_value, run_isolated)
 
 # sha256 over the parameter bytes of every state each job reaches along the
 # CLI cell's trace, then of oracles.run_isolated per job, for each cell of the CLI
@@ -258,7 +257,7 @@ class TestRunCrossover:
         cfgs = [config(LossKind.LEAST_SQUARES, seed=21, rng_seed=1),
                 config(LossKind.LOGISTIC, seed=22, rng_seed=2)]
         report = check_neutrality(cfgs, crossover_plan(100, 100, workers=4))
-        assert report.equal
+        assert report.first_divergence is None
         assert report.max_abs_deviation == 0.0
 
     def test_job_order_is_irrelevant(self):
@@ -344,7 +343,6 @@ class TestCheckNeutrality:
         mutate(edit)
         report = check_neutrality([config(seed=51, rng_seed=0), config(seed=52, rng_seed=1)],
                                   crossover_plan(5, 5))
-        assert not report.equal
         assert report.first_divergence == (0, iteration, 0)
         # Only a changed value has a deviation; a missing, extra or
         # misnumbered state is never compared.
@@ -374,7 +372,7 @@ class TestCheckNeutrality:
     def test_unequal_budgets_pass(self):
         configs = cli._equiv_configs(3, 2, 0)
         plan = crossover_plan(3, 10, 7)
-        assert check_neutrality(configs, plan).equal
+        assert check_neutrality(configs, plan).first_divergence is None
         assert [len(t) for t in replayed(configs, plan)] == [3, 10, 7]
 
 
@@ -462,7 +460,7 @@ class TestBatchDraws:
         plan = crossover_plan(20, 20, workers=3)
         report = check_neutrality([config(seed=61, rng_seed=8),
                                    config(seed=62, rng_seed=9)], plan)
-        assert report.equal
+        assert report.first_divergence is None
         blocks = equivalence._draw_block.cache_info()
         assert blocks.misses == blocks.currsize == 2 * 2  # two blocks per 20-iteration job
         # Each job-iteration asks once per run.
@@ -475,7 +473,7 @@ class TestBatchDraws:
         assert 3 * 25 > equivalence._CACHE_SIZE
         clear_draws()
         report = check_neutrality(cli._equiv_configs(3, 4, 0), cli._equiv_plan(3, 4, 400))
-        assert report.equal
+        assert report.first_divergence is None
         blocks = equivalence._draw_block.cache_info()
         assert blocks.misses == 3 * 25
         assert blocks.hits == 2 * 3 * 400 - blocks.misses
@@ -508,7 +506,8 @@ class TestWorkerBound:
             next(replay_trace([config()], plan))
         with pytest.raises(ConfigError):
             check_neutrality([config()], plan)
-        assert check_neutrality([config()], crossover_plan(2, workers=MAX_WORKERS)).equal
+        report = check_neutrality([config()], crossover_plan(2, workers=MAX_WORKERS))
+        assert report.first_divergence is None
 
     def test_a_full_cache_of_blocks_fits_the_budget(self):
         block = equivalence._draw_block(0, 0, MAX_WORKERS)
@@ -520,14 +519,14 @@ class TestWorkerBound:
         # it leaves allocated is the cache's blocks, plus their array headers.
         # A short run first imports and caches everything else it uses.
         cfg = config(seed=81, rng_seed=6)
-        assert check_neutrality([cfg], crossover_plan(1, workers=1)).equal
+        assert check_neutrality([cfg], crossover_plan(1, workers=1)).first_divergence is None
         plan = crossover_plan(16 * (equivalence._CACHE_SIZE + 4), workers=MAX_WORKERS)
         clear_draws()
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            assert check_neutrality([cfg], plan).equal
+            assert check_neutrality([cfg], plan).first_divergence is None
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:

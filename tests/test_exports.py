@@ -1,18 +1,26 @@
 """Every exported name resolves, so a removed function cannot linger in an export list.
 
-The trace format's own constants are spelled in ``engine`` alone.
+The exported names are exactly the public API README documents, and the
+trace format's own constants are spelled in ``engine`` alone.
 """
 
 import ast
 import importlib
 import pkgutil
+import re
+from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import colosim
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(colosim.__path__, "colosim."))
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+# The module names README's Library section says ``colosim`` does not re-export.
+NOT_AT_TOP_LEVEL = {"cost_terms", "MAX_JOB_ITERATIONS"}
 
 
 def test_modules_found():
@@ -55,3 +63,38 @@ def test_integer_range_and_lane_ids_are_spelled_once_in_engine():
         for spelling in _spellings(ast.parse(path.read_text())):
             found.setdefault(spelling, []).append(path.name)
     assert found == {"2**63": ["engine.py"], "gpu0": ["engine.py"], "nic0": ["engine.py"]}
+
+
+def _exports() -> dict[str, set[str]]:
+    """Each exporting module's names: ``colosim``'s public ones and every ``__all__``."""
+    exports = {"colosim": {name for name, value in vars(colosim).items()
+                           if not name.startswith("_") and not isinstance(value, ModuleType)}}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        if hasattr(module, "__all__"):
+            exports[name] = set(module.__all__)
+    return exports
+
+
+def test_every_export_is_named_in_the_readme():
+    words = set(re.findall(r"\w+", README))
+    undocumented = sorted(set().union(*_exports().values()) - words)
+    assert not undocumented, f"exported but not named in README: {undocumented}"
+
+
+def _library_list() -> dict[str, list[str]]:
+    """README's API list: the names in backticks after each ``* `colosim.<module>`:``."""
+    library = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^\* `(colosim\.\w+)`:((?:.|\n  )*)", library, re.M)
+    return {module: re.findall(r"`(\w+)`", names) for module, names in items}
+
+
+def test_the_library_section_lists_each_export_once():
+    listed = _library_list()
+    exports = _exports()
+    named = [name for names in listed.values() for name in names]
+    assert [name for name, n in Counter(named).items() if n > 1] == []
+    assert {module: set(names) for module, names in listed.items()} == {
+        module: names for module, names in exports.items() if module != "colosim"}
+    equivalence = set(listed["colosim.equivalence"])
+    assert exports["colosim"] == set(named) - NOT_AT_TOP_LEVEL - equivalence

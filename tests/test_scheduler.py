@@ -539,6 +539,20 @@ class TestUnequalBudgets:
         below = plan(policy, [("a", 2**61, 2**61 - 2, 1, 2)])
         assert makespan(below) == 2**63 - 2
 
+    def test_a_sum_past_the_digit_limit_is_quoted_by_its_power_of_two(self):
+        # str() refuses an int of more than 4,300 digits
+        job = JobProfile("a", 10**5000, 1, 1, 1)
+        with pytest.raises(ConfigError, match=r"^plan: sequential makespan sum\(T_i \* "
+                                              r"\(comp_i \+ comm_i\)\) = 2\^16609 or more ns "):
+            SchedulePlan(Policy.CROSSOVER, (job,), ClusterSpec(2, 10**9))
+
+    def test_the_largest_sum_written_out_is_just_below_2_1024(self):
+        # 2^1024 - 1 has 309 digits, within any int-to-str limit
+        with pytest.raises(ConfigError, match=f"= {2**1024 - 1} ns must"):
+            plan(Policy.SEQUENTIAL, [("a", 2**1024 - 2, 0, 1, 1)])
+        with pytest.raises(ConfigError, match=r"= 2\^1024 or more ns must"):
+            plan(Policy.SEQUENTIAL, [("a", 2**1024 - 1, 0, 1, 1)])
+
 
 JOB_NUMBERS = ("forward_time", "backward_time", "grad_bytes", "iterations")
 CLUSTER_NUMBERS = ("workers", "bandwidth_bytes_per_sec", "latency_per_message")

@@ -204,6 +204,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+# main reuses the parser built on the first call: a parse keeps nothing on it,
+# since --format starts each parse from its None default and appends to a new list.
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="colosim",
@@ -244,18 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses, built on its first call.
-
-    A parse keeps nothing on the parser: ``--format`` starts each parse from
-    its ``None`` default and appends to a new list.
-    """
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -17,16 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError, _a
+from .errors import _check_least
 
-__all__ = [
-    "Architecture",
-    "ClusterSpec",
-    "cost_terms",
-    "comm_time",
-]
+__all__ = ["Architecture", "ClusterSpec", "cost_terms", "comm_time"]
 
 NS_PER_S = 10**9
+
+# Each number a cluster holds, in checking order, with its least value.
+_CLUSTER_LEAST = (("workers", 1), ("bandwidth_bytes_per_sec", 1), ("latency_per_message", 0))
 
 
 class Architecture(Enum):
@@ -41,9 +39,9 @@ class ClusterSpec:
     bandwidth_bytes_per_sec is the per-worker NIC bandwidth; latency_per_message
     is the fixed per-message cost in nanoseconds.  The simulator materializes
     one representative GPU and its worker NIC (all workers are symmetric).
-    The three numbers must be exact ``int``s (not ``bool``, ``float`` or a
-    numpy integer), so every sync time is an ``int``; the cluster checks them
-    itself because ``comm_time`` prices a cluster without a plan.
+    The cluster checks its three numbers against ``_CLUSTER_LEAST`` itself,
+    because ``comm_time`` prices a cluster without a plan, so every sync time
+    is an ``int``.
     """
 
     workers: int
@@ -52,16 +50,8 @@ class ClusterSpec:
     architecture: Architecture = Architecture.RING_ALLREDUCE
 
     def __post_init__(self):
-        for name in ("workers", "bandwidth_bytes_per_sec", "latency_per_message"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ConfigError(f"cluster.{name}: expected an int, got {_a(value)}")
-        if self.workers < 1:
-            raise ConfigError("cluster.workers must be >= 1")
-        if self.bandwidth_bytes_per_sec <= 0:
-            raise ConfigError("cluster.bandwidth must be > 0")
-        if self.latency_per_message < 0:
-            raise ConfigError("cluster.latency must be >= 0")
+        _check_least("cluster.", _CLUSTER_LEAST, (self.workers, self.bandwidth_bytes_per_sec,
+                                                  self.latency_per_message))
 
 
 def cost_terms(cluster: ClusterSpec) -> tuple[int, int, int]:
@@ -81,12 +71,13 @@ def cost_terms(cluster: ClusterSpec) -> tuple[int, int, int]:
 def comm_time(size_bytes: int, cluster: ClusterSpec) -> int:
     """Duration of one ``size_bytes`` sync in whole nanoseconds (ceiling).
 
-    ``size_bytes`` must be an exact ``int`` >= 0, as ``SchedulePlan`` requires
-    of ``grad_bytes``; anything else is a ``ConfigError`` naming it.
+    ``size_bytes`` must be an exact ``int`` >= 0, as a plan's ``grad_bytes`` must.
     """
-    if type(size_bytes) is not int:
-        raise ConfigError(f"size_bytes: expected an int, got {_a(size_bytes)}")
-    if size_bytes < 0:
-        raise ConfigError("size_bytes: must be >= 0")
+    _check_least("", (("size_bytes", 0),), (size_bytes,))
+    return _sync_times(cluster, [size_bytes])[0]
+
+
+def _sync_times(cluster: ClusterSpec, sizes: list[int]) -> tuple[int, ...]:
+    """``comm_time`` of each size, which the caller has checked, pricing the cluster once."""
     latency, num, den = cost_terms(cluster)
-    return latency + -(-size_bytes * num // den)
+    return tuple([latency + -(-size * num // den) for size in sizes])

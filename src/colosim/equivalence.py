@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _a, _check_least
 from .scheduler import SchedulePlan, simulate
 
 __all__ = [
@@ -72,12 +72,19 @@ class SgdConfig:
     """One job's synthetic training problem.
 
     ``dataset_seed`` draws the dataset; ``rng_seed`` draws the initial
-    parameters and every mini-batch.
+    parameters and every mini-batch.  ``loss`` must be a ``LossKind`` and
+    each seed an exact ``int`` >= 0, or a ``ConfigError`` names the field.
     """
 
     loss: LossKind
     dataset_seed: int
     rng_seed: int
+
+    def __post_init__(self):
+        if type(self.loss) is not LossKind:
+            raise ConfigError(f"sgd_config.loss: expected a LossKind, got {_a(self.loss)}")
+        _check_least("sgd_config.", (("dataset_seed", 0), ("rng_seed", 0)),
+                     (self.dataset_seed, self.rng_seed))
 
 
 @dataclass
@@ -109,10 +116,6 @@ def initial_state(config: SgdConfig) -> TrainingState:
     return TrainingState(rng.standard_normal(DIM), 0)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
 def loss_gradient(loss: LossKind, parameters: np.ndarray,
                   x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Worker-averaged mean gradient over a stack of equal-size worker batches.
@@ -120,16 +123,14 @@ def loss_gradient(loss: LossKind, parameters: np.ndarray,
     ``x`` is ``(workers, batch, dim)`` and ``y`` is ``(workers, batch)``.  One
     ``matmul`` gives every worker's ``x_w.T @ r_w / batch``; the worker rows
     are summed left to right and divided by the worker count, which for equal
-    batches is the mean gradient over every row of the stack.
+    batches is the mean gradient over every row of the stack.  The oracle
+    builds the stack from checked configs, so the shapes are not re-checked.
     """
-    if x.ndim != 3 or y.shape != x.shape[:2] or x.shape[2:] != parameters.shape or 0 in y.shape:
-        raise ValueError("batch stack must be (workers, batch, dim) rows and (workers, "
-                         "batch) targets, with dim parameters and workers, batch >= 1")
     z = x @ parameters
     if loss is LossKind.LEAST_SQUARES:
         residual = z - y
     else:
-        residual = _sigmoid(z) - y
+        residual = 0.5 * (1.0 + np.tanh(0.5 * z)) - y  # sigmoid(z) - y
     per_worker = np.matmul(x.transpose(0, 2, 1), residual[..., None])[..., 0] / y.shape[1]
     return np.add.accumulate(per_worker)[-1] / len(y)
 
@@ -172,8 +173,6 @@ def _batch_indices(rng_seed: int, iteration: int, workers: int) -> np.ndarray:
 
 
 def sgd_step(state: TrainingState, averaged: np.ndarray) -> TrainingState:
-    if averaged.shape != state.parameters.shape:
-        raise ValueError("gradient shape does not match parameters")
     return TrainingState(state.parameters - LEARNING_RATE * averaged,
                          state.iteration + 1)
 

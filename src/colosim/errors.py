@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator, and the type names their messages use."""
+"""Exception types shared across the simulator, and the checks and quoting their messages use."""
 
 from __future__ import annotations
 
@@ -25,3 +25,23 @@ def _a(value: object) -> str:
     """``value``'s type name with its article, as in "an int"."""
     name = type(value).__name__
     return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"
+
+
+def _check_least(where: str, fields: tuple[tuple[str, object], ...], values: tuple) -> None:
+    """Raise ``ConfigError`` unless each value has its least value's exact type and is >= it.
+
+    ``fields`` holds ``(name, least)`` pairs in order; messages name ``where + name``.
+    """
+    for (name, least), value in zip(fields, values):
+        if type(value) is not type(least):
+            raise ConfigError(f"{where}{name}: expected {_a(least)}, got {_a(value)}")
+        if value < least:
+            raise ConfigError(f"{where}{name}: must be >= {least}")
+
+
+def _quoted(n: int) -> str:
+    """``str(n)``, or ``2^k or more`` (``-2^k or less``) past 1024 bits, which str may refuse."""
+    bits = n.bit_length()
+    if bits <= 1024:
+        return str(n)
+    return f"-2^{bits - 1} or less" if n < 0 else f"2^{bits - 1} or more"

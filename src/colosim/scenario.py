@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .comm import Architecture, ClusterSpec
 from .engine import _INT_LIMIT, MAX_JOB_ITERATIONS
-from .errors import ConfigError
+from .errors import ConfigError, _quoted
 from .scheduler import Policy, SchedulePlan
 from .workload import JobProfile, fixture_names, fixture_profile
 
@@ -63,12 +63,12 @@ class Scenario:
         jobs = self.jobs
         if iterations is not None:
             if iterations < 1:
-                raise ConfigError(f"iterations (--iters) must be >= 1, got {iterations}")
+                raise ConfigError(f"iterations (--iters) must be >= 1, got {_quoted(iterations)}")
             jobs = tuple(replace(j, iterations=iterations) for j in jobs)
         total = sum(j.iterations for j in jobs)
         if total > MAX_JOB_ITERATIONS:
             raise ConfigError(
-                f"iterations: {total} job-iterations in all exceed the limit of "
+                f"iterations: {_quoted(total)} job-iterations in all exceed the limit of "
                 f"{MAX_JOB_ITERATIONS} (lower iterations or --iters)")
         return SchedulePlan(policy=self.policy, jobs=jobs, cluster=self.cluster)
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .comm import ClusterSpec, comm_time
+from .comm import ClusterSpec, _sync_times
 from .engine import _INT_LIMIT, _JOB_ID_LIMIT, _NAMES, _TYPES, Block, Row, Trace, _escaped
-from .errors import ConfigError, _a
+from .errors import ConfigError, _a, _check_least, _quoted
 from .workload import JobProfile, comp_time
 
 __all__ = [
@@ -64,11 +64,10 @@ class SchedulePlan:
     ``sequential``: each row starts at the previous row's sync end and adds
     exactly ``comp_i + comm_i``.  No time either policy produces exceeds it,
     so it must stay below ``engine._INT_LIMIT``, 2^63.
-    A job is checked only here: ``forward_time``, ``backward_time`` and
-    ``grad_bytes`` are ``int``s >= 0 and ``iterations`` an ``int`` >= 1 by exact
-    type (not ``bool``, ``float`` or numpy), ``forward_time + backward_time > 0``,
-    and ``job_id`` is a unique ``str`` of at most ``engine._JOB_ID_LIMIT`` characters
-    once JSON-escaped.  Each broken rule is a ``ConfigError`` naming ``jobs[i].<field>``.
+    A job is checked only here, each broken rule a ``ConfigError`` naming
+    ``jobs[i].<field>``: each field against ``_JOB_LEAST``, ``forward_time +
+    backward_time > 0``, and a unique ``job_id`` of at most
+    ``engine._JOB_ID_LIMIT`` characters once JSON-escaped.
     """
 
     policy: Policy
@@ -83,12 +82,8 @@ class SchedulePlan:
             raise ConfigError("plan must contain at least one job")
         first: dict[str, int] = {}
         for i, job in enumerate(self.jobs):
-            for name, least in _JOB_LEAST:
-                value = getattr(job, name)
-                if type(value) is not type(least):
-                    raise ConfigError(f"jobs[{i}].{name}: expected {_a(least)}, got {_a(value)}")
-                if value < least:
-                    raise ConfigError(f"jobs[{i}].{name}: must be >= {least}")
+            _check_least(f"jobs[{i}].", _JOB_LEAST, (job.job_id, job.forward_time,
+                         job.backward_time, job.grad_bytes, job.iterations))
             if job.forward_time + job.backward_time == 0:
                 raise ConfigError(f"jobs[{i}]: forward_time + backward_time must be > 0")
             escaped = _escaped(job.job_id)
@@ -98,41 +93,37 @@ class SchedulePlan:
             if first.setdefault(job.job_id, i) != i:
                 raise ConfigError(f'jobs[{i}].job_id: "{escaped}" is also '
                                   f"jobs[{first[job.job_id]}].job_id, and ids must be unique")
-        comm = tuple([comm_time(j.grad_bytes, self.cluster) for j in self.jobs])
+        comm = _sync_times(self.cluster, [j.grad_bytes for j in self.jobs])
         object.__setattr__(self, "comm_times", comm)
         total = sum([j.iterations * (j.forward_time + j.backward_time + c)
                      for j, c in zip(self.jobs, comm)])
         object.__setattr__(self, "sequential_makespan", total)
         if total >= _INT_LIMIT:
-            # Every sum a scenario reaches is far below 2^1024, which str()
-            # writes under any digit limit; past it only the power of two is
-            # quoted, since str() may refuse the digits.
-            bits = total.bit_length()
-            shown = total if bits <= 1024 else f"2^{bits - 1} or more"
             raise ConfigError(f"plan: sequential makespan sum(T_i * (comp_i + comm_i)) = "
-                              f"{shown} ns must stay below 2^63 = {_INT_LIMIT} ns")
+                              f"{_quoted(total)} ns must stay below 2^63 = {_INT_LIMIT} ns")
 
 
-def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:
-    """Dispatch the plan round by round and return its makespan.
+def _run(plan: SchedulePlan, blocks: list[Block] | None) -> list[int]:
+    """Dispatch the plan round by round; return ``[gpu_free, nic_free, *sync_end]``.
 
-    When ``blocks`` is a list, appends each dispatched round to it as one
-    block (see ``engine._expand``).  While the active job set is fixed (a
-    regime), a round is fixed by its start state relative to the GPU clock
-    g: the key is ``nic_free - g`` followed by ``sync_end_j - g`` clamped at
-    zero for each active j.  The clamp is exact because a job starts at
-    ``max(gpu_free, sync_end_j)`` and gpu_free never falls below g within a
-    round.  Sync ends are a list indexed by plan position, and each ``max``
-    is a conditional that keeps the first operand on a tie, as ``max`` does,
-    so a row shares its ``int`` objects with the row before it.  The round is
-    shift-invariant, so once a round starts with the previous round's key,
-    every remaining round of the regime is that previous round shifted by
-    ``d = g - g_prev`` per round.  The previous round's block becomes
-    ``(round, d, until + 1 - t)`` and the clocks jump to the regime's end
-    (a max-plus recurrence is eventually periodic; Baccelli, Cohen, Olsder
-    and Quadrat, 1992).  A regime whose period is longer than one round, or
-    whose transient outlasts its budget, runs round by round and stays
-    exact.
+    That end state holds each job's last sync end in plan order, and
+    ``nic_free`` is the makespan.  When ``blocks`` is a list, appends each
+    dispatched round to it as one block (see ``engine._expand``).  While the
+    active job set is fixed (a regime), a round is fixed by its start state
+    relative to the GPU clock g: the key is ``nic_free - g`` followed by
+    ``sync_end_j - g`` clamped at zero for each active j.  The clamp is exact
+    because a job starts at ``max(gpu_free, sync_end_j)`` and gpu_free never
+    falls below g within a round.  Sync ends are a list indexed by plan
+    position, and each ``max`` is a conditional that keeps the first operand
+    on a tie, as ``max`` does, so a row shares its ``int`` objects with the
+    row before it.  The round is shift-invariant, so once a round starts with
+    the previous round's key, every remaining round of the regime is that
+    previous round shifted by ``d = g - g_prev`` per round.  The previous
+    round's block becomes ``(round, d, until + 1 - t)`` and the clocks jump to
+    the regime's end (a max-plus recurrence is eventually periodic; Baccelli,
+    Cohen, Olsder and Quadrat, 1992).  A regime whose period is longer than
+    one round, or whose transient outlasts its budget, runs round by round and
+    stays exact.
     """
     hold_gpu = plan.policy is Policy.SEQUENTIAL
     jobs = [(i, j.job_id, j.forward_time, j.backward_time, comm)
@@ -177,7 +168,7 @@ def _run(plan: SchedulePlan, blocks: list[Block] | None) -> int:
                 blocks.append((tuple(rows), 0, 0))
                 rows.clear()
             t += 1
-    return nic_free
+    return [gpu_free, nic_free, *sync_end]
 
 
 def simulate(plan: SchedulePlan) -> Trace:
@@ -199,7 +190,7 @@ def makespan(plan: SchedulePlan) -> int:
     Whole periods are skipped rather than recorded, so it keeps no rows and
     no table, and a plan that repeats early costs the same at any budget.
     """
-    return _run(plan, None)
+    return _run(plan, None)[1]
 
 
 def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from .errors import ConfigError, _a
+
 __all__ = ["JobProfile", "fixture_profile"]
 
 
@@ -55,14 +57,15 @@ def fixture_names() -> list[str]:
 
 def fixture_profile(name: str, job_id: str | None = None,
                     iterations: int | None = None) -> JobProfile:
-    """Load a bundled calibration profile by name.
+    """Load a bundled calibration profile by name; any other name is a ``ConfigError``.
 
     The payload/time constants are fixture data pinned in
     ``colosim/data/profiles.json`` (version field inside), not measurements.
     """
     profiles = _fixture_data()["profiles"]
-    if name not in profiles:
-        raise KeyError(f"unknown fixture profile {name!r}; available: {fixture_names()}")
+    if not isinstance(name, str) or name not in profiles:
+        shown = repr(name) if isinstance(name, str) else _a(name)
+        raise ConfigError(f"fixture profile {shown} is not one of {', '.join(fixture_names())}")
     p = profiles[name]
     return JobProfile(
         job_id=job_id if job_id is not None else name,

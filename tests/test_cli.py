@@ -410,6 +410,16 @@ def test_zero_iters_is_usage_error(command, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_iters_past_the_digit_limit_is_usage_error(tmp_path, capsys):
+    # argparse takes 4,300 digits; two jobs' total has 4,301, which str() refuses
+    assert run("simulate", "--config", GOLDEN, "--out", str(tmp_path),
+               "--iters", "9" * 4300) == 1
+    assert capsys.readouterr().err == (
+        "error: iterations: 2^14285 or more job-iterations in all exceed the limit of "
+        f"{MAX_JOB_ITERATIONS} (lower iterations or --iters)\n")
+    assert not any(tmp_path.iterdir())
+
+
 # Runs every subcommand but ``equivalence`` in one fresh interpreter, then
 # prints which of the modules only the SGD oracle may need got imported.
 _COLD_RUN = """

@@ -172,14 +172,15 @@ def test_matches_independent_formulas(architecture, workers, bandwidth, latency,
 
 
 class TestClusterValidation:
+    # each message names its field, as a job's messages do
     def test_zero_workers(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^cluster\.workers: must be >= 1$"):
             ClusterSpec(workers=0, bandwidth_bytes_per_sec=1)
 
     def test_zero_bandwidth(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^cluster\.bandwidth_bytes_per_sec: must be >= 1$"):
             ClusterSpec(workers=1, bandwidth_bytes_per_sec=0)
 
     def test_negative_latency(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^cluster\.latency_per_message: must be >= 0$"):
             ClusterSpec(workers=1, bandwidth_bytes_per_sec=1, latency_per_message=-1)

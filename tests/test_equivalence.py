@@ -149,14 +149,6 @@ class TestAverageGradients:
         got = loss_gradient(LossKind.LEAST_SQUARES, np.zeros(4), stack, -np.ones((4, 1)))
         assert np.array_equal(got, np.full(4, 0.25))
 
-    def test_empty_batch(self):
-        with pytest.raises(ValueError):
-            loss_gradient(LossKind.LEAST_SQUARES, np.zeros(DIM),
-                          np.zeros((0, BATCH_SIZE, DIM)), np.zeros((0, BATCH_SIZE)))
-        with pytest.raises(ValueError):
-            loss_gradient(LossKind.LEAST_SQUARES, np.zeros(DIM),
-                          np.zeros((2, 0, DIM)), np.zeros((2, 0)))
-
     def test_length_mismatch(self):
         for x_shape, y_shape in [
             ((2, 4, 3), (2, 5)),   # targets per worker differ from rows

@@ -1,18 +1,26 @@
-"""Any number at a public numeric entry point ends in a result or a ``ConfigError``.
+"""Any input at a public entry point ends in a result or a ``ConfigError``.
 
 Ints past the 4,300 digits ``str`` writes, floats, bools, numpy integers and
 negatives go into ``JobProfile`` (which ``SchedulePlan`` checks),
-``ClusterSpec`` and ``comm_time``.  Each plan that builds is run through
-``makespan``, ``simulate``, ``steady_state_period`` and ``predicted_speedup``.
-The valid ints stay small, so every plan that builds runs in a moment.
+``ClusterSpec``, ``comm_time``, ``SgdConfig``'s seeds and
+``Scenario.plan``'s iterations.  Each plan that builds is run through
+``makespan``, ``simulate``, ``steady_state_period`` and ``predicted_speedup``,
+and each SGD config that builds through ``check_neutrality``.  The valid
+ints stay small, so every plan that builds runs in a moment.
 """
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from colosim import (ClusterSpec, ConfigError, InvalidTraceError, JobProfile, Policy,
-                     SchedulePlan, comm_time, makespan, predicted_speedup, simulate,
-                     steady_state_period)
+                     SchedulePlan, comm_time, fixture_profile, load_config, makespan,
+                     predicted_speedup, simulate, steady_state_period)
+from colosim.equivalence import LossKind, SgdConfig, check_neutrality
+
+GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden_2jobs.json"
 
 PAST_DIGIT_LIMIT = 10**4300  # 4,301 digits
 
@@ -58,3 +66,49 @@ def test_numbers_end_in_a_result_or_a_config_error(jobs, cluster_fields, size, p
     assert type(span) is int and span == simulate(plan).makespan <= plan.sequential_makespan
     assert type(steady_state_period(plan)) is int
     assert predicted_speedup(plan) >= 1
+
+
+# a loss that is not a LossKind, though some equal its name or value
+not_a_loss_st = st.sampled_from(["least_squares", "LEAST_SQUARES", "logistic_regression",
+                                 None, 0, LossKind])
+ONE_JOB_PLAN = SchedulePlan(Policy.CROSSOVER, (JobProfile("a", 1, 1, 1, 3),), FALLBACK_CLUSTER)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(LossKind), not_a_loss_st), number_st(0, 10**6),
+       number_st(0, 10**6))
+def test_sgd_configs_end_in_a_result_or_a_config_error(loss, dataset_seed, rng_seed):
+    config = _outcome(SgdConfig, loss, dataset_seed, rng_seed)
+    valid = (isinstance(loss, LossKind)
+             and all(type(seed) is int and seed >= 0 for seed in (dataset_seed, rng_seed)))
+    assert (config is not None) == valid
+    if config is not None:
+        assert check_neutrality([config], ONE_JOB_PLAN).first_divergence is None
+
+
+@pytest.mark.parametrize("args, message", [
+    (("least_squares", 1, 2), r"^sgd_config\.loss: expected a LossKind, got a str$"),
+    ((LossKind.LOGISTIC, -1, 0), r"^sgd_config\.dataset_seed: must be >= 0$"),
+    ((LossKind.LOGISTIC, 1.5, 0), r"^sgd_config\.dataset_seed: expected an int, got a float$"),
+    ((LossKind.LOGISTIC, 1, True), r"^sgd_config\.rng_seed: expected an int, got a bool$"),
+    ((LossKind.LOGISTIC, 1, np.int64(2)), r"^sgd_config\.rng_seed: expected an int, got an int64$"),
+])
+def test_sgd_config_names_the_field(args, message):
+    # a str loss used to train the logistic problem under a least-squares name
+    with pytest.raises(ConfigError, match=message):
+        SgdConfig(*args)
+
+
+@pytest.mark.parametrize("iterations, quoted", [
+    (10**5000, "2^16610 or more job-iterations in all"),  # two jobs: 2 * 10^5000
+    (-10**5000, "must be >= 1, got -2^16609 or less"),
+], ids=["above", "below"])
+def test_scenario_plan_quotes_an_iteration_count_past_the_digit_limit(iterations, quoted):
+    with pytest.raises(ConfigError, match=quoted.replace("^", r"\^")):
+        load_config(GOLDEN).plan(iterations)
+
+
+def test_an_unknown_fixture_profile_is_a_config_error():
+    for name in ("alexnet", 10**5000, ["resnet50"]):
+        with pytest.raises(ConfigError, match=r"^fixture profile .* is not one of resnet50, vgg16$"):
+            fixture_profile(name)

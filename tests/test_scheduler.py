@@ -11,6 +11,7 @@ from colosim.comm import Architecture, ClusterSpec, comm_time
 from colosim.engine import _JOB_ID_LIMIT, Phase, Trace
 from colosim.errors import ConfigError, InvalidTraceError
 from colosim.metrics import measure
+from colosim import scheduler
 from colosim.scheduler import (
     Policy,
     SchedulePlan,
@@ -442,15 +443,26 @@ def max_plus_jobs(p):
             for j, comm in zip(p.jobs, p.comm_times)]
 
 
+budget_spec_st = st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20),
+                           st.integers(1, 10**15)).filter(lambda s: s[0] + s[1] > 0)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20),
-                          st.integers(1, 10**15)).filter(lambda s: s[0] + s[1] > 0),
-                min_size=1, max_size=4),
-       st.sampled_from(Policy))
+@given(st.lists(budget_spec_st, min_size=1, max_size=4), st.sampled_from(Policy))
 def test_makespan_is_the_max_plus_power_at_any_budget(raw, policy):
     # the oracle reaches a budget of 10^15 in about 50 squarings per regime
     p = plan(policy, build_specs(raw))
     assert max_plus_state(max_plus_jobs(p), policy)[1] == makespan(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(budget_spec_st, min_size=1, max_size=4))
+def test_run_returns_the_max_plus_end_state(raw):
+    # [gpu_free, nic_free, *sync_end], with and without blocks, under both policies
+    for policy in Policy:
+        p = plan(policy, build_specs(raw))
+        state = max_plus_state(max_plus_jobs(p), policy)
+        assert scheduler._run(p, None) == scheduler._run(p, []) == state
 
 
 @settings(max_examples=300, deadline=None)

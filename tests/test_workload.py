@@ -86,7 +86,8 @@ class TestFixtures:
         assert fixture_names() == ["resnet50", "vgg16"]
 
     def test_unknown_profile(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match=r"^fixture profile 'alexnet' is not one of "
+                                              r"resnet50, vgg16$"):
             fixture_profile("alexnet")
 
     def test_overrides(self):

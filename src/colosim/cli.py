@@ -23,13 +23,13 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .comm import Architecture, ClusterSpec, cost_terms
+from .comm import Architecture, ClusterSpec, _sync_times, cost_terms
 from .engine import _CHROME, _JSON, _SPANS, _trace_text
 from .errors import ConfigError, InvalidTraceError
 from .metrics import measure, report
 from .scenario import load_config
-from .scheduler import Policy, SchedulePlan, makespan, simulate
-from .workload import JobProfile, comp_time, fixture_profile
+from .scheduler import Policy, SchedulePlan, _run, _sequential_makespan, simulate
+from .workload import comp_time, fixture_profile
 
 # The SGD oracle needs numpy, so only the equivalence subcommand imports it.
 if TYPE_CHECKING:
@@ -74,8 +74,9 @@ def _payload(plan: SchedulePlan, p: int, q: int) -> int:
     """Gradient bytes whose sync lasts ``p / q`` times the first job's compute time.
 
     ``p`` and ``q`` are positive integers, and the exact payload is rounded to
-    the nearest byte.  A ``ConfigError`` if no payload reaches that time; its
-    ``p / q`` rounds as ``float()`` of the ratio does.
+    the nearest byte, half to even as ``round`` rounds a ``Fraction``.  A
+    ``ConfigError`` if no payload reaches that time; its ``p / q`` rounds as
+    ``float()`` of the ratio does.
     """
     latency, num, den = cost_terms(plan.cluster)
     if num == 0:
@@ -86,7 +87,10 @@ def _payload(plan: SchedulePlan, p: int, q: int) -> int:
         raise ConfigError(
             f"sweep: ratio {p / q:g} unreachable, per-message latency alone "
             f"is {latency} ns but the target sync time is {target / q:g} ns")
-    return round(Fraction((target - latency * q) * den, q * num))
+    scale = q * num
+    whole, rest = divmod((target - latency * q) * den, scale)
+    # up when rest is over half a byte, or exactly half and whole is odd
+    return whole + (2 * rest + (whole & 1) > scale)
 
 
 def _cmd_sweep(args) -> int:
@@ -109,14 +113,15 @@ def _cmd_sweep(args) -> int:
     a = lo.numerator * hi.denominator * (args.steps - 1)
     b = hi.numerator * lo.denominator - lo.numerator * hi.denominator
     c = lo.denominator * hi.denominator * (args.steps - 1)
+    # A point changes only grad_bytes, to an int >= 0, so the base plan's
+    # checks cover it: each point is priced from those jobs, without a plan.
     rows = []
     for k in range(args.steps):
         p = a + k * b
-        payload = _payload(plan, p, c)
-        jobs = tuple([JobProfile(j.job_id, j.forward_time, j.backward_time, payload,
-                                 j.iterations) for j in plan.jobs])
-        point = SchedulePlan(Policy.CROSSOVER, jobs, plan.cluster)
-        rows.append(f"{p / c!r},{point.sequential_makespan / makespan(point)!r}")
+        comm_times = _sync_times(plan.cluster, [_payload(plan, p, c)]) * len(plan.jobs)
+        sequential = _sequential_makespan(plan.jobs, comm_times)
+        crossover = _run(Policy.CROSSOVER, plan.jobs, comm_times, None)[1]
+        rows.append(f"{p / c!r},{sequential / crossover!r}")
 
     out = Path(args.out) / "sweep.csv"
     _write(out, ["rho,speedup\n" + "\n".join(rows) + "\n"])

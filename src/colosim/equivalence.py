@@ -198,10 +198,12 @@ def replay_trace(configs: Sequence[SgdConfig],
     every pending update of that job whose sync ended by then; after the last
     row, whatever is still queued.  Each job averages the gradients of
     ``plan.cluster.workers`` workers, the count its syncs were priced for,
-    and raises ``ConfigError`` when that is more than ``MAX_WORKERS``.
+    and raises ``ConfigError`` when that is more than ``MAX_WORKERS``, as it
+    does unless ``configs`` holds one config per job.
     """
     if len(configs) != len(plan.jobs):
-        raise ValueError("configs must match the plan's jobs")
+        raise ConfigError(f"configs: got {len(configs)} for {len(plan.jobs)} jobs, "
+                          f"expected one per job")
     workers = plan.cluster.workers
     if workers > MAX_WORKERS:
         raise ConfigError(f"the SGD oracle averages at most {MAX_WORKERS} workers, "

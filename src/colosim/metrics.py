@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .engine import Trace, _gap_runs
-from .errors import ComparisonError, InvalidTraceError
+from .errors import ComparisonError, ConfigError, InvalidTraceError
 from .scheduler import SchedulePlan, validate_trace
 from .workload import comp_time
 
@@ -172,11 +172,11 @@ def _table(m: Metrics) -> str:
 
 
 def report(metrics: Metrics, fmt: str) -> str:
-    """Render metrics as 'json', 'csv' or 'table' text."""
+    """Render metrics as 'json', 'csv' or 'table' text; any other ``fmt`` is a ``ConfigError``."""
     if fmt == "json":
         return json.dumps(_json_doc(metrics), indent=2) + "\n"
     if fmt == "csv":
         return _csv(metrics)
     if fmt == "table":
         return _table(metrics)
-    raise ValueError(f"unknown report format {fmt!r} (expected json, csv or table)")
+    raise ConfigError(f"unknown report format {fmt!r} (expected json, csv or table)")

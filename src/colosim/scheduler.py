@@ -95,46 +95,56 @@ class SchedulePlan:
                                   f"jobs[{first[job.job_id]}].job_id, and ids must be unique")
         comm = _sync_times(self.cluster, [j.grad_bytes for j in self.jobs])
         object.__setattr__(self, "comm_times", comm)
-        total = sum([j.iterations * (j.forward_time + j.backward_time + c)
-                     for j, c in zip(self.jobs, comm)])
-        object.__setattr__(self, "sequential_makespan", total)
-        if total >= _INT_LIMIT:
-            raise ConfigError(f"plan: sequential makespan sum(T_i * (comp_i + comm_i)) = "
-                              f"{_quoted(total)} ns must stay below 2^63 = {_INT_LIMIT} ns")
+        object.__setattr__(self, "sequential_makespan", _sequential_makespan(self.jobs, comm))
 
 
-def _run(plan: SchedulePlan, blocks: list[Block] | None) -> list[int]:
-    """Dispatch the plan round by round; return ``[gpu_free, nic_free, *sync_end]``.
+def _sequential_makespan(jobs: tuple[JobProfile, ...], comm_times: tuple[int, ...]) -> int:
+    """``sum(T_i * (comp_i + comm_i))``, or a ``ConfigError`` unless it is below 2^63."""
+    total = sum([j.iterations * (j.forward_time + j.backward_time + c)
+                 for j, c in zip(jobs, comm_times)])
+    if total >= _INT_LIMIT:
+        raise ConfigError(f"plan: sequential makespan sum(T_i * (comp_i + comm_i)) = "
+                          f"{_quoted(total)} ns must stay below 2^63 = {_INT_LIMIT} ns")
+    return total
 
-    That end state holds each job's last sync end in plan order, and
-    ``nic_free`` is the makespan.  When ``blocks`` is a list, appends each
-    dispatched round to it as one block (see ``engine._expand``).  While the
-    active job set is fixed (a regime), a round is fixed by its start state
-    relative to the GPU clock g: the key is ``nic_free - g`` followed by
-    ``sync_end_j - g`` clamped at zero for each active j.  The clamp is exact
-    because a job starts at ``max(gpu_free, sync_end_j)`` and gpu_free never
-    falls below g within a round.  Sync ends are a list indexed by plan
-    position, and each ``max`` is a conditional that keeps the first operand
-    on a tie, as ``max`` does, so a row shares its ``int`` objects with the
-    row before it.  The round is shift-invariant, so once a round starts with
-    the previous round's key, every remaining round of the regime is that
+
+def _run(policy: Policy, jobs: tuple[JobProfile, ...], comm_times: tuple[int, ...],
+         blocks: list[Block] | None) -> list[int]:
+    """Dispatch ``jobs`` round by round; return ``[gpu_free, nic_free, *sync_end]``.
+
+    ``policy``, ``jobs`` and ``comm_times`` are a checked plan's fields of
+    those names, or its jobs with other sync times that pass
+    ``_sequential_makespan``, as a sweep point's do: ``jobs[i]`` syncs for
+    ``comm_times[i]`` ns, and its ``grad_bytes`` is not read.  The end state
+    holds each job's last sync end in job order, and ``nic_free`` is the
+    makespan.  When ``blocks`` is a list, appends each dispatched round to
+    it as one block (see ``engine._expand``).  While the active job set is
+    fixed (a regime), a round is fixed by its start state relative to the
+    GPU clock g: the key is ``nic_free - g`` followed by ``sync_end_j - g``
+    clamped at zero for each active j.  The clamp is exact because a job
+    starts at ``max(gpu_free, sync_end_j)`` and gpu_free never falls below g
+    within a round.  Sync ends are a list indexed by job position, and each
+    ``max`` is a conditional that keeps the first operand on a tie, as
+    ``max`` does, so a row shares its ``int`` objects with the row before
+    it.  The round is shift-invariant, so once a round starts with the
+    previous round's key, every remaining round of the regime is that
     previous round shifted by ``d = g - g_prev`` per round.  The previous
-    round's block becomes ``(round, d, until + 1 - t)`` and the clocks jump to
-    the regime's end (a max-plus recurrence is eventually periodic; Baccelli,
-    Cohen, Olsder and Quadrat, 1992).  A regime whose period is longer than
-    one round, or whose transient outlasts its budget, runs round by round and
-    stays exact.
+    round's block becomes ``(round, d, until + 1 - t)`` and the clocks jump
+    to the regime's end (a max-plus recurrence is eventually periodic;
+    Baccelli, Cohen, Olsder and Quadrat, 1992).  A regime whose period is
+    longer than one round, or whose transient outlasts its budget, runs
+    round by round and stays exact.
     """
-    hold_gpu = plan.policy is Policy.SEQUENTIAL
-    jobs = [(i, j.job_id, j.forward_time, j.backward_time, comm)
-            for i, (j, comm) in enumerate(zip(plan.jobs, plan.comm_times))]
-    sync_end = [0] * len(jobs)
+    hold_gpu = policy is Policy.SEQUENTIAL
+    lanes = [(i, j.job_id, j.forward_time, j.backward_time, comm)
+             for i, (j, comm) in enumerate(zip(jobs, comm_times))]
+    sync_end = [0] * len(lanes)
     gpu_free = nic_free = 0
     rows: list[Row] | None = None if blocks is None else []
     t = 1
-    for until in sorted({j.iterations for j in plan.jobs}):
-        active = [job for job, j in zip(jobs, plan.jobs) if j.iterations >= t]
-        positions = [job[0] for job in active]
+    for until in sorted({j.iterations for j in jobs}):
+        active = [lane for lane, j in zip(lanes, jobs) if j.iterations >= t]
+        positions = [lane[0] for lane in active]
         key = g_prev = None
         while t <= until:
             prev, key = key, [nic_free - gpu_free, *[sync_end[i] - gpu_free
@@ -180,7 +190,7 @@ def simulate(plan: SchedulePlan) -> Trace:
     ``validate_trace``).
     """
     blocks: list[Block] = []
-    _run(plan, blocks)
+    _run(plan.policy, plan.jobs, plan.comm_times, blocks)
     return Trace._of(tuple(blocks), plan)
 
 
@@ -190,7 +200,7 @@ def makespan(plan: SchedulePlan) -> int:
     Whole periods are skipped rather than recorded, so it keeps no rows and
     no table, and a plan that repeats early costs the same at any budget.
     """
-    return _run(plan, None)[1]
+    return _run(plan.policy, plan.jobs, plan.comm_times, None)[1]
 
 
 def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:

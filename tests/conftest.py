@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from colosim import engine, scheduler
+from colosim import cli, engine, scheduler
 
 # property tests run derandomized so CI results are reproducible
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -10,15 +10,19 @@ settings.load_profile("ci")
 
 @pytest.fixture
 def run_calls(monkeypatch):
-    """The plans ``scheduler._run`` is called with: one per dispatch loop run."""
+    """The policy of each ``scheduler._run`` call: one per dispatch loop run.
+
+    The CLI's sweep calls ``_run`` by its own name, so that name counts too.
+    """
     calls = []
     run = scheduler._run
 
-    def counting(plan, blocks):
-        calls.append(plan)
-        return run(plan, blocks)
+    def counting(policy, jobs, comm_times, blocks):
+        calls.append(policy)
+        return run(policy, jobs, comm_times, blocks)
 
     monkeypatch.setattr(scheduler, "_run", counting)
+    monkeypatch.setattr(cli, "_run", counting)
     return calls
 
 

@@ -19,7 +19,7 @@ from colosim.cli import (
     _write,
     main,
 )
-from colosim.comm import Architecture, ClusterSpec, comm_time
+from colosim.comm import Architecture, ClusterSpec, comm_time, cost_terms
 from colosim.engine import trace_to_chrome_json, trace_to_json
 from colosim.errors import ConfigError
 from colosim.scenario import MAX_JOB_ITERATIONS, load_config
@@ -290,10 +290,26 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
     def test_each_point_runs_one_schedule(self, tmp_path, run_calls):
-        # the sequential makespan is the plan's closed form, not a second run
+        # the sequential makespan is the closed form, not a second run
         assert run("sweep", "--config", str(SCENARIO_DIR / "sweep_base.json"),
                    "--out", str(tmp_path), "--steps", "7", "--iters", "20") == 0
-        assert [p.policy for p in run_calls] == [Policy.CROSSOVER] * 7
+        assert run_calls == [Policy.CROSSOVER] * 7
+
+    @pytest.mark.parametrize("steps", [7, MAX_SWEEP_STEPS])
+    def test_one_sweep_builds_one_plan(self, tmp_path, monkeypatch, steps):
+        # the scenario's plan; each point is priced from its jobs without a plan
+        built = []
+        post_init = SchedulePlan.__post_init__
+
+        def counting(plan):
+            built.append(plan)
+            post_init(plan)
+
+        monkeypatch.setattr(SchedulePlan, "__post_init__", counting)
+        assert run("sweep", "--config", str(SCENARIO_DIR / "sweep_base.json"),
+                   "--out", str(tmp_path), "--steps", str(steps), "--iters", "20") == 0
+        assert len(built) == 1
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + steps
 
     def test_deterministic_output(self, tmp_path):
         for d in ("a", "b"):
@@ -324,6 +340,24 @@ def test_sweep_payload_inverts_comm_time(architecture, workers, bandwidth, laten
         return
     assert payload >= 0
     assert abs(comm_time(payload, cluster) - target) <= beta / 2 + 1
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(Architecture), st.integers(min_value=2, max_value=64),
+       st.integers(min_value=1, max_value=10**13), st.integers(min_value=0, max_value=10**4),
+       st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=10**15),
+       st.integers(min_value=-1, max_value=1))
+def test_sweep_payload_rounds_half_to_even(architecture, workers, bandwidth, latency, comp,
+                                           whole, nudge):
+    # p / q is set so that the exact payload is whole + 1/2 (+ nudge / (2 * num))
+    cluster = ClusterSpec(workers=workers, bandwidth_bytes_per_sec=bandwidth,
+                          latency_per_message=latency, architecture=architecture)
+    plan = SchedulePlan(Policy.CROSSOVER, (JobProfile("j", comp, 0, 0, 1),), cluster)
+    alpha, num, den = cost_terms(cluster)
+    p, q = (2 * whole + 1) * num + 2 * alpha * den + nudge, 2 * den * comp
+    exact = Fraction((p * comp - alpha * q) * den, q * num)
+    assert nudge or exact.denominator == 2
+    assert _payload(plan, p, q) == round(exact)
 
 
 @st.composite

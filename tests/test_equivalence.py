@@ -528,6 +528,10 @@ class TestWorkerBound:
 
 
 class TestConfigValidation:
+    def test_one_config_per_job(self):
+        with pytest.raises(ConfigError, match=r"^configs: got 1 for 2 jobs, expected one per job$"):
+            next(replay_trace([config()], crossover_plan(5, 5)))
+
     def test_run_validation(self):
         with pytest.raises(ValueError):
             list(replay_trace([config()], crossover_plan(5, 5)))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from colosim.comm import Architecture, ClusterSpec
 from colosim.engine import Trace
-from colosim.errors import ComparisonError, InvalidTraceError
+from colosim.errors import ComparisonError, ConfigError, InvalidTraceError
 from colosim.metrics import (
     METRICS_CSV_HEADER,
     _steady_period,
@@ -328,6 +328,12 @@ class TestReport:
         mx, _ = golden_pair()
         with pytest.raises(ValueError, match="unknown report format"):
             report(mx, "yaml")
+
+    def test_unknown_format_is_a_config_error(self):
+        mx, _ = golden_pair()
+        with pytest.raises(ConfigError, match=r"^unknown report format 'xml' \(expected json, "
+                                              r"csv or table\)$"):
+            report(mx, "xml")
 
     def test_reports_are_deterministic(self):
         mx, _ = golden_pair()

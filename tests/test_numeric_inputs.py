@@ -108,6 +108,15 @@ def test_scenario_plan_quotes_an_iteration_count_past_the_digit_limit(iterations
         load_config(GOLDEN).plan(iterations)
 
 
+@pytest.mark.parametrize("iterations, kind", [
+    ("5", "a str"), ([5], "a list"), (5.0, "a float"), (True, "a bool"), (np.int64(5), "an int64"),
+])
+def test_scenario_plan_takes_only_an_int_iteration_count(iterations, kind):
+    # a str or a list used to reach `iterations < 1` and raise a plain TypeError
+    with pytest.raises(ConfigError, match=rf"^iterations \(--iters\): expected an int, got {kind}$"):
+        load_config(GOLDEN).plan(iterations)
+
+
 def test_an_unknown_fixture_profile_is_a_config_error():
     for name in ("alexnet", 10**5000, ["resnet50"]):
         with pytest.raises(ConfigError, match=r"^fixture profile .* is not one of resnet50, vgg16$"):

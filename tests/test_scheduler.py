@@ -462,7 +462,8 @@ def test_run_returns_the_max_plus_end_state(raw):
     for policy in Policy:
         p = plan(policy, build_specs(raw))
         state = max_plus_state(max_plus_jobs(p), policy)
-        assert scheduler._run(p, None) == scheduler._run(p, []) == state
+        fields = (p.policy, p.jobs, p.comm_times)
+        assert scheduler._run(*fields, None) == scheduler._run(*fields, []) == state
 
 
 @settings(max_examples=300, deadline=None)

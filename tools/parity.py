@@ -13,6 +13,9 @@ leaves no worktree metadata behind.  Both trees run the same commands as
   ``validate-config`` on every bundled scenario;
 * ``simulate`` on ``speedup_band`` at ``--iters 100000`` (200,000 rows),
   writing both trace files;
+* a 1000-point ``sweep`` of ``sweep_base`` over an irregular ratio range,
+  and ``sweep`` on each document of a fixed corpus of scenarios whose sweep
+  ends in an error;
 * ``equivalence --iters 5`` and ``--iters 20``;
 * ``simulate`` and ``validate-config`` on each document of a fixed corpus of
   invalid scenarios, and a fixed set of invalid command lines.
@@ -84,6 +87,16 @@ INVALID_DOCS: dict[str, str | bytes] = {
     "missing_iterations": _doc(jobs=[{k: v for k, v in _JOB.items() if k != "iterations"}]),
 }
 
+# Valid scenario documents whose sweep, with the given flags, is refused.
+SWEEP_DOCS: dict[str, tuple[str, list[str]]] = {
+    "sweep_one_worker_ring": (_doc(cluster={"workers": 1}), []),
+    "sweep_unreachable_ratio": (_doc(cluster={"latency_us": 1}), ["--ratio-min", "1e-05"]),
+    # 2 x 4e18 ns of compute fits, but a sync of 0.2 x compute takes the sum past 2^63
+    "sweep_later_points_past_2_63": (_doc(jobs=[{**_JOB, "forward_ms": 4e12, "backward_ms": 0,
+                                                 "iterations": 2}]),
+                                     ["--ratio-min", "0.1", "--ratio-max", "0.2", "--steps", "3"]),
+}
+
 _GOLDEN = ["--config", "scenarios/golden_2jobs.json"]
 
 # Invalid command lines, and the help texts.
@@ -120,12 +133,18 @@ def commands(scenarios: list[str], corpus: Path) -> dict[str, list[str]]:
     runs["simulate-speedup_band-iters-100000"] = [
         "simulate", "--config", "scenarios/speedup_band.json", "--out", OUT,
         "--iters", "100000", "--format", "json", "--format", "chrome-trace"]
+    runs["sweep-sweep_base-steps-1000"] = [
+        "sweep", "--config", "scenarios/sweep_base.json", "--out", OUT, "--steps", "1000",
+        "--ratio-min", "0.123456789", "--ratio-max", "3.9"]
     runs["equivalence-5"] = ["equivalence", "--iters", "5"]
     runs["equivalence-20"] = ["equivalence", "--iters", "20"]
     for name in INVALID_DOCS:
         config = ["--config", str(corpus / f"{name}.json")]
         runs[f"doc-simulate-{name}"] = ["simulate", *config, "--out", OUT]
         runs[f"doc-validate-{name}"] = ["validate-config", *config]
+    for name, (_, flags) in SWEEP_DOCS.items():
+        runs[f"doc-{name}"] = ["sweep", "--config", str(corpus / f"{name}.json"),
+                               "--out", OUT, *flags]
     for name, argv in INVALID_ARGV.items():
         runs[f"argv-{name}"] = argv
     return runs
@@ -133,7 +152,8 @@ def commands(scenarios: list[str], corpus: Path) -> dict[str, list[str]]:
 
 def write_corpus(corpus: Path) -> None:
     corpus.mkdir(parents=True, exist_ok=True)
-    for name, text in INVALID_DOCS.items():
+    docs = {**INVALID_DOCS, **{name: doc for name, (doc, _) in SWEEP_DOCS.items()}}
+    for name, text in docs.items():
         data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
         (corpus / f"{name}.json").write_bytes(data)
 

@@ -70,19 +70,19 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _payload(plan: SchedulePlan, p: int, q: int) -> int:
-    """Gradient bytes whose sync lasts ``p / q`` times the first job's compute time.
+def _payload(terms: tuple[int, int, int], comp: int, p: int, q: int) -> int:
+    """Gradient bytes whose sync lasts ``p / q`` times ``comp``, a compute time in ns.
 
-    ``p`` and ``q`` are positive integers, and the exact payload is rounded to
-    the nearest byte, half to even as ``round`` rounds a ``Fraction``.  A
-    ``ConfigError`` if no payload reaches that time; its ``p / q`` rounds as
-    ``float()`` of the ratio does.
+    ``terms`` are the cluster's ``cost_terms``, ``p`` and ``q`` are positive
+    integers, and the exact payload is rounded to the nearest byte, half to
+    even as ``round`` rounds a ``Fraction``.  A ``ConfigError`` if no payload
+    reaches that time; its ``p / q`` rounds as ``float()`` of the ratio does.
     """
-    latency, num, den = cost_terms(plan.cluster)
+    latency, num, den = terms
     if num == 0:
         raise ConfigError("sweep: ring_allreduce needs workers >= 2 to have "
                           "any communication to scale")
-    target = p * comp_time(plan.jobs[0])  # q times the target sync time
+    target = p * comp  # q times the target sync time
     if target < latency * q:
         raise ConfigError(
             f"sweep: ratio {p / q:g} unreachable, per-message latency alone "
@@ -114,11 +114,13 @@ def _cmd_sweep(args) -> int:
     b = hi.numerator * lo.denominator - lo.numerator * hi.denominator
     c = lo.denominator * hi.denominator * (args.steps - 1)
     # A point changes only grad_bytes, to an int >= 0, so the base plan's
-    # checks cover it: each point is priced from those jobs, without a plan.
+    # checks cover it: each point is priced from those jobs and the cluster's
+    # terms, without a plan.
+    terms, comp = cost_terms(plan.cluster), comp_time(plan.jobs[0])
     rows = []
     for k in range(args.steps):
         p = a + k * b
-        comm_times = _sync_times(plan.cluster, [_payload(plan, p, c)]) * len(plan.jobs)
+        comm_times = _sync_times(terms, [_payload(terms, comp, p, c)]) * len(plan.jobs)
         sequential = _sequential_makespan(plan.jobs, comm_times)
         crossover = _run(Policy.CROSSOVER, plan.jobs, comm_times, None)[1]
         rows.append(f"{p / c!r},{sequential / crossover!r}")

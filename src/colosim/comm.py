@@ -74,10 +74,10 @@ def comm_time(size_bytes: int, cluster: ClusterSpec) -> int:
     ``size_bytes`` must be an exact ``int`` >= 0, as a plan's ``grad_bytes`` must.
     """
     _check_least("", (("size_bytes", 0),), (size_bytes,))
-    return _sync_times(cluster, [size_bytes])[0]
+    return _sync_times(cost_terms(cluster), [size_bytes])[0]
 
 
-def _sync_times(cluster: ClusterSpec, sizes: list[int]) -> tuple[int, ...]:
-    """``comm_time`` of each size, which the caller has checked, pricing the cluster once."""
-    latency, num, den = cost_terms(cluster)
+def _sync_times(terms: tuple[int, int, int], sizes: list[int]) -> tuple[int, ...]:
+    """``comm_time`` of each size, which the caller has checked, from ``cost_terms``."""
+    latency, num, den = terms
     return tuple([latency + -(-size * num // den) for size in sizes])

@@ -11,6 +11,18 @@ sync ends reads stale parameters and diverges.  The tests show the
 comparison failing on edited replayed states, down to one ulp in one
 coordinate, and on edited trace rows.
 
+Both runs train in lockstep.  One integer pass over the rows gives each
+job's reads: how many of its own updates have landed when each of its
+computes starts, and in which order the updates land.  A lane is one run of
+one job, and its compute k reads its state after that many updates: the
+replay's reads, or k - 1 in isolation.  Iteration k of every lane is one
+batched gradient over a ``(lanes, workers, BATCH_SIZE, DIM)`` stack, with
+``loss_gradient``'s arithmetic per lane.  Each lane gathers its own batches
+and computes its own gradient, so the two lanes of a job share no gathered
+batch or gradient.  A lane keeps every state it reaches: ``DIM`` float64s,
+so a comparison holds 2 x DIM x 8 = 128 bytes per trace row, less than the
+row itself.
+
 Everything is double precision with a fixed left-to-right reduction order so
 bit equality is well defined.
 
@@ -18,11 +30,12 @@ Every job trains the same size of problem at the same learning rate
 (``DIM``, ``DATASET_SIZE``, ``BATCH_SIZE``, ``LEARNING_RATE``); an
 ``SgdConfig`` picks only its loss and seeds, and the worker count is that of
 the plan's cluster, at most ``MAX_WORKERS``.  A worker's mini-batch is a pure
-function of (job seed, iteration, worker index): one generator, keyed by
-(job seed, block, worker index), draws that worker's batches for a block of
-16 iterations.  Each block is drawn once per process and shared, read-only,
-by both runs, as is each config's synthetic dataset.  Gathered batches,
-gradients and anything else derived from the parameters are never cached:
+function of (job seed, iteration, worker index), even for a compute that
+reads stale parameters: one generator, keyed by (job seed, block, worker
+index), draws that worker's batches for a block of 16 iterations.  Each
+worker's block is drawn once per process and shared, read-only, by both
+runs, as is each config's synthetic dataset.  Gathered batches, gradients
+and anything else derived from the parameters are never cached or shared:
 both runs compute every gradient themselves, or the comparison would prove
 nothing.
 """
@@ -116,78 +129,142 @@ def initial_state(config: SgdConfig) -> TrainingState:
     return TrainingState(rng.standard_normal(DIM), 0)
 
 
-def loss_gradient(loss: LossKind, parameters: np.ndarray,
+def loss_gradient(logistic: bool | np.ndarray, parameters: np.ndarray,
                   x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Worker-averaged mean gradient over a stack of equal-size worker batches.
+    """Worker-averaged mean gradient of each lane's stack of equal-size worker batches.
 
-    ``x`` is ``(workers, batch, dim)`` and ``y`` is ``(workers, batch)``.  One
-    ``matmul`` gives every worker's ``x_w.T @ r_w / batch``; the worker rows
-    are summed left to right and divided by the worker count, which for equal
-    batches is the mean gradient over every row of the stack.  The oracle
-    builds the stack from checked configs, so the shapes are not re-checked.
+    ``x`` is ``(..., workers, batch, dim)``, ``y`` is ``(..., workers, batch)``
+    and ``parameters`` is ``(..., dim)``: one stack, or a stack per lane along
+    the leading axis.  ``logistic`` picks the loss, logistic where true and
+    least squares where false: a ``bool``, or one per lane shaped
+    ``(lanes, 1, 1)``.  Per lane, one ``matmul`` gives every worker's
+    ``x_w.T @ r_w / batch``; the worker rows are summed left to right and
+    divided by the worker count, which for equal batches is the mean gradient
+    over every row of the stack.  No operation mixes lanes, so a lane's
+    gradient has the bits it would have alone.  The oracle builds the stacks
+    from checked configs, so the shapes are not re-checked.
     """
-    z = x @ parameters
-    if loss is LossKind.LEAST_SQUARES:
-        residual = z - y
-    else:
-        residual = 0.5 * (1.0 + np.tanh(0.5 * z)) - y  # sigmoid(z) - y
-    per_worker = np.matmul(x.transpose(0, 2, 1), residual[..., None])[..., 0] / y.shape[1]
-    return np.add.accumulate(per_worker)[-1] / len(y)
+    workers, batch = y.shape[-2:]
+    z = (x @ parameters[..., None, :, None])[..., 0]
+    residual = np.where(logistic, 0.5 * (1.0 + np.tanh(0.5 * z)) - y, z - y)  # sigmoid(z) - y
+    per_worker = (x.swapaxes(-1, -2) @ residual[..., None])[..., 0] / batch
+    return np.add.accumulate(per_worker, axis=-2)[..., -1, :] / workers
 
 
 # Iterations per draw block: one generator per (job seed, block, worker)
 # fills that worker's mini-batches for 16 iterations in a row.
 _BLOCK = 16
 
-# The most workers a replay averages over, so a block (16 x workers x
-# BATCH_SIZE int64 indices, 128 KiB at the bound) stays small.
+# The most workers a replay averages over, so one lockstep iteration gathers
+# at most 64 KiB of batches per lane.
 MAX_WORKERS = 64
 
-# Blocks kept per process: 64 blocks of at most 128 KiB, so retained draws
-# stay within 8 MiB.  The default CLI grid builds 63 blocks (3 job seeds x
-# worker counts 1, 2, 4 x 7 blocks of 100 iterations), each drawn once; past
-# the cache size a block is still reused, since each job's isolated run asks
-# for an iteration's draw soon after its replayed run did.
-_CACHE_SIZE = 64
+# Worker blocks kept per process: 256 of 2 KiB (16 x BATCH_SIZE int64
+# indices), so retained draws stay within 512 KiB.  The grid of
+# ``colosim equivalence --iters 60`` draws 48 (3 job seeds x 4 blocks x 4
+# workers), each once.  Lanes that share a job seed ask for a block one
+# after the other, so past the cache size a draw is still made once.
+_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _draw_block(rng_seed: int, block: int, workers: int) -> np.ndarray:
-    """Read-only ``(16, workers, BATCH_SIZE)`` indices of one block's iterations.
-
-    Worker ``w``'s slice depends on (job seed, block, ``w``) alone, so a
-    W-worker block begins with the w-worker one.
-    """
-    idx = np.empty((_BLOCK, workers, BATCH_SIZE), dtype=np.int64)
-    for w in range(workers):
-        rng = np.random.default_rng([rng_seed, 1, block, w])
-        idx[:, w] = rng.integers(0, DATASET_SIZE, size=(_BLOCK, BATCH_SIZE))
+def _draw_block(rng_seed: int, block: int, worker: int) -> np.ndarray:
+    """Read-only ``(16, BATCH_SIZE)`` indices: one worker's batches for one block."""
+    rng = np.random.default_rng([rng_seed, 1, block, worker])
+    idx = rng.integers(0, DATASET_SIZE, size=(_BLOCK, BATCH_SIZE))
     idx.setflags(write=False)
     return idx
 
 
-def _batch_indices(rng_seed: int, iteration: int, workers: int) -> np.ndarray:
-    """Read-only ``(workers, BATCH_SIZE)`` view of one iteration's worker draws."""
-    block, row = divmod(iteration - 1, _BLOCK)
-    return _draw_block(rng_seed, block, workers)[row]
+def _replay_reads(configs: Sequence[SgdConfig],
+                  plan: SchedulePlan) -> tuple[list[list[int]], list[int]]:
+    """Each job's reads along ``simulate(plan).rows``, and the landing order.
 
-
-def sgd_step(state: TrainingState, averaged: np.ndarray) -> TrainingState:
-    return TrainingState(state.parameters - LEARNING_RATE * averaged,
-                         state.iteration + 1)
-
-
-def _averaged_gradient(state: TrainingState, config: SgdConfig,
-                       dataset: tuple[np.ndarray, np.ndarray], workers: int) -> np.ndarray:
-    """Averaged gradient for the job's next iteration at its current parameters.
-
-    ``dataset`` is ``make_dataset(config)``, looked up once per job by the
-    caller.  Each worker's mini-batch is drawn from (job seed, iteration,
-    worker index) alone, never from what other jobs did in between.
+    At a row's start, every pending update of that job whose sync ended by
+    then lands, oldest first; after the last row, whatever is still queued.
+    ``reads[j][k]`` is how many of job j's updates have landed when its
+    compute ``k + 1`` starts, and ``order`` holds the job index of each
+    landing in turn.  Raises ``ConfigError`` past ``MAX_WORKERS``, or unless
+    ``configs`` holds one config per job.
     """
-    x, y = dataset
-    idx = _batch_indices(config.rng_seed, state.iteration + 1, workers)
-    return loss_gradient(config.loss, state.parameters, x.take(idx, axis=0), y.take(idx))
+    if len(configs) != len(plan.jobs):
+        raise ConfigError(f"configs: got {len(configs)} for {len(plan.jobs)} jobs, "
+                          f"expected one per job")
+    if plan.cluster.workers > MAX_WORKERS:
+        raise ConfigError(f"the SGD oracle averages at most {MAX_WORKERS} workers, "
+                          f"got {plan.cluster.workers}")
+    index = {job.job_id: j for j, job in enumerate(plan.jobs)}
+    reads: list[list[int]] = [[] for _ in plan.jobs]
+    pending: list[deque[int]] = [deque() for _ in plan.jobs]
+    order = []
+    for job_id, _, start, *_, sync_end in simulate(plan).rows:
+        j = index[job_id]
+        queue = pending[j]
+        while queue and queue[0] <= start:
+            queue.popleft()
+            order.append(j)
+        reads[j].append(len(reads[j]) - len(queue))
+        queue.append(sync_end)
+    for j, queue in enumerate(pending):
+        order += [j] * len(queue)
+    return reads, order
+
+
+def _train(configs: Sequence[SgdConfig], workers: int,
+           reads: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """Train lane l as ``configs[l]`` for ``len(reads[l])`` updates, every lane in lockstep.
+
+    Update k of lane l applies the gradient at the lane's state after
+    ``reads[l][k - 1]`` updates, which is at most k - 1; the gradient averages
+    ``workers`` workers' batches of iteration k.  Iteration k is one
+    ``loss_gradient`` call over the lanes that make an update k.  Returns each
+    lane's read-only ``(len(reads[l]) + 1, DIM)`` trajectory, whose row m holds
+    the parameters after m updates.
+    """
+    # Longest lanes first, so the lanes that make update k are a prefix; then
+    # by job seed, so lanes that share draws ask for them one after the other.
+    lanes = sorted(range(len(configs)), key=lambda l: (-len(reads[l]), configs[l].rng_seed))
+    counts = [len(reads[l]) for l in lanes]
+    # Lane p's trajectory is rows first[p] .. first[p] + counts[p] of states,
+    # and sources[first[p] + k] is the row its update k reads.
+    first = np.cumsum([0] + [n + 1 for n in counts[:-1]])
+    states = np.empty((sum(counts) + len(lanes), DIM))
+    sources = np.empty(len(states), dtype=np.intp)
+    for p, l in enumerate(lanes):
+        states[first[p]] = initial_state(configs[l]).parameters
+        sources[first[p] + 1:first[p] + counts[p] + 1] = first[p] + np.asarray(reads[l],
+                                                                               dtype=np.intp)
+    # Lane p gathers from its own copy of its dataset, rows p * DATASET_SIZE on.
+    xs = np.concatenate([make_dataset(configs[l])[0] for l in lanes])
+    ys = np.concatenate([make_dataset(configs[l])[1] for l in lanes])
+    offsets = DATASET_SIZE * np.arange(len(lanes))[:, None, None, None]
+    logistic = np.array([configs[l].loss is LossKind.LOGISTIC for l in lanes])[:, None, None]
+    active = len(lanes)
+    for k in range(1, counts[0] + 1):
+        while counts[active - 1] < k:
+            active -= 1
+        block, row = divmod(k - 1, _BLOCK)
+        if row == 0:
+            # (lanes, workers, 16, BATCH_SIZE) dataset rows of the block's iterations
+            idx = offsets[:active] + np.array([
+                [_draw_block(configs[l].rng_seed, block, w) for w in range(workers)]
+                for l in lanes[:active]])
+        batch = idx[:active, :, row]
+        rows = first[:active] + k
+        gradient = loss_gradient(logistic[:active], states[sources[rows]], xs[batch], ys[batch])
+        states[rows] = states[rows - 1] - LEARNING_RATE * gradient
+    states.setflags(write=False)
+    return [states[first[p]:first[p] + counts[p] + 1]
+            for p in sorted(range(len(lanes)), key=lanes.__getitem__)]
+
+
+def _landings(order: Sequence[int],
+              trajectories: Sequence[np.ndarray]) -> Iterator[tuple[int, TrainingState]]:
+    """``(job index, state)`` per landing in ``order``, a view of the job's trajectory."""
+    landed = [0] * len(trajectories)
+    for j in order:
+        landed[j] += 1
+        yield j, TrainingState(trajectories[j][landed[j]], landed[j])
 
 
 def replay_trace(configs: Sequence[SgdConfig],
@@ -196,36 +273,14 @@ def replay_trace(configs: Sequence[SgdConfig],
 
     Yields ``(job index, state)`` as each update lands: at a row's start,
     every pending update of that job whose sync ended by then; after the last
-    row, whatever is still queued.  Each job averages the gradients of
-    ``plan.cluster.workers`` workers, the count its syncs were priced for,
+    row, whatever is still queued.  Each state's ``parameters`` is a
+    read-only view of the job's trajectory.  Each job averages the gradients
+    of ``plan.cluster.workers`` workers, the count its syncs were priced for,
     and raises ``ConfigError`` when that is more than ``MAX_WORKERS``, as it
     does unless ``configs`` holds one config per job.
     """
-    if len(configs) != len(plan.jobs):
-        raise ConfigError(f"configs: got {len(configs)} for {len(plan.jobs)} jobs, "
-                          f"expected one per job")
-    workers = plan.cluster.workers
-    if workers > MAX_WORKERS:
-        raise ConfigError(f"the SGD oracle averages at most {MAX_WORKERS} workers, "
-                          f"got {workers}")
-    index = {job.job_id: j for j, job in enumerate(plan.jobs)}
-    states = [initial_state(cfg) for cfg in configs]
-    datasets = [make_dataset(cfg) for cfg in configs]
-    pending: list[deque[tuple[int, np.ndarray]]] = [deque() for _ in configs]
-
-    def land(j: int) -> tuple[int, TrainingState]:
-        states[j] = sgd_step(states[j], pending[j].popleft()[1])
-        return j, states[j]
-
-    for job_id, _, start, *_, sync_end in simulate(plan).rows:
-        j = index[job_id]
-        while pending[j] and pending[j][0][0] <= start:
-            yield land(j)
-        gradient = _averaged_gradient(states[j], configs[j], datasets[j], workers)
-        pending[j].append((sync_end, gradient))
-    for j in range(len(configs)):
-        while pending[j]:
-            yield land(j)
+    reads, order = _replay_reads(configs, plan)
+    yield from _landings(order, _train(configs, plan.cluster.workers, reads))
 
 
 @dataclass(frozen=True)
@@ -243,31 +298,38 @@ class NeutralityReport:
 def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan) -> NeutralityReport:
     """Compare the replayed trajectories against isolated ones, bit for bit.
 
-    Each job's isolated reference steps as each replayed update lands, so no
-    trajectory is stored, and its budget is the plan's.  A missing, extra or
-    misnumbered replayed state is a divergence at the first iteration it
-    affects (coordinate 0).  The lowest (job, iteration) divergence is
-    reported.
+    One lockstep training runs two lanes per job: the replay along
+    ``simulate(plan).rows``, and the isolated reference, whose update k reads
+    the state after k - 1 updates, for the plan's budget.  The replayed
+    states are taken as ``replay_trace`` yields them, and a job's states
+    numbered 1, 2, ... in turn are compared with its isolated trajectory in
+    one array operation.  A missing, extra or misnumbered replayed state is
+    a divergence at the first iteration it affects (coordinate 0).  The
+    lowest (job, iteration) divergence is reported.
     """
-    workers = plan.cluster.workers
-    reference = [initial_state(cfg) for cfg in configs]
-    datasets = [make_dataset(cfg) for cfg in configs]
+    reads, order = _replay_reads(configs, plan)
+    isolated = [range(job.iterations) for job in plan.jobs]
+    trajectories = _train([*configs, *configs], plan.cluster.workers, [*reads, *isolated])
+    replayed: list[list[TrainingState]] = [[] for _ in configs]
+    for j, state in _landings(order, trajectories[:len(configs)]):
+        replayed[j].append(state)
     max_dev = 0.0
-    diverged: dict[int, tuple[int, int]] = {}
-    for j, state in replay_trace(configs, plan):
-        t = reference[j].iteration + 1
-        if state.iteration != t or t > plan.jobs[j].iterations:
-            diverged.setdefault(j, (t, 0))
-            continue
-        gradient = _averaged_gradient(reference[j], configs[j], datasets[j], workers)
-        ref = reference[j] = sgd_step(reference[j], gradient)
-        diff = np.abs(ref.parameters - state.parameters)
-        dev = float(diff.max())
-        max_dev = max(max_dev, dev)
-        if dev != 0.0:
-            diverged.setdefault(j, (t, int(np.argmax(diff != 0.0))))
-    for j, (ref, job) in enumerate(zip(reference, plan.jobs)):
-        if ref.iteration < job.iterations:
-            diverged.setdefault(j, (ref.iteration + 1, 0))
-    first = min(((j, *where) for j, where in diverged.items()), default=None)
-    return NeutralityReport(max_dev, first)
+    found = []
+    for j, (states, reference) in enumerate(zip(replayed, trajectories[len(configs):])):
+        budget = len(reference) - 1
+        matched = []
+        for state in states:
+            t = len(matched) + 1
+            if state.iteration != t or t > budget:
+                found.append((j, t, 0))
+            else:
+                matched.append(state.parameters)
+        if len(matched) < budget:
+            found.append((j, len(matched) + 1, 0))
+        if matched:
+            diff = np.abs(np.stack(matched) - reference[1:len(matched) + 1])
+            max_dev = max(max_dev, float(diff.max()))
+            iterations, coords = np.nonzero(diff)
+            if len(iterations):
+                found.append((j, int(iterations[0]) + 1, int(coords[0])))
+    return NeutralityReport(max_dev, min(found, default=None))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .comm import ClusterSpec, _sync_times
+from .comm import ClusterSpec, _sync_times, cost_terms
 from .engine import _INT_LIMIT, _JOB_ID_LIMIT, _NAMES, _TYPES, Block, Row, Trace, _escaped
 from .errors import ConfigError, _a, _check_least, _quoted
 from .workload import JobProfile, comp_time
@@ -93,7 +93,7 @@ class SchedulePlan:
             if first.setdefault(job.job_id, i) != i:
                 raise ConfigError(f'jobs[{i}].job_id: "{escaped}" is also '
                                   f"jobs[{first[job.job_id]}].job_id, and ids must be unique")
-        comm = _sync_times(self.cluster, [j.grad_bytes for j in self.jobs])
+        comm = _sync_times(cost_terms(self.cluster), [j.grad_bytes for j in self.jobs])
         object.__setattr__(self, "comm_times", comm)
         object.__setattr__(self, "sequential_makespan", _sequential_makespan(self.jobs, comm))
 

@@ -9,11 +9,13 @@ byte formats, built from ``trace.rows`` without the package's span view,
 the sync costs are the two alpha-beta formulas written
 out per architecture with a divmod ceiling, the SGD mini-batch draw makes a
 fresh generator and draws a worker's whole 16-iteration block on every call
-(the package caches each block of all workers' draws), and the
-worker-averaged gradient loops over workers (the package batches them).
-``run_isolated`` is the plain synchronous-SGD reference trajectory that the
-pinned grid digest hashes; it steps with the package's own gradient, since
-that is the code both runs of the neutrality check share.
+(the package caches each worker's block), and the
+worker-averaged gradient loops over workers (the package batches them, and
+trains every lane in lockstep).  ``run_isolated`` is the plain
+synchronous-SGD reference trajectory that the pinned grid digest hashes, and
+``replay_reference`` replays a trace's rows one at a time through a FIFO of
+pending updates; both step with those draws and that gradient, gather
+``x[idx]`` themselves and update ``p - LEARNING_RATE * g`` in ``sgd_step``.
 ``fixture_tensor_sizes`` reads the per-tensor inventories of the bundled
 profiles straight from the data file, for the fusion counterfactual.
 ``scaled_int_reference`` converts a config number through ``Fraction`` (the
@@ -39,8 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from colosim.comm import Architecture
-from colosim.equivalence import (LossKind, _averaged_gradient, initial_state, make_dataset,
-                                  sgd_step)
+from colosim.equivalence import (BATCH_SIZE, DATASET_SIZE, LEARNING_RATE, LossKind,
+                                  TrainingState, initial_state, make_dataset)
 from colosim.errors import ConfigError
 from colosim.scenario import _INT_LIMIT, _brief
 from colosim.scheduler import Policy, SchedulePlan, makespan
@@ -261,15 +263,59 @@ def averaged_gradient_reference(loss, parameters, x, y) -> np.ndarray:
     return total / len(x)
 
 
+def sgd_step(state, averaged: np.ndarray):
+    """One update: ``p - LEARNING_RATE * g``, and one more completed iteration."""
+    return TrainingState(state.parameters - LEARNING_RATE * averaged, state.iteration + 1)
+
+
+def reference_gradient(config, parameters: np.ndarray, iteration: int,
+                       workers: int) -> np.ndarray:
+    """The averaged gradient at ``parameters`` over the workers' batches of ``iteration``."""
+    x, y = make_dataset(config)
+    idx = np.stack([batch_indices_reference(config.rng_seed, iteration, w,
+                                            DATASET_SIZE, BATCH_SIZE) for w in range(workers)])
+    return averaged_gradient_reference(config.loss, parameters, x[idx], y[idx])
+
+
 def run_isolated(config, workers: int, iterations: int) -> list:
     """Plain synchronous SGD with no interleaving: the state after each update."""
     state = initial_state(config)
-    dataset = make_dataset(config)
     trajectory = []
-    for _ in range(iterations):
-        state = sgd_step(state, _averaged_gradient(state, config, dataset, workers))
+    for t in range(1, iterations + 1):
+        state = sgd_step(state, reference_gradient(config, state.parameters, t, workers))
         trajectory.append(state)
     return trajectory
+
+
+def replay_reference(configs, plan, rows) -> list:
+    """``(job index, state)`` as each update lands, replaying ``rows`` one by one.
+
+    A job's compute k queues the gradient of iteration k's batches at its
+    parameters of the moment, until the row's sync end.  At each row's start
+    the job first applies, oldest first, every queued update whose sync has
+    ended by then; after the last row, every job applies what is still queued.
+    """
+    index = {job.job_id: j for j, job in enumerate(plan.jobs)}
+    states = [initial_state(cfg) for cfg in configs]
+    computes = [0] * len(configs)
+    pending = [[] for _ in configs]  # (sync_end, gradient), oldest first
+    landed = []
+
+    def land(j):
+        states[j] = sgd_step(states[j], pending[j].pop(0)[1])
+        landed.append((j, states[j]))
+
+    for job_id, _, start, *_, sync_end in rows:
+        j = index[job_id]
+        while pending[j] and pending[j][0][0] <= start:
+            land(j)
+        computes[j] += 1
+        pending[j].append((sync_end, reference_gradient(configs[j], states[j].parameters,
+                                                        computes[j], plan.cluster.workers)))
+    for j in range(len(configs)):
+        while pending[j]:
+            land(j)
+    return landed
 
 
 def _ceil(num: int, den: int) -> int:

@@ -214,7 +214,7 @@ def test_criterion_5_convergence_neutrality():
     for k in range(100):
         loss = losses[k % 2]
         params = rng.standard_normal(6)
-        analytic = loss_gradient(loss, params, x, targets[loss])
+        analytic = loss_gradient(loss is LossKind.LOGISTIC, params, x, targets[loss])
         numeric = finite_difference_gradient(
             lambda p: loss_value(loss, p, x, targets[loss]), params, step=1e-5)
         rel = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(analytic), 1e-12)

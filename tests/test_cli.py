@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colosim import engine
+from colosim import cli, comm, engine, scheduler
 from colosim.cli import (
     MAX_EQUIV_ITERS,
     MAX_SWEEP_STEPS,
@@ -24,7 +24,6 @@ from colosim.engine import trace_to_chrome_json, trace_to_json
 from colosim.errors import ConfigError
 from colosim.scenario import MAX_JOB_ITERATIONS, load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate
-from colosim.workload import JobProfile
 from oracles import sweep_reference, trace_to_chrome_json_reference, trace_to_json_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -297,18 +296,26 @@ class TestSweep:
 
     @pytest.mark.parametrize("steps", [7, MAX_SWEEP_STEPS])
     def test_one_sweep_builds_one_plan(self, tmp_path, monkeypatch, steps):
-        # the scenario's plan; each point is priced from its jobs without a plan
-        built = []
+        # the scenario's plan; each point is priced from its jobs and the
+        # cluster's cost terms, which the sweep computes once, without a plan
+        built, priced = [], []
         post_init = SchedulePlan.__post_init__
 
         def counting(plan):
             built.append(plan)
             post_init(plan)
 
+        def pricing(cluster):
+            priced.append(cluster)
+            return cost_terms(cluster)
+
         monkeypatch.setattr(SchedulePlan, "__post_init__", counting)
+        for module in (cli, comm, scheduler):
+            monkeypatch.setattr(module, "cost_terms", pricing)
         assert run("sweep", "--config", str(SCENARIO_DIR / "sweep_base.json"),
                    "--out", str(tmp_path), "--steps", str(steps), "--iters", "20") == 0
         assert len(built) == 1
+        assert len(priced) == 2  # the plan's sync times, then the sweep's
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + steps
 
     def test_deterministic_output(self, tmp_path):
@@ -327,14 +334,12 @@ class TestSweep:
 def test_sweep_payload_inverts_comm_time(architecture, workers, bandwidth, latency, comp, rho):
     cluster = ClusterSpec(workers=workers, bandwidth_bytes_per_sec=bandwidth,
                           latency_per_message=latency, architecture=architecture)
-    job = JobProfile("j", comp, 0, 0, 1)
-    plan = SchedulePlan(Policy.CROSSOVER, (job,), cluster)
     target = rho * comp
     beta = Fraction(2 * 10**9, bandwidth)  # ns per byte
     if architecture is Architecture.RING_ALLREDUCE:
         beta *= Fraction(workers - 1, workers)
     try:
-        payload = _payload(plan, rho.numerator, rho.denominator)
+        payload = _payload(cost_terms(cluster), comp, rho.numerator, rho.denominator)
     except ConfigError:
         assert target < comm_time(0, cluster)
         return
@@ -352,12 +357,11 @@ def test_sweep_payload_rounds_half_to_even(architecture, workers, bandwidth, lat
     # p / q is set so that the exact payload is whole + 1/2 (+ nudge / (2 * num))
     cluster = ClusterSpec(workers=workers, bandwidth_bytes_per_sec=bandwidth,
                           latency_per_message=latency, architecture=architecture)
-    plan = SchedulePlan(Policy.CROSSOVER, (JobProfile("j", comp, 0, 0, 1),), cluster)
     alpha, num, den = cost_terms(cluster)
     p, q = (2 * whole + 1) * num + 2 * alpha * den + nudge, 2 * den * comp
     exact = Fraction((p * comp - alpha * q) * den, q * num)
     assert nudge or exact.denominator == 2
-    assert _payload(plan, p, q) == round(exact)
+    assert _payload((alpha, num, den), comp, p, q) == round(exact)
 
 
 @st.composite

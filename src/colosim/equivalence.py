@@ -8,7 +8,7 @@ seed-generated synthetic problems per job in isolation and along the rows of
 identical.  Along the trace, a job applies each pending update whose sync has
 ended at a row's ``start``, so a compute that starts before the job's previous
 sync ends reads stale parameters and diverges.  The tests show the
-comparison failing on edited replayed states, down to one ulp in one
+comparison failing on edited replayed trajectories, down to one ulp in one
 coordinate, and on edited trace rows.
 
 Both runs train in lockstep.  One integer pass over the rows gives each
@@ -185,11 +185,14 @@ def _replay_reads(configs: Sequence[SgdConfig],
     ``reads[j][k]`` is how many of job j's updates have landed when its
     compute ``k + 1`` starts, and ``order`` holds the job index of each
     landing in turn.  Raises ``ConfigError`` past ``MAX_WORKERS``, or unless
-    ``configs`` holds one config per job.
+    ``configs`` holds one ``SgdConfig`` per job.
     """
     if len(configs) != len(plan.jobs):
         raise ConfigError(f"configs: got {len(configs)} for {len(plan.jobs)} jobs, "
                           f"expected one per job")
+    for i, config in enumerate(configs):
+        if type(config) is not SgdConfig:
+            raise ConfigError(f"configs[{i}]: expected an SgdConfig, got {_a(config)}")
     if plan.cluster.workers > MAX_WORKERS:
         raise ConfigError(f"the SGD oracle averages at most {MAX_WORKERS} workers, "
                           f"got {plan.cluster.workers}")
@@ -271,16 +274,17 @@ def replay_trace(configs: Sequence[SgdConfig],
                  plan: SchedulePlan) -> Iterator[tuple[int, TrainingState]]:
     """Train ``configs[i]`` as ``plan.jobs[i]`` along ``simulate(plan).rows``.
 
-    Yields ``(job index, state)`` as each update lands: at a row's start,
-    every pending update of that job whose sync ended by then; after the last
-    row, whatever is still queued.  Each state's ``parameters`` is a
-    read-only view of the job's trajectory.  Each job averages the gradients
-    of ``plan.cluster.workers`` workers, the count its syncs were priced for,
-    and raises ``ConfigError`` when that is more than ``MAX_WORKERS``, as it
-    does unless ``configs`` holds one config per job.
+    Trains when called, and returns an iterator of ``(job index, state)`` as
+    each update lands: at a row's start, every pending update of that job
+    whose sync ended by then; after the last row, whatever is still queued.
+    Each state's ``parameters`` is a read-only view of the job's trajectory.
+    Each job averages the gradients of ``plan.cluster.workers`` workers, the
+    count its syncs were priced for, and the call raises ``ConfigError`` when
+    that is more than ``MAX_WORKERS``, as it does unless ``configs`` holds one
+    ``SgdConfig`` per job.
     """
     reads, order = _replay_reads(configs, plan)
-    yield from _landings(order, _train(configs, plan.cluster.workers, reads))
+    return _landings(order, _train(configs, plan.cluster.workers, reads))
 
 
 @dataclass(frozen=True)
@@ -296,40 +300,28 @@ class NeutralityReport:
 
 
 def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan) -> NeutralityReport:
-    """Compare the replayed trajectories against isolated ones, bit for bit.
+    """Compare each job's replayed trajectory with its isolated one, bit for bit.
 
     One lockstep training runs two lanes per job: the replay along
     ``simulate(plan).rows``, and the isolated reference, whose update k reads
-    the state after k - 1 updates, for the plan's budget.  The replayed
-    states are taken as ``replay_trace`` yields them, and a job's states
-    numbered 1, 2, ... in turn are compared with its isolated trajectory in
-    one array operation.  A missing, extra or misnumbered replayed state is
-    a divergence at the first iteration it affects (coordinate 0).  The
-    lowest (job, iteration) divergence is reported.
+    the state after k - 1 updates, for the plan's budget.  Job j's two
+    trajectories are compared directly, rows 1 to n in one array operation,
+    where n is the shorter one's update count.  Trajectories of unequal
+    length diverge at iteration n + 1 (coordinate 0).  The lowest
+    (job, iteration) divergence is reported.
     """
-    reads, order = _replay_reads(configs, plan)
+    reads, _ = _replay_reads(configs, plan)
     isolated = [range(job.iterations) for job in plan.jobs]
     trajectories = _train([*configs, *configs], plan.cluster.workers, [*reads, *isolated])
-    replayed: list[list[TrainingState]] = [[] for _ in configs]
-    for j, state in _landings(order, trajectories[:len(configs)]):
-        replayed[j].append(state)
     max_dev = 0.0
     found = []
-    for j, (states, reference) in enumerate(zip(replayed, trajectories[len(configs):])):
-        budget = len(reference) - 1
-        matched = []
-        for state in states:
-            t = len(matched) + 1
-            if state.iteration != t or t > budget:
-                found.append((j, t, 0))
-            else:
-                matched.append(state.parameters)
-        if len(matched) < budget:
-            found.append((j, len(matched) + 1, 0))
-        if matched:
-            diff = np.abs(np.stack(matched) - reference[1:len(matched) + 1])
+    for j, (replayed, reference) in enumerate(zip(trajectories, trajectories[len(configs):])):
+        n = min(len(replayed), len(reference)) - 1
+        if len(replayed) != len(reference):
+            found.append((j, n + 1, 0))
+        diff = np.abs(replayed[1:n + 1] - reference[1:n + 1])
+        iterations, coords = np.nonzero(diff)
+        if len(iterations):
             max_dev = max(max_dev, float(diff.max()))
-            iterations, coords = np.nonzero(diff)
-            if len(iterations):
-                found.append((j, int(iterations[0]) + 1, int(coords[0])))
+            found.append((j, int(iterations[0]) + 1, int(coords[0])))
     return NeutralityReport(max_dev, min(found, default=None))

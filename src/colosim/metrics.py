@@ -126,10 +126,10 @@ def _json_doc(m: Metrics) -> dict:
         "makespan_ns": m.makespan,
         "per_job": {
             job_id: {
-                "iterations": m.per_job_iterations.get(job_id, 0),
+                "iterations": iterations,
                 "period_ns": m.per_job_iteration_period.get(job_id),
             }
-            for job_id in m.per_job_iterations
+            for job_id, iterations in m.per_job_iterations.items()
         },
         "gpu_utilization": _frac_str(m.gpu_utilization),
         "nic_utilization": _frac_str(m.nic_utilization),

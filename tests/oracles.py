@@ -318,6 +318,31 @@ def replay_reference(configs, plan, rows) -> list:
     return landed
 
 
+def neutrality_reference(configs, plan, rows) -> tuple:
+    """``(max_abs_deviation, first_divergence)`` of ``replay_reference`` against ``run_isolated``.
+
+    Job j's replayed states, in landing order, are its iterations 1, 2, ...;
+    each is compared coordinate by coordinate with the isolated state of that
+    iteration.  An iteration that only one side reaches diverges at
+    coordinate 0.  The lowest ``(job index, iteration, coordinate)`` wins.
+    """
+    replayed = [[] for _ in configs]
+    for j, state in replay_reference(configs, plan, rows):
+        replayed[j].append(state.parameters)
+    max_dev, found = 0.0, []
+    for j, (config, job) in enumerate(zip(configs, plan.jobs)):
+        isolated = [s.parameters for s in run_isolated(config, plan.cluster.workers,
+                                                       job.iterations)]
+        for t, (a, b) in enumerate(zip(replayed[j], isolated), start=1):
+            for c, (x, y) in enumerate(zip(a, b)):
+                if x != y:
+                    max_dev = max(max_dev, float(abs(x - y)))
+                    found.append((j, t, c))
+        if len(replayed[j]) != len(isolated):
+            found.append((j, min(len(replayed[j]), len(isolated)) + 1, 0))
+    return max_dev, min(found, default=None)
+
+
 def _ceil(num: int, den: int) -> int:
     q, r = divmod(num, den)
     return q + (r > 0)

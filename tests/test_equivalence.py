@@ -86,6 +86,16 @@ def replay_cases(draw):
     return configs, plan
 
 
+def early_starts(data, rows):
+    """``rows`` with up to 3 computes moved to start before their job's previous sync ends."""
+    for k in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3), label="early"):
+        previous = [row for row in rows[:k] if row[0] == rows[k][0]]
+        if previous:
+            start = data.draw(st.integers(0, previous[-1][6] - 1))
+            rows[k] = (*rows[k][:2], start, *rows[k][3:])
+    return rows
+
+
 def stack_of_batches(rng, workers, batch, dim):
     """A random (workers, batch, dim) stack and (workers, batch) targets."""
     return rng.standard_normal((workers, batch, dim)), rng.standard_normal((workers, batch))
@@ -314,12 +324,7 @@ class TestRunCrossover:
         # bit for bit, in landing order, on the schedule's rows and on rows
         # where some computes start before the job's previous sync ends
         configs, plan = case
-        rows = list(simulate(plan).rows)
-        for k in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3), label="early"):
-            previous = [row for row in rows[:k] if row[0] == rows[k][0]]
-            if previous:
-                start = data.draw(st.integers(0, previous[-1][6] - 1))
-                rows[k] = (*rows[k][:2], start, *rows[k][3:])
+        rows = early_starts(data, list(simulate(plan).rows))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equivalence, "simulate", lambda _: Trace(tuple(rows)))
             got = list(replay_trace(configs, plan))
@@ -329,26 +334,22 @@ class TestRunCrossover:
                    for (_, a), (_, b) in zip(got, want))
 
 
-def _renumbered(state: TrainingState, iteration: int) -> TrainingState:
-    return TrainingState(state.parameters, iteration)
+def _nudged(t):
+    """The trajectory with row 3's coordinate 0 moved up by one ulp."""
+    t[3, 0] = np.nextafter(t[3, 0], np.inf)
+    return t
 
 
-def _nudged(state: TrainingState) -> TrainingState:
-    """A copy of the state with coordinate 0 moved up by one ulp."""
-    parameters = state.parameters.copy()
-    parameters[0] = np.nextafter(parameters[0], np.inf)
-    return TrainingState(parameters, state.iteration)
-
-
-# Broken edits of each job's replayed states, each with the iteration
-# check_neutrality must name for a 5-iteration run.
+# Broken edits of job 0's replayed trajectory (a writable copy whose row m
+# holds the parameters after m updates), each with the iteration
+# check_neutrality must name for a 5-iteration run, and whether a compared
+# row differs.
 TRAJECTORY_MUTANTS = {
-    "skips_final_drain": (lambda t: t[:-1], 5),
-    "drops_a_middle_state": (lambda t: t[:2] + t[3:], 3),
-    "repeats_a_state": (lambda t: t[:2] + [t[1]] + t[2:-1], 3),
-    "extra_state": (lambda t: t + [_renumbered(t[-1], 6)], 6),
-    "misnumbered_state": (lambda t: t[:3] + [_renumbered(t[3], 7)] + t[4:], 4),
-    "one_ulp_nudge": (lambda t: t[:2] + [_nudged(t[2])] + t[3:], 3),
+    "skips_final_drain": (lambda t: t[:-1], 5, False),
+    "extra_state": (lambda t: np.vstack([t, t[-1:]]), 6, False),
+    "drops_a_middle_state": (lambda t: np.delete(t, 3, axis=0), 3, True),
+    "repeats_a_state": (lambda t: np.vstack([t[:3], t[2:-1]]), 3, True),
+    "one_ulp_nudge": (_nudged, 3, True),
 }
 
 
@@ -367,14 +368,14 @@ def _early_start(job_id, iteration):
 class TestCheckNeutrality:
     @pytest.fixture
     def mutate(self, monkeypatch):
-        """Edit each job's replayed states in the stream check_neutrality reads."""
+        """Edit job 0's replayed trajectory in what check_neutrality compares."""
         def install(edit):
-            real = equivalence._landings
+            real = equivalence._train
 
-            def edited(order, trajectories):
-                states = by_job(len(trajectories), real(order, trajectories))
-                return [(j, s) for j, t in enumerate(states) for s in edit(t)]
-            monkeypatch.setattr(equivalence, "_landings", edited)
+            def edited(configs, workers, reads):
+                trajectories = real(configs, workers, reads)
+                return [edit(trajectories[0].copy()), *trajectories[1:]]
+            monkeypatch.setattr(equivalence, "_train", edited)
         return install
 
     @pytest.fixture
@@ -390,14 +391,14 @@ class TestCheckNeutrality:
 
     @pytest.mark.parametrize("name", sorted(TRAJECTORY_MUTANTS))
     def test_broken_trajectory_is_a_divergence(self, mutate, name):
-        edit, iteration = TRAJECTORY_MUTANTS[name]
+        edit, iteration, deviates = TRAJECTORY_MUTANTS[name]
         mutate(edit)
         report = check_neutrality([config(seed=51, rng_seed=0), config(seed=52, rng_seed=1)],
                                   crossover_plan(5, 5))
         assert report.first_divergence == (0, iteration, 0)
-        # Only a changed value has a deviation; a missing, extra or
-        # misnumbered state is never compared.
-        assert (report.max_abs_deviation > 0.0) == (name == "one_ulp_nudge")
+        # A row past the shorter trajectory is never compared, so a skipped
+        # or extra final state has no deviation.
+        assert (report.max_abs_deviation > 0.0) == deviates
 
     def test_cli_fails_on_a_skipped_final_drain(self, mutate, capsys):
         mutate(TRAJECTORY_MUTANTS["skips_final_drain"][0])
@@ -419,6 +420,24 @@ class TestCheckNeutrality:
         mutate_rows(lambda rows: rows[:-1])
         report = check_neutrality(cli._equiv_configs(3, 2, 0), cli._equiv_plan(3, 2, 5))
         assert report.first_divergence == (2, 5, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=replay_cases(), data=st.data())
+    def test_matches_a_per_state_comparison(self, case, data):
+        # on rows with early starts, and with a dropped or a duplicated row,
+        # so some trajectories are shorter or longer than their budget
+        configs, plan = case
+        rows = early_starts(data, list(simulate(plan).rows))
+        if data.draw(st.booleans(), label="drop"):
+            del rows[data.draw(st.integers(0, len(rows) - 1), label="dropped")]
+        if rows and data.draw(st.booleans(), label="duplicate"):
+            k = data.draw(st.integers(0, len(rows) - 1), label="duplicated")
+            rows.insert(data.draw(st.integers(k, len(rows)), label="at"), rows[k])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equivalence, "simulate", lambda _: Trace(tuple(rows)))
+            report = check_neutrality(configs, plan)
+        assert ((report.max_abs_deviation, report.first_divergence)
+                == oracles.neutrality_reference(configs, plan, rows))
 
     def test_unequal_budgets_pass(self):
         configs = cli._equiv_configs(3, 2, 0)
@@ -592,6 +611,13 @@ class TestConfigValidation:
     def test_one_config_per_job(self):
         with pytest.raises(ConfigError, match=r"^configs: got 1 for 2 jobs, expected one per job$"):
             next(replay_trace([config()], crossover_plan(5, 5)))
+
+    def test_replay_trace_raises_when_called(self):
+        # before any state is read from what it returns
+        with pytest.raises(ConfigError, match=r"^configs: got 1 for 2 jobs"):
+            replay_trace([config()], crossover_plan(5, 5))
+        with pytest.raises(ConfigError, match="at most 64 workers"):
+            replay_trace([config()], crossover_plan(2, workers=MAX_WORKERS + 1))
 
     def test_run_validation(self):
         with pytest.raises(ValueError):

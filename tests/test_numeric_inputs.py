@@ -99,6 +99,17 @@ def test_sgd_config_names_the_field(args, message):
         SgdConfig(*args)
 
 
+@pytest.mark.parametrize("entry, kind", [
+    (None, "a NoneType"), ("least_squares", "a str"), ((LossKind.LOGISTIC, 1, 2), "a tuple"),
+])
+def test_a_config_entry_must_be_an_sgd_config(entry, kind):
+    # None used to end in AttributeError: 'NoneType' object has no attribute 'rng_seed'
+    jobs = (JobProfile("a", 1, 1, 1, 3), JobProfile("b", 1, 1, 1, 3))
+    plan = SchedulePlan(Policy.CROSSOVER, jobs, FALLBACK_CLUSTER)
+    with pytest.raises(ConfigError, match=rf"^configs\[0\]: expected an SgdConfig, got {kind}$"):
+        check_neutrality([entry, SgdConfig(LossKind.LOGISTIC, 1, 2)], plan)
+
+
 @pytest.mark.parametrize("iterations, quoted", [
     (10**5000, "2^16610 or more job-iterations in all"),  # two jobs: 2 * 10^5000
     (-10**5000, "must be >= 1, got -2^16609 or less"),

@@ -16,8 +16,9 @@ leaves no worktree metadata behind.  Both trees run the same commands as
 * a 1000-point ``sweep`` of ``sweep_base`` over an irregular ratio range,
   and ``sweep`` on each document of a fixed corpus of scenarios whose sweep
   ends in an error;
-* ``equivalence --iters 5``, ``--iters 20`` and ``--iters 60 --seed 123``
-  (the benchmark's size, at a seed the pinned grid digest covers);
+* ``equivalence --iters 1`` (the shortest trajectories, two rows per
+  lane), ``--iters 5``, ``--iters 20`` and ``--iters 60 --seed 123`` (the
+  benchmark's size, at a seed the pinned grid digest covers);
 * ``simulate`` and ``validate-config`` on each document of a fixed corpus of
   invalid scenarios, and a fixed set of invalid command lines.
 
@@ -137,6 +138,7 @@ def commands(scenarios: list[str], corpus: Path) -> dict[str, list[str]]:
     runs["sweep-sweep_base-steps-1000"] = [
         "sweep", "--config", "scenarios/sweep_base.json", "--out", OUT, "--steps", "1000",
         "--ratio-min", "0.123456789", "--ratio-max", "3.9"]
+    runs["equivalence-1"] = ["equivalence", "--iters", "1"]
     runs["equivalence-5"] = ["equivalence", "--iters", "5"]
     runs["equivalence-20"] = ["equivalence", "--iters", "20"]
     runs["equivalence-60-seed-123"] = ["equivalence", "--iters", "60", "--seed", "123"]

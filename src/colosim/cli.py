@@ -168,20 +168,21 @@ def _cmd_equivalence(args) -> int:
         raise ConfigError(f"--iters must be in [1, {MAX_EQUIV_ITERS}], got {args.iters}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    from .equivalence import check_neutrality
+    from .equivalence import _check_cells
 
+    grid = [(n_jobs, workers) for n_jobs in _EQUIV_JOB_COUNTS
+            for workers in _EQUIV_WORKER_COUNTS]
+    reports = _check_cells([(_equiv_configs(n_jobs, workers, args.seed),
+                             _equiv_plan(n_jobs, workers, args.iters))
+                            for n_jobs, workers in grid])
     worst = 0.0
     failure = None
-    for n_jobs in _EQUIV_JOB_COUNTS:
-        for workers in _EQUIV_WORKER_COUNTS:
-            configs = _equiv_configs(n_jobs, workers, args.seed)
-            plan = _equiv_plan(n_jobs, workers, args.iters)
-            rep = check_neutrality(configs, plan)
-            print(f"jobs={n_jobs} workers={workers} iters={args.iters}: "
-                  f"max deviation {rep.max_abs_deviation:g}")
-            worst = max(worst, rep.max_abs_deviation)
-            if rep.first_divergence is not None and failure is None:
-                failure = (n_jobs, workers, rep.first_divergence)
+    for (n_jobs, workers), rep in zip(grid, reports):
+        print(f"jobs={n_jobs} workers={workers} iters={args.iters}: "
+              f"max deviation {rep.max_abs_deviation:g}")
+        worst = max(worst, rep.max_abs_deviation)
+        if rep.first_divergence is not None and failure is None:
+            failure = (n_jobs, workers, rep.first_divergence)
 
     print(f"max absolute trajectory deviation: {worst:g}")
     if failure is not None:

@@ -21,7 +21,10 @@ batched gradient over a ``(lanes, workers, BATCH_SIZE, DIM)`` stack, with
 and computes its own gradient, so the two lanes of a job share no gathered
 batch or gradient.  A lane keeps every state it reaches: ``DIM`` float64s,
 so a comparison holds 2 x DIM x 8 = 128 bytes per trace row, less than the
-row itself.
+row itself.  ``colosim equivalence`` checks a grid of cells, each a set of
+configs and a plan, and the cells that share a worker count train as the
+lanes of one lockstep run.  Since no operation mixes lanes, each cell's
+report is the one ``check_neutrality`` gives it alone.
 
 Everything is double precision with a fixed left-to-right reduction order so
 bit equality is well defined.
@@ -162,8 +165,10 @@ MAX_WORKERS = 64
 # Worker blocks kept per process: 256 of 2 KiB (16 x BATCH_SIZE int64
 # indices), so retained draws stay within 512 KiB.  The grid of
 # ``colosim equivalence --iters 60`` draws 48 (3 job seeds x 4 blocks x 4
-# workers), each once.  Lanes that share a job seed ask for a block one
-# after the other, so past the cache size a draw is still made once.
+# workers), each once.  A grid call trains the lanes of three cells, which
+# share each job seed's blocks; lanes that share a job seed ask for a block
+# one after the other, so past the cache size a call still draws each block
+# once.
 _CACHE_SIZE = 256
 
 
@@ -185,8 +190,13 @@ def _replay_reads(configs: Sequence[SgdConfig],
     ``reads[j][k]`` is how many of job j's updates have landed when its
     compute ``k + 1`` starts, and ``order`` holds the job index of each
     landing in turn.  Raises ``ConfigError`` past ``MAX_WORKERS``, or unless
-    ``configs`` holds one ``SgdConfig`` per job.
+    ``configs`` is a list or tuple of one ``SgdConfig`` per job and ``plan`` a
+    ``SchedulePlan``.
     """
+    if type(configs) not in (list, tuple):
+        raise ConfigError(f"configs: expected a list or tuple, got {_a(configs)}")
+    if type(plan) is not SchedulePlan:
+        raise ConfigError(f"plan: expected a SchedulePlan, got {_a(plan)}")
     if len(configs) != len(plan.jobs):
         raise ConfigError(f"configs: got {len(configs)} for {len(plan.jobs)} jobs, "
                           f"expected one per job")
@@ -310,12 +320,41 @@ def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan) -> Neutra
     length diverge at iteration n + 1 (coordinate 0).  The lowest
     (job, iteration) divergence is reported.
     """
-    reads, _ = _replay_reads(configs, plan)
-    isolated = [range(job.iterations) for job in plan.jobs]
-    trajectories = _train([*configs, *configs], plan.cluster.workers, [*reads, *isolated])
+    return _check_cells([(configs, plan)])[0]
+
+
+def _check_cells(cells: Sequence[tuple[Sequence[SgdConfig], SchedulePlan]]
+                 ) -> list[NeutralityReport]:
+    """``check_neutrality`` of each ``(configs, plan)`` cell, in order.
+
+    Every cell's reads are found, and its inputs checked, before any lane
+    trains.  The cells that share a worker count then train in one ``_train``
+    call, each cell's replay lanes and then its isolated lanes, cell after
+    cell.  No operation mixes lanes, so each trajectory has the bits it has
+    when its cell trains alone.
+    """
+    lanes = []  # per cell: (lane configs, lane reads)
+    groups: dict[int, list[int]] = {}  # worker count -> its cells
+    for c, (configs, plan) in enumerate(cells):
+        reads, _ = _replay_reads(configs, plan)
+        isolated = [range(job.iterations) for job in plan.jobs]
+        lanes.append(([*configs, *configs], [*reads, *isolated]))
+        groups.setdefault(plan.cluster.workers, []).append(c)
+    trajectories: list[list[np.ndarray]] = [[] for _ in cells]
+    for workers, members in groups.items():
+        trained = iter(_train([config for c in members for config in lanes[c][0]], workers,
+                              [reads for c in members for reads in lanes[c][1]]))
+        for c in members:
+            trajectories[c] = [next(trained) for _ in lanes[c][0]]
+    return [_compare(t) for t in trajectories]
+
+
+def _compare(trajectories: Sequence[np.ndarray]) -> NeutralityReport:
+    """The report on one cell's lanes: job j's replay is lane j, its reference lane jobs + j."""
+    jobs = len(trajectories) // 2
     max_dev = 0.0
     found = []
-    for j, (replayed, reference) in enumerate(zip(trajectories, trajectories[len(configs):])):
+    for j, (replayed, reference) in enumerate(zip(trajectories[:jobs], trajectories[jobs:])):
         n = min(len(replayed), len(reference)) - 1
         if len(replayed) != len(reference):
             found.append((j, n + 1, 0))

@@ -73,17 +73,38 @@ def replayed(configs, plan):
 
 
 @st.composite
-def replay_cases(draw):
+def replay_cases(draw, workers=st.integers(1, 4)):
     """Configs and a small plan of 1-3 jobs with unequal budgets, either policy."""
     budgets = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
     jobs = tuple(JobProfile(f"j{i}", draw(st.integers(0, 3)), draw(st.integers(1, 3)),
                             draw(st.integers(0, 12)), iterations)
                  for i, iterations in enumerate(budgets))
     plan = SchedulePlan(draw(st.sampled_from(Policy)), jobs,
-                        replace(NS_CLUSTER, workers=draw(st.integers(1, 4))))
+                        replace(NS_CLUSTER, workers=draw(workers)))
     configs = [config(draw(st.sampled_from(LossKind)), draw(st.integers(0, 99)),
                       draw(st.integers(0, 99))) for _ in jobs]
     return configs, plan
+
+
+@st.composite
+def cell_mixes(draw):
+    """Two or three ``replay_cases`` at each of 1, 2 and 4 workers, in any order."""
+    cells = [draw(replay_cases(workers=st.just(workers)))
+             for workers in (1, 2, 4) for _ in range(draw(st.integers(2, 3)))]
+    return draw(st.permutations(cells))
+
+
+def check_cells(cells):
+    """``_check_cells(cells)``, and the lanes each cell's report compared, in cell order."""
+    compared = []
+    real = equivalence._compare
+
+    def spy(trajectories):
+        compared.append(trajectories)
+        return real(trajectories)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "_compare", spy)
+        return equivalence._check_cells(cells), compared
 
 
 def early_starts(data, rows):
@@ -368,7 +389,12 @@ def _early_start(job_id, iteration):
 class TestCheckNeutrality:
     @pytest.fixture
     def mutate(self, monkeypatch):
-        """Edit job 0's replayed trajectory in what check_neutrality compares."""
+        """Edit lane 0 of every ``_train`` call: job 0's replayed trajectory.
+
+        ``check_neutrality`` trains one cell per call.  Through the CLI, a call
+        trains every cell of one worker count, so only the first cell of each
+        worker count (jobs=1) is edited.
+        """
         def install(edit):
             real = equivalence._train
 
@@ -446,6 +472,59 @@ class TestCheckNeutrality:
         assert [len(t) for t in replayed(configs, plan)] == [3, 10, 7]
 
 
+class TestCheckCells:
+    """Cells that share a worker count train together, and each is reported as if alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cells=cell_mixes(), data=st.data())
+    def test_each_cell_is_checked_as_if_alone(self, cells, data):
+        rows = {id(plan): early_starts(data, list(simulate(plan).rows)) for _, plan in cells}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equivalence, "simulate", lambda plan: Trace(tuple(rows[id(plan)])))
+            reports, lanes = check_cells(cells)
+            assert reports == [check_neutrality(*cell) for cell in cells]
+            alone = [check_cells([cell])[1][0] for cell in cells]
+        for trajectories, own in zip(lanes, alone):
+            assert [t.tobytes() for t in trajectories] == [t.tobytes() for t in own]
+
+    def test_the_cli_grid_trains_one_call_per_worker_count(self, monkeypatch, capsys):
+        calls = []
+        real = equivalence._train
+
+        def counted(configs, workers, reads):
+            calls.append((workers, len(configs)))
+            return real(configs, workers, reads)
+        monkeypatch.setattr(equivalence, "_train", counted)
+        assert cli.main(["equivalence", "--iters", "5"]) == cli.EXIT_OK
+        # the replay and isolated lanes of 1 + 2 + 3 jobs
+        assert calls == [(1, 12), (2, 12), (4, 12)]
+
+    @pytest.mark.parametrize("n_jobs, workers, job", [
+        (n_jobs, workers, job) for n_jobs in cli._EQUIV_JOB_COUNTS
+        for workers in cli._EQUIV_WORKER_COUNTS for job in range(n_jobs)])
+    def test_a_one_ulp_edit_is_reported_in_its_cell_only(self, monkeypatch, capsys,
+                                                         n_jobs, workers, job):
+        # The cells of one worker count train in one call, jobs=1 first, each
+        # cell's replay lanes before its isolated lanes.
+        lane = sum(2 * n for n in cli._EQUIV_JOB_COUNTS if n < n_jobs) + job
+        real = equivalence._train
+
+        def edited(configs, call_workers, reads):
+            trajectories = real(configs, call_workers, reads)
+            if call_workers == workers:
+                trajectories[lane] = _nudged(trajectories[lane].copy())
+            return trajectories
+        monkeypatch.setattr(equivalence, "_train", edited)
+        assert cli.main(["equivalence", "--iters", "5"]) == cli.EXIT_EQUIVALENCE
+        captured = capsys.readouterr()
+        deviating = [line for line in captured.out.splitlines()
+                     if line.startswith("jobs=") and not line.endswith("deviation 0")]
+        assert [line.split(" iters=")[0] for line in deviating] == [
+            f"jobs={n_jobs} workers={workers}"]
+        assert captured.err == (f"FAIL: trajectories diverge at jobs={n_jobs} "
+                                f"workers={workers} job_index={job} iteration=3 coordinate=0\n")
+
+
 def _grid_digest(seeds=(0, 5, 123), iterations=60) -> str:
     h = hashlib.sha256()
     for seed in seeds:
@@ -464,6 +543,22 @@ def _grid_digest(seeds=(0, 5, 123), iterations=60) -> str:
 
 def test_cli_grid_trajectories_are_pinned():
     assert _grid_digest() == GRID_DIGEST
+
+
+def test_grouped_cli_grid_trajectories_are_pinned():
+    # the same digest from the lanes _check_cells trains, the cells of one
+    # worker count in one call: each cell's replayed, then its isolated
+    # trajectories, every state after the initial one
+    h = hashlib.sha256()
+    for seed in (0, 5, 123):
+        cells = [(cli._equiv_configs(n_jobs, workers, seed), cli._equiv_plan(n_jobs, workers, 60))
+                 for n_jobs in cli._EQUIV_JOB_COUNTS for workers in cli._EQUIV_WORKER_COUNTS]
+        reports, lanes = check_cells(cells)
+        assert all(report.first_divergence is None for report in reports)
+        for trajectories in lanes:
+            for trajectory in trajectories:
+                h.update(trajectory[1:].tobytes())
+    assert h.hexdigest() == GRID_DIGEST
 
 
 def _per_iteration_draw(rng_seed, iteration, worker):
@@ -560,6 +655,16 @@ class TestBatchDraws:
         lookups = sum(2 * n_jobs * 4 * workers for n_jobs in cli._EQUIV_JOB_COUNTS
                       for workers in cli._EQUIV_WORKER_COUNTS)
         assert blocks.hits == lookups - blocks.misses == 288
+
+    def test_grouping_draws_less_past_the_cache_size(self, capsys):
+        # 1000 iterations span 63 blocks: 3 job seeds x 63 blocks x 4 workers
+        # = 756 worker blocks, more than the cache holds.  The cells of one
+        # worker count train together, so each group draws a (seed, block,
+        # worker) at most once; cell by cell, the grid made 2,163 draws.
+        clear_draws()
+        assert cli.main(["equivalence", "--iters", "1000", "--seed", "3"]) == cli.EXIT_OK
+        per_group = sum(3 * 63 * workers for workers in cli._EQUIV_WORKER_COUNTS)
+        assert equivalence._draw_block.cache_info().misses == 1255 <= per_group == 1323
 
 
 class TestWorkerBound:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from colosim import (ClusterSpec, ConfigError, InvalidTraceError, JobProfile, Policy,
                      SchedulePlan, comm_time, fixture_profile, load_config, makespan,
                      predicted_speedup, simulate, steady_state_period)
-from colosim.equivalence import LossKind, SgdConfig, check_neutrality
+from colosim.equivalence import LossKind, SgdConfig, check_neutrality, replay_trace
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden_2jobs.json"
 
@@ -108,6 +108,22 @@ def test_a_config_entry_must_be_an_sgd_config(entry, kind):
     plan = SchedulePlan(Policy.CROSSOVER, jobs, FALLBACK_CLUSTER)
     with pytest.raises(ConfigError, match=rf"^configs\[0\]: expected an SgdConfig, got {kind}$"):
         check_neutrality([entry, SgdConfig(LossKind.LOGISTIC, 1, 2)], plan)
+
+
+A_CONFIG = SgdConfig(LossKind.LOGISTIC, 1, 2)
+
+
+@pytest.mark.parametrize("entry_point", [check_neutrality, replay_trace])
+@pytest.mark.parametrize("configs, plan, message", [
+    (None, ONE_JOB_PLAN, "configs: expected a list or tuple, got a NoneType"),
+    (A_CONFIG, ONE_JOB_PLAN, "configs: expected a list or tuple, got a SgdConfig"),
+    ((c for c in [A_CONFIG]), ONE_JOB_PLAN, "configs: expected a list or tuple, got a generator"),
+    ([A_CONFIG], None, "plan: expected a SchedulePlan, got a NoneType"),
+], ids=["none", "bare_config", "generator", "no_plan"])
+def test_the_sgd_containers_are_checked(entry_point, configs, plan, message):
+    # each used to end in TypeError (no len()) or AttributeError (no .jobs)
+    with pytest.raises(ConfigError, match=rf"^{message}$"):
+        entry_point(configs, plan)
 
 
 @pytest.mark.parametrize("iterations, quoted", [

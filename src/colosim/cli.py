@@ -18,13 +18,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .comm import Architecture, ClusterSpec, _sync_times, cost_terms
-from .engine import _CHROME, _JSON, _SPANS, _trace_text
+from .engine import _CHROME, _JSON, _SPANS, _row_count, _trace_text
 from .errors import ConfigError, InvalidTraceError
 from .metrics import measure, report
 from .scenario import load_config
@@ -46,10 +48,15 @@ REPORT_FILES = {"json": "metrics.json", "csv": "metrics.csv", "table": "metrics.
 MAX_SWEEP_STEPS = 1000
 MAX_EQUIV_ITERS = 10_000
 
-def _write(path: Path, texts: Iterable[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        f.writelines(texts)
+def _write(paths: Sequence[Path], texts: Iterable[str]) -> None:
+    """Write ``texts`` to ``paths`` in rotation: text ``k`` goes to ``paths[k % len(paths)]``."""
+    with ExitStack() as stack:
+        files = []
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            files.append(stack.enter_context(path.open("w", encoding="utf-8")))
+        for file, text in zip(cycle(files), texts):
+            file.write(text)
 
 
 def _cmd_simulate(args) -> int:
@@ -59,14 +66,16 @@ def _cmd_simulate(args) -> int:
     metrics = measure(trace, plan, scenario=scenario.name)
 
     out = Path(args.out)
-    _write(out / "trace.json", _trace_text(trace, _JSON))
-    for fmt in args.format or ["json"]:
-        if fmt == "chrome-trace":
-            _write(out / "trace_chrome.json", _trace_text(trace, _CHROME))
-        else:
-            _write(out / REPORT_FILES[fmt], [report(metrics, fmt)])
+    formats = dict.fromkeys(args.format or ["json"])
+    traces = {"trace.json": _JSON}
+    if "chrome-trace" in formats:
+        traces["trace_chrome.json"] = _CHROME
+    _write([out / name for name in traces], _trace_text(trace, tuple(traces.values())))
+    for fmt in formats:
+        if fmt in REPORT_FILES:
+            _write([out / REPORT_FILES[fmt]], [report(metrics, fmt)])
     print(f"{scenario.name}: policy={plan.policy.value} "
-          f"makespan_ns={trace.makespan} spans={len(_SPANS) * len(trace.rows)} -> {out}")
+          f"makespan_ns={trace.makespan} spans={len(_SPANS) * _row_count(trace)} -> {out}")
     return EXIT_OK
 
 
@@ -126,7 +135,7 @@ def _cmd_sweep(args) -> int:
         rows.append(f"{p / c!r},{sequential / crossover!r}")
 
     out = Path(args.out) / "sweep.csv"
-    _write(out, ["rho,speedup\n" + "\n".join(rows) + "\n"])
+    _write([out], ["rho,speedup\n" + "\n".join(rows) + "\n"])
     print(f"{scenario.name}: {args.steps} ratio points "
           f"[{float(lo):g}, {float(hi):g}] -> {out}")
     return EXIT_OK

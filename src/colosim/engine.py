@@ -6,7 +6,8 @@ compute_end, sync_start, sync_end)``.  ``_SPANS`` lists the spans a row
 holds, forward and backward on the GPU lane and the gradient sync on the NIC
 lane; ``Trace.spans`` and both exports expand each row into them.  A
 simulated trace keeps its rows as blocks, each a round and a count of
-shifted copies of it, and builds the rows on first read.
+shifted copies of it, and builds the rows on first read; both trace files
+are laid out from the blocks without them.
 Everything is integer nanoseconds; a run is a pure function of its input,
 so repeated runs produce byte-identical traces.
 """
@@ -19,7 +20,7 @@ from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import sub
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .scheduler import SchedulePlan
@@ -162,11 +163,12 @@ class Trace:
 # ``_pieces`` joins a format's span records, one per ``_SPANS`` entry, into
 # one row with the lane, tid and phase filled in and cuts it around each
 # slot, ``{job}`` or ``{n}``.
-# ``_trace_text`` lays a document out: the head, then ``_WRITE_ROWS`` rows at
-# a time, each row its pieces with a slot's text in each slot (filled a
-# column of rows at a time), with the tail in place of the last row's
-# ``,\n``.  So no document is held whole.  An integer's text is ``repr``,
-# which is ``str`` for an int and cheaper to call through ``map``.
+# ``_trace_text`` lays documents out: the head, then about ``_WRITE_ROWS``
+# rows at a time, each row its pieces with a slot's text in each slot (filled
+# a column of rows at a time), with the tail in place of the last row's
+# ``,\n``.  So no document, and no row list, is held whole.  An integer's
+# text is ``repr``, which is ``str`` for an int and cheaper to call through
+# ``map``; trace.json makes each time column's texts once per chunk.
 # In the Chrome format ``ts`` and ``dur`` are float microseconds, whose
 # text json wrote as ``repr`` of ``n / 1000.0``.  ``_micros`` builds it from
 # integer arithmetic, ``str(n // 1000)`` and a table of the 1000 fraction
@@ -175,7 +177,8 @@ class Trace:
 # 15 significant digits (DBL_DIG), so no other decimal that short rounds to
 # the same double and it is ``repr``'s shortest round-trip text, in fixed
 # notation since it is below 1e16.  Other values take ``repr`` itself.  The
-# bytes are the same either way.
+# bytes are the same either way.  ``_ts`` inlines ``_micros`` for a column of
+# times that all lie in that range.
 # A chunk makes each distinct ``dur`` text once, since a job's phases last
 # the same in every row of a valid trace.
 _SPAN_RECORD = """\
@@ -242,30 +245,43 @@ def _micros(n: int) -> str:
     return repr(n / 1000.0)
 
 
-def _chrome_span(job: list[str], t: list[str], begin: tuple, end: tuple) -> tuple:
-    """The texts of a Chrome span record's slots, a column each, from its rows' columns."""
-    durations = list(map(sub, end, begin))
-    text = {n: _micros(n) for n in set(durations)}
-    return job, t, map(_micros, begin), map(text.__getitem__, durations), job, t
+def _ts(ns: Sequence[int]) -> Iterable[str]:
+    """The Chrome ``ts`` texts of a column of times: ``_micros`` of each."""
+    if 0 <= min(ns) and max(ns) < _EXACT_BOUND:
+        return [str(n // 1000) + _FRACTIONS[n % 1000] for n in ns]
+    return map(_micros, ns)
+
+
+def _json_slots(job: list[str], t: list[str], columns: list, durations: list) -> Iterator:
+    """The texts of a trace.json row's slots, a column each, from its chunk's columns."""
+    # each time column's texts, at its row field's index
+    text = [None, None] + [list(map(repr, column)) for column in columns[2:]]
+    return chain.from_iterable((job, t, text[a], text[b]) for _, _, a, b in _SPANS)
+
+
+def _chrome_slots(job: list[str], t: list[str], columns: list, durations: list) -> Iterator:
+    """The texts of a Chrome row's slots, a column each, from its chunk's columns."""
+    text = {n: _micros(n) for n in set().union(*durations)}
+    return chain.from_iterable((job, t, _ts(columns[a]), map(text.__getitem__, lengths), job, t)
+                               for (_, _, a, _), lengths in zip(_SPANS, durations))
 
 
 class _Layout(NamedTuple):
-    """The texts a trace document is made of, and how a span's slots get theirs."""
+    """The texts a trace document is made of, and how a row's slots get theirs."""
 
     empty: str
     head: str
     pieces: list[str]
-    span: Callable[..., tuple]  # (escaped ids, iterations, begins, ends) -> slot texts
+    slots: Callable[..., Iterator]  # (escaped ids, iterations, columns, durations) -> texts
     tail: str
 
 
-_JSON = _Layout("[]\n", "[\n", _pieces(_SPAN_RECORD),
-                lambda job, t, begin, end: (job, t, map(repr, begin), map(repr, end)), "\n]\n")
+_JSON = _Layout("[]\n", "[\n", _pieces(_SPAN_RECORD), _json_slots, "\n]\n")
 _CHROME = _Layout(
     '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}\n',
     '{\n  "traceEvents": [\n'
     + "".join(_fill(_CHROME_LANE, *lane) + ",\n" for lane in _TIDS.items()),
-    _pieces(_CHROME_SPAN), _chrome_span, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')
+    _pieces(_CHROME_SPAN), _chrome_slots, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')
 
 
 def _escaped(job_id: str) -> str:
@@ -274,9 +290,12 @@ def _escaped(job_id: str) -> str:
 
 
 # Most job-iterations (trace rows) one scenario's plan may hold.  While
-# ``simulate`` writes its traces a row costs about 0.38 KB of memory, its
-# tuple and times (speedup_band: 94 MB peak at 200,000 rows, 388 MB at 10^6),
-# and on disk its width in each trace file, which _JOB_ID_LIMIT bounds.
+# ``simulate`` writes its traces, a row of a round that is not repeated costs
+# about 0.41 KB of memory, its tuple and times (three jobs whose 10 ms syncs
+# outlast their computes by 2 ns repeat no round: 423 MB peak at 999,000
+# rows), and copies of a repeated round cost none (speedup_band: 18 MB peak
+# at 200,000 rows and at 10^6).  On disk a row costs its width in each trace
+# file, which _JOB_ID_LIMIT bounds.
 MAX_JOB_ITERATIONS = 10**6
 
 # Bytes both trace files of one run may take in all.
@@ -307,30 +326,80 @@ _JOB_ID_LIMIT = _job_id_limit()
 # Rows per piece of text: 64 to 1024 wrote equally fast, larger pieces slower.
 _WRITE_ROWS = 512
 
+Chunk = tuple[list, list]
 
-def _trace_text(trace: Trace, layout: _Layout) -> Iterator[str]:
-    """``trace``'s document in ``layout``, in pieces of ``_WRITE_ROWS`` rows."""
-    rows = trace.rows
-    if not rows:
-        yield layout.empty
+
+def _row_count(trace: Trace) -> int:
+    """How many rows ``trace`` holds, read from its blocks."""
+    return sum(len(rows) * (repeats + 1) for rows, _, repeats in trace.blocks)
+
+
+def _transposed(rows: Sequence[Row]) -> Chunk:
+    """``rows`` as a chunk: their columns and their spans' lengths."""
+    columns = list(zip(*rows))
+    return columns, [list(map(sub, columns[b], columns[a])) for _, _, a, b in _SPANS]
+
+
+def _chunks(blocks: tuple[Block, ...]) -> Iterator[Chunk]:
+    """The rows ``blocks`` stand for, in order, as chunks of columns.
+
+    A chunk holds about ``_WRITE_ROWS`` rows as ``(columns, durations)``:
+    one column per row field, and one per ``_SPANS`` entry of its spans'
+    lengths.  Unrepeated rows are gathered across blocks and transposed a
+    chunk at a time.  A block's copies (see ``_expand``) are built a column
+    at a time from its round's columns, whole copies to a chunk; their id
+    and duration columns are the round's, repeated.  No row is built.
+    """
+    run: list[Row] = []  # rows not yet in a chunk
+    for rows, shift, repeats in blocks:
+        run += rows
+        # whole chunks, and before a block's copies the rest as well
+        end = len(run) if repeats else len(run) - len(run) % _WRITE_ROWS
+        for i in range(0, end, _WRITE_ROWS):
+            yield _transposed(run[i:i + _WRITE_ROWS])
+        del run[:end]
+        if repeats:
+            (job, t, *times), lengths = _transposed(rows)
+            per_chunk = max(1, _WRITE_ROWS // len(rows))
+            for first in range(1, repeats + 1, per_chunk):
+                copies = range(first, min(first + per_chunk, repeats + 1))
+                shifts = [k * shift for k in copies]
+                yield ([job * len(copies), [i + k for k in copies for i in t],
+                        *([x + s for s in shifts for x in column] for column in times)],
+                       [length * len(copies) for length in lengths])
+    if run:
+        yield _transposed(run)
+
+
+def _trace_text(trace: Trace, layouts: tuple[_Layout, ...]) -> Iterator[str]:
+    """``trace``'s document in each of ``layouts``, in pieces of about ``_WRITE_ROWS`` rows.
+
+    The pieces come in turn, one of each layout's document: the empty
+    documents, or the heads and then each chunk of rows (see ``_chunks``)
+    in every layout, with the tail in place of the last row's ``,\\n``.
+    """
+    left = _row_count(trace)
+    if not left:
+        yield from (layout.empty for layout in layouts)
         return
-    ids = {job_id: _escaped(job_id) for job_id in {r[0] for r in rows}}
-    yield layout.head
-    for i in range(0, len(rows), _WRITE_ROWS):
-        columns = list(zip(*rows[i:i + _WRITE_ROWS]))
+    ids = {job_id: _escaped(job_id)
+           for job_id in {row[0] for rows, _, _ in trace.blocks for row in rows}}
+    yield from (layout.head for layout in layouts)
+    for columns, durations in _chunks(trace.blocks):
         job, t = list(map(ids.__getitem__, columns[0])), list(map(repr, columns[1]))
-        parts = layout.pieces * len(job)
-        for slot, texts in enumerate(chain.from_iterable(
-                layout.span(job, t, columns[a], columns[b]) for _, _, a, b in _SPANS)):
-            parts[2 * slot + 1::len(layout.pieces)] = texts
-        if i + _WRITE_ROWS >= len(rows):
-            parts[-1] = parts[-1][:-2] + layout.tail
-        yield "".join(parts)
+        left -= len(job)
+        for layout in layouts:
+            parts = layout.pieces * len(job)
+            for slot, texts in enumerate(layout.slots(job, t, columns, durations)):
+                parts[2 * slot + 1::len(layout.pieces)] = texts
+            if not left:
+                parts[-1] = parts[-1][:-2] + layout.tail
+            yield "".join(parts)
 
 
 def trace_to_json(trace: Trace) -> str:
     """Serialize the trace as a JSON array of span records, a row's ``_SPANS`` each."""
-    return "".join(_trace_text(trace, _JSON))
+    return "".join(_trace_text(trace, (_JSON,)))
 
 
 def trace_to_chrome_json(trace: Trace) -> str:
@@ -339,4 +408,4 @@ def trace_to_chrome_json(trace: Trace) -> str:
     Complete ("X") events with microsecond timestamps, one viewer row (tid)
     per lane, loadable in chrome://tracing or Perfetto.
     """
-    return "".join(_trace_text(trace, _CHROME))
+    return "".join(_trace_text(trace, (_CHROME,)))

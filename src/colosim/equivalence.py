@@ -53,7 +53,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, _a, _check_least
+from .errors import ConfigError, _a, _a_type, _check_least
 from .scheduler import SchedulePlan, simulate
 
 __all__ = [
@@ -202,7 +202,8 @@ def _replay_reads(configs: Sequence[SgdConfig],
                           f"expected one per job")
     for i, config in enumerate(configs):
         if type(config) is not SgdConfig:
-            raise ConfigError(f"configs[{i}]: expected an SgdConfig, got {_a(config)}")
+            raise ConfigError(f"configs[{i}]: expected {_a_type(SgdConfig)}, "
+                              f"got {_a(config)}")
     if plan.cluster.workers > MAX_WORKERS:
         raise ConfigError(f"the SGD oracle averages at most {MAX_WORKERS} workers, "
                           f"got {plan.cluster.workers}")

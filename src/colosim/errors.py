@@ -21,10 +21,19 @@ class ComparisonError(ValueError):
     """Two metrics objects describe different job sets and cannot be compared."""
 
 
+# type-name prefixes read a letter at a time, so "an" goes before them
+_SPELLED = ("Sgd",)
+
+
 def _a(value: object) -> str:
-    """``value``'s type name with its article, as in "an int"."""
-    name = type(value).__name__
-    return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"
+    """``value``'s type name with its article, as in "an int" (see ``_a_type``)."""
+    return _a_type(type(value))
+
+
+def _a_type(kind: type) -> str:
+    """``kind``'s name with its article, as in "an int", "a SchedulePlan" or "an SgdConfig"."""
+    name = kind.__name__
+    return f"{'an' if name[0] in 'aeiouAEIOU' or name.startswith(_SPELLED) else 'a'} {name}"
 
 
 def _check_least(where: str, fields: tuple[tuple[str, object], ...], values: tuple) -> None:

@@ -110,7 +110,7 @@ class TestSimulate:
         # 1-, 2-, 3- and 4-byte characters, 3.2 MB in all
         text = "a\u00e9\u30b8\U0001f680 tail\n" * 200_000
         path = tmp_path / "sub" / "doc.txt"
-        _write(path, [text])
+        _write([path], [text])
         assert path.read_bytes() == text.encode("utf-8")
 
     @pytest.mark.parametrize("extra", [0, 1])
@@ -162,6 +162,33 @@ class TestSimulate:
         assert len(trace.rows) > engine._WRITE_ROWS
         data = (tmp_path / "out" / "trace_chrome.json").read_bytes()
         assert data == trace_to_chrome_json_reference(trace).encode("utf-8")
+
+    def test_simulate_builds_no_rows(self, tmp_path, expansions):
+        # the trace files and the span count are read from the trace's blocks
+        config = str(SCENARIO_DIR / "speedup_band.json")
+        argv = [arg for fmt in ("json", "csv", "table", "chrome-trace") for arg in ("--format", fmt)]
+        assert run("simulate", "--config", config, "--out", str(tmp_path), *argv) == 0
+        assert expansions == []
+        trace = simulate(load_config(config).plan())
+        assert any(repeats for _, _, repeats in trace.blocks)
+        assert (tmp_path / "trace.json").read_bytes() == trace_to_json(trace).encode("utf-8")
+
+    def test_each_file_is_written_once(self, tmp_path, monkeypatch):
+        opened = []
+        path_open = Path.open
+
+        def recording(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                opened.append(path.relative_to(tmp_path).as_posix())
+            return path_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", recording)
+        assert run("simulate", "--config", GOLDEN, "--out", str(tmp_path / "default")) == 0
+        assert sorted(opened) == ["default/metrics.json", "default/trace.json"]
+        opened.clear()
+        assert run("simulate", "--config", GOLDEN, "--out", str(tmp_path / "chrome"),
+                   "--format", "chrome-trace", "--format", "chrome-trace") == 0
+        assert sorted(opened) == ["chrome/trace.json", "chrome/trace_chrome.json"]
 
     def test_iters_override(self, tmp_path):
         run("simulate", "--config", GOLDEN, "--out", str(tmp_path), "--iters", "5")

@@ -328,6 +328,53 @@ def test_serializers_byte_identical_to_json_dumps(trace):
             assert (trace_to_json(trace), trace_to_chrome_json(trace)) == expected
 
 
+@st.composite
+def _blocks(draw):
+    """Blocks as ``Trace._of`` keeps them: rounds of drawn rows, shifts and repeats.
+
+    Repeats of 0 are drawn half the time, so unrepeated rounds come in runs.
+    """
+    jobs = draw(st.lists(_ID, min_size=1, max_size=3))
+    blocks = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        rows = []
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            times = [draw(_NS)]
+            for _ in range(4):  # zero-length phases included
+                times.append(times[-1] + draw(st.one_of(st.just(0), _NS)))
+            rows.append((draw(st.sampled_from(jobs)), draw(st.integers(0, 10**6)), *times))
+        repeats = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=5)))
+        blocks.append((tuple(rows), draw(st.one_of(st.just(0), _NS)), repeats))
+    return tuple(blocks)
+
+
+# a round of 600 rows, longer than one chunk at every size below: unrepeated,
+# then repeated, between runs of short unrepeated rounds
+_LONG_ROUND = tuple((f"j{k}", 1, k, k + 1, k + 2, 10**6 + k, 10**6 + k + 5) for k in range(600))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks())
+@example(())
+@example(((_LONG_ROUND, 0, 0), (_LONG_ROUND, 10**7, 2)))
+@example(((_LONG_ROUND[:1], 0, 0), (_LONG_ROUND[:2], 0, 0), (_LONG_ROUND, 3 * 10**6, 3),
+          (_LONG_ROUND[:3], 10**7, 0), (_LONG_ROUND[:1], 10**15, 5)))
+def test_block_reader_writes_the_expanded_rows(blocks):
+    # the documents of a trace held as blocks are those of the rows the
+    # blocks stand for, at any chunk size; chunks hold whole copies of a
+    # round, the last chunk takes the tail, and both layouts share each chunk
+    trace, rows = Trace._of(blocks, None), Trace(engine._expand(blocks))
+    expected = trace_to_json_reference(rows), trace_to_chrome_json_reference(rows)
+    layouts = (engine._JSON, engine._CHROME)
+    for rows_per_write in (1, 2, 3, 512):
+        with mock.patch.object(engine, "_WRITE_ROWS", rows_per_write):
+            assert (trace_to_json(trace), trace_to_chrome_json(trace)) == expected
+            both = list(engine._trace_text(trace, layouts))
+            for k, layout in enumerate(layouts):
+                assert both[k::2] == list(engine._trace_text(trace, (layout,)))
+    assert engine._row_count(trace) == len(rows.rows)
+
+
 def test_fraction_table():
     assert _FRACTIONS[0] == ".0"
     assert len(_FRACTIONS) == 1000

@@ -9,6 +9,7 @@ and each SGD config that builds through ``check_neutrality``.  The valid
 ints stay small, so every plan that builds runs in a moment.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -116,13 +117,15 @@ A_CONFIG = SgdConfig(LossKind.LOGISTIC, 1, 2)
 @pytest.mark.parametrize("entry_point", [check_neutrality, replay_trace])
 @pytest.mark.parametrize("configs, plan, message", [
     (None, ONE_JOB_PLAN, "configs: expected a list or tuple, got a NoneType"),
-    (A_CONFIG, ONE_JOB_PLAN, "configs: expected a list or tuple, got a SgdConfig"),
+    (A_CONFIG, ONE_JOB_PLAN, "configs: expected a list or tuple, got an SgdConfig"),
     ((c for c in [A_CONFIG]), ONE_JOB_PLAN, "configs: expected a list or tuple, got a generator"),
     ([A_CONFIG], None, "plan: expected a SchedulePlan, got a NoneType"),
-], ids=["none", "bare_config", "generator", "no_plan"])
+    ([[A_CONFIG]], ONE_JOB_PLAN, "configs[0]: expected an SgdConfig, got a list"),
+], ids=["none", "bare_config", "generator", "no_plan", "nested"])
 def test_the_sgd_containers_are_checked(entry_point, configs, plan, message):
-    # each used to end in TypeError (no len()) or AttributeError (no .jobs)
-    with pytest.raises(ConfigError, match=rf"^{message}$"):
+    # each used to end in TypeError (no len()) or AttributeError (no .jobs);
+    # an SgdConfig takes the same article whether it is expected or got
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
         entry_point(configs, plan)
 
 

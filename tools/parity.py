@@ -12,7 +12,12 @@ leaves no worktree metadata behind.  Both trees run the same commands as
 * ``simulate`` with all four ``--format``s, a default ``sweep`` and
   ``validate-config`` on every bundled scenario;
 * ``simulate`` on ``speedup_band`` at ``--iters 100000`` (200,000 rows),
-  writing both trace files;
+  writing both trace files, and at its own budget with the default format
+  and with ``--format chrome-trace`` alone;
+* ``simulate``, writing both trace files, on each document of a fixed
+  corpus of valid scenarios: one whose rounds hold more rows than a chunk
+  the writer lays out at a time, and one that runs many rounds before a
+  round repeats;
 * a 1000-point ``sweep`` of ``sweep_base`` over an irregular ratio range,
   and ``sweep`` on each document of a fixed corpus of scenarios whose sweep
   ends in an error;
@@ -100,6 +105,18 @@ SWEEP_DOCS: dict[str, tuple[str, list[str]]] = {
                                      ["--ratio-min", "0.1", "--ratio-max", "0.2", "--steps", "3"]),
 }
 
+# Valid scenario documents whose trace files test the writer's chunking:
+# 600 jobs make rounds longer than a 512-row chunk, the second one repeated;
+# three jobs whose syncs outlast their computes by 20 ns run 1,668 rounds
+# that do not repeat before the one that does.
+SIMULATE_DOCS: dict[str, str] = {
+    "round_past_a_chunk": _doc(jobs=[{**_JOB, "job_id": f"j{k}"} for k in range(600)]),
+    "long_transient": _doc(cluster={"latency_us": 0.01},
+                           jobs=[{**_JOB, "job_id": f"j{k}", "forward_ms": 0.05,
+                                  "backward_ms": 0.05, "grad_mb": 0.125, "iterations": 3000}
+                                 for k in range(3)]),
+}
+
 _GOLDEN = ["--config", "scenarios/golden_2jobs.json"]
 
 # Invalid command lines, and the help texts.
@@ -136,6 +153,14 @@ def commands(scenarios: list[str], corpus: Path) -> dict[str, list[str]]:
     runs["simulate-speedup_band-iters-100000"] = [
         "simulate", "--config", "scenarios/speedup_band.json", "--out", OUT,
         "--iters", "100000", "--format", "json", "--format", "chrome-trace"]
+    band = ["--config", "scenarios/speedup_band.json", "--out", OUT]
+    runs["simulate-speedup_band-default-format"] = ["simulate", *band]
+    runs["simulate-speedup_band-chrome-trace-only"] = ["simulate", *band,
+                                                       "--format", "chrome-trace"]
+    for name in SIMULATE_DOCS:
+        runs[f"doc-simulate-{name}"] = ["simulate", "--config", str(corpus / f"{name}.json"),
+                                        "--out", OUT, "--format", "json",
+                                        "--format", "chrome-trace"]
     runs["sweep-sweep_base-steps-1000"] = [
         "sweep", "--config", "scenarios/sweep_base.json", "--out", OUT, "--steps", "1000",
         "--ratio-min", "0.123456789", "--ratio-max", "3.9"]
@@ -158,7 +183,8 @@ def commands(scenarios: list[str], corpus: Path) -> dict[str, list[str]]:
 
 def write_corpus(corpus: Path) -> None:
     corpus.mkdir(parents=True, exist_ok=True)
-    docs = {**INVALID_DOCS, **{name: doc for name, (doc, _) in SWEEP_DOCS.items()}}
+    docs = {**INVALID_DOCS, **SIMULATE_DOCS,
+            **{name: doc for name, (doc, _) in SWEEP_DOCS.items()}}
     for name, text in docs.items():
         data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
         (corpus / f"{name}.json").write_bytes(data)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import _check_least
+from .errors import _check_least, _check_type
 
 __all__ = ["Architecture", "ClusterSpec", "cost_terms", "comm_time"]
 
@@ -39,9 +39,9 @@ class ClusterSpec:
     bandwidth_bytes_per_sec is the per-worker NIC bandwidth; latency_per_message
     is the fixed per-message cost in nanoseconds.  The simulator materializes
     one representative GPU and its worker NIC (all workers are symmetric).
-    The cluster checks its three numbers against ``_CLUSTER_LEAST`` itself,
-    because ``comm_time`` prices a cluster without a plan, so every sync time
-    is an ``int``.
+    The cluster checks its numbers against ``_CLUSTER_LEAST`` and its
+    ``architecture`` by exact type itself, because ``comm_time`` prices a
+    cluster without a plan, so every sync time is its formula's ``int``.
     """
 
     workers: int
@@ -52,6 +52,7 @@ class ClusterSpec:
     def __post_init__(self):
         _check_least("cluster.", _CLUSTER_LEAST, (self.workers, self.bandwidth_bytes_per_sec,
                                                   self.latency_per_message))
+        _check_type("cluster.architecture", Architecture, self.architecture)
 
 
 def cost_terms(cluster: ClusterSpec) -> tuple[int, int, int]:

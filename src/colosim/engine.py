@@ -67,28 +67,12 @@ _TIDS = {lane: str(tid) for tid, lane in enumerate(sorted({lane for _, lane, _, 
 Block = tuple[tuple[Row, ...], int, int]
 
 
-def _expand(blocks: tuple[Block, ...]) -> tuple[Row, ...]:
-    """The rows ``blocks`` stand for, in order.
-
-    A block ``(rows, shift, repeats)`` is its rows followed by ``repeats``
-    copies of them; copy ``k`` adds ``k`` to each row's iteration and
-    ``k * shift`` to each of its times.
-    """
-    out: list[Row] = []
-    for rows, d, n in blocks:
-        out += rows
-        out += [(job_id, i + k, a + s, b + s, c + s, e + s, f + s)
-                for k in range(1, n + 1) for s in (k * d,)
-                for job_id, i, a, b, c, e, f in rows]
-    return tuple(out)
-
-
 def _gap_runs(trace: Trace, plan: SchedulePlan) -> dict[str, list[tuple[int, int]]]:
     """Each plan job's compute-start gaps as ``(gap, count)`` runs, read from the blocks.
 
     A row of a block gives one gap, from the job's previous start; a
     block's copies give its shift once per repeat for each of its jobs (see
-    ``_expand``).  No rows are built.
+    ``_chunks``).  No rows are built.
     """
     runs: dict[str, list[tuple[int, int]]] = {j.job_id: [] for j in plan.jobs}
     last: dict[str, int] = {}
@@ -111,7 +95,7 @@ class Trace:
 
     ``Trace(rows)`` keeps its rows.  ``Trace._of(blocks, plan)``, which
     ``scheduler.simulate`` calls, keeps ``_run``'s blocks, one per dispatched
-    round (see ``_expand``).  Whichever of ``rows`` and ``blocks`` a trace
+    round (see ``_chunks``).  Whichever of ``rows`` and ``blocks`` a trace
     lacks is built on its first read, once; a plain trace is one block with
     no repeats, and ``makespan`` reads only the last block.  ``plan`` is the
     plan ``simulate`` ran, and ``None`` for any other trace, since it is not
@@ -134,7 +118,7 @@ class Trace:
         # called only for a name the instance and its class lack
         known = self.__dict__
         if name == "rows" and "blocks" in known:
-            known[name] = _expand(known["blocks"])
+            known[name] = tuple(chain.from_iterable(zip(*c) for c, _ in _chunks(known["blocks"])))
         elif name == "blocks" and "rows" in known:
             known[name] = ((known["rows"], 0, 0),) if known["rows"] else ()
         else:
@@ -343,12 +327,16 @@ def _transposed(rows: Sequence[Row]) -> Chunk:
 def _chunks(blocks: tuple[Block, ...]) -> Iterator[Chunk]:
     """The rows ``blocks`` stand for, in order, as chunks of columns.
 
-    A chunk holds about ``_WRITE_ROWS`` rows as ``(columns, durations)``:
-    one column per row field, and one per ``_SPANS`` entry of its spans'
-    lengths.  Unrepeated rows are gathered across blocks and transposed a
-    chunk at a time.  A block's copies (see ``_expand``) are built a column
-    at a time from its round's columns, whole copies to a chunk; their id
-    and duration columns are the round's, repeated.  No row is built.
+    A block ``(rows, shift, repeats)`` is its rows followed by ``repeats``
+    copies of them; copy ``k`` adds ``k`` to each row's iteration and
+    ``k * shift`` to each of its times.  ``Trace.rows`` zips the chunks'
+    columns, and the trace files are laid out from them.  A chunk holds
+    about ``_WRITE_ROWS`` rows as ``(columns, durations)``: one column per
+    row field, and one per ``_SPANS`` entry of its spans' lengths.
+    Unrepeated rows are gathered across blocks and transposed a chunk at a
+    time.  A block's copies are built a column at a time from its round's
+    columns, whole copies to a chunk; their id and duration columns are the
+    round's, repeated.  No row is built.
     """
     run: list[Row] = []  # rows not yet in a chunk
     for rows, shift, repeats in blocks:

@@ -53,7 +53,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, _a, _a_type, _check_least
+from .errors import ConfigError, _a, _check_least, _check_type
 from .scheduler import SchedulePlan, simulate
 
 __all__ = [
@@ -97,8 +97,7 @@ class SgdConfig:
     rng_seed: int
 
     def __post_init__(self):
-        if type(self.loss) is not LossKind:
-            raise ConfigError(f"sgd_config.loss: expected a LossKind, got {_a(self.loss)}")
+        _check_type("sgd_config.loss", LossKind, self.loss)
         _check_least("sgd_config.", (("dataset_seed", 0), ("rng_seed", 0)),
                      (self.dataset_seed, self.rng_seed))
 
@@ -195,15 +194,12 @@ def _replay_reads(configs: Sequence[SgdConfig],
     """
     if type(configs) not in (list, tuple):
         raise ConfigError(f"configs: expected a list or tuple, got {_a(configs)}")
-    if type(plan) is not SchedulePlan:
-        raise ConfigError(f"plan: expected a SchedulePlan, got {_a(plan)}")
+    _check_type("plan", SchedulePlan, plan)
     if len(configs) != len(plan.jobs):
         raise ConfigError(f"configs: got {len(configs)} for {len(plan.jobs)} jobs, "
                           f"expected one per job")
     for i, config in enumerate(configs):
-        if type(config) is not SgdConfig:
-            raise ConfigError(f"configs[{i}]: expected {_a_type(SgdConfig)}, "
-                              f"got {_a(config)}")
+        _check_type(f"configs[{i}]", SgdConfig, config)
     if plan.cluster.workers > MAX_WORKERS:
         raise ConfigError(f"the SGD oracle averages at most {MAX_WORKERS} workers, "
                           f"got {plan.cluster.workers}")

@@ -36,14 +36,19 @@ def _a_type(kind: type) -> str:
     return f"{'an' if name[0] in 'aeiouAEIOU' or name.startswith(_SPELLED) else 'a'} {name}"
 
 
+def _check_type(name: str, kind: type, value: object) -> None:
+    """Raise ``ConfigError``, naming ``name``, unless ``value``'s type is exactly ``kind``."""
+    if type(value) is not kind:
+        raise ConfigError(f"{name}: expected {_a_type(kind)}, got {_a(value)}")
+
+
 def _check_least(where: str, fields: tuple[tuple[str, object], ...], values: tuple) -> None:
     """Raise ``ConfigError`` unless each value has its least value's exact type and is >= it.
 
     ``fields`` holds ``(name, least)`` pairs in order; messages name ``where + name``.
     """
     for (name, least), value in zip(fields, values):
-        if type(value) is not type(least):
-            raise ConfigError(f"{where}{name}: expected {_a(least)}, got {_a(value)}")
+        _check_type(where + name, type(least), value)
         if value < least:
             raise ConfigError(f"{where}{name}: must be >= {least}")
 

@@ -75,7 +75,8 @@ def _steady_period(runs: list[tuple[int, int]]) -> int | None:
 def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
     """Compute metrics for a trace that is the plan's schedule.
 
-    Raises InvalidTraceError unless ``validate_trace(trace, plan)`` is empty.
+    Raises InvalidTraceError unless ``validate_trace(trace, plan)`` is empty,
+    and ``ConfigError``, as it does, for a trace or plan of another type.
     A valid trace holds exactly the schedule's rows, so busy times come from
     the plan (job i's T_i computes and T_i syncs) and the makespan and
     periods from the trace (``engine._gap_runs``); measuring a simulated

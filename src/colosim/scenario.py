@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .comm import Architecture, ClusterSpec
 from .engine import _INT_LIMIT, MAX_JOB_ITERATIONS
-from .errors import ConfigError, _a, _quoted
+from .errors import ConfigError, _check_type, _quoted
 from .scheduler import Policy, SchedulePlan
 from .workload import JobProfile, fixture_names, fixture_profile
 
@@ -62,8 +62,7 @@ class Scenario:
         """Build the schedule plan; ``iterations``, an exact ``int``, replaces each budget."""
         jobs = self.jobs
         if iterations is not None:
-            if type(iterations) is not int:
-                raise ConfigError(f"iterations (--iters): expected an int, got {_a(iterations)}")
+            _check_type("iterations (--iters)", int, iterations)
             if iterations < 1:
                 raise ConfigError(f"iterations (--iters) must be >= 1, got {_quoted(iterations)}")
             jobs = tuple(replace(j, iterations=iterations) for j in jobs)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .comm import ClusterSpec, _sync_times, cost_terms
 from .engine import _INT_LIMIT, _JOB_ID_LIMIT, _NAMES, _TYPES, Block, Row, Trace, _escaped
-from .errors import ConfigError, _a, _check_least, _quoted
+from .errors import ConfigError, _a, _check_least, _check_type, _quoted
 from .workload import JobProfile, comp_time
 
 __all__ = [
@@ -64,10 +64,12 @@ class SchedulePlan:
     ``sequential``: each row starts at the previous row's sync end and adds
     exactly ``comp_i + comm_i``.  No time either policy produces exceeds it,
     so it must stay below ``engine._INT_LIMIT``, 2^63.
-    A job is checked only here, each broken rule a ``ConfigError`` naming
-    ``jobs[i].<field>``: each field against ``_JOB_LEAST``, ``forward_time +
-    backward_time > 0``, and a unique ``job_id`` of at most
-    ``engine._JOB_ID_LIMIT`` characters once JSON-escaped.
+    Its fields are checked here, and a job's only here, each broken rule a
+    ``ConfigError`` naming the field: ``policy``, ``cluster`` and each
+    ``jobs[i]`` by exact type, and each ``jobs[i].<field>`` against
+    ``_JOB_LEAST``, ``forward_time + backward_time > 0``, and a unique
+    ``job_id`` of at most ``engine._JOB_ID_LIMIT`` characters once
+    JSON-escaped.
     """
 
     policy: Policy
@@ -77,11 +79,14 @@ class SchedulePlan:
     sequential_makespan: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_type("policy", Policy, self.policy)
+        _check_type("cluster", ClusterSpec, self.cluster)
         object.__setattr__(self, "jobs", tuple(self.jobs))
         if not self.jobs:
             raise ConfigError("plan must contain at least one job")
         first: dict[str, int] = {}
         for i, job in enumerate(self.jobs):
+            _check_type(f"jobs[{i}]", JobProfile, job)
             _check_least(f"jobs[{i}].", _JOB_LEAST, (job.job_id, job.forward_time,
                          job.backward_time, job.grad_bytes, job.iterations))
             if job.forward_time + job.backward_time == 0:
@@ -118,7 +123,7 @@ def _run(policy: Policy, jobs: tuple[JobProfile, ...], comm_times: tuple[int, ..
     ``comm_times[i]`` ns, and its ``grad_bytes`` is not read.  The end state
     holds each job's last sync end in job order, and ``nic_free`` is the
     makespan.  When ``blocks`` is a list, appends each dispatched round to
-    it as one block (see ``engine._expand``).  While the active job set is
+    it as one block (see ``engine._chunks``).  While the active job set is
     fixed (a regime), a round is fixed by its start state relative to the
     GPU clock g: the key is ``nic_free - g`` followed by ``sync_end_j - g``
     clamped at zero for each active j.  The clamp is exact because a job
@@ -217,8 +222,11 @@ def validate_trace(trace: Trace, plan: SchedulePlan) -> list[str]:
     fields, past the schedule's end, its first field of another type (with
     the schedule's value), the wrong job or iteration, or each field that
     breaks README "Scheduling semantics" given the row's own earlier fields
-    and the rows before it, which match the schedule.
+    and the rows before it, which match the schedule.  Raises
+    ``ConfigError`` unless it gets a ``Trace`` and a ``SchedulePlan``.
     """
+    _check_type("trace", Trace, trace)
+    _check_type("plan", SchedulePlan, plan)
     if trace.plan == plan:
         return []
     return _differences(trace.rows, simulate(plan).rows)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -28,13 +30,20 @@ def run_calls(monkeypatch):
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """The block tuples ``engine._expand`` builds rows from: one per expansion."""
+    """The block tuples ``Trace.rows`` is built from: one per build.
+
+    Rows are built only by zipping the columns of ``engine._chunks``, which
+    the trace writer also calls; a call counts when ``Trace.__getattr__``
+    makes it.
+    """
     calls = []
-    expand = engine._expand
+    chunks = engine._chunks
+    builder = engine.Trace.__getattr__.__code__
 
     def counting(blocks):
-        calls.append(blocks)
-        return expand(blocks)
+        if sys._getframe(1).f_code is builder:
+            calls.append(blocks)
+        return chunks(blocks)
 
-    monkeypatch.setattr(engine, "_expand", counting)
+    monkeypatch.setattr(engine, "_chunks", counting)
     return calls

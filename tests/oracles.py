@@ -21,7 +21,9 @@ profiles straight from the data file, for the fusion counterfactual.
 ``scaled_int_reference`` converts a config number through ``Fraction`` (the
 package splits the decimal literal into integers).
 ``steady_period_reference`` walks every row of a trace (the package reads a
-schedule's blocks).  ``max_cycle_mean`` runs Karp's algorithm over the
+schedule's blocks), and ``expand_blocks`` writes out a schedule's blocks a
+row at a time (the package builds a chunk's copies a column at a time).
+``max_cycle_mean`` runs Karp's algorithm over the
 crossover rotation's timed event graph (the package states the period in
 closed form), and ``max_plus_state`` raises each regime's one-round max-plus
 matrix to its round count by repeated squaring (the package dispatches
@@ -378,6 +380,21 @@ def spans_from_trace(trace):
         spans.append((GPU, job_id, "backward", t, backward_start, compute_end))
         spans.append((NIC, job_id, "sync", t, sync_start, sync_end))
     return spans
+
+
+def expand_blocks(blocks) -> tuple:
+    """The rows ``blocks`` stand for, one row at a time.
+
+    A block ``(rows, shift, repeats)`` is its rows followed by ``repeats``
+    copies of them; copy ``k`` adds ``k`` to each row's iteration and
+    ``k * shift`` to each of its five times.
+    """
+    out = []
+    for rows, shift, repeats in blocks:
+        for k in range(repeats + 1):
+            for job_id, iteration, *times in rows:
+                out.append((job_id, iteration + k, *[x + k * shift for x in times]))
+    return tuple(out)
 
 
 def steady_period_reference(rows) -> dict:

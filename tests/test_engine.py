@@ -21,7 +21,8 @@ from colosim.errors import InvalidTraceError
 from colosim.metrics import measure
 from colosim.scheduler import Policy, SchedulePlan, makespan, simulate, validate_trace
 from colosim.workload import JobProfile
-from oracles import spans_from_trace, trace_to_chrome_json_reference, trace_to_json_reference
+from oracles import (expand_blocks, spans_from_trace, trace_to_chrome_json_reference,
+                     trace_to_json_reference)
 
 # rows: (job_id, iteration, start, backward_start, compute_end, sync_start, sync_end)
 TIMES = ("start", "backward_start", "compute_end", "sync_start", "sync_end")
@@ -360,14 +361,16 @@ _LONG_ROUND = tuple((f"j{k}", 1, k, k + 1, k + 2, 10**6 + k, 10**6 + k + 5) for 
 @example(((_LONG_ROUND[:1], 0, 0), (_LONG_ROUND[:2], 0, 0), (_LONG_ROUND, 3 * 10**6, 3),
           (_LONG_ROUND[:3], 10**7, 0), (_LONG_ROUND[:1], 10**15, 5)))
 def test_block_reader_writes_the_expanded_rows(blocks):
-    # the documents of a trace held as blocks are those of the rows the
-    # blocks stand for, at any chunk size; chunks hold whole copies of a
+    # the rows and documents of a trace held as blocks are those of the rows
+    # the blocks stand for, at any chunk size; chunks hold whole copies of a
     # round, the last chunk takes the tail, and both layouts share each chunk
-    trace, rows = Trace._of(blocks, None), Trace(engine._expand(blocks))
+    rows = Trace(expand_blocks(blocks))
     expected = trace_to_json_reference(rows), trace_to_chrome_json_reference(rows)
     layouts = (engine._JSON, engine._CHROME)
     for rows_per_write in (1, 2, 3, 512):
         with mock.patch.object(engine, "_WRITE_ROWS", rows_per_write):
+            trace = Trace._of(blocks, None)
+            assert trace.rows == rows.rows
             assert (trace_to_json(trace), trace_to_chrome_json(trace)) == expected
             both = list(engine._trace_text(trace, layouts))
             for k, layout in enumerate(layouts):

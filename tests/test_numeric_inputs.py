@@ -3,10 +3,13 @@
 Ints past the 4,300 digits ``str`` writes, floats, bools, numpy integers and
 negatives go into ``JobProfile`` (which ``SchedulePlan`` checks),
 ``ClusterSpec``, ``comm_time``, ``SgdConfig``'s seeds and
-``Scenario.plan``'s iterations.  Each plan that builds is run through
-``makespan``, ``simulate``, ``steady_state_period`` and ``predicted_speedup``,
-and each SGD config that builds through ``check_neutrality``.  The valid
-ints stay small, so every plan that builds runs in a moment.
+``Scenario.plan``'s iterations, and values of other types into the fields
+of ``SchedulePlan`` and ``ClusterSpec`` that hold records or enum members,
+and into ``validate_trace`` and ``measure``.  Each plan that builds is run
+through ``makespan``, ``simulate``, ``steady_state_period`` and
+``predicted_speedup``, and each SGD config that builds through
+``check_neutrality``.  The valid ints stay small, so every plan that builds
+runs in a moment.
 """
 
 import re
@@ -17,8 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colosim import (ClusterSpec, ConfigError, InvalidTraceError, JobProfile, Policy,
-                     SchedulePlan, comm_time, fixture_profile, load_config, makespan,
-                     predicted_speedup, simulate, steady_state_period)
+                     SchedulePlan, Trace, comm_time, fixture_profile, load_config, makespan,
+                     measure, predicted_speedup, simulate, steady_state_period, validate_trace)
 from colosim.equivalence import LossKind, SgdConfig, check_neutrality, replay_trace
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden_2jobs.json"
@@ -151,3 +154,44 @@ def test_an_unknown_fixture_profile_is_a_config_error():
     for name in ("alexnet", 10**5000, ["resnet50"]):
         with pytest.raises(ConfigError, match=r"^fixture profile .* is not one of resnet50, vgg16$"):
             fixture_profile(name)
+
+
+TWO_JOBS = (JobProfile("a", 3, 3, 10**6, 4), JobProfile("b", 3, 3, 10**6, 4))
+
+
+@pytest.mark.parametrize("record, args, message", [
+    (SchedulePlan, ("sequential", TWO_JOBS, FALLBACK_CLUSTER),
+     "policy: expected a Policy, got a str"),
+    (SchedulePlan, (Policy.SEQUENTIAL, (None,), FALLBACK_CLUSTER),
+     "jobs[0]: expected a JobProfile, got a NoneType"),
+    (SchedulePlan, (Policy.SEQUENTIAL, (TWO_JOBS[0], ("b", 3, 3, 10**6, 4)), FALLBACK_CLUSTER),
+     "jobs[1]: expected a JobProfile, got a tuple"),
+    (SchedulePlan, (Policy.SEQUENTIAL, TWO_JOBS, None),
+     "cluster: expected a ClusterSpec, got a NoneType"),
+    (ClusterSpec, (2, 10**9, 0, "ring_allreduce"),
+     "cluster.architecture: expected an Architecture, got a str"),
+], ids=["str_policy", "none_job", "tuple_job", "no_cluster", "str_architecture"])
+def test_a_record_takes_only_its_field_types(record, args, message):
+    # a str policy used to run the crossover schedule under the name
+    # "sequential" (8,000,006 ns here against Policy.SEQUENTIAL's 8,000,048),
+    # a str architecture was priced as a parameter server, every sync twice
+    # as long, and a None job or cluster ended in AttributeError
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        record(*args)
+
+
+A_TRACE = Trace((("x", 1, 2, 3, 4, 5, 6),))
+
+
+@pytest.mark.parametrize("entry_point", [validate_trace, measure])
+@pytest.mark.parametrize("trace, plan, message", [
+    (A_TRACE, None, "plan: expected a SchedulePlan, got a NoneType"),
+    (A_TRACE, Policy.CROSSOVER, "plan: expected a SchedulePlan, got a Policy"),
+    (A_TRACE.rows, ONE_JOB_PLAN, "trace: expected a Trace, got a tuple"),
+    (None, ONE_JOB_PLAN, "trace: expected a Trace, got a NoneType"),
+], ids=["no_plan", "policy_plan", "rows", "no_trace"])
+def test_a_trace_check_takes_only_a_trace_and_a_plan(entry_point, trace, plan, message):
+    # a plain trace and no plan used to pass validate_trace, since both
+    # plans are None, and then measure raised AttributeError
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        entry_point(trace, plan)

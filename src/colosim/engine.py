@@ -22,6 +22,8 @@ from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .errors import InvalidTraceError, _a
+
 if TYPE_CHECKING:
     from .scheduler import SchedulePlan
 
@@ -65,6 +67,14 @@ _SPANS = ((Phase.FORWARD, GPU_LANE_ID, 2, 3),
 _TIDS = {lane: str(tid) for tid, lane in enumerate(sorted({lane for _, lane, _, _ in _SPANS}))}
 
 Block = tuple[tuple[Row, ...], int, int]
+
+
+def _misshapen(k: int, row: object) -> str | None:
+    """The message for row ``k`` of a trace unless it is a tuple of 7 fields."""
+    if isinstance(row, tuple) and len(row) == 7:
+        return None
+    shape = f"a tuple of {len(row)} fields" if isinstance(row, tuple) else _a(row)
+    return f"row {k}: {shape}, expected a tuple of 7 fields"
 
 
 def _gap_runs(trace: Trace, plan: SchedulePlan) -> dict[str, list[tuple[int, int]]]:
@@ -127,10 +137,17 @@ class Trace:
 
     @property
     def makespan(self) -> int:
-        """The last row's ``sync_end``, read from the last block; 0 for no rows."""
+        """The last row's ``sync_end``, read from the last block; 0 for no rows.
+
+        Raises ``InvalidTraceError`` if that row is not a tuple of 7 fields.
+        """
         if not self.blocks:
             return 0
         rows, shift, repeats = self.blocks[-1]
+        # only a plain trace, one block, can hold a misshapen row
+        shape = _misshapen(len(rows) - 1, rows[-1])
+        if shape:
+            raise InvalidTraceError([shape])
         return rows[-1][6] + repeats * shift
 
     @property

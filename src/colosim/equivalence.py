@@ -11,20 +11,23 @@ sync ends reads stale parameters and diverges.  The tests show the
 comparison failing on edited replayed trajectories, down to one ulp in one
 coordinate, and on edited trace rows.
 
-Both runs train in lockstep.  One integer pass over the rows gives each
-job's reads: how many of its own updates have landed when each of its
-computes starts, and in which order the updates land.  A lane is one run of
-one job, and its compute k reads its state after that many updates: the
-replay's reads, or k - 1 in isolation.  Iteration k of every lane is one
-batched gradient over a ``(lanes, workers, BATCH_SIZE, DIM)`` stack, with
-``loss_gradient``'s arithmetic per lane.  Each lane gathers its own batches
-and computes its own gradient, so the two lanes of a job share no gathered
-batch or gradient.  A lane keeps every state it reaches: ``DIM`` float64s,
-so a comparison holds 2 x DIM x 8 = 128 bytes per trace row, less than the
-row itself.  ``colosim equivalence`` checks a grid of cells, each a set of
-configs and a plan, and the cells that share a worker count train as the
-lanes of one lockstep run.  Since no operation mixes lanes, each cell's
-report is the one ``check_neutrality`` gives it alone.
+Both runs train in lockstep.  One integer pass over the trace's block
+columns gives each job's reads: how many of its own updates have landed
+when each of its computes starts, and in which order the updates land.  A
+lane is one run of one job with its own worker count, and its compute k
+reads its state after that many updates: the replay's reads, or k - 1 in
+isolation.  Iteration k of every lane is one batched gradient over the
+worker batches of all lanes on one flat (lane, worker) axis, with
+``loss_gradient``'s arithmetic per lane; only the sum over a lane's workers
+pads the lanes to one worker count, with ``-0.0``, which adds nothing to
+any bit.  Each lane gathers its own batches and computes its own gradient,
+so the two lanes of a job share no gathered batch or gradient.  A lane
+keeps every state it reaches: ``DIM`` float64s, so a comparison holds
+2 x DIM x 8 = 128 bytes per trace row, less than the row itself.
+``colosim equivalence`` checks a grid of cells, each a set of configs and a
+plan, and every cell's lanes train in one lockstep run.  Since no operation
+mixes lanes, each cell's report is the one ``check_neutrality`` gives it
+alone.
 
 Everything is double precision with a fixed left-to-right reduction order so
 bit equality is well defined.
@@ -53,6 +56,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .engine import _chunks
 from .errors import ConfigError, _a, _check_least, _check_type
 from .scheduler import SchedulePlan, simulate
 
@@ -139,18 +143,28 @@ def loss_gradient(logistic: bool | np.ndarray, parameters: np.ndarray,
     and ``parameters`` is ``(..., dim)``: one stack, or a stack per lane along
     the leading axis.  ``logistic`` picks the loss, logistic where true and
     least squares where false: a ``bool``, or one per lane shaped
-    ``(lanes, 1, 1)``.  Per lane, one ``matmul`` gives every worker's
+    ``(lanes, 1, 1)``.  ``_batch_gradients`` gives every worker's
     ``x_w.T @ r_w / batch``; the worker rows are summed left to right and
     divided by the worker count, which for equal batches is the mean gradient
     over every row of the stack.  No operation mixes lanes, so a lane's
     gradient has the bits it would have alone.  The oracle builds the stacks
     from checked configs, so the shapes are not re-checked.
     """
-    workers, batch = y.shape[-2:]
-    z = (x @ parameters[..., None, :, None])[..., 0]
-    residual = np.where(logistic, 0.5 * (1.0 + np.tanh(0.5 * z)) - y, z - y)  # sigmoid(z) - y
-    per_worker = (x.swapaxes(-1, -2) @ residual[..., None])[..., 0] / batch
+    workers, _ = y.shape[-2:]
+    per_worker = _batch_gradients(logistic, parameters[..., None, :], x, y)
     return np.add.accumulate(per_worker, axis=-2)[..., -1, :] / workers
+
+
+def _batch_gradients(logistic: bool | np.ndarray, parameters: np.ndarray,
+                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each batch's mean gradient ``x.T @ r / batch``, one ``matmul`` pass per product.
+
+    ``x`` is ``(..., batch, dim)``, ``y`` is ``(..., batch)``, ``parameters``
+    is ``(..., dim)`` and ``logistic`` broadcasts against ``y``.
+    """
+    z = (x @ parameters[..., None])[..., 0]
+    residual = np.where(logistic, 0.5 * (1.0 + np.tanh(0.5 * z)) - y, z - y)  # sigmoid(z) - y
+    return (x.swapaxes(-1, -2) @ residual[..., None])[..., 0] / y.shape[-1]
 
 
 # Iterations per draw block: one generator per (job seed, block, worker)
@@ -164,10 +178,10 @@ MAX_WORKERS = 64
 # Worker blocks kept per process: 256 of 2 KiB (16 x BATCH_SIZE int64
 # indices), so retained draws stay within 512 KiB.  The grid of
 # ``colosim equivalence --iters 60`` draws 48 (3 job seeds x 4 blocks x 4
-# workers), each once.  A grid call trains the lanes of three cells, which
-# share each job seed's blocks; lanes that share a job seed ask for a block
-# one after the other, so past the cache size a call still draws each block
-# once.
+# workers), each once.  The grid trains every cell's lanes in one call, and
+# they share each job seed's blocks; lanes that share a job seed ask for a
+# block one after the other, so past the cache size the call still draws
+# each block once.
 _CACHE_SIZE = 256
 
 
@@ -184,8 +198,10 @@ def _replay_reads(configs: Sequence[SgdConfig],
                   plan: SchedulePlan) -> tuple[list[list[int]], list[int]]:
     """Each job's reads along ``simulate(plan).rows``, and the landing order.
 
-    At a row's start, every pending update of that job whose sync ended by
-    then lands, oldest first; after the last row, whatever is still queued.
+    The rows are read as ``engine._chunks`` columns of the trace's blocks,
+    so none is built.  At a row's start, every pending update of that job
+    whose sync ended by then lands, oldest first; after the last row,
+    whatever is still queued.
     ``reads[j][k]`` is how many of job j's updates have landed when its
     compute ``k + 1`` starts, and ``order`` holds the job index of each
     landing in turn.  Raises ``ConfigError`` past ``MAX_WORKERS``, or unless
@@ -207,29 +223,36 @@ def _replay_reads(configs: Sequence[SgdConfig],
     reads: list[list[int]] = [[] for _ in plan.jobs]
     pending: list[deque[int]] = [deque() for _ in plan.jobs]
     order = []
-    for job_id, _, start, *_, sync_end in simulate(plan).rows:
-        j = index[job_id]
-        queue = pending[j]
-        while queue and queue[0] <= start:
-            queue.popleft()
-            order.append(j)
-        reads[j].append(len(reads[j]) - len(queue))
-        queue.append(sync_end)
+    for (ids, _, starts, *_, sync_ends), _ in _chunks(simulate(plan).blocks):
+        for job_id, start, sync_end in zip(ids, starts, sync_ends):
+            j = index[job_id]
+            queue = pending[j]
+            while queue and queue[0] <= start:
+                queue.popleft()
+                order.append(j)
+            reads[j].append(len(reads[j]) - len(queue))
+            queue.append(sync_end)
     for j, queue in enumerate(pending):
         order += [j] * len(queue)
     return reads, order
 
 
-def _train(configs: Sequence[SgdConfig], workers: int,
+def _train(configs: Sequence[SgdConfig], workers: Sequence[int],
            reads: Sequence[Sequence[int]]) -> list[np.ndarray]:
     """Train lane l as ``configs[l]`` for ``len(reads[l])`` updates, every lane in lockstep.
 
     Update k of lane l applies the gradient at the lane's state after
     ``reads[l][k - 1]`` updates, which is at most k - 1; the gradient averages
-    ``workers`` workers' batches of iteration k.  Iteration k is one
-    ``loss_gradient`` call over the lanes that make an update k.  Returns each
-    lane's read-only ``(len(reads[l]) + 1, DIM)`` trajectory, whose row m holds
-    the parameters after m updates.
+    ``workers[l]`` workers' batches of iteration k.  Iteration k is one
+    ``_batch_gradients`` pass over the batches of every lane that makes an
+    update k, on one flat (lane, worker) axis.  Each lane's workers are then
+    summed left to right by ``np.add.accumulate`` over an ``(lanes, W, DIM)``
+    array, ``W`` the most workers of a lane, whose slots past a lane's own
+    workers hold ``-0.0``: since ``x + -0.0`` is ``x`` bit for bit, ``+0.0``
+    included, the sum has the bits of the lane's unpadded one, as in
+    ``loss_gradient``.  Returns each lane's read-only
+    ``(len(reads[l]) + 1, DIM)`` trajectory, whose row m holds the parameters
+    after m updates.
     """
     # Longest lanes first, so the lanes that make update k are a prefix; then
     # by job seed, so lanes that share draws ask for them one after the other.
@@ -240,29 +263,50 @@ def _train(configs: Sequence[SgdConfig], workers: int,
     first = np.cumsum([0] + [n + 1 for n in counts[:-1]])
     states = np.empty((sum(counts) + len(lanes), DIM))
     sources = np.empty(len(states), dtype=np.intp)
+    initial = {}  # rng_seed -> initial parameters, which depend on nothing else
     for p, l in enumerate(lanes):
-        states[first[p]] = initial_state(configs[l]).parameters
+        seed = configs[l].rng_seed
+        if seed not in initial:
+            initial[seed] = initial_state(configs[l]).parameters
+        states[first[p]] = initial[seed]
         sources[first[p] + 1:first[p] + counts[p] + 1] = first[p] + np.asarray(reads[l],
                                                                                dtype=np.intp)
-    # Lane p gathers from its own copy of its dataset, rows p * DATASET_SIZE on.
-    xs = np.concatenate([make_dataset(configs[l])[0] for l in lanes])
-    ys = np.concatenate([make_dataset(configs[l])[1] for l in lanes])
-    offsets = DATASET_SIZE * np.arange(len(lanes))[:, None, None, None]
-    logistic = np.array([configs[l].loss is LossKind.LOGISTIC for l in lanes])[:, None, None]
+    # The flat (lane, worker) axis, lane by lane: lane p's batches are rows
+    # ends[p - 1] .. ends[p], and row r of it sums into slot[r] of the
+    # padded (lanes x W, DIM) array.
+    sizes = np.array([workers[l] for l in lanes])
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(len(lanes)), sizes)
+    width = int(sizes.max())
+    slot = owner * width + np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    padded = np.full((len(lanes) * width, DIM), -0.0)
+    # The lanes of one config gather from one copy of its dataset, the d-th
+    # distinct one at rows d * DATASET_SIZE on.
+    distinct: dict[SgdConfig, int] = {}
+    dataset = [distinct.setdefault(configs[l], len(distinct)) for l in lanes]
+    xs = np.concatenate([make_dataset(c)[0] for c in distinct])
+    ys = np.concatenate([make_dataset(c)[1] for c in distinct])
+    offsets = DATASET_SIZE * np.array(dataset)[owner, None, None]
+    logistic = np.array([configs[l].loss is LossKind.LOGISTIC for l in lanes])[owner, None]
+    reading = first[owner]  # per batch row, its lane's first row of sources
     active = len(lanes)
     for k in range(1, counts[0] + 1):
         while counts[active - 1] < k:
             active -= 1
+        n = ends[active - 1]
         block, row = divmod(k - 1, _BLOCK)
         if row == 0:
-            # (lanes, workers, 16, BATCH_SIZE) dataset rows of the block's iterations
-            idx = offsets[:active] + np.array([
-                [_draw_block(configs[l].rng_seed, block, w) for w in range(workers)]
-                for l in lanes[:active]])
-        batch = idx[:active, :, row]
+            # (batch rows, 16, BATCH_SIZE) dataset rows of the block's iterations
+            idx = np.array([_draw_block(configs[l].rng_seed, block, w)
+                            for l in lanes[:active] for w in range(workers[l])])
+            idx += offsets[:n]
+        batch = idx[:n, row]
+        parameters = states.take(sources.take(reading[:n] + k), axis=0)
+        padded[slot[:n]] = _batch_gradients(logistic[:n], parameters, xs.take(batch, axis=0),
+                                            ys.take(batch))
+        summed = np.add.accumulate(padded[:active * width].reshape(active, width, DIM), axis=1)
         rows = first[:active] + k
-        gradient = loss_gradient(logistic[:active], states[sources[rows]], xs[batch], ys[batch])
-        states[rows] = states[rows - 1] - LEARNING_RATE * gradient
+        states[rows] = states[rows - 1] - LEARNING_RATE * (summed[:, -1] / sizes[:active, None])
     states.setflags(write=False)
     return [states[first[p]:first[p] + counts[p] + 1]
             for p in sorted(range(len(lanes)), key=lanes.__getitem__)]
@@ -291,7 +335,7 @@ def replay_trace(configs: Sequence[SgdConfig],
     ``SgdConfig`` per job.
     """
     reads, order = _replay_reads(configs, plan)
-    return _landings(order, _train(configs, plan.cluster.workers, reads))
+    return _landings(order, _train(configs, [plan.cluster.workers] * len(configs), reads))
 
 
 @dataclass(frozen=True)
@@ -325,25 +369,22 @@ def _check_cells(cells: Sequence[tuple[Sequence[SgdConfig], SchedulePlan]]
     """``check_neutrality`` of each ``(configs, plan)`` cell, in order.
 
     Every cell's reads are found, and its inputs checked, before any lane
-    trains.  The cells that share a worker count then train in one ``_train``
-    call, each cell's replay lanes and then its isolated lanes, cell after
-    cell.  No operation mixes lanes, so each trajectory has the bits it has
-    when its cell trains alone.
+    trains.  Then every cell trains in one ``_train`` call, each lane with
+    its cell's worker count: each cell's replay lanes and then its isolated
+    lanes, cell after cell.  No operation mixes lanes, so each trajectory
+    has the bits it has when its cell trains alone.
     """
-    lanes = []  # per cell: (lane configs, lane reads)
-    groups: dict[int, list[int]] = {}  # worker count -> its cells
-    for c, (configs, plan) in enumerate(cells):
-        reads, _ = _replay_reads(configs, plan)
-        isolated = [range(job.iterations) for job in plan.jobs]
-        lanes.append(([*configs, *configs], [*reads, *isolated]))
-        groups.setdefault(plan.cluster.workers, []).append(c)
-    trajectories: list[list[np.ndarray]] = [[] for _ in cells]
-    for workers, members in groups.items():
-        trained = iter(_train([config for c in members for config in lanes[c][0]], workers,
-                              [reads for c in members for reads in lanes[c][1]]))
-        for c in members:
-            trajectories[c] = [next(trained) for _ in lanes[c][0]]
-    return [_compare(t) for t in trajectories]
+    configs: list[SgdConfig] = []
+    workers: list[int] = []
+    reads: list[Sequence[int]] = []
+    for cell_configs, plan in cells:
+        replay, _ = _replay_reads(cell_configs, plan)
+        configs += [*cell_configs, *cell_configs]
+        workers += [plan.cluster.workers] * (2 * len(cell_configs))
+        reads += [*replay, *(range(job.iterations) for job in plan.jobs)]
+    trained = iter(_train(configs, workers, reads))
+    return [_compare([next(trained) for _ in range(2 * len(cell_configs))])
+            for cell_configs, _ in cells]
 
 
 def _compare(trajectories: Sequence[np.ndarray]) -> NeutralityReport:

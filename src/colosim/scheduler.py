@@ -29,7 +29,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .comm import ClusterSpec, _sync_times, cost_terms
-from .engine import _INT_LIMIT, _JOB_ID_LIMIT, _NAMES, _TYPES, Block, Row, Trace, _escaped
+from .engine import (_INT_LIMIT, _JOB_ID_LIMIT, _NAMES, _TYPES, Block, Row, Trace, _escaped,
+                     _misshapen)
 from .errors import ConfigError, _a, _check_least, _check_type, _quoted
 from .workload import JobProfile, comp_time
 
@@ -65,8 +66,9 @@ class SchedulePlan:
     exactly ``comp_i + comm_i``.  No time either policy produces exceeds it,
     so it must stay below ``engine._INT_LIMIT``, 2^63.
     Its fields are checked here, and a job's only here, each broken rule a
-    ``ConfigError`` naming the field: ``policy``, ``cluster`` and each
-    ``jobs[i]`` by exact type, and each ``jobs[i].<field>`` against
+    ``ConfigError`` naming the field: ``policy`` and ``cluster`` by exact
+    type, ``jobs`` a ``list`` or ``tuple`` (kept as a tuple), each ``jobs[i]``
+    by exact type, and each ``jobs[i].<field>`` against
     ``_JOB_LEAST``, ``forward_time + backward_time > 0``, and a unique
     ``job_id`` of at most ``engine._JOB_ID_LIMIT`` characters once
     JSON-escaped.
@@ -81,6 +83,8 @@ class SchedulePlan:
     def __post_init__(self):
         _check_type("policy", Policy, self.policy)
         _check_type("cluster", ClusterSpec, self.cluster)
+        if type(self.jobs) not in (list, tuple):
+            raise ConfigError(f"jobs: expected a list or tuple, got {_a(self.jobs)}")
         object.__setattr__(self, "jobs", tuple(self.jobs))
         if not self.jobs:
             raise ConfigError("plan must contain at least one job")
@@ -248,9 +252,9 @@ def _differences(rows: tuple[Row, ...], expected: tuple[Row, ...]) -> list[str]:
             return []
         return [f"row {k}: missing, expected {expected[k][0]} iteration {expected[k][1]}"]
     row = rows[k]
-    if not isinstance(row, tuple) or len(row) != 7:
-        shape = f"a tuple of {len(row)} fields" if isinstance(row, tuple) else _a(row)
-        return [f"row {k}: {shape}, expected a tuple of 7 fields"]
+    shape = _misshapen(k, row)
+    if shape:
+        return [shape]
     if k == len(expected):
         return [f"row {k}: {row[0]} iteration {row[1]!r} after the plan's last row"]
     job_id, t, a, b, c, e, f = expected[k]

@@ -267,6 +267,21 @@ class TestLazyRows:
         assert Trace(()).makespan == 0
         assert Trace(()).blocks == ()
 
+    @pytest.mark.parametrize("rows, message", [
+        (lambda first: ((1, 2),), "row 0: a tuple of 2 fields, expected a tuple of 7 fields"),
+        (lambda first: (first, None), "row 1: a NoneType, expected a tuple of 7 fields"),
+        (lambda first: (first + (7,),), "row 0: a tuple of 8 fields, expected a tuple of 7 fields"),
+    ], ids=["short", "none", "long"])
+    def test_makespan_of_a_misshapen_last_row_is_an_invalid_trace(self, rows, message):
+        # a short last row used to end in IndexError; the message is the one
+        # validate_trace gives the same row
+        p = _plan(("a", 1, 2, 3, 2))
+        trace = Trace(rows(simulate(p).rows[0]))
+        with pytest.raises(InvalidTraceError) as raised:
+            trace.makespan
+        assert raised.value.violations == [message]
+        assert validate_trace(trace, p) == [message]
+
     def test_rows_field_has_no_default(self):
         assert dataclasses.fields(Trace)[0].name == "rows"
         assert dataclasses.fields(Trace)[0].default is dataclasses.MISSING

@@ -94,6 +94,20 @@ def cell_mixes(draw):
     return draw(st.permutations(cells))
 
 
+@st.composite
+def lane_mixes(draw):
+    """1-4 ``_train`` lanes: any config, 1 to ``MAX_WORKERS`` workers, 1-40
+    updates, and update k reading any state up to k - 1."""
+    lanes = []
+    for _ in range(draw(st.integers(1, 4))):
+        cfg = config(draw(st.sampled_from(LossKind)), draw(st.integers(0, 99)),
+                     draw(st.integers(0, 99)))
+        workers = draw(st.sampled_from([1, 2, 4, MAX_WORKERS]) | st.integers(1, MAX_WORKERS))
+        reads = [draw(st.integers(0, k)) for k in range(draw(st.integers(1, 40)))]
+        lanes.append((cfg, workers, reads))
+    return lanes
+
+
 def check_cells(cells):
     """``_check_cells(cells)``, and the lanes each cell's report compared, in cell order."""
     compared = []
@@ -391,9 +405,9 @@ class TestCheckNeutrality:
     def mutate(self, monkeypatch):
         """Edit lane 0 of every ``_train`` call: job 0's replayed trajectory.
 
-        ``check_neutrality`` trains one cell per call.  Through the CLI, a call
-        trains every cell of one worker count, so only the first cell of each
-        worker count (jobs=1) is edited.
+        ``check_neutrality`` trains one cell per call.  Through the CLI, one
+        call trains every cell, so only the first cell (jobs=1 workers=1) is
+        edited.
         """
         def install(edit):
             real = equivalence._train
@@ -414,6 +428,12 @@ class TestCheckNeutrality:
                 return Trace(tuple(edit(list(trace.rows))))
             monkeypatch.setattr(equivalence, "simulate", edited)
         return install
+
+    def test_reads_the_blocks_and_builds_no_rows(self, expansions, capsys):
+        assert cli.main(["equivalence", "--iters", "5"]) == cli.EXIT_OK
+        report = check_neutrality(cli._equiv_configs(3, 2, 0), cli._equiv_plan(3, 2, 5))
+        assert report.first_divergence is None
+        assert expansions == []
 
     @pytest.mark.parametrize("name", sorted(TRAJECTORY_MUTANTS))
     def test_broken_trajectory_is_a_divergence(self, mutate, name):
@@ -487,32 +507,45 @@ class TestCheckCells:
         for trajectories, own in zip(lanes, alone):
             assert [t.tobytes() for t in trajectories] == [t.tobytes() for t in own]
 
-    def test_the_cli_grid_trains_one_call_per_worker_count(self, monkeypatch, capsys):
+    @settings(max_examples=40, deadline=None)
+    @given(lanes=lane_mixes())
+    def test_lanes_of_mixed_worker_counts_train_as_if_alone(self, lanes):
+        configs, workers, reads = (list(field) for field in zip(*lanes))
+        together = equivalence._train(configs, workers, reads)
+        for trajectory, (cfg, w, lane_reads) in zip(together, lanes):
+            (alone,) = equivalence._train([cfg], [w], [lane_reads])
+            assert trajectory.shape == alone.shape == (len(lane_reads) + 1, DIM)
+            assert trajectory.tobytes() == alone.tobytes()
+
+    def test_the_cli_grid_trains_in_one_call(self, monkeypatch, capsys):
         calls = []
         real = equivalence._train
 
         def counted(configs, workers, reads):
-            calls.append((workers, len(configs)))
+            calls.append(list(workers))
             return real(configs, workers, reads)
         monkeypatch.setattr(equivalence, "_train", counted)
         assert cli.main(["equivalence", "--iters", "5"]) == cli.EXIT_OK
-        # the replay and isolated lanes of 1 + 2 + 3 jobs
-        assert calls == [(1, 12), (2, 12), (4, 12)]
+        # the replay and isolated lanes of every cell, in grid order, each
+        # with its cell's worker count: 2 x (1 + 2 + 3) x 3 = 36 lanes
+        assert calls == [[workers for n_jobs in cli._EQUIV_JOB_COUNTS
+                          for workers in cli._EQUIV_WORKER_COUNTS for _ in range(2 * n_jobs)]]
+        assert len(calls[0]) == 36
 
     @pytest.mark.parametrize("n_jobs, workers, job", [
         (n_jobs, workers, job) for n_jobs in cli._EQUIV_JOB_COUNTS
         for workers in cli._EQUIV_WORKER_COUNTS for job in range(n_jobs)])
     def test_a_one_ulp_edit_is_reported_in_its_cell_only(self, monkeypatch, capsys,
                                                          n_jobs, workers, job):
-        # The cells of one worker count train in one call, jobs=1 first, each
-        # cell's replay lanes before its isolated lanes.
-        lane = sum(2 * n for n in cli._EQUIV_JOB_COUNTS if n < n_jobs) + job
+        # Every cell trains in one call, in grid order, each cell's replay
+        # lanes before its isolated lanes.
+        grid = [(n, w) for n in cli._EQUIV_JOB_COUNTS for w in cli._EQUIV_WORKER_COUNTS]
+        lane = sum(2 * n for n, _ in grid[:grid.index((n_jobs, workers))]) + job
         real = equivalence._train
 
         def edited(configs, call_workers, reads):
             trajectories = real(configs, call_workers, reads)
-            if call_workers == workers:
-                trajectories[lane] = _nudged(trajectories[lane].copy())
+            trajectories[lane] = _nudged(trajectories[lane].copy())
             return trajectories
         monkeypatch.setattr(equivalence, "_train", edited)
         assert cli.main(["equivalence", "--iters", "5"]) == cli.EXIT_EQUIVALENCE
@@ -546,9 +579,9 @@ def test_cli_grid_trajectories_are_pinned():
 
 
 def test_grouped_cli_grid_trajectories_are_pinned():
-    # the same digest from the lanes _check_cells trains, the cells of one
-    # worker count in one call: each cell's replayed, then its isolated
-    # trajectories, every state after the initial one
+    # the same digest from the lanes _check_cells trains, every cell in one
+    # call: each cell's replayed, then its isolated trajectories, every state
+    # after the initial one
     h = hashlib.sha256()
     for seed in (0, 5, 123):
         cells = [(cli._equiv_configs(n_jobs, workers, seed), cli._equiv_plan(n_jobs, workers, 60))
@@ -658,13 +691,13 @@ class TestBatchDraws:
 
     def test_grouping_draws_less_past_the_cache_size(self, capsys):
         # 1000 iterations span 63 blocks: 3 job seeds x 63 blocks x 4 workers
-        # = 756 worker blocks, more than the cache holds.  The cells of one
-        # worker count train together, so each group draws a (seed, block,
-        # worker) at most once; cell by cell, the grid made 2,163 draws.
+        # = 756 worker blocks, more than the cache holds.  Every cell trains
+        # in one call, whose lanes ask for a block's draws together, so each
+        # (seed, block, worker) is drawn once; one call per worker count drew
+        # 1,255 and cell by cell, the grid made 2,163 draws.
         clear_draws()
         assert cli.main(["equivalence", "--iters", "1000", "--seed", "3"]) == cli.EXIT_OK
-        per_group = sum(3 * 63 * workers for workers in cli._EQUIV_WORKER_COUNTS)
-        assert equivalence._draw_block.cache_info().misses == 1255 <= per_group == 1323
+        assert equivalence._draw_block.cache_info().misses == 3 * 63 * 4 == 756
 
 
 class TestWorkerBound:

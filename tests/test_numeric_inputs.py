@@ -168,14 +168,22 @@ TWO_JOBS = (JobProfile("a", 3, 3, 10**6, 4), JobProfile("b", 3, 3, 10**6, 4))
      "jobs[1]: expected a JobProfile, got a tuple"),
     (SchedulePlan, (Policy.SEQUENTIAL, TWO_JOBS, None),
      "cluster: expected a ClusterSpec, got a NoneType"),
+    (SchedulePlan, (Policy.CROSSOVER, None, FALLBACK_CLUSTER),
+     "jobs: expected a list or tuple, got a NoneType"),
+    (SchedulePlan, (Policy.CROSSOVER, 5, FALLBACK_CLUSTER),
+     "jobs: expected a list or tuple, got an int"),
+    (SchedulePlan, (Policy.CROSSOVER, iter(TWO_JOBS), FALLBACK_CLUSTER),
+     "jobs: expected a list or tuple, got a tuple_iterator"),
     (ClusterSpec, (2, 10**9, 0, "ring_allreduce"),
      "cluster.architecture: expected an Architecture, got a str"),
-], ids=["str_policy", "none_job", "tuple_job", "no_cluster", "str_architecture"])
+], ids=["str_policy", "none_job", "tuple_job", "no_cluster", "no_jobs", "int_jobs",
+        "iterator_jobs", "str_architecture"])
 def test_a_record_takes_only_its_field_types(record, args, message):
     # a str policy used to run the crossover schedule under the name
     # "sequential" (8,000,006 ns here against Policy.SEQUENTIAL's 8,000,048),
     # a str architecture was priced as a parameter server, every sync twice
-    # as long, and a None job or cluster ended in AttributeError
+    # as long, a None job or cluster ended in AttributeError, and a None or
+    # int jobs in TypeError
     with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
         record(*args)
 

@@ -22,7 +22,8 @@ leaves no worktree metadata behind.  Both trees run the same commands as
   and ``sweep`` on each document of a fixed corpus of scenarios whose sweep
   ends in an error;
 * ``equivalence --iters 1`` (the shortest trajectories, two rows per
-  lane), ``--iters 5``, ``--iters 20``, ``--iters 60 --seed 123`` (the
+  lane), ``--iters 5``, ``--iters 17 --seed 9`` (one iteration past the first
+  draw block), ``--iters 20``, ``--iters 60 --seed 123`` (the
   benchmark's size, at a seed the pinned grid digest covers) and
   ``--iters 1000 --seed 3`` (63 draw blocks, more than the draw cache holds);
 * ``simulate`` and ``validate-config`` on each document of a fixed corpus of
@@ -166,6 +167,7 @@ def commands(scenarios: list[str], corpus: Path) -> dict[str, list[str]]:
         "--ratio-min", "0.123456789", "--ratio-max", "3.9"]
     runs["equivalence-1"] = ["equivalence", "--iters", "1"]
     runs["equivalence-5"] = ["equivalence", "--iters", "5"]
+    runs["equivalence-17-seed-9"] = ["equivalence", "--iters", "17", "--seed", "9"]
     runs["equivalence-20"] = ["equivalence", "--iters", "20"]
     runs["equivalence-60-seed-123"] = ["equivalence", "--iters", "60", "--seed", "123"]
     runs["equivalence-1000-seed-3"] = ["equivalence", "--iters", "1000", "--seed", "3"]

@@ -139,16 +139,21 @@ class Trace:
     def makespan(self) -> int:
         """The last row's ``sync_end``, read from the last block; 0 for no rows.
 
-        Raises ``InvalidTraceError`` if that row is not a tuple of 7 fields.
+        Raises ``InvalidTraceError`` if that row is not a tuple of 7 fields
+        or its ``sync_end`` is not an exact ``int``.
         """
         if not self.blocks:
             return 0
         rows, shift, repeats = self.blocks[-1]
         # only a plain trace, one block, can hold a misshapen row
-        shape = _misshapen(len(rows) - 1, rows[-1])
+        k, last = len(rows) - 1, rows[-1]
+        shape = _misshapen(k, last)
         if shape:
             raise InvalidTraceError([shape])
-        return rows[-1][6] + repeats * shift
+        if type(last[6]) is not int:
+            raise InvalidTraceError([f"row {k}: sync_end {last[6]!r}, {_a(last[6])}, "
+                                     f"expected an int"])
+        return last[6] + repeats * shift
 
     @property
     def spans(self) -> tuple[Span, ...]:
@@ -353,7 +358,10 @@ def _chunks(blocks: tuple[Block, ...]) -> Iterator[Chunk]:
     Unrepeated rows are gathered across blocks and transposed a chunk at a
     time.  A block's copies are built a column at a time from its round's
     columns, whole copies to a chunk; their id and duration columns are the
-    round's, repeated.  No row is built.
+    round's, repeated.  No row is built.  ``_gap_runs``, ``Trace.makespan``
+    and ``equivalence._replay_reads`` read blocks in O(blocks) without
+    expanding their copies, so a change to what a copy adds (a shift per
+    field, say) changes them too.
     """
     run: list[Row] = []  # rows not yet in a chunk
     for rows, shift, repeats in blocks:

@@ -11,10 +11,12 @@ sync ends reads stale parameters and diverges.  The tests show the
 comparison failing on edited replayed trajectories, down to one ulp in one
 coordinate, and on edited trace rows.
 
-Both runs train in lockstep.  One integer pass over the trace's block
-columns gives each job's reads: how many of its own updates have landed
-when each of its computes starts, and in which order the updates land.  A
-lane is one run of one job with its own worker count, and its compute k
+Both runs train in lockstep.  One integer pass over the trace's blocks
+gives each job's reads: how many of its own updates have landed when each
+of its computes starts, and in which order the updates land.  A repeated
+round costs two rounds of that pass when its first copy lands as the round
+did: the shift-invariance that lets ``scheduler._run`` skip rounds then
+holds for every later copy's landings too.  A lane is one run of one job with its own worker count, and its compute k
 reads its state after that many updates: the replay's reads, or k - 1 in
 isolation.  Iteration k of every lane is one batched gradient over the
 worker batches of all lanes on one flat (lane, worker) axis, with
@@ -56,7 +58,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .engine import _chunks
+from .engine import Row
 from .errors import ConfigError, _a, _check_least, _check_type
 from .scheduler import SchedulePlan, simulate
 
@@ -198,15 +200,23 @@ def _replay_reads(configs: Sequence[SgdConfig],
                   plan: SchedulePlan) -> tuple[list[list[int]], list[int]]:
     """Each job's reads along ``simulate(plan).rows``, and the landing order.
 
-    The rows are read as ``engine._chunks`` columns of the trace's blocks,
-    so none is built.  At a row's start, every pending update of that job
-    whose sync ended by then lands, oldest first; after the last row,
-    whatever is still queued.
+    At a row's start, every pending update of that job whose sync ended by
+    then lands, oldest first; after the last row, whatever is still queued.
     ``reads[j][k]`` is how many of job j's updates have landed when its
     compute ``k + 1`` starts, and ``order`` holds the job index of each
-    landing in turn.  Raises ``ConfigError`` past ``MAX_WORKERS``, or unless
-    ``configs`` is a list or tuple of one ``SgdConfig`` per job and ``plan`` a
-    ``SchedulePlan``.
+    landing in turn.  The rows are read from ``simulate(plan).blocks`` (see
+    ``engine._chunks``), so none is built, and a block costs at most two
+    ``_step``s: its round and its first copy.  If the first copy leaves the
+    pending syncs of the jobs that have rows in the block as the round left
+    them plus the block's shift, every later copy starts in the state the
+    one before it did, shifted, so it lands exactly as the first copy did:
+    ``order`` repeats the copy's landings, and job j's reads are the copy's
+    plus ``c`` times its rows per round for the c-th copy after it.
+    Otherwise every copy is stepped.  Only those jobs' queues are compared,
+    since no other job's queue moves within the block: a finished job's last
+    sync stays queued until the end.  Raises ``ConfigError`` past
+    ``MAX_WORKERS``, or unless ``configs`` is a list or tuple of one
+    ``SgdConfig`` per job and ``plan`` a ``SchedulePlan``.
     """
     if type(configs) not in (list, tuple):
         raise ConfigError(f"configs: expected a list or tuple, got {_a(configs)}")
@@ -222,19 +232,44 @@ def _replay_reads(configs: Sequence[SgdConfig],
     index = {job.job_id: j for j, job in enumerate(plan.jobs)}
     reads: list[list[int]] = [[] for _ in plan.jobs]
     pending: list[deque[int]] = [deque() for _ in plan.jobs]
-    order = []
-    for (ids, _, starts, *_, sync_ends), _ in _chunks(simulate(plan).blocks):
-        for job_id, start, sync_end in zip(ids, starts, sync_ends):
-            j = index[job_id]
-            queue = pending[j]
-            while queue and queue[0] <= start:
-                queue.popleft()
-                order.append(j)
-            reads[j].append(len(reads[j]) - len(queue))
-            queue.append(sync_end)
+    order: list[int] = []
+    for rows, shift, repeats in simulate(plan).blocks:
+        _step(rows, 0, index, reads, pending, order)
+        if not repeats:
+            continue
+        jobs = {index[row[0]] for row in rows}
+        queued = {j: [end + shift for end in pending[j]] for j in jobs}
+        landed, counts = len(order), {j: len(reads[j]) for j in jobs}
+        _step(rows, shift, index, reads, pending, order)
+        if any(list(pending[j]) != queued[j] for j in jobs):
+            for k in range(2, repeats + 1):
+                _step(rows, k * shift, index, reads, pending, order)
+            continue
+        # Copy 1 left its jobs' queues as the round left them plus shift, so
+        # each later copy starts in the state the one before it did, shifted,
+        # and lands as copy 1 did; job j reads n more per copy.
+        order += order[landed:] * (repeats - 1)
+        for j in jobs:
+            copy, n = reads[j][counts[j]:], len(reads[j]) - counts[j]
+            reads[j] += [r + c for c in range(n, repeats * n, n) for r in copy]
+            pending[j] = deque(end + (repeats - 1) * shift for end in pending[j])
     for j, queue in enumerate(pending):
         order += [j] * len(queue)
     return reads, order
+
+
+def _step(rows: Sequence[Row], shift: int, index: dict[str, int], reads: list[list[int]],
+          pending: list[deque[int]], order: list[int]) -> None:
+    """Read ``rows`` with every time plus ``shift``: land, record the read, queue the sync."""
+    for row in rows:
+        j = index[row[0]]
+        queue = pending[j]
+        start = row[2] + shift
+        while queue and queue[0] <= start:
+            queue.popleft()
+            order.append(j)
+        reads[j].append(len(reads[j]) - len(queue))
+        queue.append(row[6] + shift)
 
 
 def _train(configs: Sequence[SgdConfig], workers: Sequence[int],
@@ -250,7 +285,10 @@ def _train(configs: Sequence[SgdConfig], workers: Sequence[int],
     array, ``W`` the most workers of a lane, whose slots past a lane's own
     workers hold ``-0.0``: since ``x + -0.0`` is ``x`` bit for bit, ``+0.0``
     included, the sum has the bits of the lane's unpadded one, as in
-    ``loss_gradient``.  Returns each lane's read-only
+    ``loss_gradient``.  Each active lane's state after k - 1 updates, which
+    the update steps from, is kept in one array, and the states that every
+    lane's gradients read are looked up a draw block of 16 iterations at a
+    time.  Returns each lane's read-only
     ``(len(reads[l]) + 1, DIM)`` trajectory, whose row m holds the parameters
     after m updates.
     """
@@ -259,10 +297,12 @@ def _train(configs: Sequence[SgdConfig], workers: Sequence[int],
     lanes = sorted(range(len(configs)), key=lambda l: (-len(reads[l]), configs[l].rng_seed))
     counts = [len(reads[l]) for l in lanes]
     # Lane p's trajectory is rows first[p] .. first[p] + counts[p] of states,
-    # and sources[first[p] + k] is the row its update k reads.
+    # and sources[first[p] + k] is the row its update k reads.  A draw
+    # block's lookups run up to _BLOCK - 1 rows past a lane's last update,
+    # so sources has _BLOCK more rows, which keep the last lane's in bounds.
     first = np.cumsum([0] + [n + 1 for n in counts[:-1]])
     states = np.empty((sum(counts) + len(lanes), DIM))
-    sources = np.empty(len(states), dtype=np.intp)
+    sources = np.zeros(len(states) + _BLOCK, dtype=np.intp)
     initial = {}  # rng_seed -> initial parameters, which depend on nothing else
     for p, l in enumerate(lanes):
         seed = configs[l].rng_seed
@@ -280,6 +320,8 @@ def _train(configs: Sequence[SgdConfig], workers: Sequence[int],
     width = int(sizes.max())
     slot = owner * width + np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
     padded = np.full((len(lanes) * width, DIM), -0.0)
+    per_lane = padded.reshape(len(lanes), width, DIM)
+    divisors = sizes[:, None]
     # The lanes of one config gather from one copy of its dataset, the d-th
     # distinct one at rows d * DATASET_SIZE on.
     distinct: dict[SgdConfig, int] = {}
@@ -288,7 +330,9 @@ def _train(configs: Sequence[SgdConfig], workers: Sequence[int],
     ys = np.concatenate([make_dataset(c)[1] for c in distinct])
     offsets = DATASET_SIZE * np.array(dataset)[owner, None, None]
     logistic = np.array([configs[l].loss is LossKind.LOGISTIC for l in lanes])[owner, None]
-    reading = first[owner]  # per batch row, its lane's first row of sources
+    # per batch row, its lane's rows of sources for a block's 16 iterations
+    reading = first[owner, None] + np.arange(1, _BLOCK + 1)
+    latest = states[first]  # each lane's state after its updates so far
     active = len(lanes)
     for k in range(1, counts[0] + 1):
         while counts[active - 1] < k:
@@ -300,13 +344,15 @@ def _train(configs: Sequence[SgdConfig], workers: Sequence[int],
             idx = np.array([_draw_block(configs[l].rng_seed, block, w)
                             for l in lanes[:active] for w in range(workers[l])])
             idx += offsets[:n]
+            # (batch rows, 16) rows of states their gradients read
+            read = sources.take(reading[:n] + (k - 1))
         batch = idx[:n, row]
-        parameters = states.take(sources.take(reading[:n] + k), axis=0)
+        parameters = states.take(read[:n, row], axis=0)
         padded[slot[:n]] = _batch_gradients(logistic[:n], parameters, xs.take(batch, axis=0),
                                             ys.take(batch))
-        summed = np.add.accumulate(padded[:active * width].reshape(active, width, DIM), axis=1)
-        rows = first[:active] + k
-        states[rows] = states[rows - 1] - LEARNING_RATE * (summed[:, -1] / sizes[:active, None])
+        summed = np.add.accumulate(per_lane[:active], axis=1)
+        latest = latest[:active] - LEARNING_RATE * (summed[:, -1] / divisors[:active])
+        states[first[:active] + k] = latest
     states.setflags(write=False)
     return [states[first[p]:first[p] + counts[p] + 1]
             for p in sorted(range(len(lanes)), key=lanes.__getitem__)]

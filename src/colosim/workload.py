@@ -47,8 +47,12 @@ def comp_time(job: JobProfile) -> int:
 
 @lru_cache(maxsize=1)
 def _fixture_data() -> dict:
+    """The fixture file, each profile's tensor sizes summed into its ``grad_bytes`` once."""
     raw = resources.files("colosim.data").joinpath("profiles.json").read_text()
-    return json.loads(raw)
+    data = json.loads(raw)
+    for p in data["profiles"].values():
+        p["grad_bytes"] = sum(size for _, size in p["tensors"])
+    return data
 
 
 def fixture_names() -> list[str]:
@@ -71,6 +75,6 @@ def fixture_profile(name: str, job_id: str | None = None,
         job_id=job_id if job_id is not None else name,
         forward_time=p["forward_ns"],
         backward_time=p["backward_ns"],
-        grad_bytes=sum(size for _, size in p["tensors"]),
+        grad_bytes=p["grad_bytes"],
         iterations=iterations if iterations is not None else p["iterations"],
     )

@@ -16,6 +16,8 @@ synchronous-SGD reference trajectory that the pinned grid digest hashes, and
 ``replay_reference`` replays a trace's rows one at a time through a FIFO of
 pending updates; both step with those draws and that gradient, gather
 ``x[idx]`` themselves and update ``p - LEARNING_RATE * g`` in ``sgd_step``.
+``replay_reads_reference`` reads the same FIFOs a row at a time without
+training (the package reads a repeated round's landings once per block).
 ``fixture_tensor_sizes`` reads the per-tensor inventories of the bundled
 profiles straight from the data file, for the fusion counterfactual.
 ``scaled_int_reference`` converts a config number through ``Fraction`` (the
@@ -287,6 +289,31 @@ def run_isolated(config, workers: int, iterations: int) -> list:
         state = sgd_step(state, reference_gradient(config, state.parameters, t, workers))
         trajectory.append(state)
     return trajectory
+
+
+def replay_reads_reference(plan, rows) -> tuple[list[list[int]], list[int]]:
+    """``(reads, order)`` of ``rows`` read one at a time through a FIFO per job.
+
+    At a row's start, the job's queued sync ends that are no later land,
+    oldest first, each adding the job's index to ``order``; the row then
+    reads how many of the job's computes so far have landed and queues its
+    sync end.  After the last row every queue lands in job order.  The
+    package reads a repeated round's landings once per block.
+    """
+    index = {job.job_id: j for j, job in enumerate(plan.jobs)}
+    reads = [[] for _ in plan.jobs]
+    pending = [[] for _ in plan.jobs]
+    order = []
+    for job_id, _, start, *_, sync_end in rows:
+        j = index[job_id]
+        while pending[j] and pending[j][0] <= start:
+            pending[j].pop(0)
+            order.append(j)
+        reads[j].append(len(reads[j]) - len(pending[j]))
+        pending[j].append(sync_end)
+    for j, queue in enumerate(pending):
+        order += [j] * len(queue)
+    return reads, order
 
 
 def replay_reference(configs, plan, rows) -> list:

@@ -1,11 +1,12 @@
 import gc
 import hashlib
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from colosim import cli, equivalence
 from colosim.comm import Architecture, ClusterSpec
@@ -490,6 +491,121 @@ class TestCheckNeutrality:
         plan = crossover_plan(3, 10, 7)
         assert check_neutrality(configs, plan).first_divergence is None
         assert [len(t) for t in replayed(configs, plan)] == [3, 10, 7]
+
+
+@st.composite
+def budget_plans(draw):
+    """A plan of 2-4 jobs with unequal budgets of up to 60 iterations, either policy."""
+    budgets = draw(st.lists(st.integers(1, 60), min_size=2, max_size=4, unique=True))
+    jobs = tuple(JobProfile(f"j{i}", draw(st.integers(0, 3)), draw(st.integers(1, 3)),
+                            draw(st.integers(0, 12)), iterations)
+                 for i, iterations in enumerate(budgets))
+    return SchedulePlan(draw(st.sampled_from(Policy)), jobs, NS_CLUSTER)
+
+
+def _configs(plan):
+    return [config(rng_seed=j) for j in range(len(plan.jobs))]
+
+
+def _shifted(rows, rounds, shift):
+    """``rows`` moved ``rounds`` rounds on: iterations plus rounds, times plus rounds x shift."""
+    return tuple((row[0], row[1] + rounds, *(x + rounds * shift for x in row[2:]))
+                 for row in rows)
+
+
+def _paired(blocks, b):
+    """``blocks`` with block b's rounds taken two at a time: the same rows,
+    from a block whose round holds each job twice."""
+    rows, shift, repeats = blocks[b]
+    rounds = repeats + 1
+    paired = [(rows + _shifted(rows, 1, shift), 2 * shift, rounds // 2 - 1)]
+    if rounds % 2:
+        paired.append((_shifted(rows, rounds - 1, shift), 0, 0))
+    return (*blocks[:b], *paired, *blocks[b + 1:])
+
+
+def _early_copies(blocks, b, i, lag, early=1):
+    """``blocks`` with row i of block b's round starting ``lag`` shifts and
+    ``early`` ns before its own sync ends.
+
+    In each copy the row then starts before the job's sync of ``lag`` copies
+    earlier ends.  With ``lag`` at least the block's repeats, no sync the
+    block queues for that job lands within the block, so the job's queue
+    grows by one a copy and the state never repeats.
+    """
+    rows, shift, repeats = blocks[b]
+    row = rows[i]
+    rows = (*rows[:i], (*row[:2], row[6] - lag * shift - early, *row[3:]), *rows[i + 1:])
+    return (*blocks[:b], (rows, shift, repeats), *blocks[b + 1:])
+
+
+@contextmanager
+def counted_steps():
+    """The shift of each ``_step`` call within: one per round or copy read row by row."""
+    calls = []
+    real = equivalence._step
+
+    def counting(rows, shift, *state):
+        calls.append(shift)
+        return real(rows, shift, *state)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "_step", counting)
+        yield calls
+
+
+def read_blocks(plan, blocks):
+    """``_replay_reads`` of ``plan`` with ``simulate`` returning ``blocks``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "simulate", lambda _: Trace._of(blocks, plan))
+        return equivalence._replay_reads(_configs(plan), plan)
+
+
+class TestReplayReads:
+    """``_replay_reads`` steps a block's round and first copy, and extends the rest."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plan=budget_plans())
+    def test_matches_a_row_at_a_time_reader(self, plan):
+        trace = simulate(plan)
+        with counted_steps() as steps:
+            got = equivalence._replay_reads(_configs(plan), plan)
+        assert got == oracles.replay_reads_reference(plan, trace.rows)
+        # each job's sync has landed by its next start, so no copy falls back
+        assert len(steps) == sum(1 + bool(repeats) for _, _, repeats in trace.blocks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(plan=budget_plans(), data=st.data())
+    def test_matches_a_row_at_a_time_reader_when_a_round_does_not_repeat(self, plan, data):
+        blocks = simulate(plan).blocks
+        repeated = [b for b, (_, _, repeats) in enumerate(blocks) if repeats]
+        assume(repeated)
+        b = data.draw(st.sampled_from(repeated), label="block")
+        if data.draw(st.booleans(), label="paired"):
+            blocks = _paired(blocks, b)
+        rows, _, repeats = blocks[b]
+        edited = _early_copies(blocks, b, data.draw(st.integers(0, len(rows) - 1), label="row"),
+                               data.draw(st.integers(0, repeats + 1), label="lag"),
+                               data.draw(st.integers(1, 5), label="early"))
+        assert read_blocks(plan, edited) == oracles.replay_reads_reference(
+            plan, Trace._of(edited, plan).rows)
+
+    def test_a_round_whose_queues_grow_is_stepped_copy_by_copy(self):
+        plan = cli._equiv_plan(2, 2, 20)
+        _, shift, repeats = simulate(plan).blocks[1]
+        blocks = _early_copies(simulate(plan).blocks, 1, 0, repeats)
+        with counted_steps() as steps:
+            got = read_blocks(plan, blocks)
+        assert got == oracles.replay_reads_reference(plan, Trace._of(blocks, plan).rows)
+        # the first block's round, then the second's and each of its copies
+        assert steps == [0, 0, *(k * shift for k in range(1, repeats + 1))]
+
+    def test_steps_at_most_a_round_and_its_first_copy_per_block(self):
+        plan = cli._equiv_plan(3, 4, 10**4)
+        blocks = simulate(plan).blocks
+        with counted_steps() as steps:
+            reads, order = equivalence._replay_reads(cli._equiv_configs(3, 4, 0), plan)
+        assert len(steps) <= sum(1 + bool(repeats) for _, _, repeats in blocks) == 3
+        assert (reads, order) == oracles.replay_reads_reference(plan, simulate(plan).rows)
 
 
 class TestCheckCells:

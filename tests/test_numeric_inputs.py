@@ -203,3 +203,13 @@ def test_a_trace_check_takes_only_a_trace_and_a_plan(entry_point, trace, plan, m
     # plans are None, and then measure raised AttributeError
     with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
         entry_point(trace, plan)
+
+
+@pytest.mark.parametrize("sync_end, kind", [("s", "a str"), (6.5, "a float"), (True, "a bool")],
+                         ids=["str", "float", "bool"])
+def test_makespan_takes_only_an_int_sync_end(sync_end, kind):
+    # a str used to end in TypeError, and a float or a bool came back as the makespan
+    trace = Trace((("a", 1, 2, 3, 4, 5, sync_end),))
+    with pytest.raises(InvalidTraceError) as raised:
+        trace.makespan
+    assert raised.value.violations == [f"row 0: sync_end {sync_end!r}, {kind}, expected an int"]

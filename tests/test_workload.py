@@ -1,5 +1,6 @@
 import pytest
 
+from colosim import workload
 from colosim.comm import ClusterSpec
 from colosim.errors import ConfigError
 from colosim.scheduler import Policy, SchedulePlan
@@ -39,6 +40,12 @@ class TestUnfusedMessages:
         assert len(vgg) == 32
         assert sum(resnet) == fixture_profile("resnet50").grad_bytes == 102_228_128
         assert sum(vgg) == fixture_profile("vgg16").grad_bytes == 553_430_176
+
+    def test_each_profile_is_summed_once_at_load(self, monkeypatch):
+        want = {name: sum(fixture_tensor_sizes(name)) for name in fixture_names()}
+        fixture_profile("vgg16")  # loads the file
+        monkeypatch.setattr(workload, "sum", None, raising=False)  # a later sum would fail
+        assert {name: fixture_profile(name).grad_bytes for name in fixture_names()} == want
 
 
 class TestCompTime:

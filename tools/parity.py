@@ -22,7 +22,9 @@ leaves no worktree metadata behind.  Both trees run the same commands as
   and ``sweep`` on each document of a fixed corpus of scenarios whose sweep
   ends in an error;
 * ``equivalence --iters 1`` (the shortest trajectories, two rows per
-  lane), ``--iters 5``, ``--iters 17 --seed 9`` (one iteration past the first
+  lane), ``--iters 3`` and ``--iters 4`` (a repeated round of one copy,
+  which the replay reader steps, and of two, whose second it extends),
+  ``--iters 5``, ``--iters 17 --seed 9`` (one iteration past the first
   draw block), ``--iters 20``, ``--iters 60 --seed 123`` (the
   benchmark's size, at a seed the pinned grid digest covers) and
   ``--iters 1000 --seed 3`` (63 draw blocks, more than the draw cache holds);
@@ -166,6 +168,8 @@ def commands(scenarios: list[str], corpus: Path) -> dict[str, list[str]]:
         "sweep", "--config", "scenarios/sweep_base.json", "--out", OUT, "--steps", "1000",
         "--ratio-min", "0.123456789", "--ratio-max", "3.9"]
     runs["equivalence-1"] = ["equivalence", "--iters", "1"]
+    runs["equivalence-3"] = ["equivalence", "--iters", "3"]
+    runs["equivalence-4"] = ["equivalence", "--iters", "4"]
     runs["equivalence-5"] = ["equivalence", "--iters", "5"]
     runs["equivalence-17-seed-9"] = ["equivalence", "--iters", "17", "--seed", "9"]
     runs["equivalence-20"] = ["equivalence", "--iters", "20"]

@@ -77,25 +77,37 @@ def _misshapen(k: int, row: object) -> str | None:
     return f"row {k}: {shape}, expected a tuple of 7 fields"
 
 
-def _gap_runs(trace: Trace, plan: SchedulePlan) -> dict[str, list[tuple[int, int]]]:
-    """Each plan job's compute-start gaps as ``(gap, count)`` runs, read from the blocks.
+def _gap_runs(trace: Trace, plan: SchedulePlan) -> dict[str, tuple[list[int], list[int]]]:
+    """Each plan job's compute-start gaps as runs of equal gaps, read from the blocks.
 
-    A row of a block gives one gap, from the job's previous start; a
-    block's copies give its shift once per repeat for each of its jobs (see
-    ``_chunks``).  No rows are built.
+    A job's runs are two flat lists, ``(gaps, counts)``: run k is
+    ``counts[k]`` gaps of ``gaps[k]`` in a row.  A row of a block gives one
+    gap, from the job's previous start; a block's copies give its shift once
+    per repeat for each of its jobs, just after that job's row (``_run``
+    writes at most one row per job in a block with copies; see ``_chunks``).
+    No rows are built.
     """
-    runs: dict[str, list[tuple[int, int]]] = {j.job_id: [] for j in plan.jobs}
+    runs: dict[str, tuple[list[int], list[int]]] = {j.job_id: ([], []) for j in plan.jobs}
     last: dict[str, int] = {}
     for rows, shift, repeats in trace.blocks:
-        for row in rows:
-            job_id, start = row[0], row[2]
-            if job_id in last:
-                runs[job_id].append((start - last[job_id], 1))
-            last[job_id] = start
         if repeats:
             for row in rows:
-                runs[row[0]].append((shift, repeats))
-                last[row[0]] = row[2] + repeats * shift
+                job_id, start = row[0], row[2]
+                gaps, counts = runs[job_id]
+                if job_id in last:
+                    gaps.append(start - last[job_id])
+                    counts.append(1)
+                gaps.append(shift)
+                counts.append(repeats)
+                last[job_id] = start + repeats * shift
+        else:
+            for row in rows:
+                job_id, start = row[0], row[2]
+                if job_id in last:
+                    gaps, counts = runs[job_id]
+                    gaps.append(start - last[job_id])
+                    counts.append(1)
+                last[job_id] = start
     return runs
 
 

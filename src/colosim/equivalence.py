@@ -177,6 +177,12 @@ _BLOCK = 16
 # at most 64 KiB of batches per lane.
 MAX_WORKERS = 64
 
+# The most (lane, worker) pairs one ``_train`` call steps: 32 jobs' two lanes
+# at 64 workers.  Each pair holds about 3 KiB of draws and gathered batches
+# at once, so a call stays near 16 MiB (``tracemalloc``: 16 MiB for 32 jobs
+# at 64 workers and 16 iterations).  The ``colosim equivalence`` grid makes 84.
+_MAX_PAIRS = 4096
+
 # Worker blocks kept per process: 256 of 2 KiB (16 x BATCH_SIZE int64
 # indices), so retained draws stay within 512 KiB.  The grid of
 # ``colosim equivalence --iters 60`` draws 48 (3 job seeds x 4 blocks x 4
@@ -377,11 +383,21 @@ def replay_trace(configs: Sequence[SgdConfig],
     Each state's ``parameters`` is a read-only view of the job's trajectory.
     Each job averages the gradients of ``plan.cluster.workers`` workers, the
     count its syncs were priced for, and the call raises ``ConfigError`` when
-    that is more than ``MAX_WORKERS``, as it does unless ``configs`` holds one
-    ``SgdConfig`` per job.
+    that is more than ``MAX_WORKERS``, or when jobs times workers is more than
+    ``_MAX_PAIRS``, as it does unless ``configs`` holds one ``SgdConfig`` per
+    job.
     """
     reads, order = _replay_reads(configs, plan)
-    return _landings(order, _train(configs, [plan.cluster.workers] * len(configs), reads))
+    workers = [plan.cluster.workers] * len(configs)
+    _check_pairs(workers)
+    return _landings(order, _train(configs, workers, reads))
+
+
+def _check_pairs(workers: Sequence[int]) -> None:
+    """Raise ``ConfigError`` past ``_MAX_PAIRS`` pairs of a lane and one of its ``workers``."""
+    if sum(workers) > _MAX_PAIRS:
+        raise ConfigError(f"the SGD oracle trains at most {_MAX_PAIRS} (lane, worker) pairs "
+                          f"at once, got {sum(workers)} ({len(workers)} lanes)")
 
 
 @dataclass(frozen=True)
@@ -405,7 +421,9 @@ def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan) -> Neutra
     trajectories are compared directly, rows 1 to n in one array operation,
     where n is the shorter one's update count.  Trajectories of unequal
     length diverge at iteration n + 1 (coordinate 0).  The lowest
-    (job, iteration) divergence is reported.
+    (job, iteration) divergence is reported.  Raises ``ConfigError`` as
+    ``replay_trace`` does, or past ``_MAX_PAIRS`` (lane, worker) pairs: 2
+    lanes per job times the plan's workers.
     """
     return _check_cells([(configs, plan)])[0]
 
@@ -414,7 +432,8 @@ def _check_cells(cells: Sequence[tuple[Sequence[SgdConfig], SchedulePlan]]
                  ) -> list[NeutralityReport]:
     """``check_neutrality`` of each ``(configs, plan)`` cell, in order.
 
-    Every cell's reads are found, and its inputs checked, before any lane
+    Every cell's reads are found, and its inputs checked, and then the
+    (lane, worker) pairs of all cells against ``_MAX_PAIRS``, before any lane
     trains.  Then every cell trains in one ``_train`` call, each lane with
     its cell's worker count: each cell's replay lanes and then its isolated
     lanes, cell after cell.  No operation mixes lanes, so each trajectory
@@ -428,6 +447,7 @@ def _check_cells(cells: Sequence[tuple[Sequence[SgdConfig], SchedulePlan]]
         configs += [*cell_configs, *cell_configs]
         workers += [plan.cluster.workers] * (2 * len(cell_configs))
         reads += [*replay, *(range(job.iterations) for job in plan.jobs)]
+    _check_pairs(workers)
     trained = iter(_train(configs, workers, reads))
     return [_compare([next(trained) for _ in range(2 * len(cell_configs))])
             for cell_configs, _ in cells]

@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .engine import Trace, _gap_runs
-from .errors import ComparisonError, ConfigError, InvalidTraceError
+from .engine import Trace, _escaped, _gap_runs
+from .errors import ComparisonError, ConfigError, InvalidTraceError, _check_type
 from .scheduler import SchedulePlan, validate_trace
 from .workload import comp_time
 
@@ -27,8 +26,6 @@ __all__ = ["Metrics", "measure", "compare", "report"]
 # Versioned column set of the CSV report; changing it means bumping the name.
 METRICS_CSV_HEADER = ("scenario,policy,job_id,iterations,period_ns,"
                       "makespan_ns,gpu_util,nic_util,speedup")
-
-_JSON_FORMAT = "colosim.metrics/v1"
 
 
 @dataclass(frozen=True)
@@ -46,27 +43,32 @@ class Metrics:
     speedup_vs_baseline: Fraction | None = None
 
 
-def _steady_period(runs: list[tuple[int, int]]) -> int | None:
+def _steady_period(gaps: list[int], counts: list[int]) -> int | None:
     """Lower median gap between consecutive compute starts over the middle 50%.
 
-    ``runs`` lists a job's gaps in order as ``(gap, count)`` runs of equal
-    gaps, each count at least 1.  Dropping the first and last quarter of the
+    ``gaps`` and ``counts`` list a job's gaps in order as runs of equal
+    gaps: run k is ``counts[k]`` gaps of ``gaps[k]``, each count at least 1
+    (see ``engine._gap_runs``).  Dropping the first and last quarter of the
     ``k`` gaps (positions ``[k//4, k - k//4)``) excludes pipeline fill and
     drain transients.  The lower median of an even count is the smaller
-    middle gap, so the result is always one of the gaps, an exact integer.
-    Undefined (None) with no gaps, that is with fewer than two starts.
+    middle gap, so the result is always one of the gaps, an exact integer;
+    a window inside one run is that run's gap.  Undefined (None) with no
+    gaps, that is with fewer than two starts.
     """
-    if not runs:
+    if not gaps:
         return None
-    ends = list(accumulate([count for _, count in runs]))
+    ends = list(accumulate(counts))
     k = ends[-1]
     lo, hi = k // 4, k - k // 4
-    # the runs holding positions lo and hi - 1, cut to the window
+    # the runs holding positions lo and hi - 1
     first, last = bisect_right(ends, lo), bisect_left(ends, hi)
-    window = runs[first:last + 1]
-    window[0] = (window[0][0], ends[first] - lo)
-    window[-1] = (window[-1][0], window[-1][1] - (ends[last] - hi))
-    window.sort()
+    if first == last:
+        return gaps[first]
+    # cut to the window and sorted by gap
+    cut = counts[first:last + 1]
+    cut[0] = ends[first] - lo
+    cut[-1] -= ends[last] - hi
+    window = sorted(zip(gaps[first:last + 1], cut))
     # the gap at rank (hi - lo - 1) // 2 of the sorted window
     ends = list(accumulate([count for _, count in window]))
     return window[bisect_right(ends, (hi - lo - 1) // 2)][0]
@@ -94,8 +96,8 @@ def measure(trace: Trace, plan: SchedulePlan, scenario: str = "") -> Metrics:
         scenario=scenario,
         policy=plan.policy.value,
         makespan=makespan,
-        per_job_iteration_period={job_id: _steady_period(job_runs)
-                                  for job_id, job_runs in _gap_runs(trace, plan).items()},
+        per_job_iteration_period={job_id: _steady_period(gaps, counts)
+                                  for job_id, (gaps, counts) in _gap_runs(trace, plan).items()},
         per_job_iterations=iterations,
         gpu_utilization=Fraction(compute_busy, makespan),
         nic_utilization=Fraction(network_busy, makespan),
@@ -115,28 +117,42 @@ def compare(crossover: Metrics, baseline: Metrics) -> Metrics:
         crossover, speedup_vs_baseline=Fraction(baseline.makespan, crossover.makespan))
 
 
-def _frac_str(x: Fraction | None) -> str | None:
-    return None if x is None else str(x)
+# metrics.json, the versioned document ``json.dumps(doc, indent=2)`` lays out:
+# the top-level fields, and ``per_job`` as "{}" or one entry per job.
+_JSON = """{{
+  "format": "colosim.metrics/v1",
+  "scenario": "{}",
+  "policy": "{}",
+  "makespan_ns": {},
+  "per_job": {},
+  "gpu_utilization": {},
+  "nic_utilization": {},
+  "aggregate_throughput_per_s": {},
+  "speedup_vs_baseline": {}
+}}
+"""
+_JSON_JOB = """    "{}": {{
+      "iterations": {},
+      "period_ns": {}
+    }}"""
 
 
-def _json_doc(m: Metrics) -> dict:
-    return {
-        "format": _JSON_FORMAT,
-        "scenario": m.scenario,
-        "policy": m.policy,
-        "makespan_ns": m.makespan,
-        "per_job": {
-            job_id: {
-                "iterations": iterations,
-                "period_ns": m.per_job_iteration_period.get(job_id),
-            }
-            for job_id, iterations in m.per_job_iterations.items()
-        },
-        "gpu_utilization": _frac_str(m.gpu_utilization),
-        "nic_utilization": _frac_str(m.nic_utilization),
-        "aggregate_throughput_per_s": _frac_str(m.aggregate_throughput),
-        "speedup_vs_baseline": _frac_str(m.speedup_vs_baseline),
-    }
+def _json(m: Metrics) -> str:
+    """``m`` in the metrics.json template, each string escaped as ``engine._escaped`` does."""
+    periods = m.per_job_iteration_period
+    jobs = ",\n".join([_JSON_JOB.format(_escaped(job_id), iterations,
+                                        _null(periods.get(job_id)))
+                       for job_id, iterations in m.per_job_iterations.items()])
+    ratios = ["null" if x is None else f'"{x}"'
+              for x in (m.gpu_utilization, m.nic_utilization, m.aggregate_throughput,
+                        m.speedup_vs_baseline)]
+    return _JSON.format(_escaped(m.scenario), _escaped(m.policy), m.makespan,
+                        f"{{\n{jobs}\n  }}" if jobs else "{}", *ratios)
+
+
+def _null(value: object) -> object:
+    """JSON's ``null`` for ``None``, else ``value``."""
+    return "null" if value is None else value
 
 
 def _csv(m: Metrics) -> str:
@@ -173,9 +189,15 @@ def _table(m: Metrics) -> str:
 
 
 def report(metrics: Metrics, fmt: str) -> str:
-    """Render metrics as 'json', 'csv' or 'table' text; any other ``fmt`` is a ``ConfigError``."""
+    """Render metrics as 'json', 'csv' or 'table' text; any other ``fmt`` is a ``ConfigError``.
+
+    So is ``metrics`` of any type but ``Metrics``.  'json' fills the
+    metrics.json template, whose bytes are those of ``json.dumps(doc,
+    indent=2)`` on the document of nested dicts.
+    """
+    _check_type("metrics", Metrics, metrics)
     if fmt == "json":
-        return json.dumps(_json_doc(metrics), indent=2) + "\n"
+        return _json(metrics)
     if fmt == "csv":
         return _csv(metrics)
     if fmt == "table":

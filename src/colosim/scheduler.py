@@ -130,7 +130,12 @@ def _run(policy: Policy, jobs: tuple[JobProfile, ...], comm_times: tuple[int, ..
     it as one block (see ``engine._chunks``).  While the active job set is
     fixed (a regime), a round is fixed by its start state relative to the
     GPU clock g: the key is ``nic_free - g`` followed by ``sync_end_j - g``
-    clamped at zero for each active j.  The clamp is exact because a job
+    clamped at zero for each active j.  Regimes come in order of budget, so
+    each regime's ``active`` lanes are the previous regime's, in plan order,
+    less those whose budget is spent.  A round's key is built only when it
+    can be compared: when another round of the regime follows
+    (``t < until``) or a key precedes it, so a one-round regime builds none.
+    The clamp is exact because a job
     starts at ``max(gpu_free, sync_end_j)`` and gpu_free never falls below g
     within a round.  Sync ends are a list indexed by job position, and each
     ``max`` is a conditional that keeps the first operand on a tie, as
@@ -145,33 +150,34 @@ def _run(policy: Policy, jobs: tuple[JobProfile, ...], comm_times: tuple[int, ..
     round by round and stays exact.
     """
     hold_gpu = policy is Policy.SEQUENTIAL
-    lanes = [(i, j.job_id, j.forward_time, j.backward_time, comm)
-             for i, (j, comm) in enumerate(zip(jobs, comm_times))]
-    sync_end = [0] * len(lanes)
+    active = [(i, j.job_id, j.forward_time, j.backward_time, comm, j.iterations)
+              for i, (j, comm) in enumerate(zip(jobs, comm_times))]
+    sync_end = [0] * len(active)
     gpu_free = nic_free = 0
     rows: list[Row] | None = None if blocks is None else []
     t = 1
     for until in sorted({j.iterations for j in jobs}):
-        active = [lane for lane, j in zip(lanes, jobs) if j.iterations >= t]
+        active = [lane for lane in active if lane[5] >= t]
         positions = [lane[0] for lane in active]
         key = g_prev = None
         while t <= until:
-            prev, key = key, [nic_free - gpu_free, *[sync_end[i] - gpu_free
-                                                     if sync_end[i] > gpu_free else 0
-                                                     for i in positions]]
-            if key == prev:
-                d = gpu_free - g_prev
-                if blocks is not None:
-                    blocks[-1] = (blocks[-1][0], d, until + 1 - t)
-                shift = (until + 1 - t) * d
-                gpu_free += shift
-                nic_free += shift
-                for i in positions:
-                    sync_end[i] += shift
-                t = until + 1
-                break
+            if t < until or key is not None:
+                prev, key = key, [nic_free - gpu_free, *[sync_end[i] - gpu_free
+                                                         if sync_end[i] > gpu_free else 0
+                                                         for i in positions]]
+                if key == prev:
+                    d = gpu_free - g_prev
+                    if blocks is not None:
+                        blocks[-1] = (blocks[-1][0], d, until + 1 - t)
+                    shift = (until + 1 - t) * d
+                    gpu_free += shift
+                    nic_free += shift
+                    for i in positions:
+                        sync_end[i] += shift
+                    t = until + 1
+                    break
             g_prev = gpu_free
-            for i, job_id, forward, backward, job_comm in active:
+            for i, job_id, forward, backward, job_comm, _ in active:
                 start = sync_end[i]
                 if gpu_free >= start:
                     start = gpu_free

@@ -6,6 +6,7 @@ the gradient check is central finite differences of ``loss_value``, the
 mean loss the package never computes, the trace serializers
 are the dict-per-record ``json.dumps(indent=2)`` documents that define the
 byte formats, built from ``trace.rows`` without the package's span view,
+and so is ``metrics_json_reference`` (the package fills a text template),
 the sync costs are the two alpha-beta formulas written
 out per architecture with a divmod ceiling, the SGD mini-batch draw makes a
 fresh generator and draws a worker's whole 16-iteration block on every call
@@ -422,6 +423,31 @@ def expand_blocks(blocks) -> tuple:
             for job_id, iteration, *times in rows:
                 out.append((job_id, iteration + k, *[x + k * shift for x in times]))
     return tuple(out)
+
+
+def metrics_json_reference(m) -> str:
+    """The metrics.json document as json.dumps writes it, from a nested dict."""
+    def text(x):
+        return None if x is None else str(x)
+
+    doc = {
+        "format": "colosim.metrics/v1",
+        "scenario": m.scenario,
+        "policy": m.policy,
+        "makespan_ns": m.makespan,
+        "per_job": {
+            job_id: {
+                "iterations": iterations,
+                "period_ns": m.per_job_iteration_period.get(job_id),
+            }
+            for job_id, iterations in m.per_job_iterations.items()
+        },
+        "gpu_utilization": text(m.gpu_utilization),
+        "nic_utilization": text(m.nic_utilization),
+        "aggregate_throughput_per_s": text(m.aggregate_throughput),
+        "speedup_vs_baseline": text(m.speedup_vs_baseline),
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def steady_period_reference(rows) -> dict:

@@ -834,6 +834,34 @@ class TestWorkerBound:
         report = check_neutrality([config()], crossover_plan(2, workers=MAX_WORKERS))
         assert report.first_divergence is None
 
+    def test_cli_grid_is_within_the_pair_bound(self):
+        # 2 lanes per job, (1 + 2 + 3) jobs at each of 1, 2 and 4 workers
+        pairs = sum(2 * n_jobs * workers for n_jobs in cli._EQUIV_JOB_COUNTS
+                    for workers in cli._EQUIV_WORKER_COUNTS)
+        assert pairs == 84 <= equivalence._MAX_PAIRS == 4096
+
+    def test_pairs_past_the_bound_are_a_config_error_before_training(self, monkeypatch):
+        def untrained(*args):
+            raise AssertionError("_train called")
+        monkeypatch.setattr(equivalence, "_train", untrained)
+        plan = crossover_plan(*[1] * 33, workers=MAX_WORKERS)
+        with pytest.raises(ConfigError, match=r"^the SGD oracle trains at most 4096 "
+                                              r"\(lane, worker\) pairs at once, got 4224 "
+                                              r"\(66 lanes\)$"):
+            check_neutrality([config()] * 33, plan)
+        plan = crossover_plan(*[1] * 65, workers=MAX_WORKERS)
+        with pytest.raises(ConfigError, match="at most 4096 .* got 4160 "):
+            replay_trace([config()] * 65, plan)
+
+    def test_pairs_at_the_bound_train(self):
+        plan = crossover_plan(*[1] * 32, workers=MAX_WORKERS)
+        configs = [config(seed=j, rng_seed=j) for j in range(32)]
+        assert check_neutrality(configs, plan).first_divergence is None
+        # one lane per job: 64 jobs at 64 workers
+        configs = [config(seed=j, rng_seed=j) for j in range(64)]
+        trajectories = replayed(configs, crossover_plan(*[1] * 64, workers=MAX_WORKERS))
+        assert [len(states) for states in trajectories] == [1] * 64
+
     def test_a_full_cache_of_blocks_fits_the_budget(self):
         block = equivalence._draw_block(0, 0, MAX_WORKERS - 1)
         assert block.shape == (16, BATCH_SIZE)

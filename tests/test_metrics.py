@@ -13,6 +13,7 @@ from colosim.engine import Trace
 from colosim.errors import ComparisonError, ConfigError, InvalidTraceError
 from colosim.metrics import (
     METRICS_CSV_HEADER,
+    Metrics,
     _steady_period,
     compare,
     measure,
@@ -21,7 +22,7 @@ from colosim.metrics import (
 from colosim.scenario import load_config
 from colosim.scheduler import Policy, SchedulePlan, simulate, validate_trace
 from colosim.workload import JobProfile
-from oracles import steady_period_reference
+from oracles import metrics_json_reference, steady_period_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -179,12 +180,13 @@ _runs = st.lists(st.tuples(st.integers(0, 10**12), st.integers(1, 40)), max_size
 @example([(7, 9)])  # one run: the window lies inside it
 @example([(3, 2), (9, 4), (1, 2)])  # the run of 9s straddles both cuts
 def test_steady_period_is_median_low_of_the_middle_gaps(runs):
+    run_gaps, counts = [gap for gap, _ in runs], [count for _, count in runs]
     gaps = [gap for gap, count in runs for _ in range(count)]
     if not gaps:
-        assert _steady_period(runs) is None
+        assert _steady_period(run_gaps, counts) is None
         return
     k = len(gaps)
-    assert _steady_period(runs) == statistics.median_low(gaps[k // 4: k - k // 4])
+    assert _steady_period(run_gaps, counts) == statistics.median_low(gaps[k // 4: k - k // 4])
 
 
 # 1-6 jobs with durations of 1 ns to 1 ms and unequal budgets, so that a
@@ -277,7 +279,51 @@ class TestCompare:
         assert Fraction(113, 100) <= speedup <= Fraction(116, 100)
 
 
+# Ids and names that json.dumps escapes: quotes, backslashes, control and
+# non-ASCII characters, astral ones (written as surrogate pairs) and lone
+# surrogates, with any other character now and then.
+_names = st.text(st.sampled_from('"\\/\t\n\x00\x1f\x7f a\xe9\u2028\u20ac\U0001f600\ud800\udfff')
+                 | st.characters(exclude_categories=()), max_size=8)
+_ratios = st.fractions(min_value=0, max_denominator=10**30)
+
+
+@st.composite
+def hand_built_metrics(draw):
+    """A Metrics of any names and numbers: periods None or missing, any ``per_job``."""
+    ids = draw(st.lists(_names, unique=True, max_size=4))
+    return Metrics(
+        scenario=draw(_names),
+        policy=draw(st.sampled_from([p.value for p in Policy]) | _names),
+        makespan=draw(st.integers(0, 2**63 - 1)),
+        per_job_iteration_period={j: draw(st.none() | st.integers(0, 2**63 - 1))
+                                  for j in ids if draw(st.booleans())},
+        per_job_iterations={j: draw(st.integers(1, 10**6)) for j in ids},
+        gpu_utilization=draw(_ratios),
+        nic_utilization=draw(_ratios),
+        aggregate_throughput=draw(_ratios),
+        speedup_vs_baseline=draw(st.none() | _ratios),
+    )
+
+
 class TestReport:
+    @settings(max_examples=300)
+    @given(hand_built_metrics())
+    @example(Metrics("", "crossover", 0, {}, {}, Fraction(0), Fraction(0), Fraction(0)))
+    def test_json_is_the_reference_document(self, m):
+        assert report(m, "json") == metrics_json_reference(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_timed_job, min_size=1, max_size=6), st.lists(_names, unique=True,
+                                                                  min_size=6, max_size=6),
+           _names, st.booleans())
+    def test_json_of_measured_runs_is_the_reference_document(self, specs, ids, name, compared):
+        plans = [SchedulePlan(policy, tuple(JobProfile(job_id, *spec)
+                                            for job_id, spec in zip(ids, specs)), CLUSTER)
+                 for policy in (Policy.CROSSOVER, Policy.SEQUENTIAL)]
+        mx, ms = (measure(simulate(p), p, scenario=name) for p in plans)
+        m = compare(mx, ms) if compared else mx
+        assert report(m, "json") == metrics_json_reference(m)
+
     def test_json_round_trips_exactly(self):
         # every ratio is written as its exact fraction string
         mx, ms = golden_pair()

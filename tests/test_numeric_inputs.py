@@ -5,9 +5,9 @@ negatives go into ``JobProfile`` (which ``SchedulePlan`` checks),
 ``ClusterSpec``, ``comm_time``, ``SgdConfig``'s seeds and
 ``Scenario.plan``'s iterations, and values of other types into the fields
 of ``SchedulePlan`` and ``ClusterSpec`` that hold records or enum members,
-and into ``validate_trace`` and ``measure``.  Each plan that builds is run
-through ``makespan``, ``simulate``, ``steady_state_period`` and
-``predicted_speedup``, and each SGD config that builds through
+and into ``validate_trace``, ``measure`` and ``report``.  Each plan that
+builds is run through ``makespan``, ``simulate``, ``steady_state_period``
+and ``predicted_speedup``, and each SGD config that builds through
 ``check_neutrality``.  The valid ints stay small, so every plan that builds
 runs in a moment.
 """
@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from colosim import (ClusterSpec, ConfigError, InvalidTraceError, JobProfile, Policy,
                      SchedulePlan, Trace, comm_time, fixture_profile, load_config, makespan,
-                     measure, predicted_speedup, simulate, steady_state_period, validate_trace)
+                     measure, predicted_speedup, report, simulate, steady_state_period,
+                     validate_trace)
 from colosim.equivalence import LossKind, SgdConfig, check_neutrality, replay_trace
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden_2jobs.json"
@@ -203,6 +204,16 @@ def test_a_trace_check_takes_only_a_trace_and_a_plan(entry_point, trace, plan, m
     # plans are None, and then measure raised AttributeError
     with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
         entry_point(trace, plan)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table", "yaml"])
+@pytest.mark.parametrize("metrics, kind", [
+    (None, "a NoneType"), (5, "an int"), (A_TRACE, "a Trace"),
+], ids=["none", "int", "trace"])
+def test_a_report_takes_only_a_metrics(metrics, kind, fmt):
+    # report(None, "json") and report(5, "csv") used to end in AttributeError
+    with pytest.raises(ConfigError, match=rf"^metrics: expected a Metrics, got {kind}$"):
+        report(metrics, fmt)
 
 
 @pytest.mark.parametrize("sync_end, kind", [("s", "a str"), (6.5, "a float"), (True, "a bool")],

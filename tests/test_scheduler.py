@@ -24,7 +24,7 @@ from colosim.scheduler import (
 from colosim.workload import JobProfile
 
 from oracles import (brute_crossover, brute_sequential, crossover_cycle, max_cycle_mean,
-                     max_plus_state, spans_from_trace)
+                     max_plus_state, spans_from_trace, steady_period_reference)
 
 # Parameter-server at 16 Gbps (2e9 B/s) with zero latency prices a payload of
 # S bytes at exactly S nanoseconds, so tests can dial sync durations directly.
@@ -361,6 +361,35 @@ def test_makespan_equals_the_full_recurrence(raw, cluster):
         trace = simulate(p)
         assert spans_from_trace(trace) == brute_spans
         assert makespan(p) == trace.makespan == brute_makespan
+
+
+@st.composite
+def distinct_budget_specs(draw):
+    """1-8 jobs whose budgets are distinct: ``b, b + 1, ...`` and one larger, in any job order.
+
+    Every regime after the first but the last lasts one round, and each
+    drops one job from the rotation.
+    """
+    n = draw(st.integers(1, 8))
+    least = draw(st.integers(1, 20))
+    budgets = [*range(least, least + n - 1), least + n - 2 + draw(st.integers(1, 40))]
+    return [(*spec[:3], iterations) for spec, iterations in
+            zip(draw(st.lists(skip_spec_st, min_size=n, max_size=n)),
+                draw(st.permutations(budgets)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_budget_specs(), st.sampled_from([CLUSTER, RING]))
+def test_one_round_regimes_equal_the_full_recurrence(raw, cluster):
+    specs = build_specs(raw)
+    priced = [(j, f, b, comm_time(g, cluster), n) for j, f, b, g, n in specs]
+    for policy, brute in ((Policy.CROSSOVER, brute_crossover),
+                          (Policy.SEQUENTIAL, brute_sequential)):
+        p = plan(policy, specs, cluster)
+        trace = simulate(p)
+        assert spans_from_trace(trace) == brute(priced)[0]
+        assert makespan(p) == trace.makespan
+        assert measure(trace, p).per_job_iteration_period == steady_period_reference(trace.rows)
 
 
 @settings(max_examples=300, deadline=None)

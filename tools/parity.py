@@ -16,8 +16,10 @@ leaves no worktree metadata behind.  Both trees run the same commands as
   and with ``--format chrome-trace`` alone;
 * ``simulate``, writing both trace files, on each document of a fixed
   corpus of valid scenarios: one whose rounds hold more rows than a chunk
-  the writer lays out at a time, and one that runs many rounds before a
-  round repeats;
+  the writer lays out at a time, one that runs many rounds before a round
+  repeats, one whose name and job ids hold characters that JSON escapes
+  (``"``, ``\\``, a tab, ``é`` and an astral character), and one of 24 jobs
+  with budgets 1 to 24, whose 24 regimes each last one round;
 * a 1000-point ``sweep`` of ``sweep_base`` over an irregular ratio range,
   and ``sweep`` on each document of a fixed corpus of scenarios whose sweep
   ends in an error;
@@ -31,7 +33,8 @@ leaves no worktree metadata behind.  Both trees run the same commands as
 * ``simulate`` and ``validate-config`` on each document of a fixed corpus of
   invalid scenarios, and a fixed set of invalid command lines.
 
-Each command's record is a directory ``<side>/<command>/`` holding its
+With the five bundled scenarios that makes 100 commands.  Each command's
+record is a directory ``<side>/<command>/`` holding its
 ``exit`` code, its ``stdout`` and ``stderr`` with its ``--out`` directory
 written as ``<out>``, and its output files under ``out/``.  The two record
 trees are compared file by file.  The exit status is 0 when no file
@@ -108,16 +111,24 @@ SWEEP_DOCS: dict[str, tuple[str, list[str]]] = {
                                      ["--ratio-min", "0.1", "--ratio-max", "0.2", "--steps", "3"]),
 }
 
-# Valid scenario documents whose trace files test the writer's chunking:
-# 600 jobs make rounds longer than a 512-row chunk, the second one repeated;
-# three jobs whose syncs outlast their computes by 20 ns run 1,668 rounds
-# that do not repeat before the one that does.
+# Valid scenario documents whose trace files test the writer's chunking and
+# escaping and the scheduler's regimes: 600 jobs make rounds longer than a
+# 512-row chunk, the second one repeated; three jobs whose syncs outlast
+# their computes by 20 ns run 1,668 rounds that do not repeat before the one
+# that does; a name and job ids hold characters that JSON escapes; and 24
+# jobs with budgets 1 to 24 run 24 regimes of one round each.
+_ESCAPED = '"\\\t\u00e9\U0001f600'
 SIMULATE_DOCS: dict[str, str] = {
     "round_past_a_chunk": _doc(jobs=[{**_JOB, "job_id": f"j{k}"} for k in range(600)]),
     "long_transient": _doc(cluster={"latency_us": 0.01},
                            jobs=[{**_JOB, "job_id": f"j{k}", "forward_ms": 0.05,
                                   "backward_ms": 0.05, "grad_mb": 0.125, "iterations": 3000}
                                  for k in range(3)]),
+    "escaped_names": _doc(name=f"corpus {_ESCAPED}",
+                          jobs=[{**_JOB, "job_id": f"{c}{k}"}
+                                for k, c in enumerate([_ESCAPED, *_ESCAPED])]),
+    "many_regimes": _doc(jobs=[{**_JOB, "job_id": f"j{k}", "iterations": k}
+                               for k in range(1, 25)]),
 }
 
 _GOLDEN = ["--config", "scenarios/golden_2jobs.json"]

@@ -13,13 +13,13 @@ coordinate, and on edited trace rows.
 
 Both runs train in lockstep.  One integer pass over the trace's blocks
 gives each job's reads: how many of its own updates have landed when each
-of its computes starts, and in which order the updates land.  A repeated
-round costs two rounds of that pass when its first copy lands as the round
-did: the shift-invariance that lets ``scheduler._run`` skip rounds then
-holds for every later copy's landings too.  A lane is one run of one job with its own worker count, and its compute k
-reads its state after that many updates: the replay's reads, or k - 1 in
-isolation.  Iteration k of every lane is one batched gradient over the
-worker batches of all lanes on one flat (lane, worker) axis, with
+of its computes starts.  A repeated round costs two rounds of that pass
+when its first copy lands as the round did: the shift-invariance that lets
+``scheduler._run`` skip rounds then holds for every later copy's landings
+too.  A lane is one run of one job with its own worker count, and its
+compute k reads its state after that many updates: the replay's reads, or
+k - 1 in isolation.  Iteration k of every lane is one batched gradient over
+the worker batches of all lanes on one flat (lane, worker) axis, with
 ``loss_gradient``'s arithmetic per lane; only the sum over a lane's workers
 pads the lanes to one worker count, with ``-0.0``, which adds nothing to
 any bit.  Each lane gathers its own batches and computes its own gradient,
@@ -27,9 +27,9 @@ so the two lanes of a job share no gathered batch or gradient.  A lane
 keeps every state it reaches: ``DIM`` float64s, so a comparison holds
 2 x DIM x 8 = 128 bytes per trace row, less than the row itself.
 ``colosim equivalence`` checks a grid of cells, each a set of configs and a
-plan, and every cell's lanes train in one lockstep run.  Since no operation
-mixes lanes, each cell's report is the one ``check_neutrality`` gives it
-alone.
+plan, and every cell's lanes train in one lockstep run (``_check_cells``,
+which ``check_neutrality`` calls with one cell).  Since no operation mixes
+lanes, each cell's report is the one ``check_neutrality`` gives it alone.
 
 Everything is double precision with a fixed left-to-right reduction order so
 bit equality is well defined.
@@ -54,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,8 +70,6 @@ __all__ = [
     "MAX_WORKERS",
     "LossKind",
     "SgdConfig",
-    "TrainingState",
-    "replay_trace",
     "NeutralityReport",
     "check_neutrality",
 ]
@@ -108,14 +106,6 @@ class SgdConfig:
                      (self.dataset_seed, self.rng_seed))
 
 
-@dataclass
-class TrainingState:
-    """Model parameters after ``iteration`` completed updates."""
-
-    parameters: np.ndarray
-    iteration: int
-
-
 @lru_cache(maxsize=128)
 def make_dataset(config: SgdConfig) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic synthetic dataset for the config (cached, read-only)."""
@@ -132,9 +122,10 @@ def make_dataset(config: SgdConfig) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def initial_state(config: SgdConfig) -> TrainingState:
+def initial_parameters(config: SgdConfig) -> np.ndarray:
+    """The parameters before any update, drawn from ``rng_seed``."""
     rng = np.random.default_rng([config.rng_seed, 0])
-    return TrainingState(rng.standard_normal(DIM), 0)
+    return rng.standard_normal(DIM)
 
 
 def loss_gradient(logistic: bool | np.ndarray, parameters: np.ndarray,
@@ -202,25 +193,23 @@ def _draw_block(rng_seed: int, block: int, worker: int) -> np.ndarray:
     return idx
 
 
-def _replay_reads(configs: Sequence[SgdConfig],
-                  plan: SchedulePlan) -> tuple[list[list[int]], list[int]]:
-    """Each job's reads along ``simulate(plan).rows``, and the landing order.
+def _replay_reads(configs: Sequence[SgdConfig], plan: SchedulePlan) -> list[list[int]]:
+    """Each job's reads along ``simulate(plan).rows``.
 
     At a row's start, every pending update of that job whose sync ended by
-    then lands, oldest first; after the last row, whatever is still queued.
-    ``reads[j][k]`` is how many of job j's updates have landed when its
-    compute ``k + 1`` starts, and ``order`` holds the job index of each
-    landing in turn.  The rows are read from ``simulate(plan).blocks`` (see
-    ``engine._chunks``), so none is built, and a block costs at most two
-    ``_step``s: its round and its first copy.  If the first copy leaves the
-    pending syncs of the jobs that have rows in the block as the round left
-    them plus the block's shift, every later copy starts in the state the
-    one before it did, shifted, so it lands exactly as the first copy did:
-    ``order`` repeats the copy's landings, and job j's reads are the copy's
-    plus ``c`` times its rows per round for the c-th copy after it.
-    Otherwise every copy is stepped.  Only those jobs' queues are compared,
-    since no other job's queue moves within the block: a finished job's last
-    sync stays queued until the end.  Raises ``ConfigError`` past
+    then lands, oldest first.  ``reads[j][k]`` is how many of job j's
+    updates have landed when its compute ``k + 1`` starts; an update still
+    queued after the last row is read by no compute.  The rows are read
+    from ``simulate(plan).blocks`` (see ``engine._chunks``), so none is
+    built, and a block costs at most two ``_step``s: its round and its first
+    copy.  If the first copy leaves the pending syncs of the jobs that have
+    rows in the block as the round left them plus the block's shift, every
+    later copy starts in the state the one before it did, shifted, so it
+    lands exactly as the first copy did: job j's reads are the copy's plus
+    ``c`` times its rows per round for the c-th copy after it.  Otherwise
+    every copy is stepped.  Only those jobs' queues are compared, since no
+    other job's queue moves within the block: a finished job's last sync
+    stays queued until the end.  Raises ``ConfigError`` past
     ``MAX_WORKERS``, or unless ``configs`` is a list or tuple of one
     ``SgdConfig`` per job and ``plan`` a ``SchedulePlan``.
     """
@@ -238,34 +227,30 @@ def _replay_reads(configs: Sequence[SgdConfig],
     index = {job.job_id: j for j, job in enumerate(plan.jobs)}
     reads: list[list[int]] = [[] for _ in plan.jobs]
     pending: list[deque[int]] = [deque() for _ in plan.jobs]
-    order: list[int] = []
     for rows, shift, repeats in simulate(plan).blocks:
-        _step(rows, 0, index, reads, pending, order)
+        _step(rows, 0, index, reads, pending)
         if not repeats:
             continue
         jobs = {index[row[0]] for row in rows}
         queued = {j: [end + shift for end in pending[j]] for j in jobs}
-        landed, counts = len(order), {j: len(reads[j]) for j in jobs}
-        _step(rows, shift, index, reads, pending, order)
+        counts = {j: len(reads[j]) for j in jobs}
+        _step(rows, shift, index, reads, pending)
         if any(list(pending[j]) != queued[j] for j in jobs):
             for k in range(2, repeats + 1):
-                _step(rows, k * shift, index, reads, pending, order)
+                _step(rows, k * shift, index, reads, pending)
             continue
         # Copy 1 left its jobs' queues as the round left them plus shift, so
         # each later copy starts in the state the one before it did, shifted,
         # and lands as copy 1 did; job j reads n more per copy.
-        order += order[landed:] * (repeats - 1)
         for j in jobs:
             copy, n = reads[j][counts[j]:], len(reads[j]) - counts[j]
             reads[j] += [r + c for c in range(n, repeats * n, n) for r in copy]
             pending[j] = deque(end + (repeats - 1) * shift for end in pending[j])
-    for j, queue in enumerate(pending):
-        order += [j] * len(queue)
-    return reads, order
+    return reads
 
 
 def _step(rows: Sequence[Row], shift: int, index: dict[str, int], reads: list[list[int]],
-          pending: list[deque[int]], order: list[int]) -> None:
+          pending: list[deque[int]]) -> None:
     """Read ``rows`` with every time plus ``shift``: land, record the read, queue the sync."""
     for row in rows:
         j = index[row[0]]
@@ -273,7 +258,6 @@ def _step(rows: Sequence[Row], shift: int, index: dict[str, int], reads: list[li
         start = row[2] + shift
         while queue and queue[0] <= start:
             queue.popleft()
-            order.append(j)
         reads[j].append(len(reads[j]) - len(queue))
         queue.append(row[6] + shift)
 
@@ -313,7 +297,7 @@ def _train(configs: Sequence[SgdConfig], workers: Sequence[int],
     for p, l in enumerate(lanes):
         seed = configs[l].rng_seed
         if seed not in initial:
-            initial[seed] = initial_state(configs[l]).parameters
+            initial[seed] = initial_parameters(configs[l])
         states[first[p]] = initial[seed]
         sources[first[p] + 1:first[p] + counts[p] + 1] = first[p] + np.asarray(reads[l],
                                                                                dtype=np.intp)
@@ -364,42 +348,6 @@ def _train(configs: Sequence[SgdConfig], workers: Sequence[int],
             for p in sorted(range(len(lanes)), key=lanes.__getitem__)]
 
 
-def _landings(order: Sequence[int],
-              trajectories: Sequence[np.ndarray]) -> Iterator[tuple[int, TrainingState]]:
-    """``(job index, state)`` per landing in ``order``, a view of the job's trajectory."""
-    landed = [0] * len(trajectories)
-    for j in order:
-        landed[j] += 1
-        yield j, TrainingState(trajectories[j][landed[j]], landed[j])
-
-
-def replay_trace(configs: Sequence[SgdConfig],
-                 plan: SchedulePlan) -> Iterator[tuple[int, TrainingState]]:
-    """Train ``configs[i]`` as ``plan.jobs[i]`` along ``simulate(plan).rows``.
-
-    Trains when called, and returns an iterator of ``(job index, state)`` as
-    each update lands: at a row's start, every pending update of that job
-    whose sync ended by then; after the last row, whatever is still queued.
-    Each state's ``parameters`` is a read-only view of the job's trajectory.
-    Each job averages the gradients of ``plan.cluster.workers`` workers, the
-    count its syncs were priced for, and the call raises ``ConfigError`` when
-    that is more than ``MAX_WORKERS``, or when jobs times workers is more than
-    ``_MAX_PAIRS``, as it does unless ``configs`` holds one ``SgdConfig`` per
-    job.
-    """
-    reads, order = _replay_reads(configs, plan)
-    workers = [plan.cluster.workers] * len(configs)
-    _check_pairs(workers)
-    return _landings(order, _train(configs, workers, reads))
-
-
-def _check_pairs(workers: Sequence[int]) -> None:
-    """Raise ``ConfigError`` past ``_MAX_PAIRS`` pairs of a lane and one of its ``workers``."""
-    if sum(workers) > _MAX_PAIRS:
-        raise ConfigError(f"the SGD oracle trains at most {_MAX_PAIRS} (lane, worker) pairs "
-                          f"at once, got {sum(workers)} ({len(workers)} lanes)")
-
-
 @dataclass(frozen=True)
 class NeutralityReport:
     """Outcome of one isolated-vs-interleaved trajectory comparison.
@@ -421,9 +369,12 @@ def check_neutrality(configs: Sequence[SgdConfig], plan: SchedulePlan) -> Neutra
     trajectories are compared directly, rows 1 to n in one array operation,
     where n is the shorter one's update count.  Trajectories of unequal
     length diverge at iteration n + 1 (coordinate 0).  The lowest
-    (job, iteration) divergence is reported.  Raises ``ConfigError`` as
-    ``replay_trace`` does, or past ``_MAX_PAIRS`` (lane, worker) pairs: 2
-    lanes per job times the plan's workers.
+    (job, iteration) divergence is reported.  Each job averages the
+    gradients of ``plan.cluster.workers`` workers, the count its syncs were
+    priced for.  Raises ``ConfigError`` past ``MAX_WORKERS`` workers, past
+    ``_MAX_PAIRS`` (lane, worker) pairs (2 lanes per job times the plan's
+    workers, so 32 jobs at 64 workers), or unless ``configs`` is a list or
+    tuple of one ``SgdConfig`` per job and ``plan`` a ``SchedulePlan``.
     """
     return _check_cells([(configs, plan)])[0]
 
@@ -432,22 +383,25 @@ def _check_cells(cells: Sequence[tuple[Sequence[SgdConfig], SchedulePlan]]
                  ) -> list[NeutralityReport]:
     """``check_neutrality`` of each ``(configs, plan)`` cell, in order.
 
-    Every cell's reads are found, and its inputs checked, and then the
-    (lane, worker) pairs of all cells against ``_MAX_PAIRS``, before any lane
-    trains.  Then every cell trains in one ``_train`` call, each lane with
-    its cell's worker count: each cell's replay lanes and then its isolated
-    lanes, cell after cell.  No operation mixes lanes, so each trajectory
-    has the bits it has when its cell trains alone.
+    Every cell's reads are found by ``_replay_reads``, which checks its
+    inputs, and then the (lane, worker) pairs of all cells together are
+    checked against ``_MAX_PAIRS``, before any lane trains.  Then every cell
+    trains in one ``_train`` call, each lane with its cell's worker count:
+    each cell's replay lanes and then its isolated lanes, cell after cell.
+    No operation mixes lanes, so each trajectory has the bits it has when
+    its cell trains alone.
     """
     configs: list[SgdConfig] = []
     workers: list[int] = []
     reads: list[Sequence[int]] = []
     for cell_configs, plan in cells:
-        replay, _ = _replay_reads(cell_configs, plan)
+        replay = _replay_reads(cell_configs, plan)
         configs += [*cell_configs, *cell_configs]
         workers += [plan.cluster.workers] * (2 * len(cell_configs))
         reads += [*replay, *(range(job.iterations) for job in plan.jobs)]
-    _check_pairs(workers)
+    if sum(workers) > _MAX_PAIRS:
+        raise ConfigError(f"the SGD oracle trains at most {_MAX_PAIRS} (lane, worker) pairs "
+                          f"at once, got {sum(workers)} ({len(workers)} lanes)")
     trained = iter(_train(configs, workers, reads))
     return [_compare([next(trained) for _ in range(2 * len(cell_configs))])
             for cell_configs, _ in cells]

@@ -30,7 +30,11 @@ METRICS_CSV_HEADER = ("scenario,policy,job_id,iterations,period_ns,"
 
 @dataclass(frozen=True)
 class Metrics:
-    """Measurements of one simulated run (plus speedup in comparison reports)."""
+    """Measurements of one simulated run (plus speedup in comparison reports).
+
+    Each field must have its declared type exactly, job ids included, or a
+    ``ConfigError`` names it, so every report renders as its format defines.
+    """
 
     scenario: str
     policy: str
@@ -41,6 +45,32 @@ class Metrics:
     nic_utilization: Fraction
     aggregate_throughput: Fraction  # completed iterations per second
     speedup_vs_baseline: Fraction | None = None
+
+    def __post_init__(self):
+        for name, kind in (("scenario", str), ("policy", str), ("makespan", int),
+                           ("per_job_iteration_period", dict), ("per_job_iterations", dict),
+                           ("gpu_utilization", Fraction), ("nic_utilization", Fraction),
+                           ("aggregate_throughput", Fraction)):
+            _check_type(f"metrics.{name}", kind, getattr(self, name))
+        if self.speedup_vs_baseline is not None:
+            _check_type("metrics.speedup_vs_baseline", Fraction, self.speedup_vs_baseline)
+        _check_entries("metrics.per_job_iterations", self.per_job_iterations, {int})
+        _check_entries("metrics.per_job_iteration_period", self.per_job_iteration_period,
+                       {int, type(None)})
+
+
+def _check_entries(name: str, entries: dict, kinds: set[type]) -> None:
+    """Raise ``ConfigError`` naming the first entry whose key is not a ``str`` or whose
+    value's type is not in ``kinds``: ``int``, and ``NoneType`` where a value may be None.
+
+    The key and value types are gathered first, so valid entries build no message.
+    """
+    if set(map(type, entries)) <= {str} and set(map(type, entries.values())) <= kinds:
+        return
+    for job_id, value in entries.items():
+        _check_type(f"{name} key", str, job_id)
+        if type(value) not in kinds:
+            _check_type(f"{name}[{job_id!r}]", int, value)
 
 
 def _steady_period(gaps: list[int], counts: list[int]) -> int | None:

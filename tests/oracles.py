@@ -16,9 +16,11 @@ trains every lane in lockstep).  ``run_isolated`` is the plain
 synchronous-SGD reference trajectory that the pinned grid digest hashes, and
 ``replay_reference`` replays a trace's rows one at a time through a FIFO of
 pending updates; both step with those draws and that gradient, gather
-``x[idx]`` themselves and update ``p - LEARNING_RATE * g`` in ``sgd_step``.
-``replay_reads_reference`` reads the same FIFOs a row at a time without
-training (the package reads a repeated round's landings once per block).
+``x[idx]`` themselves and update ``p - LEARNING_RATE * g`` in ``sgd_step``,
+one ``TrainingState`` at a time (the package keeps each lane's trajectory in
+one array).  ``replay_reads_reference`` reads the same FIFOs a row at a time
+without training (the package reads a repeated round's landings once per
+block).
 ``fixture_tensor_sizes`` reads the per-tensor inventories of the bundled
 profiles straight from the data file, for the fusion counterfactual.
 ``scaled_int_reference`` converts a config number through ``Fraction`` (the
@@ -47,7 +49,7 @@ import numpy as np
 
 from colosim.comm import Architecture
 from colosim.equivalence import (BATCH_SIZE, DATASET_SIZE, LEARNING_RATE, LossKind,
-                                  TrainingState, initial_state, make_dataset)
+                                  initial_parameters, make_dataset)
 from colosim.errors import ConfigError
 from colosim.scenario import _INT_LIMIT, _brief
 from colosim.scheduler import Policy, SchedulePlan, makespan
@@ -268,7 +270,20 @@ def averaged_gradient_reference(loss, parameters, x, y) -> np.ndarray:
     return total / len(x)
 
 
-def sgd_step(state, averaged: np.ndarray):
+@dataclasses.dataclass
+class TrainingState:
+    """Model parameters after ``iteration`` completed updates."""
+
+    parameters: np.ndarray
+    iteration: int
+
+
+def initial_state(config) -> TrainingState:
+    """The config's parameters before any update."""
+    return TrainingState(initial_parameters(config), 0)
+
+
+def sgd_step(state: TrainingState, averaged: np.ndarray) -> TrainingState:
     """One update: ``p - LEARNING_RATE * g``, and one more completed iteration."""
     return TrainingState(state.parameters - LEARNING_RATE * averaged, state.iteration + 1)
 
@@ -292,29 +307,24 @@ def run_isolated(config, workers: int, iterations: int) -> list:
     return trajectory
 
 
-def replay_reads_reference(plan, rows) -> tuple[list[list[int]], list[int]]:
-    """``(reads, order)`` of ``rows`` read one at a time through a FIFO per job.
+def replay_reads_reference(plan, rows) -> list[list[int]]:
+    """Each job's reads of ``rows``, read one at a time through a FIFO per job.
 
     At a row's start, the job's queued sync ends that are no later land,
-    oldest first, each adding the job's index to ``order``; the row then
-    reads how many of the job's computes so far have landed and queues its
-    sync end.  After the last row every queue lands in job order.  The
-    package reads a repeated round's landings once per block.
+    oldest first; the row then reads how many of the job's computes so far
+    have landed and queues its sync end.  The package reads a repeated
+    round's landings once per block.
     """
     index = {job.job_id: j for j, job in enumerate(plan.jobs)}
     reads = [[] for _ in plan.jobs]
     pending = [[] for _ in plan.jobs]
-    order = []
     for job_id, _, start, *_, sync_end in rows:
         j = index[job_id]
         while pending[j] and pending[j][0] <= start:
             pending[j].pop(0)
-            order.append(j)
         reads[j].append(len(reads[j]) - len(pending[j]))
         pending[j].append(sync_end)
-    for j, queue in enumerate(pending):
-        order += [j] * len(queue)
-    return reads, order
+    return reads
 
 
 def replay_reference(configs, plan, rows) -> list:

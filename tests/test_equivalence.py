@@ -18,21 +18,19 @@ from colosim.equivalence import (
     MAX_WORKERS,
     LossKind,
     SgdConfig,
-    TrainingState,
     check_neutrality,
-    initial_state,
+    initial_parameters,
     loss_gradient,
     make_dataset,
-    replay_trace,
 )
 from colosim.errors import ConfigError
 from colosim.scheduler import Policy, SchedulePlan, simulate
 from colosim.workload import JobProfile
 
 import oracles
-from oracles import (averaged_gradient_reference, batch_indices_reference,
-                     finite_difference_gradient, loss_value, replay_reference, run_isolated,
-                     sgd_step)
+from oracles import (TrainingState, averaged_gradient_reference, batch_indices_reference,
+                     finite_difference_gradient, initial_state, loss_value, replay_reference,
+                     run_isolated, sgd_step)
 
 # sha256 over the parameter bytes of every state each job reaches along the
 # CLI cell's trace, then of oracles.run_isolated per job, for each cell of the CLI
@@ -61,16 +59,11 @@ def crossover_plan(*budgets, workers=NS_CLUSTER.workers):
                         replace(NS_CLUSTER, workers=workers))
 
 
-def by_job(n_jobs, updates):
-    """Group a replay's (job index, state) stream into per-job trajectories."""
-    trajectories = [[] for _ in range(n_jobs)]
-    for j, state in updates:
-        trajectories[j].append(state)
-    return trajectories
-
-
 def replayed(configs, plan):
-    return by_job(len(configs), replay_trace(configs, plan))
+    """Each job's replay lane along ``simulate(plan)``, whose row m is its parameters
+    after m updates."""
+    workers = [plan.cluster.workers] * len(configs)
+    return equivalence._train(configs, workers, equivalence._replay_reads(configs, plan))
 
 
 @st.composite
@@ -311,16 +304,17 @@ class TestRunIsolated:
 
 
 class TestRunCrossover:
-    """The interleaved run: replay_trace along simulate's rows."""
+    """The interleaved run: each job's replay lane along simulate's rows."""
 
     def test_single_job_degenerates_to_isolated(self):
         cfg = config(rng_seed=6)
         plan = crossover_plan(25)
-        crossed = replayed([cfg], plan)
+        (crossed,) = replayed([cfg], plan)
         isolated = run_isolated(cfg, plan.cluster.workers, 25)
-        assert len(crossed[0]) == len(isolated)
-        for a, b in zip(isolated, crossed[0]):
-            assert np.array_equal(a.parameters, b.parameters)
+        assert len(crossed) == len(isolated) + 1
+        assert np.array_equal(crossed[0], initial_parameters(cfg))
+        for a, b in zip(isolated, crossed[1:]):
+            assert np.array_equal(a.parameters, b)
 
     def test_two_heterogeneous_jobs_match_isolated_exactly(self):
         cfgs = [config(LossKind.LEAST_SQUARES, seed=21, rng_seed=1),
@@ -334,40 +328,42 @@ class TestRunCrossover:
         cfg_b = config(LossKind.LOGISTIC, seed=32, rng_seed=6)
         fwd = replayed([cfg_a, cfg_b], crossover_plan(30, 30))
         rev = replayed([cfg_b, cfg_a], crossover_plan(30, 30))
-        assert len(fwd[0]) == len(rev[1]) == 30
-        assert len(fwd[1]) == len(rev[0]) == 30
-        for a, b in zip(fwd[0], rev[1]):
-            assert np.array_equal(a.parameters, b.parameters)
-        for a, b in zip(fwd[1], rev[0]):
-            assert np.array_equal(a.parameters, b.parameters)
+        assert fwd[0].shape == rev[1].shape == fwd[1].shape == rev[0].shape == (31, DIM)
+        assert fwd[0].tobytes() == rev[1].tobytes()
+        assert fwd[1].tobytes() == rev[0].tobytes()
 
     def test_trajectory_lengths(self):
+        # the initial parameters, then one row per update
         trajs = replayed([config(seed=1, rng_seed=0), config(seed=2, rng_seed=1)],
                          crossover_plan(7, 4))
-        assert [len(t) for t in trajs] == [7, 4]
-        assert all(s.iteration == i + 1 for t in trajs for i, s in enumerate(t))
+        assert [t.shape for t in trajs] == [(8, DIM), (5, DIM)]
 
     def test_states_are_read_only_views_of_one_trajectory(self):
-        (states,) = replayed([config(rng_seed=2)], crossover_plan(6))
+        lanes = replayed([config(rng_seed=2), config(rng_seed=3)], crossover_plan(6, 4))
         with pytest.raises(ValueError):
-            states[2].parameters[0] = 0.0
-        base = states[0].parameters.base
-        assert base is not None and all(s.parameters.base is base for s in states)
+            lanes[0][2, 0] = 0.0
+        base = lanes[0].base
+        assert base is not None and all(lane.base is base for lane in lanes)
 
     @settings(max_examples=80, deadline=None)
     @given(case=replay_cases(), data=st.data())
     def test_matches_a_scalar_fifo_replay(self, case, data):
-        # bit for bit, in landing order, on the schedule's rows and on rows
-        # where some computes start before the job's previous sync ends
+        # bit for bit, on the schedule's rows and on rows where some computes
+        # start before the job's previous sync ends: _check_cells' replay
+        # lanes against replay_reference's states, grouped by job in landing
+        # order
         configs, plan = case
         rows = early_starts(data, list(simulate(plan).rows))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equivalence, "simulate", lambda _: Trace(tuple(rows)))
-            got = list(replay_trace(configs, plan))
-        want = replay_reference(configs, plan, rows)
-        assert [(j, s.iteration) for j, s in got] == [(j, s.iteration) for j, s in want]
-        assert all(a.parameters.tobytes() == b.parameters.tobytes()
-                   for (_, a), (_, b) in zip(got, want))
+            _, (lanes,) = check_cells([(configs, plan)])
+        want = [[] for _ in configs]
+        for j, state in replay_reference(configs, plan, rows):
+            assert state.iteration == len(want[j]) + 1
+            want[j].append(state.parameters)
+        for cfg, lane, states in zip(configs, lanes[:len(configs)], want):
+            assert lane[0].tobytes() == initial_parameters(cfg).tobytes()
+            assert lane[1:].tobytes() == b"".join(p.tobytes() for p in states)
 
 
 def _nudged(t):
@@ -490,7 +486,7 @@ class TestCheckNeutrality:
         configs = cli._equiv_configs(3, 2, 0)
         plan = crossover_plan(3, 10, 7)
         assert check_neutrality(configs, plan).first_divergence is None
-        assert [len(t) for t in replayed(configs, plan)] == [3, 10, 7]
+        assert [len(t) - 1 for t in replayed(configs, plan)] == [3, 10, 7]
 
 
 @st.composite
@@ -603,9 +599,9 @@ class TestReplayReads:
         plan = cli._equiv_plan(3, 4, 10**4)
         blocks = simulate(plan).blocks
         with counted_steps() as steps:
-            reads, order = equivalence._replay_reads(cli._equiv_configs(3, 4, 0), plan)
+            reads = equivalence._replay_reads(cli._equiv_configs(3, 4, 0), plan)
         assert len(steps) <= sum(1 + bool(repeats) for _, _, repeats in blocks) == 3
-        assert (reads, order) == oracles.replay_reads_reference(plan, simulate(plan).rows)
+        assert reads == oracles.replay_reads_reference(plan, simulate(plan).rows)
 
 
 class TestCheckCells:
@@ -682,8 +678,7 @@ def _grid_digest(seeds=(0, 5, 123), iterations=60) -> str:
                 configs = cli._equiv_configs(n_jobs, workers, seed)
                 plan = cli._equiv_plan(n_jobs, workers, iterations)
                 for trajectory in replayed(configs, plan):
-                    for state in trajectory:
-                        h.update(state.parameters.tobytes())
+                    h.update(trajectory[1:].tobytes())
                 for cfg in configs:
                     for state in run_isolated(cfg, workers, iterations):
                         h.update(state.parameters.tobytes())
@@ -816,6 +811,14 @@ class TestBatchDraws:
         assert equivalence._draw_block.cache_info().misses == 3 * 63 * 4 == 756
 
 
+@pytest.fixture
+def untrained(monkeypatch):
+    """``_train`` fails the test if it is called."""
+    def fail(*args):
+        raise AssertionError("_train called")
+    monkeypatch.setattr(equivalence, "_train", fail)
+
+
 class TestWorkerBound:
     """Replays average at most ``MAX_WORKERS`` workers, and the draws a
     process keeps stay within a budget of 512 KiB."""
@@ -828,8 +831,6 @@ class TestWorkerBound:
     def test_workers_past_the_bound_are_a_config_error(self):
         plan = crossover_plan(2, workers=MAX_WORKERS + 1)
         with pytest.raises(ConfigError, match="at most 64 workers, got 65"):
-            next(replay_trace([config()], plan))
-        with pytest.raises(ConfigError):
             check_neutrality([config()], plan)
         report = check_neutrality([config()], crossover_plan(2, workers=MAX_WORKERS))
         assert report.first_divergence is None
@@ -840,27 +841,30 @@ class TestWorkerBound:
                     for workers in cli._EQUIV_WORKER_COUNTS)
         assert pairs == 84 <= equivalence._MAX_PAIRS == 4096
 
-    def test_pairs_past_the_bound_are_a_config_error_before_training(self, monkeypatch):
-        def untrained(*args):
-            raise AssertionError("_train called")
-        monkeypatch.setattr(equivalence, "_train", untrained)
+    PAST_THE_BOUND = (r"^the SGD oracle trains at most 4096 \(lane, worker\) pairs at once, "
+                      r"got 4224 \(66 lanes\)$")
+
+    def test_pairs_past_the_bound_are_a_config_error_before_training(self, untrained):
         plan = crossover_plan(*[1] * 33, workers=MAX_WORKERS)
-        with pytest.raises(ConfigError, match=r"^the SGD oracle trains at most 4096 "
-                                              r"\(lane, worker\) pairs at once, got 4224 "
-                                              r"\(66 lanes\)$"):
+        with pytest.raises(ConfigError, match=self.PAST_THE_BOUND):
             check_neutrality([config()] * 33, plan)
-        plan = crossover_plan(*[1] * 65, workers=MAX_WORKERS)
-        with pytest.raises(ConfigError, match="at most 4096 .* got 4160 "):
-            replay_trace([config()] * 65, plan)
+
+    def test_the_pair_bound_covers_every_cell_of_a_call(self, untrained):
+        # 4,096 and 128 pairs: each cell is within the bound, but not the two
+        cells = [([config()] * n_jobs, crossover_plan(*[1] * n_jobs, workers=MAX_WORKERS))
+                 for n_jobs in (32, 1)]
+        with pytest.raises(ConfigError, match=self.PAST_THE_BOUND):
+            equivalence._check_cells(cells)
 
     def test_pairs_at_the_bound_train(self):
         plan = crossover_plan(*[1] * 32, workers=MAX_WORKERS)
         configs = [config(seed=j, rng_seed=j) for j in range(32)]
         assert check_neutrality(configs, plan).first_divergence is None
-        # one lane per job: 64 jobs at 64 workers
-        configs = [config(seed=j, rng_seed=j) for j in range(64)]
-        trajectories = replayed(configs, crossover_plan(*[1] * 64, workers=MAX_WORKERS))
-        assert [len(states) for states in trajectories] == [1] * 64
+        # 31 jobs and 1 job at 64 workers, two cells of one call
+        cells = [(configs[:n_jobs], crossover_plan(*[1] * n_jobs, workers=MAX_WORKERS))
+                 for n_jobs in (31, 1)]
+        reports = equivalence._check_cells(cells)
+        assert [report.first_divergence for report in reports] == [None, None]
 
     def test_a_full_cache_of_blocks_fits_the_budget(self):
         block = equivalence._draw_block(0, 0, MAX_WORKERS - 1)
@@ -892,17 +896,20 @@ class TestWorkerBound:
 class TestConfigValidation:
     def test_one_config_per_job(self):
         with pytest.raises(ConfigError, match=r"^configs: got 1 for 2 jobs, expected one per job$"):
-            next(replay_trace([config()], crossover_plan(5, 5)))
+            check_neutrality([config()], crossover_plan(5, 5))
 
-    def test_replay_trace_raises_when_called(self):
-        # before any state is read from what it returns
+    def test_errors_are_raised_before_training(self, untrained):
         with pytest.raises(ConfigError, match=r"^configs: got 1 for 2 jobs"):
-            replay_trace([config()], crossover_plan(5, 5))
+            check_neutrality([config()], crossover_plan(5, 5))
         with pytest.raises(ConfigError, match="at most 64 workers"):
-            replay_trace([config()], crossover_plan(2, workers=MAX_WORKERS + 1))
+            check_neutrality([config()], crossover_plan(2, workers=MAX_WORKERS + 1))
+        # a later cell's error stops every cell of the call
+        with pytest.raises(ConfigError, match=r"^configs: got 1 for 2 jobs"):
+            equivalence._check_cells([([config()], crossover_plan(5)),
+                                      ([config()], crossover_plan(5, 5))])
 
     def test_run_validation(self):
         with pytest.raises(ValueError):
-            list(replay_trace([config()], crossover_plan(5, 5)))
+            check_neutrality([config()], crossover_plan(5, 5))
         with pytest.raises(ValueError):
             check_neutrality([config(), config()], crossover_plan(5))

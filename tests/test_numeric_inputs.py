@@ -12,18 +12,21 @@ and ``predicted_speedup``, and each SGD config that builds through
 runs in a moment.
 """
 
+import dataclasses
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colosim import (ClusterSpec, ConfigError, InvalidTraceError, JobProfile, Policy,
+from colosim import (ClusterSpec, ConfigError, InvalidTraceError, JobProfile, Metrics, Policy,
                      SchedulePlan, Trace, comm_time, fixture_profile, load_config, makespan,
                      measure, predicted_speedup, report, simulate, steady_state_period,
                      validate_trace)
-from colosim.equivalence import LossKind, SgdConfig, check_neutrality, replay_trace
+from colosim import equivalence
+from colosim.equivalence import LossKind, SgdConfig, check_neutrality
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios" / "golden_2jobs.json"
 
@@ -118,7 +121,10 @@ def test_a_config_entry_must_be_an_sgd_config(entry, kind):
 A_CONFIG = SgdConfig(LossKind.LOGISTIC, 1, 2)
 
 
-@pytest.mark.parametrize("entry_point", [check_neutrality, replay_trace])
+# the library's entry, and the CLI's
+@pytest.mark.parametrize("entry_point", [
+    check_neutrality, lambda configs, plan: equivalence._check_cells([(configs, plan)]),
+], ids=["check_neutrality", "check_cells"])
 @pytest.mark.parametrize("configs, plan, message", [
     (None, ONE_JOB_PLAN, "configs: expected a list or tuple, got a NoneType"),
     (A_CONFIG, ONE_JOB_PLAN, "configs: expected a list or tuple, got an SgdConfig"),
@@ -214,6 +220,30 @@ def test_a_report_takes_only_a_metrics(metrics, kind, fmt):
     # report(None, "json") and report(5, "csv") used to end in AttributeError
     with pytest.raises(ConfigError, match=rf"^metrics: expected a Metrics, got {kind}$"):
         report(metrics, fmt)
+
+
+A_METRICS = Metrics("s", "crossover", 10, {"a": 4}, {"a": 2}, Fraction(1, 2), Fraction(1, 3),
+                    Fraction(2, 10**8))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("makespan", True, "metrics.makespan: expected an int, got a bool"),
+    ("makespan", Fraction(3, 2), "metrics.makespan: expected an int, got a Fraction"),
+    ("makespan", 10.0, "metrics.makespan: expected an int, got a float"),
+    ("per_job_iterations", {"a": True},
+     "metrics.per_job_iterations['a']: expected an int, got a bool"),
+    ("per_job_iteration_period", {"a": "4"},
+     "metrics.per_job_iteration_period['a']: expected an int, got a str"),
+    ("per_job_iterations", {1: 2}, "metrics.per_job_iterations key: expected a str, got an int"),
+    ("gpu_utilization", 0.5, "metrics.gpu_utilization: expected a Fraction, got a float"),
+    ("speedup_vs_baseline", 2, "metrics.speedup_vs_baseline: expected a Fraction, got an int"),
+], ids=["bool_makespan", "fraction_makespan", "float_makespan", "bool_iterations",
+        "str_period", "int_job_id", "float_utilization", "int_speedup"])
+def test_a_metrics_takes_only_its_field_types(field, value, message):
+    # report(m, "json") used to write a bool makespan as True and a Fraction
+    # one as 3/2, neither of them JSON
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        dataclasses.replace(A_METRICS, **{field: value})
 
 
 @pytest.mark.parametrize("sync_end, kind", [("s", "a str"), (6.5, "a float"), (True, "a bool")],

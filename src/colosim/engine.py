@@ -180,13 +180,23 @@ class Trace:
 # records directly is several times faster and builds no per-span dict.
 # ``_pieces`` joins a format's span records, one per ``_SPANS`` entry, into
 # one row with the lane, tid and phase filled in and cuts it around each
-# slot, ``{job}`` or ``{n}``.
+# slot: ``{job}`` for the escaped job id, ``{dur}`` for a span's length and
+# ``{n}`` for any other number.  ``{job}`` and ``{dur}`` slots are fixed:
+# every copy of a round gives them the same texts, since a copy moves all of
+# a row's times by one shift.  ``{n}`` slots, the iteration and the times,
+# vary from copy to copy.
 # ``_trace_text`` lays documents out: the head, then about ``_WRITE_ROWS``
-# rows at a time, each row its pieces with a slot's text in each slot (filled
-# a column of rows at a time), with the tail in place of the last row's
-# ``,\n``.  So no document, and no row list, is held whole.  An integer's
-# text is ``repr``, which is ``str`` for an int and cheaper to call through
-# ``map``; trace.json makes each time column's texts once per chunk.
+# rows at a time (a ``_chunks`` chunk), with the tail in place of the last
+# row's ``,\n``.  So no document, and no row list, is held whole.  A chunk
+# of unrepeated rows is their pieces with every slot filled, a column of
+# rows at a time.  A repeated round is laid out once per block by
+# ``_merged``: its fixed texts are filled in and joined with the literal
+# text around them, which leaves a row 19 pieces in either format, a text
+# before each varying slot and one after the last.  A chunk of copies is
+# those pieces once per copy with only the varying slots filled.
+# An integer's text is ``repr``, which is ``str`` for an int and cheaper to
+# call through ``map``; trace.json makes each time column's texts once per
+# chunk.
 # In the Chrome format ``ts`` and ``dur`` are float microseconds, whose
 # text json wrote as ``repr`` of ``n / 1000.0``.  ``_micros`` builds it from
 # integer arithmetic, ``str(n // 1000)`` and a table of the 1000 fraction
@@ -197,8 +207,8 @@ class Trace:
 # notation since it is below 1e16.  Other values take ``repr`` itself.  The
 # bytes are the same either way.  ``_ts`` inlines ``_micros`` for a column of
 # times that all lie in that range.
-# A chunk makes each distinct ``dur`` text once, since a job's phases last
-# the same in every row of a valid trace.
+# Rows laid out together make each distinct ``dur`` text once, since a job's
+# phases last the same in every row of a valid trace.
 _SPAN_RECORD = """\
   {
     "lane_id": "{lane}",
@@ -225,7 +235,7 @@ _CHROME_SPAN = """\
       "name": "{job} {phase} t{n}",
       "ph": "X",
       "ts": {n},
-      "dur": {n},
+      "dur": {dur},
       "pid": 0,
       "tid": {tid},
       "args": {
@@ -243,9 +253,9 @@ def _pieces(span: str) -> list[str]:
     """A row's span records and the ``,\\n`` after them, cut around each slot.
 
     The lane, tid and phase are filled in.  Every odd item is a slot's
-    placeholder, ``{job}`` for an escaped job id or ``{n}`` for a number.
+    placeholder: ``{job}``, ``{dur}`` or ``{n}``.
     """
-    return re.split(r"(\{job\}|\{n\})",
+    return re.split(r"(\{job\}|\{dur\}|\{n\})",
                     ",\n".join(_fill(span, lane, _TIDS[lane], phase.value)
                                for phase, lane, _, _ in _SPANS) + ",\n")
 
@@ -270,36 +280,100 @@ def _ts(ns: Sequence[int]) -> Iterable[str]:
     return map(_micros, ns)
 
 
-def _json_slots(job: list[str], t: list[str], columns: list, durations: list) -> Iterator:
-    """The texts of a trace.json row's slots, a column each, from its chunk's columns."""
+def _json_fixed(job: list[str], columns: list) -> Iterator:
+    """The texts of a trace.json row's fixed slots, a column each: its id, once a span."""
+    return (job for _ in _SPANS)
+
+
+def _json_varying(t: list[str], columns: list) -> Iterator:
+    """The texts of a trace.json row's varying slots, a column each, from its chunk's columns."""
     # each time column's texts, at its row field's index
     text = [None, None] + [list(map(repr, column)) for column in columns[2:]]
-    return chain.from_iterable((job, t, text[a], text[b]) for _, _, a, b in _SPANS)
+    return chain.from_iterable((t, text[a], text[b]) for _, _, a, b in _SPANS)
 
 
-def _chrome_slots(job: list[str], t: list[str], columns: list, durations: list) -> Iterator:
-    """The texts of a Chrome row's slots, a column each, from its chunk's columns."""
-    text = {n: _micros(n) for n in set().union(*durations)}
-    return chain.from_iterable((job, t, _ts(columns[a]), map(text.__getitem__, lengths), job, t)
-                               for (_, _, a, _), lengths in zip(_SPANS, durations))
+def _chrome_fixed(job: list[str], columns: list) -> Iterator:
+    """The texts of a Chrome row's fixed slots, a column each: per span its id, dur and id."""
+    lengths = [list(map(sub, columns[b], columns[a])) for _, _, a, b in _SPANS]
+    text = {n: _micros(n) for n in set().union(*lengths)}
+    return chain.from_iterable((job, map(text.__getitem__, column), job) for column in lengths)
+
+
+def _chrome_varying(t: list[str], columns: list) -> Iterator:
+    """The texts of a Chrome row's varying slots, a column each, from its chunk's columns."""
+    return chain.from_iterable((t, _ts(columns[a]), t) for _, _, a, _ in _SPANS)
 
 
 class _Layout(NamedTuple):
-    """The texts a trace document is made of, and how a row's slots get theirs."""
+    """The texts a trace document is made of, and how a row's slots get theirs.
+
+    ``fixed`` and ``varying`` give the texts of a row's fixed and varying
+    slots (see the comment above ``_SPAN_RECORD``), a column of rows for
+    each slot in order, from the rows' escaped ids or iteration texts and
+    their columns.
+    """
 
     empty: str
     head: str
     pieces: list[str]
-    slots: Callable[..., Iterator]  # (escaped ids, iterations, columns, durations) -> texts
+    fixed: Callable[[list[str], list], Iterator]
+    varying: Callable[[list[str], list], Iterator]
     tail: str
 
+    @property
+    def fixed_at(self) -> list[int]:
+        """The index in ``pieces`` of each fixed slot, a ``{job}`` or ``{dur}``."""
+        return [i for i in range(1, len(self.pieces), 2) if self.pieces[i] != "{n}"]
 
-_JSON = _Layout("[]\n", "[\n", _pieces(_SPAN_RECORD), _json_slots, "\n]\n")
+    @property
+    def varying_at(self) -> list[int]:
+        """The index in ``pieces`` of each varying slot, an ``{n}``."""
+        return [i for i in range(1, len(self.pieces), 2) if self.pieces[i] == "{n}"]
+
+
+_JSON = _Layout("[]\n", "[\n", _pieces(_SPAN_RECORD), _json_fixed, _json_varying, "\n]\n")
 _CHROME = _Layout(
     '{\n  "traceEvents": [],\n  "displayTimeUnit": "ms"\n}\n',
     '{\n  "traceEvents": [\n'
     + "".join(_fill(_CHROME_LANE, *lane) + ",\n" for lane in _TIDS.items()),
-    _pieces(_CHROME_SPAN), _chrome_slots, '\n  ],\n  "displayTimeUnit": "ms"\n}\n')
+    _pieces(_CHROME_SPAN), _chrome_fixed, _chrome_varying,
+    '\n  ],\n  "displayTimeUnit": "ms"\n}\n')
+
+# Marks a cut in a round's text: in no literal piece, escaped id or number text.
+_MARK = "\x00"
+
+
+def _filled(layout: _Layout, pieces: list[str], job: list[str], columns: list) -> list[str]:
+    """``pieces`` once per row of ``columns``, whose ids are ``job``, with its fixed slots filled.
+
+    ``pieces`` is ``layout.pieces``, perhaps with items added after them.
+    """
+    parts = pieces * len(job)
+    for i, texts in zip(layout.fixed_at, layout.fixed(job, columns)):
+        parts[i::len(pieces)] = texts
+    return parts
+
+
+def _merged(layout: _Layout, job: list[str], columns: list) -> tuple[list, range, int]:
+    """A round's pieces with its fixed texts merged into the literal text around them.
+
+    The round's rows are ``columns``, whose ids are ``job``.  Each row is
+    ``step`` pieces: a text before each of its varying slots and one after
+    the last, with ``None`` in each varying slot.  Returns the pieces, the
+    index of each varying slot in a row, and ``step``.
+    """
+    varying_at = layout.varying_at
+    # each varying slot and each row's end cut the joined text
+    pieces = layout.pieces + [_MARK]
+    for i in varying_at:
+        pieces[i] = _MARK
+    texts = "".join(_filled(layout, pieces, job, columns)).split(_MARK)
+    each = len(varying_at) + 1  # texts per row
+    step = 2 * each - 1
+    parts = [None] * step * len(job)
+    for k in range(each):
+        parts[2 * k::step] = texts[k:-1:each]
+    return parts, range(1, step, 2), step
 
 
 def _escaped(job_id: str) -> str:
@@ -324,7 +398,7 @@ def _job_id_limit() -> int:
     """The most characters a job_id may take once JSON-escaped.
 
     A trace row's text in either file is its layout's pieces with an escaped
-    id in each ``{job}`` slot and a number's text in each ``{n}`` slot.  Each
+    id in each ``{job}`` slot and a number's text in each other slot.  Each
     number is an integer in [0, _INT_LIMIT), since the plan bound caps every
     time, and its text (``str``, or a Chrome ``ts`` or ``dur``) is no longer
     than ``str(_INT_LIMIT - 1)``.  With ids this long, both files of a run of
@@ -333,7 +407,8 @@ def _job_id_limit() -> int:
     layouts = (_JSON, _CHROME)
     ends = sum(len(layout.head) + len(layout.tail) for layout in layouts)
     number = len(str(_INT_LIMIT - 1))
-    row = sum(len("".join(layout.pieces[::2])) + number * layout.pieces[1::2].count("{n}")
+    row = sum(len("".join(layout.pieces[::2]))
+              + number * (len(layout.pieces) // 2 - layout.pieces[1::2].count("{job}"))
               for layout in layouts)
     ids = sum(layout.pieces[1::2].count("{job}") for layout in layouts)
     return ((_TRACE_BYTES - ends) // MAX_JOB_ITERATIONS - row) // ids
@@ -344,18 +419,12 @@ _JOB_ID_LIMIT = _job_id_limit()
 # Rows per piece of text: 64 to 1024 wrote equally fast, larger pieces slower.
 _WRITE_ROWS = 512
 
-Chunk = tuple[list, list]
+Chunk = tuple[list, tuple[Row, ...] | None]
 
 
 def _row_count(trace: Trace) -> int:
     """How many rows ``trace`` holds, read from its blocks."""
     return sum(len(rows) * (repeats + 1) for rows, _, repeats in trace.blocks)
-
-
-def _transposed(rows: Sequence[Row]) -> Chunk:
-    """``rows`` as a chunk: their columns and their spans' lengths."""
-    columns = list(zip(*rows))
-    return columns, [list(map(sub, columns[b], columns[a])) for _, _, a, b in _SPANS]
 
 
 def _chunks(blocks: tuple[Block, ...]) -> Iterator[Chunk]:
@@ -365,11 +434,11 @@ def _chunks(blocks: tuple[Block, ...]) -> Iterator[Chunk]:
     copies of them; copy ``k`` adds ``k`` to each row's iteration and
     ``k * shift`` to each of its times.  ``Trace.rows`` zips the chunks'
     columns, and the trace files are laid out from them.  A chunk holds
-    about ``_WRITE_ROWS`` rows as ``(columns, durations)``: one column per
-    row field, and one per ``_SPANS`` entry of its spans' lengths.
-    Unrepeated rows are gathered across blocks and transposed a chunk at a
-    time.  A block's copies are built a column at a time from its round's
-    columns, whole copies to a chunk; their id and duration columns are the
+    about ``_WRITE_ROWS`` rows as ``(columns, round)``: one column per row
+    field, and the block's ``rows`` if the chunk is copies of them, else
+    ``None``.  Unrepeated rows are gathered across blocks and transposed a
+    chunk at a time.  A block's copies are built a column at a time from
+    its round's columns, whole copies to a chunk; their id column is the
     round's, repeated.  No row is built.  ``_gap_runs``, ``Trace.makespan``
     and ``equivalence._replay_reads`` read blocks in O(blocks) without
     expanding their copies, so a change to what a copy adds (a shift per
@@ -381,19 +450,18 @@ def _chunks(blocks: tuple[Block, ...]) -> Iterator[Chunk]:
         # whole chunks, and before a block's copies the rest as well
         end = len(run) if repeats else len(run) - len(run) % _WRITE_ROWS
         for i in range(0, end, _WRITE_ROWS):
-            yield _transposed(run[i:i + _WRITE_ROWS])
+            yield list(zip(*run[i:i + _WRITE_ROWS])), None
         del run[:end]
         if repeats:
-            (job, t, *times), lengths = _transposed(rows)
+            job, t, *times = zip(*rows)
             per_chunk = max(1, _WRITE_ROWS // len(rows))
             for first in range(1, repeats + 1, per_chunk):
                 copies = range(first, min(first + per_chunk, repeats + 1))
                 shifts = [k * shift for k in copies]
                 yield ([job * len(copies), [i + k for k in copies for i in t],
-                        *([x + s for s in shifts for x in column] for column in times)],
-                       [length * len(copies) for length in lengths])
+                        *([x + s for s in shifts for x in column] for column in times)], rows)
     if run:
-        yield _transposed(run)
+        yield list(zip(*run)), None
 
 
 def _trace_text(trace: Trace, layouts: tuple[_Layout, ...]) -> Iterator[str]:
@@ -402,6 +470,7 @@ def _trace_text(trace: Trace, layouts: tuple[_Layout, ...]) -> Iterator[str]:
     The pieces come in turn, one of each layout's document: the empty
     documents, or the heads and then each chunk of rows (see ``_chunks``)
     in every layout, with the tail in place of the last row's ``,\\n``.
+    A block's round is merged once (see ``_merged``) for all its chunks.
     """
     left = _row_count(trace)
     if not left:
@@ -410,13 +479,25 @@ def _trace_text(trace: Trace, layouts: tuple[_Layout, ...]) -> Iterator[str]:
     ids = {job_id: _escaped(job_id)
            for job_id in {row[0] for rows, _, _ in trace.blocks for row in rows}}
     yield from (layout.head for layout in layouts)
-    for columns, durations in _chunks(trace.blocks):
-        job, t = list(map(ids.__getitem__, columns[0])), list(map(repr, columns[1]))
-        left -= len(job)
-        for layout in layouts:
-            parts = layout.pieces * len(job)
-            for slot, texts in enumerate(layout.slots(job, t, columns, durations)):
-                parts[2 * slot + 1::len(layout.pieces)] = texts
+    merged, rounds = None, []
+    for columns, round in _chunks(trace.blocks):
+        t = list(map(repr, columns[1]))
+        left -= len(t)
+        if round is None:
+            job = list(map(ids.__getitem__, columns[0]))
+        elif round is not merged:
+            merged, fields = round, list(zip(*round))
+            job = list(map(ids.__getitem__, fields[0]))
+            rounds = [_merged(layout, job, fields) for layout in layouts]
+        for k, layout in enumerate(layouts):
+            if round is None:  # rows of no repeated round: one copy, nothing merged
+                parts, varying_at, step = (_filled(layout, layout.pieces, job, columns),
+                                           layout.varying_at, len(layout.pieces))
+            else:
+                parts, varying_at, step = rounds[k]
+                parts = parts * (len(t) // len(round))
+            for i, texts in zip(varying_at, layout.varying(t, columns)):
+                parts[i::step] = texts
             if not left:
                 parts[-1] = parts[-1][:-2] + layout.tail
             yield "".join(parts)

@@ -34,6 +34,8 @@ class Metrics:
 
     Each field must have its declared type exactly, job ids included, or a
     ``ConfigError`` names it, so every report renders as its format defines.
+    The per-job dicts are the caller's, so ``report`` checks their entries
+    again.
     """
 
     scenario: str
@@ -54,9 +56,14 @@ class Metrics:
             _check_type(f"metrics.{name}", kind, getattr(self, name))
         if self.speedup_vs_baseline is not None:
             _check_type("metrics.speedup_vs_baseline", Fraction, self.speedup_vs_baseline)
-        _check_entries("metrics.per_job_iterations", self.per_job_iterations, {int})
-        _check_entries("metrics.per_job_iteration_period", self.per_job_iteration_period,
-                       {int, type(None)})
+        _check_jobs(self)
+
+
+def _check_jobs(m: Metrics) -> None:
+    """Raise ``ConfigError`` naming the first per-job entry of ``m`` of a wrong type."""
+    _check_entries("metrics.per_job_iterations", m.per_job_iterations, {int})
+    _check_entries("metrics.per_job_iteration_period", m.per_job_iteration_period,
+                   {int, type(None)})
 
 
 def _check_entries(name: str, entries: dict, kinds: set[type]) -> None:
@@ -221,11 +228,13 @@ def _table(m: Metrics) -> str:
 def report(metrics: Metrics, fmt: str) -> str:
     """Render metrics as 'json', 'csv' or 'table' text; any other ``fmt`` is a ``ConfigError``.
 
-    So is ``metrics`` of any type but ``Metrics``.  'json' fills the
-    metrics.json template, whose bytes are those of ``json.dumps(doc,
-    indent=2)`` on the document of nested dicts.
+    So is ``metrics`` of any type but ``Metrics``, or one whose per-job
+    dicts were given an entry of a wrong type after it was built.  'json'
+    fills the metrics.json template, whose bytes are those of
+    ``json.dumps(doc, indent=2)`` on the document of nested dicts.
     """
     _check_type("metrics", Metrics, metrics)
+    _check_jobs(metrics)
     if fmt == "json":
         return _json(metrics)
     if fmt == "csv":

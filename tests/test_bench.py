@@ -54,3 +54,37 @@ def test_run_length_and_directions_come_from_the_benchmark_declaration():
     assert seconds == json.loads((bench.REPO / "BENCHMARK.json").read_text())["run_seconds"]
     assert lower["op_p50_ms"] and lower["peak_rss_mb"] and lower["setup_s"]
     assert not lower["sim_iters_per_s"]
+
+
+@pytest.mark.parametrize("case, fmt", [("large-json", "json"), ("large-chrome", "chrome-trace")])
+def test_a_large_case_is_one_simulate_of_speedup_band(case, fmt, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "large_sample", lambda *args: calls.append(args) or {})
+    bench.sample(bench.REPO, case, 101, 15.0)
+    assert calls == [(bench.REPO, fmt, 100_000)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "chrome-trace"])
+def test_a_large_sample_times_the_call_and_reads_the_peak_rss(fmt, monkeypatch):
+    # a fresh process of the working tree, at a small budget
+    printed = []
+    run = bench._run
+    monkeypatch.setattr(bench, "_run", lambda *args: printed.append(run(*args)) or printed[-1])
+    record = bench.large_sample(bench.REPO, fmt, 50)
+    assert record["attempted"] == bench.LARGE_CALLS and record["failed"] == 0
+    assert set(record["metrics"]) == {"wall_s", "peak_rss_mb"}
+    assert 0 < record["metrics"]["wall_s"] < 60
+    assert 5 < record["metrics"]["peak_rss_mb"] < 1000
+    # the CLI's summary line once a call: speedup_band's 2 jobs x 50 iterations x 3 spans
+    lines = printed[0].splitlines()[:-1]
+    assert len(lines) == bench.LARGE_CALLS
+    assert all(line.startswith("speedup_band: policy=crossover ") and " spans=300 -> " in line
+               for line in lines)
+
+
+def test_an_unknown_case_is_refused_before_any_run(tmp_path, capsys):
+    with pytest.raises(SystemExit) as refused:
+        bench.main(["HEAD", "large-xml", "--out", str(tmp_path / "bench.json")])
+    assert refused.value.code == 2
+    assert "unknown case 'large-xml'" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()

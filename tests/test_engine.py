@@ -295,7 +295,8 @@ class TestLazyRows:
 # come out as literal text
 _ESCAPING_IDS = ["gpu0", "nic0", "j1", '"', "\\", "a\"b\\c", "\x00\n\t\x1f\x7f",
                  "é", "ジョブ", "\U0001f680", "\ud800", "\u2028", "</script>", "",
-                 "%", "%s", "%%d", "100%", "{job}", "{lane}", "{phase}", "{tid}", "{n}"]
+                 "%", "%s", "%%d", "100%", "{job}", "{lane}", "{phase}", "{tid}", "{n}",
+                 "{dur}", "t{n}"]
 _ID = st.one_of(
     st.sampled_from(_ESCAPING_IDS),
     st.text(st.characters(exclude_categories=()), max_size=6),
@@ -367,6 +368,13 @@ def _blocks(draw):
 # a round of 600 rows, longer than one chunk at every size below: unrepeated,
 # then repeated, between runs of short unrepeated rounds
 _LONG_ROUND = tuple((f"j{k}", 1, k, k + 1, k + 2, 10**6 + k, 10**6 + k + 5) for k in range(600))
+# a round of 600 rows whose ids spell slots and whose spans last differently
+# from row to row, some past 10**15 ns, where _micros takes repr
+_SLOT_IDS = ("{job}", "{n}", "%s", "t{n}", "{dur}")
+_VARIED_ROUND = tuple(
+    (_SLOT_IDS[k % 5], k, 7 * k, 7 * k + k % 3, 7 * k + k % 3 + 1000 * (k % 7),
+     10**7 + k, 10**7 + k + (10**15 if k % 50 == 0 else 1001 * (k % 11)))
+    for k in range(600))
 
 
 @settings(max_examples=200, deadline=None)
@@ -375,6 +383,16 @@ _LONG_ROUND = tuple((f"j{k}", 1, k, k + 1, k + 2, 10**6 + k, 10**6 + k + 5) for 
 @example(((_LONG_ROUND, 0, 0), (_LONG_ROUND, 10**7, 2)))
 @example(((_LONG_ROUND[:1], 0, 0), (_LONG_ROUND[:2], 0, 0), (_LONG_ROUND, 3 * 10**6, 3),
           (_LONG_ROUND[:3], 10**7, 0), (_LONG_ROUND[:1], 10**15, 5)))
+# a repeated round whose rows' spans last differently, one of them past
+# 10**15 ns, then the same round's first two rows repeated on their own
+@example(((_VARIED_ROUND[:5], 10**8, 4), (_VARIED_ROUND[:2], 10**8, 3)))
+# a repeated round longer than a chunk, whose rows' spans last differently
+@example(((_VARIED_ROUND, 10**9, 2),))
+# copies that split unevenly across chunks: 200 rows 5 times (2, 2 and 1 copies
+# to a chunk of 512 rows), 2 rows 5 times and 1 row 7 times (2, 2, 2 and 1 to a
+# chunk of 2; 3, 3 and 1 to a chunk of 3)
+@example(((_VARIED_ROUND[:200], 10**9, 5), (_VARIED_ROUND[200:202], 10**9, 5),
+          (_VARIED_ROUND[202:203], 10**9, 7)))
 def test_block_reader_writes_the_expanded_rows(blocks):
     # the rows and documents of a trace held as blocks are those of the rows
     # the blocks stand for, at any chunk size; chunks hold whole copies of a
@@ -391,6 +409,29 @@ def test_block_reader_writes_the_expanded_rows(blocks):
             for k, layout in enumerate(layouts):
                 assert both[k::2] == list(engine._trace_text(trace, (layout,)))
     assert engine._row_count(trace) == len(rows.rows)
+
+
+@pytest.mark.parametrize("rows_per_write", [1, 2, 512])
+def test_a_repeated_round_is_merged_once_per_block(rows_per_write):
+    # however many chunks a block's copies span, each layout merges its round
+    # once; unrepeated rows merge nothing
+    blocks = ((_VARIED_ROUND[:3], 0, 0), (_VARIED_ROUND[3:5], 10**8, 600),
+              (_VARIED_ROUND[5:6], 0, 0), (_VARIED_ROUND[6:7], 10**8, 40))
+    layouts = (engine._JSON, engine._CHROME)
+    merged = []
+    merge = engine._merged
+
+    def counting(layout, job, columns):
+        merged.append((layout, len(job)))
+        return merge(layout, job, columns)
+
+    with mock.patch.object(engine, "_WRITE_ROWS", rows_per_write), \
+            mock.patch.object(engine, "_merged", counting):
+        copy_chunks = sum(1 for _, copied in engine._chunks(blocks) if copied)
+        list(engine._trace_text(Trace._of(blocks, None), layouts))
+    assert copy_chunks > 2
+    assert merged == [(engine._JSON, 2), (engine._CHROME, 2),
+                      (engine._JSON, 1), (engine._CHROME, 1)]
 
 
 def test_fraction_table():

@@ -246,6 +246,23 @@ def test_a_metrics_takes_only_its_field_types(field, value, message):
         dataclasses.replace(A_METRICS, **{field: value})
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("field, value, message", [
+    ("per_job_iterations", True, "metrics.per_job_iterations['a']: expected an int, got a bool"),
+    ("per_job_iteration_period", "4",
+     "metrics.per_job_iteration_period['a']: expected an int, got a str"),
+], ids=["bool_iterations", "str_period"])
+def test_a_report_checks_the_entries_of_its_metrics(field, value, message, fmt):
+    # a Metrics keeps the caller's dicts: an entry edited after it was built
+    # used to be written as it was, "iterations": True in metrics.json and an
+    # aggregate of 1 in metrics.csv
+    entries = {"a": 4}
+    metrics = dataclasses.replace(A_METRICS, **{field: entries})
+    entries["a"] = value
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        report(metrics, fmt)
+
+
 @pytest.mark.parametrize("sync_end, kind", [("s", "a str"), (6.5, "a float"), (True, "a bool")],
                          ids=["str", "float", "bool"])
 def test_makespan_takes_only_an_int_sync_end(sync_end, kind):

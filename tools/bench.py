@@ -1,15 +1,24 @@
-"""A/B timing harness: run perfbench workloads on two trees in alternating fresh processes.
+"""A/B timing harness: run benchmark cases on two trees in alternating fresh processes.
 
     python tools/bench.py REF CASE... --out FILE [--name NAME] [--head REF]
         [--pairs N] [--seed N]
 
 REF is the git ref of the tree to compare against (the parent); the other
 tree is the working tree, or ``--head``'s ref.  Each ref is exported with
-``parity.export``, so no worktree is made.  A CASE is ``perfbench:W``:
-``perfbench/run.py --workload W --seed N --seconds S --trace 0`` from the
-tree's root, where S is ``BENCHMARK.json``'s ``run_seconds``; the sample is
-the metrics of the result line, the last line of its output, and its op
-counts.
+``parity.export``, so no worktree is made.  A CASE is one of:
+
+* ``perfbench:W``: ``perfbench/run.py --workload W --seed N --seconds S
+  --trace 0`` from the tree's root, where S is ``BENCHMARK.json``'s
+  ``run_seconds``; the sample is the metrics of the result line, the last
+  line of its output, and its op counts;
+* ``large-json`` and ``large-chrome``: ``colosim simulate`` of
+  ``scenarios/speedup_band.json --iters 100000`` (200,000 rows) with
+  ``--format json`` or ``--format chrome-trace`` (which writes trace.json
+  too), called in process five times, each call one op; the sample is
+  ``wall_s``, the fastest call's wall time (the interpreter's start and
+  imports excluded; a busy host only adds time to a call), and
+  ``peak_rss_mb``, the process's peak RSS (Linux only: it reads
+  ``/proc/self/status``).  ``--seed`` does not apply.
 
 Every sample is a fresh process, with BLAS held to one thread.  For each
 case, pair k runs both trees back to back, the parent first when k is even.
@@ -17,8 +26,9 @@ The summary gives, per case and metric, each side's median, the parent's
 quartiles (``statistics.quantiles(n=4)``, exclusive), the pairs the change
 won (ties win for neither), and ``change_pct``, the change median over the
 parent median, minus 1.  Which way is better comes from ``BENCHMARK.json``'s
-``end_to_end`` list.  The records and the summary go to the entry ``--name``
-of the JSON document ``--out``, which keeps its other entries.
+``end_to_end`` list, and ``wall_s`` is better lower.  The records and the
+summary go to the entry ``--name`` of the JSON document ``--out``, which
+keeps its other entries.
 """
 
 from __future__ import annotations
@@ -54,8 +64,46 @@ def _run(tree: Path, argv: list[str]) -> str:
     return done.stdout
 
 
+# The large-* cases: the trace format each writes, and the run of one sample,
+# given the format and the budget.  It calls the CLI LARGE_CALLS times, each
+# into a new directory removed after the call, and prints how many calls
+# failed, the fastest call's wall time and the process's peak RSS as JSON.
+# The peak is VmHWM, the high-water mark of the process's own memory since
+# it started; ``ru_maxrss`` is no lower than the RSS of the process that
+# spawned it, read when it did, so it would report the harness's size.
+LARGE = {"large-json": "json", "large-chrome": "chrome-trace"}
+LARGE_ITERS = 100_000
+LARGE_CALLS = 5
+_LARGE_RUN = """\
+import json, sys, tempfile, time
+from colosim.cli import main
+fmt, iters, calls = sys.argv[1:]
+failed, walls = 0, []
+for _ in range(int(calls)):
+    with tempfile.TemporaryDirectory(prefix="bench-large-") as out:
+        start = time.perf_counter()
+        failed += main(["simulate", "--config", "scenarios/speedup_band.json",
+                        "--out", out, "--iters", iters, "--format", fmt]) != 0
+        walls.append(time.perf_counter() - start)
+with open("/proc/self/status") as status_file:
+    peak_kb = next(int(line.split()[1]) for line in status_file if line.startswith("VmHWM:"))
+print(json.dumps({"failed": failed, "wall_s": min(walls),
+                  "peak_rss_mb": peak_kb / 1024}))
+"""
+
+
+def large_sample(tree: Path, fmt: str, iters: int) -> dict:
+    """One fresh-process sample of speedup_band at ``iters`` writing ``fmt``: its metrics."""
+    result = json.loads(_run(tree, ["-c", _LARGE_RUN, fmt, str(iters),
+                                    str(LARGE_CALLS)]).splitlines()[-1])
+    return {"attempted": LARGE_CALLS, "failed": result["failed"],
+            "metrics": {"wall_s": result["wall_s"], "peak_rss_mb": result["peak_rss_mb"]}}
+
+
 def sample(tree: Path, case: str, seed: int, seconds: float) -> dict:
     """One fresh-process sample of ``case`` in ``tree``: its metrics and op counts."""
+    if case in LARGE:
+        return large_sample(tree, LARGE[case], LARGE_ITERS)
     workload = case.removeprefix("perfbench:")
     result = json.loads(_run(tree, ["perfbench/run.py", "--workload", workload,
                                     "--seed", str(seed), "--seconds", str(seconds),
@@ -114,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git ref of the parent tree")
     parser.add_argument("cases", nargs="+", metavar="CASE",
-                        help="perfbench:W for a perfbench workload W")
+                        help="perfbench:W for a perfbench workload W, large-json or large-chrome")
     parser.add_argument("--head", help="git ref of the changed tree (default: the working tree)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=101)
@@ -122,11 +170,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--name", default="runs", help="entry of --out to write")
     args = parser.parse_args(argv)
     for case in args.cases:
-        if not case.startswith("perfbench:"):
-            parser.error(f"unknown case {case!r}: expected perfbench:W")
+        if not case.startswith("perfbench:") and case not in LARGE:
+            parser.error(f"unknown case {case!r}: expected perfbench:W, large-json or "
+                         f"large-chrome")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
     seconds, lower = declaration()
+    lower["wall_s"] = True
     with tempfile.TemporaryDirectory(prefix="bench-") as temp:
         trees = {"parent": parity.export(args.ref, Path(temp) / "parent"),
                  "change": REPO if args.head is None

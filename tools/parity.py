@@ -18,8 +18,9 @@ leaves no worktree metadata behind.  Both trees run the same commands as
   corpus of valid scenarios: one whose rounds hold more rows than a chunk
   the writer lays out at a time, one that runs many rounds before a round
   repeats, one whose name and job ids hold characters that JSON escapes
-  (``"``, ``\\``, a tab, ``é`` and an astral character), and one of 24 jobs
-  with budgets 1 to 24, whose 24 regimes each last one round;
+  (``"``, ``\\``, a tab, ``é`` and an astral character), one of 24 jobs
+  with budgets 1 to 24, whose 24 regimes each last one round, and one of a
+  repeated round whose job ids are ``{job}``, ``{n}``, ``%s`` and ``t{n}``;
 * a 1000-point ``sweep`` of ``sweep_base`` over an irregular ratio range,
   and ``sweep`` on each document of a fixed corpus of scenarios whose sweep
   ends in an error;
@@ -33,7 +34,7 @@ leaves no worktree metadata behind.  Both trees run the same commands as
 * ``simulate`` and ``validate-config`` on each document of a fixed corpus of
   invalid scenarios, and a fixed set of invalid command lines.
 
-With the five bundled scenarios that makes 100 commands.  Each command's
+With the five bundled scenarios that makes 101 commands.  Each command's
 record is a directory ``<side>/<command>/`` holding its
 ``exit`` code, its ``stdout`` and ``stderr`` with its ``--out`` directory
 written as ``<out>``, and its output files under ``out/``.  The two record
@@ -116,7 +117,9 @@ SWEEP_DOCS: dict[str, tuple[str, list[str]]] = {
 # 512-row chunk, the second one repeated; three jobs whose syncs outlast
 # their computes by 20 ns run 1,668 rounds that do not repeat before the one
 # that does; a name and job ids hold characters that JSON escapes; and 24
-# jobs with budgets 1 to 24 run 24 regimes of one round each.
+# jobs with budgets 1 to 24 run 24 regimes of one round each; and four jobs
+# whose ids spell the writer's slots and %-format run a round that repeats
+# 38 times, each job's compute lasting differently.
 _ESCAPED = '"\\\t\u00e9\U0001f600'
 SIMULATE_DOCS: dict[str, str] = {
     "round_past_a_chunk": _doc(jobs=[{**_JOB, "job_id": f"j{k}"} for k in range(600)]),
@@ -129,6 +132,9 @@ SIMULATE_DOCS: dict[str, str] = {
                                 for k, c in enumerate([_ESCAPED, *_ESCAPED])]),
     "many_regimes": _doc(jobs=[{**_JOB, "job_id": f"j{k}", "iterations": k}
                                for k in range(1, 25)]),
+    "placeholder_ids": _doc(jobs=[{**_JOB, "job_id": job_id, "forward_ms": k + 1,
+                                   "iterations": 40}
+                                  for k, job_id in enumerate(["{job}", "{n}", "%s", "t{n}"])]),
 }
 
 _GOLDEN = ["--config", "scenarios/golden_2jobs.json"]
